@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
 
+#include "algorithms/collaborative_filtering.h"
+#include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
+#include "common/string_util.h"
 #include "exec/frontier.h"
 #include "exec/merge_join.h"
 #include "graphgen/generators.h"
@@ -809,6 +814,158 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
                            << "): " << st.ToString();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins. Digests of every vertex value, every aggregator and every
+// deterministic per-superstep counter of four programs (one of them
+// aggregator-driven, one with multi-column values and messages) on two
+// seeded graphs, over both worker inputs and both frontier modes. The
+// expected digests were recorded from the partition-and-sort worker
+// dataflow the in-place driver replaced; every physical path (threads,
+// shards, encoding, merge joins, vectorized) must reproduce them bit for
+// bit, so this is the one check of bit-identity against that earlier code
+// rather than against itself.
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv1a(uint64_t h, const std::string& s) {
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h ^ 0xff;  // field separator
+}
+
+std::string GoldenDigest(const Graph& g, VertexProgram* program,
+                         bool union_input, FrontierMode mode) {
+  ScopedFrontierMode scoped(mode);
+  Catalog cat;
+  VertexicaOptions opts;
+  opts.use_union_input = union_input;
+  RunStats stats;
+  EXPECT_TRUE(LoadGraphTables(&cat, g, *program).ok());
+  Coordinator coord(&cat, program, opts);
+  const Status st = coord.Run(&stats);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](double d) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+    h = Fnv1a(h, buf);
+  };
+  for (int c = 0; c < program->value_arity(); ++c) {
+    auto values = ReadVertexValues(cat, {}, c);
+    EXPECT_TRUE(values.ok());
+    if (!values.ok()) break;
+    for (const double v : *values) add(v);
+  }
+  for (const auto& [name, value] : coord.aggregates()) {
+    h = Fnv1a(h, name);
+    add(value);
+  }
+  for (const SuperstepStats& s : stats.supersteps) {
+    for (const int64_t n :
+         {static_cast<int64_t>(s.superstep), s.input_rows, s.active_vertices,
+          s.vertex_updates, s.messages_sent,
+          static_cast<int64_t>(s.used_replace),
+          static_cast<int64_t>(s.used_frontier), s.frontier_vertices}) {
+      add(static_cast<double>(n));
+    }
+  }
+  return StringFormat("%016llx", static_cast<unsigned long long>(h));
+}
+
+struct GoldenCase {
+  const char* graph;
+  const char* program;
+  bool union_input;
+  FrontierMode mode;
+  const char* digest;
+};
+
+TEST(GoldenTest, OutputsMatchRecordedDigests) {
+  Graph rmat = GenerateRmat(300, 2400, 101);
+  AssignRandomWeights(&rmat, 1.0, 5.0, 102);
+  Graph ring = GenerateWattsStrogatz(250, 4, 0.2, 103);
+  AssignRandomWeights(&ring, 1.0, 5.0, 104);
+  const std::map<std::string, const Graph*> graphs = {{"rmat", &rmat},
+                                                      {"ring", &ring}};
+  using ProgramFactory = std::function<std::unique_ptr<VertexProgram>()>;
+  const std::map<std::string, std::pair<ProgramFactory, bool>> programs = {
+      {"pagerank", {[] { return std::make_unique<PageRankProgram>(8); },
+                    false}},
+      {"sssp", {[] { return std::make_unique<ShortestPathProgram>(0); },
+                false}},
+      {"cc", {[] { return std::make_unique<ConnectedComponentsProgram>(); },
+              true}},
+      {"cf",
+       {[] { return std::make_unique<CollaborativeFilteringProgram>(3, 5); },
+        true}},
+  };
+  static const GoldenCase kCases[] = {
+      {"ring", "cc", true, FrontierMode::kOff, "a9c7be28141994c6"},
+      {"ring", "cc", true, FrontierMode::kOn, "4891545e1c49e171"},
+      {"ring", "cc", false, FrontierMode::kOff, "48827ad38a6af96e"},
+      {"ring", "cc", false, FrontierMode::kOn, "d62977a02e89434f"},
+      {"ring", "cf", true, FrontierMode::kOff, "c827786142746c0d"},
+      {"ring", "cf", true, FrontierMode::kOn, "de565cc61a1c551b"},
+      {"ring", "cf", false, FrontierMode::kOff, "36b648c78b5ae3ac"},
+      {"ring", "cf", false, FrontierMode::kOn, "aeb147e286e46cce"},
+      {"ring", "pagerank", true, FrontierMode::kOff, "cb581aafd02bfc0a"},
+      {"ring", "pagerank", true, FrontierMode::kOn, "d94ef4bb03e830f2"},
+      {"ring", "pagerank", false, FrontierMode::kOff, "17408ff415ae4a29"},
+      {"ring", "pagerank", false, FrontierMode::kOn, "be40d1c2ea05c5a9"},
+      {"ring", "sssp", true, FrontierMode::kOff, "f86e3198bd9b5661"},
+      {"ring", "sssp", true, FrontierMode::kOn, "f6d31bf545d04eac"},
+      {"ring", "sssp", false, FrontierMode::kOff, "e560728b2a2c683d"},
+      {"ring", "sssp", false, FrontierMode::kOn, "ab04278e71efdfef"},
+      {"rmat", "cc", true, FrontierMode::kOff, "72e3cb1c6e877a85"},
+      {"rmat", "cc", true, FrontierMode::kOn, "d126ce3ee3edf5e2"},
+      {"rmat", "cc", false, FrontierMode::kOff, "54b049f093b078e7"},
+      {"rmat", "cc", false, FrontierMode::kOn, "3c13186e684fd4f4"},
+      {"rmat", "cf", true, FrontierMode::kOff, "7df4f1790ce49850"},
+      {"rmat", "cf", true, FrontierMode::kOn, "1a7f2bf35818a810"},
+      {"rmat", "cf", false, FrontierMode::kOff, "0ec6e24594717014"},
+      {"rmat", "cf", false, FrontierMode::kOn, "94d626246d3a9f5c"},
+      {"rmat", "pagerank", true, FrontierMode::kOff, "f6753e7fccfb7aca"},
+      {"rmat", "pagerank", true, FrontierMode::kOn, "8c26604c5d858752"},
+      {"rmat", "pagerank", false, FrontierMode::kOff, "3e4856dd5446c71b"},
+      {"rmat", "pagerank", false, FrontierMode::kOn, "59fa69bf0093237b"},
+      {"rmat", "sssp", true, FrontierMode::kOff, "f64b9b5330b0a1c3"},
+      {"rmat", "sssp", true, FrontierMode::kOn, "674af23c083fb07f"},
+      {"rmat", "sssp", false, FrontierMode::kOff, "0c25fa6c0bb1b4ba"},
+      {"rmat", "sssp", false, FrontierMode::kOn, "6f464bc4576a2100"},
+  };
+  std::string actual_table;
+  size_t checked = 0;
+  for (const auto& [gname, graph] : graphs) {
+    for (const auto& [pname, entry] : programs) {
+      const Graph input = entry.second ? graph->WithReverseEdges() : *graph;
+      for (const bool union_input : {true, false}) {
+        for (const FrontierMode mode : {FrontierMode::kOff, FrontierMode::kOn}) {
+          auto program = entry.first();
+          const std::string got =
+              GoldenDigest(input, program.get(), union_input, mode);
+          actual_table += StringFormat(
+              "      {\"%s\", \"%s\", %s, FrontierMode::%s, \"%s\"},\n",
+              gname.c_str(), pname.c_str(), union_input ? "true" : "false",
+              mode == FrontierMode::kOff ? "kOff" : "kOn", got.c_str());
+          for (const GoldenCase& c : kCases) {
+            if (gname == c.graph && pname == c.program &&
+                union_input == c.union_input && mode == c.mode) {
+              EXPECT_EQ(got, c.digest)
+                  << gname << "/" << pname << "/"
+                  << (union_input ? "union" : "join") << "/"
+                  << FrontierModeName(mode);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kCases));
+  EXPECT_EQ(checked, 32u) << "recorded table:\n" << actual_table;
 }
 
 }  // namespace
