@@ -1,9 +1,12 @@
 /// \file bench_ablation_union_vs_join.cc
-/// \brief §2.3 "Table Unions" ablation: the union-input plan versus the
-/// traditional 3-way-join plan for assembling worker input. The paper
-/// argues the join "could be very expensive and kill the performance";
-/// this bench quantifies that on PageRank (dense messages — worst case for
-/// the join fan-out) and SSSP (sparse messages).
+/// \brief §2.3 "Table Unions" ablation: the union input versus the
+/// traditional 3-way-join plan for assembling worker input. The union is
+/// logical — the workers read the vertex, edge and message tables in place
+/// (vertexica/worker_driver.h) — so this compares reading in place with a
+/// materialized 3-way join, not one materialized input with another. The
+/// paper argues the join "could be very expensive and kill the
+/// performance"; this bench quantifies that on PageRank (dense messages —
+/// worst case for the join fan-out) and SSSP (sparse messages).
 
 #include "bench_common.h"
 

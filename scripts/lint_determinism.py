@@ -39,13 +39,17 @@ model) sneak in:
       dead recovery code: the crash/abort path it guards has never been
       driven, so nothing stops it from silently rotting.
 
-  R6  The fused-pipeline stage files (src/exec/batch.*, src/exec/
-      vectorized.*) exist to defer materialization to the pipeline's end:
-      a raw Table/Column materialization there — Table::Make, .Take(),
-      .Slice() — silently reintroduces the table-at-a-time intermediates
-      the selection-vector core removes. Each such call must carry a
-      `materialize-ok:` justification (same line or within the three
-      preceding lines) naming why it is a legitimate pipeline-end copy.
+  R6  Two file sets exist to avoid materializing intermediates: the
+      fused-pipeline stage files (src/exec/batch.*, src/exec/vectorized.*)
+      defer materialization to the pipeline's end, and the superstep
+      worker driver (src/vertexica/worker_driver.*) reads the graph tables
+      in place instead of building a union table, partition copies, sorted
+      partitions or split outputs. A raw materialization there —
+      Table::Make, .Take(), .Slice(), .Append(), HashPartition(),
+      SortTable() — silently reintroduces the intermediates they remove.
+      Each such call must carry a `materialize-ok:` justification (same
+      line or within the three preceding lines) naming why it is a
+      legitimate copy.
 
 Exit status 0 when clean, 1 with one `file:line: [rule] message` per
 violation otherwise. Pure stdlib; runs anywhere python3 exists.
@@ -74,8 +78,11 @@ VX_CHECK_RE = re.compile(r"\bVX_CHECK(?:_OK)?\b")
 FAULT_SITE_RE = re.compile(
     r"\b(?:VX_FAULT_POINT|FaultPointHit)\s*\(\s*\"([^\"]+)\"")
 USER_INPUT_LAYERS = ("server", "api", "catalog")
-MATERIALIZE_RE = re.compile(r"\bTable::Make\s*\(|(?:\.|->)(?:Take|Slice)\s*\(")
-FUSED_STAGE_PREFIXES = ("src/exec/batch", "src/exec/vectorized")
+MATERIALIZE_RE = re.compile(
+    r"\b(?:Table::Make|HashPartition|SortTable)\s*\(|"
+    r"(?:\.|->)(?:Take|Slice|Append)\s*\(")
+MATERIALIZE_FREE_PREFIXES = ("src/exec/batch", "src/exec/vectorized",
+                             "src/vertexica/worker_driver")
 
 
 def has_justification(lines, idx, marker):
@@ -136,14 +143,14 @@ def lint_file(path, violations):
                 f"'src/{layer}/' — return a Status the caller can handle, "
                 f"or justify with 'internal-invariant:'")
 
-        if (rel.startswith(FUSED_STAGE_PREFIXES)
+        if (rel.startswith(MATERIALIZE_FREE_PREFIXES)
                 and MATERIALIZE_RE.search(code)
                 and not has_justification(lines, idx, "materialize-ok:")):
             violations.append(
                 f"{rel}:{idx + 1}: [R6] raw materialization inside a "
-                f"fused-pipeline stage — fused pipelines materialize once, "
-                f"at the pipeline's end; justify a legitimate copy with "
-                f"'materialize-ok:'")
+                f"fused-pipeline stage or the in-place worker driver — "
+                f"these materialize only their outputs; justify a "
+                f"legitimate copy with 'materialize-ok:'")
 
     # R3 needs call-spanning context rather than single lines.
     for idx, line in enumerate(lines):

@@ -1,9 +1,11 @@
 /// \file union_all.h
 /// \brief UNION ALL over type-compatible children.
 ///
-/// This is the operator behind the paper's headline optimization (§2.3
-/// "Table Unions"): the vertex, edge and message tables are renamed to a
-/// common schema and unioned — not joined — before being fed to workers.
+/// The relational form of the paper's headline optimization (§2.3 "Table
+/// Unions"): tables renamed to a common schema and unioned, not joined.
+/// The superstep workers read that union logically, in place
+/// (vertexica/worker_driver.h); this operator serves plans that need it
+/// materialized, such as the replace-path vertex rebuild.
 
 #ifndef VERTEXICA_EXEC_UNION_ALL_H_
 #define VERTEXICA_EXEC_UNION_ALL_H_

@@ -1,5 +1,7 @@
 #include "storage/csr_index.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,51 +15,69 @@ std::shared_ptr<const CsrIndex> CsrIndex::Build(const Column& keys) {
   }
   auto index = std::shared_ptr<CsrIndex>(new CsrIndex());
   index->num_rows_ = keys.length();
+  const auto add_slice = [&index](int64_t key, int64_t begin, int64_t end) {
+    index->slices_.GetOrInsert(key, {begin, end});
+    ++index->num_keys_;
+  };
 
   if (const std::vector<RleRun>* runs = keys.rle_runs()) {
-    // Straight from the encoded representation — no decode. Adjacent runs
-    // may legally share a value (Column::FromRleRuns), so merge them into
-    // one slice; any later run with a smaller-or-equal value means the
-    // column is not grouped into contiguous ranges.
-    int64_t row = 0;
-    bool have_prev = false;
-    int64_t prev_key = 0;
-    int64_t slice_begin = 0;
-    for (const RleRun& run : *runs) {
-      if (have_prev && run.value < prev_key) return nullptr;
-      if (!have_prev || run.value != prev_key) {
-        if (have_prev) {
-          index->slices_.GetOrInsert(prev_key, {slice_begin, row});
-          ++index->num_keys_;
+    const bool nondecreasing = std::is_sorted(
+        runs->begin(), runs->end(),
+        [](const RleRun& a, const RleRun& b) { return a.value < b.value; });
+    if (nondecreasing) {
+      // Straight from the encoded representation — no decode. Adjacent
+      // runs may legally share a value (Column::FromRleRuns), so merge
+      // them into one slice.
+      int64_t row = 0;
+      int64_t slice_begin = 0;
+      for (size_t k = 0; k < runs->size(); ++k) {
+        const RleRun& run = (*runs)[k];
+        row += run.length;
+        if (k + 1 == runs->size() || (*runs)[k + 1].value != run.value) {
+          add_slice(run.value, slice_begin, row);
+          slice_begin = row;
         }
-        prev_key = run.value;
-        slice_begin = row;
-        have_prev = true;
       }
-      row += run.length;
+      return index;
     }
-    if (have_prev) {
-      index->slices_.GetOrInsert(prev_key, {slice_begin, row});
-      ++index->num_keys_;
+  }
+
+  const std::vector<int64_t>& values = keys.ints();  // decodes RLE once
+  const int64_t n = static_cast<int64_t>(values.size());
+  if (std::is_sorted(values.begin(), values.end())) {
+    int64_t slice_begin = 0;
+    for (int64_t i = 1; i <= n; ++i) {
+      if (i == n || values[static_cast<size_t>(i)] !=
+                        values[static_cast<size_t>(i - 1)]) {
+        add_slice(values[static_cast<size_t>(i - 1)], slice_begin, i);
+        slice_begin = i;
+      }
     }
     return index;
   }
 
-  const std::vector<int64_t>& values = keys.ints();
-  const int64_t n = static_cast<int64_t>(values.size());
-  int64_t slice_begin = 0;
-  for (int64_t i = 1; i <= n; ++i) {
-    if (i == n || values[static_cast<size_t>(i)] !=
-                      values[static_cast<size_t>(i - 1)]) {
-      if (i < n && values[static_cast<size_t>(i)] <
-                       values[static_cast<size_t>(i - 1)]) {
-        return nullptr;  // not nondecreasing: groups may be split
-      }
-      index->slices_.GetOrInsert(values[static_cast<size_t>(i - 1)],
-                                 {slice_begin, i});
-      ++index->num_keys_;
-      slice_begin = i;
-    }
+  // Any other order: a stable counting sort by key. Count each key, lay
+  // the distinct keys out in ascending order, then scatter the rows in row
+  // order — so each key's rows keep their table order.
+  Int64HashMap<int64_t> cursor;
+  std::vector<int64_t> distinct;
+  for (const int64_t v : values) {
+    int64_t& count = cursor.GetOrInsert(v, 0);
+    if (count++ == 0) distinct.push_back(v);
+  }
+  std::sort(distinct.begin(), distinct.end());
+  int64_t offset = 0;
+  for (const int64_t key : distinct) {
+    int64_t* slot = cursor.Find(key);
+    const int64_t count = *slot;
+    add_slice(key, offset, offset + count);
+    *slot = offset;
+    offset += count;
+  }
+  index->order_.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    int64_t* slot = cursor.Find(values[static_cast<size_t>(i)]);
+    index->order_[static_cast<size_t>((*slot)++)] = i;
   }
   return index;
 }
@@ -84,19 +104,46 @@ Status CsrIndex::CheckInvariants(const Column& keys) const {
         "num_keys says %lld but the map holds %zu slices",
         static_cast<long long>(num_keys_), slices_.size()));
   }
-  // Re-derive the grouping: walk the (required nondecreasing) key column
-  // and demand the index maps each distinct key to exactly its row range.
+  if (!order_.empty() && static_cast<int64_t>(order_.size()) != num_rows_) {
+    return fail(StringFormat(
+        "permutation lists %zu rows but the index covers %lld",
+        order_.size(), static_cast<long long>(num_rows_)));
+  }
+  // Re-derive the stable grouping permutation and demand the index order
+  // is exactly it: identity when the column is nondecreasing, else the
+  // stored permutation.
+  std::vector<int64_t> derived(static_cast<size_t>(num_rows_));
+  std::iota(derived.begin(), derived.end(), int64_t{0});
+  std::stable_sort(derived.begin(), derived.end(),
+                   [&keys](int64_t a, int64_t b) {
+                     return keys.GetInt64(a) < keys.GetInt64(b);
+                   });
+  if (!order_.empty() && std::is_sorted(derived.begin(), derived.end())) {
+    return fail("index stores a permutation over a nondecreasing key column");
+  }
+  for (int64_t p = 0; p < num_rows_; ++p) {
+    const int64_t want = derived[static_cast<size_t>(p)];
+    if (order_.empty() && want != p) {
+      return fail(StringFormat(
+          "key column decreases before row %lld but the index claims "
+          "identity order",
+          static_cast<long long>(p)));
+    }
+    if (Row(p) != want) {
+      return fail(StringFormat(
+          "position %lld holds row %lld but the stable grouping puts row "
+          "%lld there",
+          static_cast<long long>(p), static_cast<long long>(Row(p)),
+          static_cast<long long>(want)));
+    }
+  }
+  // Walk the groups in index order and demand the index maps each distinct
+  // key to exactly its position range.
   int64_t derived_keys = 0;
   int64_t slice_begin = 0;
   for (int64_t i = 1; i <= num_rows_; ++i) {
-    if (i < num_rows_ && keys.GetInt64(i) == keys.GetInt64(i - 1)) continue;
-    const int64_t key = keys.GetInt64(i - 1);
-    if (i < num_rows_ && keys.GetInt64(i) < key) {
-      return fail(StringFormat(
-          "key column decreases at row %lld (not grouped; Build would have "
-          "refused it)",
-          static_cast<long long>(i)));
-    }
+    const int64_t key = keys.GetInt64(Row(i - 1));
+    if (i < num_rows_ && keys.GetInt64(Row(i)) == key) continue;
     const Slice got = NeighborSlice(key);
     if (got.begin != slice_begin || got.end != i) {
       return fail(StringFormat(

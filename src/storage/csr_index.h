@@ -1,71 +1,89 @@
 /// \file csr_index.h
-/// \brief CSR-style grouped edge index: O(1) per-vertex neighbor-row
-/// slices over the (src, dst)-sorted edge table.
+/// \brief CSR-style grouped row index: O(1) per-key row slices over an
+/// INT64 key column in any row order.
 ///
 /// The edge loader keeps edges sorted by (src, dst) with an RLE source
 /// column, so each vertex's out-edges already sit in one contiguous row
-/// range — the CSR property, just stored relationally. This index
-/// materializes that property once per edge snapshot: a hash map from
-/// source id to its [begin, end) row slice, built straight from the RLE
-/// runs when the key column is encoded (no decode) and from one grouping
-/// pass otherwise. The frontier superstep path (vertexica/coordinator.cc)
-/// uses it to gather exactly the active vertices' edge rows instead of
-/// scanning the whole table.
+/// range — the CSR property, just stored relationally. Over such a
+/// nondecreasing key column the index is a hash map from key to its
+/// [begin, end) row slice, built straight from the RLE runs when the key
+/// column is encoded (no decode) and from one grouping pass otherwise.
 ///
-/// Build is strict about its precondition: if the key column is not
-/// nondecreasing (so some vertex's rows could be split across ranges),
-/// Build returns nullptr and callers fall back to the dense full-scan
-/// path — the index can cost a fallback, never correctness.
+/// Over a key column in any other order (an edge table loaded unsorted, or
+/// the message table keyed on `dst`, which arrives in worker-output order)
+/// Build additionally computes the stable grouping permutation: every row
+/// listed by ascending key, ties in ascending row order. Slices then index
+/// into that permutation. Either way a key's slice lists exactly its rows
+/// in table order, which is what the superstep worker driver
+/// (vertexica/worker_driver.h) reads: each vertex's edges in edge-table
+/// order and its messages in message-table order.
+///
+/// Build fails (nullptr) only for NULL or non-INT64 keys, which no graph
+/// table loader produces; the coordinator turns that into InvalidArgument.
 
 #ifndef VERTEXICA_STORAGE_CSR_INDEX_H_
 #define VERTEXICA_STORAGE_CSR_INDEX_H_
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/hash.h"
 #include "storage/column.h"
 
 namespace vertexica {
 
-/// \brief Immutable per-source-vertex row-slice index over a grouped
-/// (sorted) INT64 key column; shareable across threads once built.
+/// \brief Immutable per-key row-slice index over an INT64 key column;
+/// shareable across threads once built.
 class CsrIndex {
  public:
-  /// \brief A contiguous row range [begin, end) of the indexed table.
+  /// \brief A contiguous range [begin, end) of index positions; position
+  /// `p` is table row Row(p).
   struct Slice {
     int64_t begin = 0;
     int64_t end = 0;
     int64_t length() const { return end - begin; }
   };
 
-  /// \brief Builds the index over `keys` (must be INT64). Returns nullptr
-  /// when the column is not nondecreasing — adjacent-run merging handles
-  /// RLE encodings that split one value across runs. NULL keys (possible
-  /// in principle, never produced by the edge loader) also fail the build.
+  /// \brief Builds the index over `keys`. Returns nullptr when the column
+  /// is not INT64 or holds NULLs. Adjacent-run merging handles RLE
+  /// encodings that split one value across runs.
   static std::shared_ptr<const CsrIndex> Build(const Column& keys);
 
-  /// \brief The row slice of `key`; an empty slice when absent.
+  /// \brief The slice of `key`; an empty slice when absent.
   Slice NeighborSlice(int64_t key) const {
     const Slice* s = slices_.Find(key);
     return s == nullptr ? Slice{} : *s;
   }
+
+  /// \brief Table row at index position `pos`.
+  int64_t Row(int64_t pos) const {
+    return order_.empty() ? pos : order_[static_cast<size_t>(pos)];
+  }
+
+  /// \brief True when positions are rows (the key column is
+  /// nondecreasing), so every slice is a contiguous row range.
+  bool identity_order() const { return order_.empty(); }
 
   int64_t num_keys() const { return num_keys_; }
   int64_t num_rows() const { return num_rows_; }
 
   /// \brief Deep structural audit against the column this index claims to
   /// describe (the VX_DCHECK tier; see docs/DEVELOPING.md). Re-derives the
-  /// grouping from `keys` and verifies the slices are contiguous, cover
-  /// every row exactly once in ascending key order, and that num_keys/
-  /// num_rows match — i.e. the index still describes this edge snapshot and
-  /// not a stale one. O(rows); call behind VX_DCHECK_OK.
+  /// stable grouping permutation from `keys` and verifies that the index
+  /// order is exactly it (identity iff the column is nondecreasing), that
+  /// the slices are contiguous and cover every position once in ascending
+  /// key order, and that num_keys/num_rows match — i.e. the index still
+  /// describes this snapshot and not a stale one. O(rows log rows); call
+  /// behind VX_DCHECK_OK.
   Status CheckInvariants(const Column& keys) const;
 
  private:
   CsrIndex() : slices_(0) {}
 
   Int64HashMap<Slice> slices_;
+  /// Stable grouping permutation; empty when the keys are nondecreasing.
+  std::vector<int64_t> order_;
   int64_t num_keys_ = 0;
   int64_t num_rows_ = 0;
 };

@@ -4,10 +4,16 @@
 /// The Vertexica worker (§2.2) is "a container for the vertex-compute
 /// function [that] runs as a database UDF". In Vertica these are transform
 /// functions invoked per partition of their input; this module reproduces
-/// that invocation contract: the engine hash-partitions the input on a key,
-/// optionally sorts each partition, and calls the UDF once per partition.
-/// UDF instances run in parallel across a thread pool ("as many workers as
-/// the number of cores").
+/// that invocation contract for general UDFs: the engine hash-partitions
+/// the input on a key, optionally sorts each partition, and calls the UDF
+/// once per partition. UDF instances run in parallel across a thread pool
+/// ("as many workers as the number of cores").
+///
+/// The superstep workers keep this contract's partitioning — the same
+/// PartitionOf buckets, kDefaultTransformPartitions and the parallelism
+/// rules of ResolveTransformParallelism — but not its materialization:
+/// vertexica/worker_driver.h reads each partition's rows in place instead
+/// of copying and sorting them through ApplyTransform.
 
 #ifndef VERTEXICA_UDF_TRANSFORM_H_
 #define VERTEXICA_UDF_TRANSFORM_H_

@@ -22,7 +22,7 @@
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "udf/transform.h"
-#include "vertexica/worker.h"
+#include "vertexica/worker_driver.h"
 
 namespace vertexica {
 
@@ -225,87 +225,8 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
   return true;
 }
 
-/// Fused-split projection of the worker output onto vertex updates:
-/// (id, halted, v0..v{va-1}).
-std::vector<ProjectionSpec> UpdateProjection(int va) {
-  std::vector<ProjectionSpec> proj = {{"id", Col("id")},
-                                      {"halted", Col("halted")}};
-  for (int i = 0; i < va; ++i) {
-    proj.push_back({StringFormat("v%d", i), Col(StringFormat("p%d", i))});
-  }
-  return proj;
-}
-
-/// Fused-split projection of the worker output onto new messages:
-/// (src, dst, m0..m{ma-1}); sender is `other`, receiver is `id`.
-std::vector<ProjectionSpec> MessageProjection(int ma) {
-  std::vector<ProjectionSpec> proj = {{"src", Col("other")},
-                                      {"dst", Col("id")}};
-  for (int i = 0; i < ma; ++i) {
-    proj.push_back({StringFormat("m%d", i), Col(StringFormat("p%d", i))});
-  }
-  return proj;
-}
-
-/// One pass over a worker-output table: the active-vertex count plus the
-/// kind-3 aggregator partial rows as (aggregator index, partial) pairs in
-/// row order. Collected rather than merged so the sharded path can replay
-/// the merges across shards in global row order — the exact fold sequence
-/// of the unsharded loop.
-struct WorkerOutputScan {
-  int64_t active = 0;
-  std::vector<std::pair<int64_t, double>> aggregate_rows;
-};
-
-WorkerOutputScan ScanWorkerOutput(const Table& out) {
-  WorkerOutputScan scan;
-  const auto& kinds = out.column(1).ints();
-  const auto& others = out.column(2).ints();
-  const auto& p0 = out.column(4).doubles();
-  for (int64_t r = 0; r < out.num_rows(); ++r) {
-    const auto sr = static_cast<size_t>(r);
-    if (kinds[sr] == kVertexTuple) {
-      ++scan.active;
-    } else if (kinds[sr] == kAggregateTuple) {
-      scan.aggregate_rows.emplace_back(others[sr], p0[sr]);
-    }
-  }
-  return scan;
-}
-
-/// The fused σ→π worker-output split (updates, new messages, aggregate
-/// scan) — one definition shared by the sharded and unsharded superstep
-/// loops, so the two paths cannot drift apart and break their documented
-/// bit-identity contract.
-struct SplitOutputs {
-  Table updates;
-  Table messages;
-  WorkerOutputScan scan;
-};
-
-Result<SplitOutputs> SplitWorkerOutput(const std::shared_ptr<const Table>& out,
-                                       int va, int ma) {
-  SplitOutputs split;
-  // Vertex updates: kind=0 rows with other=1 (state actually changed).
-  VX_ASSIGN_OR_RETURN(
-      split.updates,
-      ParallelFilterProject(
-          out,
-          And(Eq(Col("kind"), Lit(static_cast<int64_t>(kVertexTuple))),
-              Eq(Col("other"), Lit(int64_t{1}))),
-          UpdateProjection(va)));
-  // New messages: kind=2 rows; sender is `other`, receiver is `id`.
-  VX_ASSIGN_OR_RETURN(
-      split.messages,
-      ParallelFilterProject(
-          out, Eq(Col("kind"), Lit(static_cast<int64_t>(kMessageTuple))),
-          MessageProjection(ma)));
-  split.scan = ScanWorkerOutput(*out);
-  return split;
-}
-
 /// Folds collected aggregator partials into `aggregates` in the order
-/// given — callers pass rows in global worker-output row order.
+/// given — callers pass them in global partition order.
 void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
                         const std::vector<std::pair<int64_t, double>>& rows,
                         std::map<std::string, double>* aggregates) {
@@ -344,16 +265,9 @@ struct Coordinator::ShardedState {
   PartitionSet vertex;
   PartitionSet edge;
   std::vector<TablePtr> message;
-  std::vector<TablePtr> edge_join_side;  // empty on the union-input path
-  /// Per-shard CSR edge indexes of the union-path frontier gathers, built
-  /// lazily the first superstep a shard takes the frontier path (a dense
-  /// run never pays for them). Race-free without locks: each shard's slot
-  /// is touched only by the one ParallelFor task that owns that shard in a
-  /// superstep, and cross-superstep visibility rides the pool's
-  /// submit/join synchronization. `edge_csr_failed[s]` remembers an
-  /// unbuildable shard layout so it is probed once, not every superstep.
-  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;
-  std::vector<uint8_t> edge_csr_failed;
+  std::vector<TablePtr> edge_join_side;  // join-input path only
+  /// Per-shard CSR edge indexes the union-path workers read edges through.
+  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;  // union path only
 };
 
 Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
@@ -364,52 +278,6 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
       names_(std::move(names)) {}
 
 Coordinator::~Coordinator() = default;
-
-Result<Table> Coordinator::BuildUnionInput(const TablePtr& vertex,
-                                           const TablePtr& edge,
-                                           const TablePtr& message) const {
-  const int va = program_->value_arity();
-  const int ma = program_->message_arity();
-  const int arity = PayloadArity(*program_);
-
-  // §2.3 "Table Unions": the three inputs are renamed to a common schema
-  // and unioned instead of joined. Each section is projected
-  // morsel-parallel; UNION ALL is then just ordered concatenation.
-  std::vector<ProjectionSpec> vproj = {
-      {"id", Col("id")},
-      {"kind", Lit(static_cast<int64_t>(kVertexTuple))},
-      {"other", Lit(int64_t{-1})},
-      {"halted", Col("halted")}};
-  for (int i = 0; i < arity; ++i) {
-    vproj.push_back({StringFormat("p%d", i),
-                     i < va ? Col(StringFormat("v%d", i)) : Lit(0.0)});
-  }
-  std::vector<ProjectionSpec> eproj = {
-      {"id", Col("src")},
-      {"kind", Lit(static_cast<int64_t>(kEdgeTuple))},
-      {"other", Col("dst")},
-      {"halted", Lit(false)}};
-  for (int i = 0; i < arity; ++i) {
-    eproj.push_back({StringFormat("p%d", i),
-                     i == 0 ? Col("weight") : Lit(0.0)});
-  }
-  std::vector<ProjectionSpec> mproj = {
-      {"id", Col("dst")},
-      {"kind", Lit(static_cast<int64_t>(kMessageTuple))},
-      {"other", Col("src")},
-      {"halted", Lit(false)}};
-  for (int i = 0; i < arity; ++i) {
-    mproj.push_back({StringFormat("p%d", i),
-                     i < ma ? Col(StringFormat("m%d", i)) : Lit(0.0)});
-  }
-
-  VX_ASSIGN_OR_RETURN(Table input, ParallelProject(vertex, vproj));
-  VX_ASSIGN_OR_RETURN(Table edge_part, ParallelProject(edge, eproj));
-  VX_ASSIGN_OR_RETURN(Table msg_part, ParallelProject(message, mproj));
-  VX_RETURN_NOT_OK(input.Append(edge_part));
-  VX_RETURN_NOT_OK(input.Append(msg_part));
-  return input;
-}
 
 Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
     const TablePtr& edge) const {
@@ -487,75 +355,94 @@ Result<Coordinator::TablePtr> Coordinator::EdgeJoinSideFor(
   return edge_derived_.join_side;
 }
 
-const CsrIndex* Coordinator::EdgeCsrFor(const TablePtr& edge) const {
+namespace {
+
+/// The CSR index over `table`'s INT64 key column `key`; InvalidArgument
+/// when the column holds NULLs or has another type.
+Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
+                                                      const std::string& key) {
+  VX_ASSIGN_OR_RETURN(int c, table.ColumnIndex(key));
+  auto index = CsrIndex::Build(table.column(c));
+  if (index == nullptr) {
+    return Status::InvalidArgument(
+        "graph table column '" + key +
+        "' must be a non-NULL INT64 vertex id to group the worker input");
+  }
+  // The index is read across the whole superstep (and cached across
+  // supersteps for edges); prove once that it describes exactly this key
+  // column.
+  VX_DCHECK_OK(index->CheckInvariants(table.column(c)));
+  return index;
+}
+
+}  // namespace
+
+Result<const CsrIndex*> Coordinator::EdgeCsrFor(const TablePtr& edge) const {
   SyncEdgeDerived(edge);
-  if (edge_derived_.csr == nullptr && !edge_derived_.csr_failed) {
-    const Column* src = edge->ColumnByName("src");
-    if (src != nullptr) edge_derived_.csr = CsrIndex::Build(*src);
-    edge_derived_.csr_failed = edge_derived_.csr == nullptr;
-    if (edge_derived_.csr != nullptr) {
-      // The index is cached across supersteps keyed on this snapshot; prove
-      // once that it describes exactly this key column.
-      VX_DCHECK_OK(edge_derived_.csr->CheckInvariants(*src));
-    }
+  if (edge_derived_.csr == nullptr) {
+    VX_ASSIGN_OR_RETURN(edge_derived_.csr, BuildKeyIndex(*edge, "src"));
   }
   return edge_derived_.csr.get();
 }
 
-Result<Table> Coordinator::BuildJoinInput(const TablePtr& vertex,
-                                          const TablePtr& edge,
-                                          const TablePtr& message) const {
-  VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-  return BuildJoinInputWithEdgeSide(vertex, edge_side, message);
-}
-
-Result<Table> Coordinator::BuildUnionInputFrontier(
-    const TablePtr& vertex, const TablePtr& edge, const TablePtr& message,
-    const Bitvector& frontier, const CsrIndex& csr) const {
-  // Restrict the vertex section to the active rows and the edge section to
-  // their CSR slices, then reuse the dense union builder over the small
-  // tables. Both gathers iterate the frontier in ascending row order over
-  // id-sorted tables, so the restricted sections keep the full tables'
-  // relative row order — after the stable partition-and-sort the surviving
-  // per-vertex tuple streams are exactly the dense build's (inactive
-  // vertices contribute no worker output, so dropping their rows is
-  // unobservable). The message section is passed through whole: every
-  // in-table receiver is in the frontier by construction, and orphan
-  // receivers are skipped by the worker on both paths.
-  const std::vector<int64_t> active_rows = frontier.SetIndices();
-  Table active_vertex = vertex->Take(active_rows);
-
-  const auto& ids = vertex->ColumnByName("id")->ints();
-  std::vector<int64_t> edge_rows;
-  for (int64_t r : active_rows) {
-    const CsrIndex::Slice s = csr.NeighborSlice(ids[static_cast<size_t>(r)]);
-    for (int64_t e = s.begin; e < s.end; ++e) edge_rows.push_back(e);
+Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
+    const TablePtr& vertex, const TablePtr& edge, const CsrIndex* edge_index,
+    const TablePtr& edge_join_side, const TablePtr& message,
+    const Bitvector* frontier) const {
+  WorkerInput in;
+  if (!options_.use_union_input) {
+    TablePtr probe = vertex;
+    if (frontier != nullptr) {
+      // Only the probe (vertex) side is restricted; the message and edge
+      // build sides stay whole, so their msg_seq/edge_seq numbering — what
+      // the worker uses to undo the join fan-out — is untouched. Join
+      // output is probe-row-major, so dropping probe rows that produce no
+      // worker output leaves the surviving rows' relative order (and the
+      // per-vertex streams) bit-identical to the dense plan's.
+      Table active = vertex->Take(frontier->SetIndices());
+      // Take conservatively drops the declared order, but the gather
+      // indices are ascending over an id-sorted table (a frontier
+      // precondition) — re-declare it so the superstep joins keep merging.
+      VX_ASSIGN_OR_RETURN(int id_c, active.ColumnIndex("id"));
+      active.SetSortOrder({{id_c, true}});
+      probe = std::make_shared<const Table>(std::move(active));
+    }
+    VX_ASSIGN_OR_RETURN(
+        in.join, BuildJoinInputWithEdgeSide(probe, edge_join_side, message));
+    in.rows = in.join.num_rows();
+    return in;
   }
-  Table active_edge = edge->Take(edge_rows);
 
-  return BuildUnionInput(
-      std::make_shared<const Table>(std::move(active_vertex)),
-      std::make_shared<const Table>(std::move(active_edge)), message);
+  // §2.3 "Table Unions", read in place: the union of the three tables is
+  // logical. Edges are read through the cached per-snapshot CSR index,
+  // messages through a one-pass grouping on their receiver.
+  VX_ASSIGN_OR_RETURN(in.message_index, BuildKeyIndex(*message, "dst"));
+  in.view.vertex = vertex.get();
+  in.view.edge = edge.get();
+  in.view.edge_index = edge_index;
+  in.view.message = message.get();
+  in.view.message_index = in.message_index.get();
+  in.view.frontier = frontier;
+  // input_rows counts the logical union: V + E + M, or on frontier
+  // supersteps each active vertex row with its edge slice, plus M.
+  in.rows = message->num_rows();
+  if (frontier == nullptr) {
+    in.rows += vertex->num_rows() + edge->num_rows();
+  } else {
+    const auto& ids = vertex->ColumnByName("id")->ints();
+    frontier->ForEachSetBit([&](int64_t r) {
+      in.rows +=
+          1 + edge_index->NeighborSlice(ids[static_cast<size_t>(r)]).length();
+    });
+  }
+  return in;
 }
 
-Result<Table> Coordinator::BuildJoinInputFrontier(
-    const TablePtr& vertex, const TablePtr& edge_side,
-    const TablePtr& message, const Bitvector& frontier) const {
-  // Only the probe (vertex) side is restricted; the message and edge build
-  // sides stay whole, so their msg_seq/edge_seq numbering — what the worker
-  // uses to undo the join fan-out — is untouched. Join output is
-  // probe-row-major, so dropping probe rows that produce no worker output
-  // leaves the surviving rows' relative order (and the per-vertex streams)
-  // bit-identical to the dense plan's.
-  Table active = vertex->Take(frontier.SetIndices());
-  // Take conservatively drops the declared order, but the gather indices
-  // are ascending over an id-sorted table (a frontier precondition) — the
-  // restriction is still id-sorted; re-declare it so the superstep joins
-  // keep merging.
-  VX_ASSIGN_OR_RETURN(int id_c, active.ColumnIndex("id"));
-  active.SetSortOrder({{id_c, true}});
-  return BuildJoinInputWithEdgeSide(
-      std::make_shared<const Table>(std::move(active)), edge_side, message);
+Result<WorkerOutput> Coordinator::RunWorkers(
+    const WorkerSharedState& shared, const WorkerInput& input,
+    const TransformParallelism& par) const {
+  return options_.use_union_input ? RunUnionWorkers(shared, input.view, par)
+                                  : RunJoinWorkers(shared, input.join, par);
 }
 
 Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
@@ -631,15 +518,19 @@ Result<Table> Coordinator::CombineMessages(Table messages) const {
   for (int i = 0; i < ma; ++i) {
     specs.push_back({op, StringFormat("m%d", i), StringFormat("m%d", i)});
   }
-  std::vector<ProjectionSpec> cproj = {{"src", Lit(int64_t{-1})},
-                                       {"dst", Col("dst")}};
-  for (int i = 0; i < ma; ++i) {
-    cproj.push_back({StringFormat("m%d", i), Col(StringFormat("m%d", i))});
+  // GROUP BY dst straight on the typed message table: the same
+  // chunk-parallel kernel (and chunk-order fold) the plan operator runs,
+  // minus the scan/collect/project round trip. Combined messages carry no
+  // single sender: src = -1.
+  VX_ASSIGN_OR_RETURN(Table combined,
+                      ParallelHashAggregate(messages, {"dst"}, specs));
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInts(
+      std::vector<int64_t>(static_cast<size_t>(combined.num_rows()), -1)));
+  for (int c = 0; c < combined.num_columns(); ++c) {
+    cols.push_back(std::move(*combined.mutable_column(c)));
   }
-  return PlanBuilder::Scan(std::move(messages))
-      .Aggregate({"dst"}, std::move(specs))
-      .Project(std::move(cproj))
-      .Execute();
+  return Table::Make(MakeMessageSchema(ma), std::move(cols));
 }
 
 Result<Table> Coordinator::RebuildVertices(const Table& vertex,
@@ -679,7 +570,6 @@ Status Coordinator::RestoreSortedInvariant(
 Status Coordinator::Run(RunStats* stats) {
   const int va = program_->value_arity();
   const int ma = program_->message_arity();
-  const int arity = PayloadArity(*program_);
   if (va <= 0 || ma <= 0) {
     return Status::InvalidArgument("vertex program arities must be positive");
   }
@@ -726,14 +616,15 @@ Status Coordinator::Run(RunStats* stats) {
   // loops shard-wise. The shard count is capped at the vertex-batching
   // partition count — shards are contiguous blocks of those partitions,
   // which is what makes the two paths bit-identical (storage/partition.h).
-  const int base_partitions = options_.num_partitions > 0
-                                  ? options_.num_partitions
-                                  : kDefaultTransformPartitions;
+  TransformOptions topts;
+  topts.num_partitions = options_.num_partitions;
+  topts.num_workers = options_.num_workers;
+  const TransformParallelism par = ResolveTransformParallelism(topts);
   const int num_shards = std::min(
       options_.num_shards > 0 ? options_.num_shards : ExecShards(),
-      base_partitions);
+      par.partitions);
   if (num_shards > 1) {
-    return RunSharded(stats, num_shards, base_partitions, first_superstep);
+    return RunSharded(stats, num_shards, par, first_superstep);
   }
 
   WallTimer total_timer;
@@ -759,90 +650,56 @@ Status Coordinator::Run(RunStats* stats) {
       break;
     }
 
-    auto shared = std::make_shared<WorkerSharedState>();
-    shared->program = program_;
-    shared->superstep = superstep;
-    shared->num_vertices = vertex->num_rows();
-    shared->payload_arity = arity;
-    shared->prev_aggregates = &prev_aggregates_;
+    WorkerSharedState shared;
+    shared.program = program_;
+    shared.superstep = superstep;
+    shared.num_vertices = vertex->num_rows();
+    shared.prev_aggregates = &prev_aggregates_;
     for (const auto& spec : agg_specs) {
-      shared->aggregator_kinds[spec.name] = spec.kind;
-      shared->aggregator_names.push_back(spec.name);
+      shared.aggregator_kinds[spec.name] = spec.kind;
+      shared.aggregator_names.push_back(spec.name);
     }
 
-    // ---- Worker input: frontier (sparse) or dense build. ---------------
+    // ---- Worker input: frontier (sparse) or dense. ---------------------
     // The frontier decision is part of the measured input phase — deriving
     // the active set is a cost the sparse path pays, so input_seconds must
     // charge for it.
     WallTimer phase_timer;
     Frontier frontier;
-    bool used_frontier =
+    const bool used_frontier =
         ComputeFrontier(*vertex, *message, AmbientFrontierMode(), superstep,
                         options_.frontier_threshold, &frontier);
     // The frontier bitvector gates which vertices compute this superstep;
     // its word-tail hygiene is what the popcount/AND/OR shortcuts assume.
     if (used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
-    Table input;
+    const CsrIndex* edge_index = nullptr;
+    TablePtr edge_side;
     if (options_.use_union_input) {
-      const CsrIndex* csr = used_frontier ? EdgeCsrFor(edge) : nullptr;
-      used_frontier = used_frontier && csr != nullptr;
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInputFrontier(
-                                       vertex, edge, message, frontier.bits,
-                                       *csr));
-      } else {
-        VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vertex, edge, message));
-      }
+      VX_ASSIGN_OR_RETURN(edge_index, EdgeCsrFor(edge));
     } else {
-      VX_ASSIGN_OR_RETURN(TablePtr edge_side, EdgeJoinSideFor(edge));
-      if (used_frontier) {
-        VX_ASSIGN_OR_RETURN(input, BuildJoinInputFrontier(
-                                       vertex, edge_side, message,
-                                       frontier.bits));
-      } else {
-        VX_ASSIGN_OR_RETURN(
-            input, BuildJoinInputWithEdgeSide(vertex, edge_side, message));
-      }
+      VX_ASSIGN_OR_RETURN(edge_side, EdgeJoinSideFor(edge));
     }
+    VX_ASSIGN_OR_RETURN(
+        WorkerInput input,
+        BuildWorkerInput(vertex, edge, edge_index, edge_side, message,
+                         used_frontier ? &frontier.bits : nullptr));
     const double input_seconds = phase_timer.ElapsedSeconds();
 
-    // Vertex batching (§2.3): hash partition on vertex id (column 0), sort
-    // each partition on id, and run the worker UDFs in parallel.
-    TransformOptions topts;
-    topts.num_workers = options_.num_workers;
-    topts.num_partitions = options_.num_partitions;
-    topts.sort_columns = {0};
-    TransformUdfFactory factory;
-    if (options_.use_union_input) {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<Worker>(shared);
-      };
-    } else {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<JoinWorker>(shared);
-      };
-    }
+    // Vertex batching (§2.3): the workers run in parallel over the
+    // hash partitions on vertex id.
     phase_timer.Restart();
-    VX_ASSIGN_OR_RETURN(Table out_table,
-                        ApplyTransform(input, 0, factory, topts));
+    VX_ASSIGN_OR_RETURN(WorkerOutput out, RunWorkers(shared, input, par));
     const double worker_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
-    // Shared snapshot so the two split scans below range-scan it in
-    // parallel without copying.
-    const auto out = std::make_shared<const Table>(std::move(out_table));
-
-    // ---- Split the worker output (fused σ→π, morsel-parallel). --------
-    VX_ASSIGN_OR_RETURN(SplitOutputs split, SplitWorkerOutput(out, va, ma));
-    Table updates = std::move(split.updates);
-    Table new_messages = std::move(split.messages);
-    const int64_t active = split.scan.active;
+    Table updates = std::move(out.updates);
+    Table new_messages = std::move(out.messages);
+    const int64_t active = out.active;
     std::map<std::string, double> new_aggregates;
     for (const auto& spec : agg_specs) {
       new_aggregates[spec.name] = AggregatorIdentity(spec.kind);
     }
-    MergeAggregateRows(agg_specs, split.scan.aggregate_rows,
-                       &new_aggregates);
+    MergeAggregateRows(agg_specs, out.aggregate_rows, &new_aggregates);
 
     // ---- Message combining. -------------------------------------------
     VX_ASSIGN_OR_RETURN(new_messages,
@@ -926,7 +783,7 @@ Status Coordinator::Run(RunStats* stats) {
     if (stats != nullptr) {
       SuperstepStats s;
       s.superstep = superstep;
-      s.input_rows = input.num_rows();
+      s.input_rows = input.rows;
       s.active_vertices = active;
       s.vertex_updates = updates.num_rows();
       s.messages_sent = messages_sent;
@@ -967,10 +824,8 @@ Status Coordinator::Run(RunStats* stats) {
 }
 
 Status Coordinator::RunSharded(RunStats* stats, int num_shards,
-                               int base_partitions, int first_superstep) {
-  const int va = program_->value_arity();
-  const int ma = program_->message_arity();
-  const int arity = PayloadArity(*program_);
+                               const TransformParallelism& par,
+                               int first_superstep) {
   const auto agg_specs = program_->aggregators();
 
   // Timer starts before the sharding setup: the once-per-run partitioning
@@ -994,7 +849,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
 
     sharded_ = std::make_unique<ShardedState>();
     sharded_->spec.num_shards = num_shards;
-    sharded_->spec.base_partitions = base_partitions;
+    sharded_->spec.base_partitions = par.partitions;
     VX_ASSIGN_OR_RETURN(int vid_c, vertex0->ColumnIndex("id"));
     VX_ASSIGN_OR_RETURN(int esrc_c, edge0->ColumnIndex("src"));
     VX_ASSIGN_OR_RETURN(int mdst_c, message0->ColumnIndex("dst"));
@@ -1008,15 +863,16 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       sharded_->message.push_back(
           std::make_shared<const Table>(std::move(t)));
     }
-    if (!options_.use_union_input) {
-      for (int s = 0; s < num_shards; ++s) {
-        VX_ASSIGN_OR_RETURN(auto side,
-                            BuildEdgeJoinSide(sharded_->edge.shard(s)));
+    for (int s = 0; s < num_shards; ++s) {
+      const TablePtr& es = sharded_->edge.shard(s);
+      if (options_.use_union_input) {
+        VX_ASSIGN_OR_RETURN(auto index, BuildKeyIndex(*es, "src"));
+        sharded_->edge_csr.push_back(std::move(index));
+      } else {
+        VX_ASSIGN_OR_RETURN(auto side, BuildEdgeJoinSide(es));
         sharded_->edge_join_side.push_back(std::move(side));
       }
     }
-    sharded_->edge_csr.resize(static_cast<size_t>(num_shards));
-    sharded_->edge_csr_failed.assign(static_cast<size_t>(num_shards), 0);
     // Post-scatter audit: the vertex/edge PartitionSets self-audited inside
     // Build; the message shards scattered here carry the same obligations
     // (structure + every row owned by its shard).
@@ -1047,44 +903,26 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       if (all_halted) break;
     }
 
-    auto shared = std::make_shared<WorkerSharedState>();
-    shared->program = program_;
-    shared->superstep = superstep;
-    shared->num_vertices = total_vertices;  // global count, not per shard
-    shared->payload_arity = arity;
-    shared->prev_aggregates = &prev_aggregates_;
+    // Vertex batching within each shard uses the *global* partition count
+    // (`par`): a shard's rows only hash into its own contiguous partition
+    // block, so the per-shard batches, their order, and therefore every
+    // per-vertex stream are exactly those of an unsharded pass.
+    WorkerSharedState shared;
+    shared.program = program_;
+    shared.superstep = superstep;
+    shared.num_vertices = total_vertices;  // global count, not per shard
+    shared.prev_aggregates = &prev_aggregates_;
     for (const auto& spec : agg_specs) {
-      shared->aggregator_kinds[spec.name] = spec.kind;
-      shared->aggregator_names.push_back(spec.name);
+      shared.aggregator_kinds[spec.name] = spec.kind;
+      shared.aggregator_names.push_back(spec.name);
     }
 
-    // Vertex batching within each shard uses the *global* partition count:
-    // a shard's rows only hash into its own contiguous partition block, so
-    // the per-shard batches, their order, and therefore every per-vertex
-    // tuple stream are exactly those of an unsharded pass.
-    TransformOptions topts;
-    topts.num_workers = options_.num_workers;
-    topts.num_partitions = base_partitions;
-    topts.sort_columns = {0};
-    TransformUdfFactory factory;
-    if (options_.use_union_input) {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<Worker>(shared);
-      };
-    } else {
-      factory = [shared]() -> std::unique_ptr<TransformUdf> {
-        return std::make_unique<JoinWorker>(shared);
-      };
-    }
-
-    // ---- Per-shard dataflow: input → worker → split, shard-parallel. ---
+    // ---- Per-shard dataflow: input → worker, shard-parallel. ----------
     struct ShardStep {
       int64_t input_rows = 0;
       bool used_frontier = false;
       int64_t frontier_vertices = 0;
-      Table updates;
-      Table messages;
-      WorkerOutputScan scan;
+      WorkerOutput out;
       JoinPathStats join_stats;
     };
     std::vector<ShardStep> step(static_cast<size_t>(num_shards));
@@ -1112,62 +950,25 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
             // frontier build is the unsharded construction applied to the
             // shard's slice of the partition blocks.
             Frontier frontier;
-            bool frontier_shard = ComputeFrontier(
+            const bool frontier_shard = ComputeFrontier(
                 *vs, *ms, knobs.frontier, superstep,
                 options_.frontier_threshold, &frontier);
             if (frontier_shard) {
               VX_DCHECK_OK(frontier.bits.CheckInvariants());
             }
-            Table input;
-            if (options_.use_union_input) {
-              const CsrIndex* csr = nullptr;
-              if (frontier_shard && !sharded_->edge_csr_failed[s]) {
-                if (sharded_->edge_csr[s] == nullptr) {
-                  const Column* src = es->ColumnByName("src");
-                  if (src != nullptr) {
-                    sharded_->edge_csr[s] = CsrIndex::Build(*src);
-                    if (sharded_->edge_csr[s] != nullptr) {
-                      VX_DCHECK_OK(
-                          sharded_->edge_csr[s]->CheckInvariants(*src));
-                    }
-                  }
-                  sharded_->edge_csr_failed[s] =
-                      sharded_->edge_csr[s] == nullptr ? 1 : 0;
-                }
-                csr = sharded_->edge_csr[s].get();
-              }
-              frontier_shard = frontier_shard && csr != nullptr;
-              if (frontier_shard) {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildUnionInputFrontier(vs, es, ms, frontier.bits,
-                                                   *csr));
-              } else {
-                VX_ASSIGN_OR_RETURN(input, BuildUnionInput(vs, es, ms));
-              }
-            } else {
-              if (frontier_shard) {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputFrontier(
-                               vs, sharded_->edge_join_side[s], ms,
-                               frontier.bits));
-              } else {
-                VX_ASSIGN_OR_RETURN(
-                    input, BuildJoinInputWithEdgeSide(
-                               vs, sharded_->edge_join_side[s], ms));
-              }
-            }
+            VX_ASSIGN_OR_RETURN(
+                WorkerInput input,
+                BuildWorkerInput(
+                    vs, es,
+                    options_.use_union_input ? sharded_->edge_csr[s].get()
+                                             : nullptr,
+                    options_.use_union_input ? nullptr
+                                             : sharded_->edge_join_side[s],
+                    ms, frontier_shard ? &frontier.bits : nullptr));
             st.used_frontier = frontier_shard;
             st.frontier_vertices = frontier_shard ? frontier.active : 0;
-            st.input_rows = input.num_rows();
-            VX_ASSIGN_OR_RETURN(Table out_table,
-                                ApplyTransform(input, 0, factory, topts));
-            const auto out =
-                std::make_shared<const Table>(std::move(out_table));
-            VX_ASSIGN_OR_RETURN(SplitOutputs split,
-                                SplitWorkerOutput(out, va, ma));
-            st.updates = std::move(split.updates);
-            st.messages = std::move(split.messages);
-            st.scan = std::move(split.scan);
+            st.input_rows = input.rows;
+            VX_ASSIGN_OR_RETURN(st.out, RunWorkers(shared, input, par));
           }
           return Status::OK();
         },
@@ -1188,9 +989,9 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     }
     for (const ShardStep& st : step) {
       input_rows += st.input_rows;
-      active += st.scan.active;
-      total_updates += st.updates.num_rows();
-      MergeAggregateRows(agg_specs, st.scan.aggregate_rows, &new_aggregates);
+      active += st.out.active;
+      total_updates += st.out.updates.num_rows();
+      MergeAggregateRows(agg_specs, st.out.aggregate_rows, &new_aggregates);
     }
 
     // ---- Message exchange (the only cross-shard traffic). --------------
@@ -1204,9 +1005,9 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // equals the global sort restricted to the shard, so next superstep's
     // message streams are bit-identical to the unsharded path's.
     int64_t cross_shard = 0;
-    Table global_messages(step[0].messages.schema());
+    Table global_messages(step[0].out.messages.schema());
     for (int s = 0; s < num_shards; ++s) {
-      const Table& msgs = step[static_cast<size_t>(s)].messages;
+      const Table& msgs = step[static_cast<size_t>(s)].out.messages;
       if (stats != nullptr) {
         // Boundary-crossing counter only: one hash per produced message,
         // skipped entirely when nobody collects stats.
@@ -1271,18 +1072,19 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
           [&](size_t begin, size_t end) -> Status {
             ScopedExecKnobs scoped_knobs(knobs);
             for (size_t s = begin; s < end; ++s) {
-              if (step[s].updates.num_rows() == 0) continue;
+              const Table& updates = step[s].out.updates;
+              if (updates.num_rows() == 0) continue;
               // The replace-path rebuild joins report into the shard's
               // collector, like the input-build joins above.
               ScopedJoinStatsCollector collector(&step[s].join_stats);
               const auto& vs = sharded_->vertex.shard(static_cast<int>(s));
               Table new_vertex;
               if (!used_replace) {
-                VX_ASSIGN_OR_RETURN(
-                    new_vertex, UpdateVerticesInPlace(*vs, step[s].updates));
+                VX_ASSIGN_OR_RETURN(new_vertex,
+                                    UpdateVerticesInPlace(*vs, updates));
               } else {
-                VX_ASSIGN_OR_RETURN(
-                    new_vertex, RebuildVertices(*vs, step[s].updates));
+                VX_ASSIGN_OR_RETURN(new_vertex,
+                                    RebuildVertices(*vs, updates));
                 // Both input paths, like the unsharded loop: the sorted
                 // invariant feeds the merge joins and the frontier.
                 if (!OrderedByColumn(new_vertex, "id")) {

@@ -5,13 +5,13 @@
 ///
 /// Each superstep the coordinator
 ///  1. assembles the worker input from the vertex/edge/message tables —
-///     either as the §2.3 table union or as the traditional 3-way join,
-///  2. hash-partitions it on vertex id and sorts each partition (vertex
-///     batching), runs parallel worker UDFs,
-///  3. splits the worker output into vertex updates, new messages, and
-///     global-aggregator partials,
-///  4. optionally combines messages per receiver (combiner),
-///  5. applies vertex updates in place or by table replacement depending on
+///     either as the §2.3 table union, read in place (no union table is
+///     built; see vertexica/worker_driver.h), or as the traditional 3-way
+///     join,
+///  2. runs the worker UDFs in parallel over the vertex-batching partitions
+///     (§2.3), each writing typed updates, messages and aggregator partials,
+///  3. optionally combines messages per receiver (combiner),
+///  4. applies vertex updates in place or by table replacement depending on
 ///     the update fraction (update vs. replace), and swaps in the new
 ///     message table.
 
@@ -31,6 +31,7 @@
 #include "vertexica/graph_tables.h"
 #include "vertexica/options.h"
 #include "vertexica/vertex_program.h"
+#include "vertexica/worker_driver.h"
 
 namespace vertexica {
 
@@ -38,7 +39,10 @@ namespace vertexica {
 /// monitor and consumed by the benches).
 struct SuperstepStats {
   int superstep = 0;
-  int64_t input_rows = 0;        ///< worker input size (union or join rows)
+  /// Worker input size: rows of the logical V+E+M union (on frontier
+  /// supersteps the active vertex rows, their edges and every message), or
+  /// of the materialized join input.
+  int64_t input_rows = 0;
   int64_t active_vertices = 0;   ///< vertices whose Compute ran
   int64_t vertex_updates = 0;    ///< vertices whose state changed
   int64_t messages_sent = 0;     ///< messages for the next superstep
@@ -47,9 +51,9 @@ struct SuperstepStats {
 
   /// \name Phase breakdown (sums to ≈ seconds)
   /// @{
-  double input_seconds = 0.0;    ///< union/join assembly
-  double worker_seconds = 0.0;   ///< partition + sort + Compute
-  double split_seconds = 0.0;    ///< output split & combiner
+  double input_seconds = 0.0;    ///< message grouping / join assembly
+  double worker_seconds = 0.0;   ///< vertex batching + Compute
+  double split_seconds = 0.0;    ///< aggregator fold & combiner
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
 
@@ -170,43 +174,40 @@ class Coordinator {
   /// can range-scan the catalog tables without copying them.
   using TablePtr = std::shared_ptr<const Table>;
 
-  Result<Table> BuildUnionInput(const TablePtr& vertex, const TablePtr& edge,
-                                const TablePtr& message) const;
-  Result<Table> BuildJoinInput(const TablePtr& vertex, const TablePtr& edge,
-                               const TablePtr& message) const;
+  /// One (shard-)superstep's worker input: the in-place union view over
+  /// the graph tables, or the materialized 3-way join.
+  struct WorkerInput {
+    UnionWorkerInput view;
+    std::shared_ptr<const CsrIndex> message_index;  ///< union: dst grouping
+    Table join;                                     ///< join input path
+    int64_t rows = 0;  ///< SuperstepStats::input_rows
+  };
+  /// Assembles the worker input over one vertex/edge/message (shard)
+  /// triple. Union path: groups the messages on `dst` (one pass) next to
+  /// the cached `edge_index`; join path: runs the 3-way join against the
+  /// cached `edge_join_side`. A non-null `frontier` restricts the input to
+  /// the active vertex rows — a row filter on the union path, a restricted
+  /// probe side on the join path — with every output bit-identical to the
+  /// dense input (inactive vertices produce no output).
+  Result<WorkerInput> BuildWorkerInput(const TablePtr& vertex,
+                                       const TablePtr& edge,
+                                       const CsrIndex* edge_index,
+                                       const TablePtr& edge_join_side,
+                                       const TablePtr& message,
+                                       const Bitvector* frontier) const;
+  /// Runs the workers over `input` (vertexica/worker_driver.h).
+  Result<WorkerOutput> RunWorkers(const WorkerSharedState& shared,
+                                  const WorkerInput& input,
+                                  const TransformParallelism& par) const;
+
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
-  /// side of an edge table — the per-run cacheable half of BuildJoinInput;
+  /// side of an edge table — the per-run cacheable half of the join input;
   /// the sharded path builds one per edge shard.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,
                                            const TablePtr& edge_side,
                                            const TablePtr& message) const;
-
-  /// \name Frontier input builders (exec/frontier.h)
-  ///
-  /// Sparse counterparts of BuildUnionInput / BuildJoinInputWithEdgeSide:
-  /// the worker input is gathered from the `frontier` bitvector over
-  /// vertex rows — active vertex rows, their CSR edge slices (union path)
-  /// or the restricted probe side (join path), and the full message table
-  /// (every receiver is in the frontier by construction; receivers absent
-  /// from the vertex table are skipped by the worker exactly as on the
-  /// dense path). Gathers iterate set bits in ascending row order and the
-  /// section order (v → e → m) is unchanged, so after the stable
-  /// partition-and-sort the per-vertex tuple streams — and therefore
-  /// results, combiner folds, and aggregate FP folds — are bit-identical
-  /// to the dense build.
-  /// @{
-  Result<Table> BuildUnionInputFrontier(const TablePtr& vertex,
-                                        const TablePtr& edge,
-                                        const TablePtr& message,
-                                        const Bitvector& frontier,
-                                        const CsrIndex& csr) const;
-  Result<Table> BuildJoinInputFrontier(const TablePtr& vertex,
-                                       const TablePtr& edge_side,
-                                       const TablePtr& message,
-                                       const Bitvector& frontier) const;
-  /// @}
   /// Applies the program's message combiner (when configured and enabled)
   /// over a message table; otherwise returns it unchanged.
   Result<Table> CombineMessages(Table messages) const;
@@ -228,8 +229,8 @@ class Coordinator {
 
   /// The persistent-sharding superstep loop (see Run). `num_shards` > 1,
   /// already clamped to the vertex-batching partition count.
-  Status RunSharded(RunStats* stats, int num_shards, int base_partitions,
-                    int first_superstep);
+  Status RunSharded(RunStats* stats, int num_shards,
+                    const TransformParallelism& par, int first_superstep);
 
   /// Writes the resident shards back to the catalog (vertex re-sorted by
   /// id, messages re-sorted by receiver) — run end and checkpoints.
@@ -247,25 +248,22 @@ class Coordinator {
   /// dynamic-graph path) changes `source` and rebuilds both members on
   /// first use. `join_side` is the (esrc, edst, eweight, edge_seq)
   /// projection with the esrc column kept RLE-encoded so the merge join
-  /// matches whole runs; `csr` is the per-source-vertex row-slice index the
-  /// frontier gathers use (csr_failed remembers an unbuildable layout so an
-  /// unsorted edge table is probed once per snapshot, not per superstep).
-  /// The message/vertex sides change every superstep and are not cacheable.
+  /// matches whole runs; `csr` is the per-source-vertex slice index the
+  /// union-path workers read each vertex's edges through. The
+  /// message/vertex sides change every superstep and are not cacheable.
   struct EdgeDerived {
     TablePtr source;
     TablePtr join_side;                   ///< lazy; join-input path
-    std::shared_ptr<const CsrIndex> csr;  ///< lazy; union frontier path
-    bool csr_failed = false;
+    std::shared_ptr<const CsrIndex> csr;  ///< lazy; union-input path
   };
   /// Drops the cache when `edge` is a different snapshot than the one the
   /// cached structures were derived from.
   void SyncEdgeDerived(const TablePtr& edge) const;
   /// The cached join side for `edge`, building it on first use.
   Result<TablePtr> EdgeJoinSideFor(const TablePtr& edge) const;
-  /// The cached CSR index for `edge`, building it on first use; nullptr
-  /// when the edge table's src column is not grouped (callers fall back to
-  /// the dense path).
-  const CsrIndex* EdgeCsrFor(const TablePtr& edge) const;
+  /// The cached CSR index for `edge`, building it on first use;
+  /// InvalidArgument when the src column holds NULLs or is not INT64.
+  Result<const CsrIndex*> EdgeCsrFor(const TablePtr& edge) const;
 
   mutable EdgeDerived edge_derived_;
 

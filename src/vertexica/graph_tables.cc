@@ -1,7 +1,5 @@
 #include "vertexica/graph_tables.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 #include "storage/sort.h"
 
@@ -27,21 +25,6 @@ Schema MakeMessageSchema(int message_arity) {
     s.AddField({StringFormat("m%d", i), DataType::kDouble});
   }
   return s;
-}
-
-Schema MakeUnionSchema(int payload_arity) {
-  Schema s({{"id", DataType::kInt64},
-            {"kind", DataType::kInt64},
-            {"other", DataType::kInt64},
-            {"halted", DataType::kBool}});
-  for (int i = 0; i < payload_arity; ++i) {
-    s.AddField({StringFormat("p%d", i), DataType::kDouble});
-  }
-  return s;
-}
-
-int PayloadArity(const VertexProgram& program) {
-  return std::max({program.value_arity(), program.message_arity(), 1});
 }
 
 Status LoadGraphTables(Catalog* catalog, const Graph& graph,

@@ -7,11 +7,10 @@
 /// - message(src INT64, dst INT64, m0..m{b-1} DOUBLE)   — sender, receiver,
 ///   value
 ///
-/// The worker input "common schema" (§2.3 Table Unions) is
-/// (id INT64, kind INT64, other INT64, halted BOOL, p0..p{m-1} DOUBLE)
-/// where m = max(a, b, 1). `kind` tags the originating table; `other`
-/// carries the edge destination / message sender; payload columns carry the
-/// vertex value, edge weight, or message value.
+/// The §2.3 "table union" of the three is logical: the superstep workers
+/// read each vertex's row, edges and messages in place
+/// (vertexica/worker_driver.h) instead of materializing a common-schema
+/// union table.
 
 #ifndef VERTEXICA_VERTEXICA_GRAPH_TABLES_H_
 #define VERTEXICA_VERTEXICA_GRAPH_TABLES_H_
@@ -26,14 +25,6 @@
 #include "vertexica/vertex_program.h"
 
 namespace vertexica {
-
-/// \brief Tuple tags in the common schema.
-enum TupleKind : int64_t {
-  kVertexTuple = 0,
-  kEdgeTuple = 1,
-  kMessageTuple = 2,
-  kAggregateTuple = 3,
-};
 
 /// \brief Catalog names of the three graph tables (prefixable so multiple
 /// graphs / versions coexist, e.g. for temporal analysis).
@@ -56,13 +47,6 @@ Schema MakeEdgeSchema();
 
 /// \brief message(src, dst, m0..m{arity-1}).
 Schema MakeMessageSchema(int message_arity);
-
-/// \brief Common worker-input/-output schema with `payload_arity` payload
-/// columns.
-Schema MakeUnionSchema(int payload_arity);
-
-/// \brief Payload width for a program: max(value_arity, message_arity, 1).
-int PayloadArity(const VertexProgram& program);
 
 /// \brief Materializes the three tables for `graph` into the catalog
 /// (replacing existing ones). Vertex values are initialized via

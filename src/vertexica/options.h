@@ -38,9 +38,9 @@ struct VertexicaOptions {
   /// default 1); 1 = the unsharded per-superstep partitioning path.
   int num_shards = 0;
 
-  /// §2.3 "Table Unions": feed workers the renamed union of the vertex,
-  /// edge, and message tables. When false, uses the traditional 3-way-join
-  /// plan instead (the paper's strawman).
+  /// §2.3 "Table Unions": feed workers the union of the vertex, edge, and
+  /// message tables — a logical union, read in place. When false, uses the
+  /// traditional 3-way-join plan instead (the paper's strawman).
   bool use_union_input = true;
 
   /// Apply the program's message combiner (when it declares one) as an

@@ -1,24 +1,24 @@
 /// \file worker.h
 /// \brief The worker UDF (§2.2): container for the vertex-compute function.
 ///
-/// A worker receives one hash partition of the common-schema input (sorted
-/// on vertex id — "vertex batching", §2.3), identifies the vertex, edge and
-/// message tuples of each vertex, and runs the user's Compute serially over
-/// the vertices of its batch. Its output reuses the common schema:
-/// kind=0 rows are vertex-state updates (`other`=1 when the state changed),
-/// kind=2 rows are outgoing messages (`id`=receiver, `other`=sender), and
-/// kind=3 rows carry partial global-aggregator values.
+/// A worker owns one vertex-batching partition (§2.3): it visits the
+/// partition's vertices in ascending id, hands each vertex's row, edges and
+/// messages to the user's Compute, and writes what Compute produced into a
+/// typed per-partition sink — changed-vertex updates (id, halted, v*),
+/// outgoing messages (src, dst, m*), aggregator partials and the count of
+/// vertices computed. How the per-vertex streams are read (in place from
+/// the graph tables, or from the 3-way join input) is the worker driver's
+/// business (vertexica/worker_driver.h); this header is the part both
+/// inputs share.
 
 #ifndef VERTEXICA_VERTEXICA_WORKER_H_
 #define VERTEXICA_VERTEXICA_WORKER_H_
 
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "udf/transform.h"
-#include "vertexica/graph_tables.h"
 #include "vertexica/vertex_program.h"
 
 namespace vertexica {
@@ -28,40 +28,38 @@ struct WorkerSharedState {
   VertexProgram* program = nullptr;
   int superstep = 0;
   int64_t num_vertices = 0;
-  int payload_arity = 1;
   /// Aggregator values produced in the previous superstep.
   const std::map<std::string, double>* prev_aggregates = nullptr;
   /// Kind of each declared aggregator (for identity/merge).
   std::map<std::string, AggregatorKind> aggregator_kinds;
-  /// Ordered aggregator names; kind-3 output rows use `other` as the index
-  /// into this list.
+  /// Ordered aggregator names; WorkerSink::aggregate_rows index into it.
   std::vector<std::string> aggregator_names;
 };
 
-/// \brief Columnar accumulation buffer for common-schema output rows.
-/// Cheaper than Table::AppendRow in the message-heavy hot path.
-struct UnionRowBuffer {
-  explicit UnionRowBuffer(int payload_arity)
-      : payload(static_cast<size_t>(payload_arity)) {}
+/// \brief Typed output of one worker partition, in emission order.
+struct WorkerSink {
+  WorkerSink(int value_arity, int message_arity)
+      : update_values(static_cast<size_t>(value_arity)),
+        message_values(static_cast<size_t>(message_arity)) {}
 
-  std::vector<int64_t> id;
-  std::vector<int64_t> kind;
-  std::vector<int64_t> other;
-  std::vector<uint8_t> halted;
-  std::vector<std::vector<double>> payload;  // one vector per payload column
-
-  void AppendRow(int64_t id_v, int64_t kind_v, int64_t other_v, bool halted_v,
-                 const double* p, int p_len);
-
-  /// \brief Converts to a common-schema table; leaves the buffer empty.
-  Table ToTable();
+  /// Vertices whose state changed: (id, halted, v0..).
+  std::vector<int64_t> update_id;
+  std::vector<uint8_t> update_halted;
+  std::vector<std::vector<double>> update_values;  ///< one per value column
+  /// Outgoing messages: (src = sender, dst = receiver, m0..).
+  std::vector<int64_t> message_src;
+  std::vector<int64_t> message_dst;
+  std::vector<std::vector<double>> message_values;  ///< one per msg column
+  /// Aggregator partials as (index into aggregator_names, partial).
+  std::vector<std::pair<int64_t, double>> aggregate_rows;
+  /// Vertices whose Compute ran.
+  int64_t active = 0;
 };
 
-/// \brief Shared implementation of the per-vertex Compute invocation.
-///
-/// The two workers (union input / join input) parse their partition format
-/// and feed this runner; the runner owns the VertexContext, activity rules
-/// and output buffering. Exposed publicly for white-box tests.
+/// \brief Runs Compute for one vertex at a time and records the results in
+/// a WorkerSink. Both worker inputs feed it; it owns the VertexContext, the
+/// activity rule and the per-partition aggregator partials. Exposed
+/// publicly for white-box tests.
 class VertexRunner {
  public:
   explicit VertexRunner(const WorkerSharedState* shared);
@@ -72,52 +70,17 @@ class VertexRunner {
   void AddMessage(const double* payload);
 
   /// Runs Compute if the vertex is active (superstep 0, not halted, or has
-  /// messages) and appends output rows to `out`. Returns true if computed.
-  bool FinishVertex(UnionRowBuffer* out);
+  /// messages) and records its outputs in `out`. Returns true if computed.
+  bool FinishVertex(WorkerSink* out);
 
-  /// Appends kind-3 partial-aggregate rows (call once per partition).
-  void EmitAggregates(UnionRowBuffer* out);
+  /// Records the partition's aggregator partials (call once per partition).
+  void EmitAggregates(WorkerSink* out);
 
  private:
   const WorkerSharedState* shared_;
   VertexContext ctx_;
   std::map<std::string, double> local_aggregates_;
-  std::vector<double> pad_;  // scratch payload row, payload_arity wide
   bool old_halted_ = false;
-};
-
-/// \brief Worker over the §2.3 *union* input (vertex+edge+message tuples in
-/// the common schema).
-class Worker : public TransformUdf {
- public:
-  explicit Worker(std::shared_ptr<const WorkerSharedState> shared);
-
-  const Schema& output_schema() const override { return out_schema_; }
-  Status ProcessPartition(const Table& partition,
-                          const std::function<Status(Table)>& emit) override;
-
- private:
-  std::shared_ptr<const WorkerSharedState> shared_;
-  Schema out_schema_;
-};
-
-/// \brief Worker over the traditional *3-way join* input (the §2.3
-/// strawman): wide rows vertex ⟕ message ⟕ edge, with `msg_seq`/`edge_seq`
-/// columns to undo the join fan-out.
-///
-/// Expected input columns: id, halted, v0.., msender, mm0.., msg_seq,
-/// edst, eweight, edge_seq (seq columns nullable).
-class JoinWorker : public TransformUdf {
- public:
-  explicit JoinWorker(std::shared_ptr<const WorkerSharedState> shared);
-
-  const Schema& output_schema() const override { return out_schema_; }
-  Status ProcessPartition(const Table& partition,
-                          const std::function<Status(Table)>& emit) override;
-
- private:
-  std::shared_ptr<const WorkerSharedState> shared_;
-  Schema out_schema_;
 };
 
 }  // namespace vertexica

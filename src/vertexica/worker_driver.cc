@@ -1,0 +1,310 @@
+#include "vertexica/worker_driver.h"
+
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <type_traits>
+#include <unordered_set>
+
+#include "common/string_util.h"
+#include "common/threadpool.h"
+#include "exec/kernel_stats.h"
+#include "storage/partition.h"
+#include "vertexica/graph_tables.h"
+
+namespace vertexica {
+
+namespace {
+
+/// `table`'s column `name`, required to have type `type`.
+Result<const Column*> TypedColumn(const Table& table, const std::string& name,
+                                  DataType type) {
+  VX_ASSIGN_OR_RETURN(int c, table.ColumnIndex(name));
+  const Column& col = table.column(c);
+  if (col.type() != type) {
+    return Status::InvalidArgument(StringFormat(
+        "worker input column '%s' is %s, expected %s", name.c_str(),
+        DataTypeName(col.type()), DataTypeName(type)));
+  }
+  return &col;
+}
+
+/// The doubles of columns prefix0..prefix{n-1} of `table`.
+Result<std::vector<const std::vector<double>*>> DoubleColumns(
+    const Table& table, const char* prefix, int n) {
+  std::vector<const std::vector<double>*> cols;
+  for (int i = 0; i < n; ++i) {
+    VX_ASSIGN_OR_RETURN(
+        const Column* col,
+        TypedColumn(table, StringFormat("%s%d", prefix, i), DataType::kDouble));
+    cols.push_back(&col->doubles());
+  }
+  return cols;
+}
+
+/// `rows` (each with key keys[row]) grouped stably by vertex-batching
+/// partition, each partition's rows then stably ordered by key — the row
+/// order a stable hash partition plus a stable per-partition sort gives.
+/// Partition p owns rows[begin[p], begin[p + 1]).
+struct Batches {
+  std::vector<int64_t> rows;
+  std::vector<size_t> begin;
+};
+
+Batches BatchRows(const std::vector<int64_t>& candidates,
+                  const std::vector<int64_t>& keys, int num_partitions) {
+  const auto parts = static_cast<size_t>(num_partitions);
+  std::vector<int> part_of(candidates.size());
+  Batches b;
+  b.begin.assign(parts + 1, 0);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    part_of[i] = PartitionOf(keys[static_cast<size_t>(candidates[i])],
+                             num_partitions);
+    ++b.begin[static_cast<size_t>(part_of[i]) + 1];
+  }
+  for (size_t p = 0; p < parts; ++p) b.begin[p + 1] += b.begin[p];
+  b.rows.resize(candidates.size());
+  std::vector<size_t> cursor(b.begin.begin(), b.begin.end() - 1);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    b.rows[cursor[static_cast<size_t>(part_of[i])]++] = candidates[i];
+  }
+  const auto by_key = [&keys](int64_t a, int64_t c) {
+    return keys[static_cast<size_t>(a)] < keys[static_cast<size_t>(c)];
+  };
+  for (size_t p = 0; p < parts; ++p) {
+    const auto first = b.rows.begin() + static_cast<std::ptrdiff_t>(b.begin[p]);
+    const auto last =
+        b.rows.begin() + static_cast<std::ptrdiff_t>(b.begin[p + 1]);
+    if (!std::is_sorted(first, last, by_key)) {
+      std::stable_sort(first, last, by_key);
+    }
+  }
+  return b;
+}
+
+/// Runs `body(p, sink)` for every partition on the pool and concatenates
+/// the sinks in partition order.
+template <typename Body>
+Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
+                                   const TransformParallelism& par,
+                                   const Body& body) {
+  const int va = shared.program->value_arity();
+  const int ma = shared.program->message_arity();
+  std::vector<WorkerSink> sinks(static_cast<size_t>(par.partitions),
+                                WorkerSink(va, ma));
+  // ambient-ok: the bodies run Compute and read table columns only.
+  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+      0, sinks.size(), /*grain=*/1,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t p = begin; p < end; ++p) body(p, &sinks[p]);
+        return Status::OK();
+      },
+      par.workers));
+
+  // Concatenate in partition order, releasing each sink as it is read.
+  const auto gather = [&sinks](auto field) {
+    using Vec = std::decay_t<decltype(field(sinks[0]))>;
+    size_t n = 0;
+    for (WorkerSink& s : sinks) n += field(s).size();
+    Vec out;
+    out.reserve(n);
+    for (WorkerSink& s : sinks) {
+      Vec& v = field(s);
+      out.insert(out.end(), v.begin(), v.end());
+      v = Vec{};
+    }
+    return out;
+  };
+  WorkerOutput out;
+  std::vector<Column> ucols;
+  ucols.push_back(Column::FromInts(
+      gather([](WorkerSink& s) -> auto& { return s.update_id; })));
+  ucols.push_back(Column::FromBools(
+      gather([](WorkerSink& s) -> auto& { return s.update_halted; })));
+  for (int c = 0; c < va; ++c) {
+    ucols.push_back(Column::FromDoubles(gather([c](WorkerSink& s) -> auto& {
+      return s.update_values[static_cast<size_t>(c)];
+    })));
+  }
+  std::vector<Column> mcols;
+  mcols.push_back(Column::FromInts(
+      gather([](WorkerSink& s) -> auto& { return s.message_src; })));
+  mcols.push_back(Column::FromInts(
+      gather([](WorkerSink& s) -> auto& { return s.message_dst; })));
+  for (int c = 0; c < ma; ++c) {
+    mcols.push_back(Column::FromDoubles(gather([c](WorkerSink& s) -> auto& {
+      return s.message_values[static_cast<size_t>(c)];
+    })));
+  }
+  out.aggregate_rows =
+      gather([](WorkerSink& s) -> auto& { return s.aggregate_rows; });
+  for (const WorkerSink& s : sinks) out.active += s.active;
+  // materialize-ok: the worker outputs themselves — the updates to apply
+  // and the next superstep's message table.
+  VX_ASSIGN_OR_RETURN(out.updates,
+                      Table::Make(MakeVertexSchema(va), std::move(ucols)));
+  // materialize-ok: as above.
+  VX_ASSIGN_OR_RETURN(out.messages,
+                      Table::Make(MakeMessageSchema(ma), std::move(mcols)));
+  NoteMaterialized(out.updates);
+  NoteMaterialized(out.messages);
+  return out;
+}
+
+}  // namespace
+
+Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
+                                     const UnionWorkerInput& in,
+                                     const TransformParallelism& par) {
+  const int va = shared.program->value_arity();
+  const int ma = shared.program->message_arity();
+  const Table& vertex = *in.vertex;
+  VX_ASSIGN_OR_RETURN(const Column* id_col,
+                      TypedColumn(vertex, "id", DataType::kInt64));
+  VX_ASSIGN_OR_RETURN(const Column* halted_col,
+                      TypedColumn(vertex, "halted", DataType::kBool));
+  VX_ASSIGN_OR_RETURN(auto vcols, DoubleColumns(vertex, "v", va));
+  VX_ASSIGN_OR_RETURN(const Column* edst_col,
+                      TypedColumn(*in.edge, "dst", DataType::kInt64));
+  VX_ASSIGN_OR_RETURN(const Column* weight_col,
+                      TypedColumn(*in.edge, "weight", DataType::kDouble));
+  VX_ASSIGN_OR_RETURN(auto mcols, DoubleColumns(*in.message, "m", ma));
+  const std::vector<int64_t>& ids = id_col->ints();
+  const std::vector<uint8_t>& halted = halted_col->bools();
+  const std::vector<int64_t>& edst = edst_col->ints();
+  const std::vector<double>& weight = weight_col->doubles();
+
+  // The visited vertex rows: every row, or on frontier supersteps every
+  // active row. The frontier's id-sorted vertex table keeps a duplicated
+  // id's rows adjacent, so an active row stands for its whole id group and
+  // the group's last row is the one read — as on the dense path.
+  std::vector<int64_t> candidates;
+  if (in.frontier != nullptr) {
+    const int64_t n = static_cast<int64_t>(ids.size());
+    in.frontier->ForEachSetBit([&](int64_t r) {
+      const int64_t id = ids[static_cast<size_t>(r)];
+      if (!candidates.empty() &&
+          ids[static_cast<size_t>(candidates.back())] == id) {
+        return;
+      }
+      while (r + 1 < n && ids[static_cast<size_t>(r + 1)] == id) ++r;
+      candidates.push_back(r);
+    });
+  } else {
+    candidates.resize(ids.size());
+    std::iota(candidates.begin(), candidates.end(), int64_t{0});
+  }
+  const Batches batches = BatchRows(candidates, ids, par.partitions);
+
+  return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
+    VertexRunner runner(&shared);
+    std::vector<double> value(static_cast<size_t>(va));
+    std::vector<double> msg(static_cast<size_t>(ma));
+    const size_t end = batches.begin[p + 1];
+    for (size_t i = batches.begin[p]; i < end; ++i) {
+      // A duplicated id is one vertex: its last row (stable order) wins.
+      const auto row = static_cast<size_t>(batches.rows[i]);
+      const int64_t id = ids[row];
+      if (i + 1 < end &&
+          ids[static_cast<size_t>(batches.rows[i + 1])] == id) {
+        continue;
+      }
+      for (size_t c = 0; c < value.size(); ++c) value[c] = (*vcols[c])[row];
+      runner.BeginVertex(id, halted[row] != 0, value.data());
+      const CsrIndex::Slice es = in.edge_index->NeighborSlice(id);
+      for (int64_t e = es.begin; e < es.end; ++e) {
+        const auto er = static_cast<size_t>(in.edge_index->Row(e));
+        runner.AddEdge(edst[er], weight[er]);
+      }
+      const CsrIndex::Slice ms = in.message_index->NeighborSlice(id);
+      for (int64_t m = ms.begin; m < ms.end; ++m) {
+        const auto mr = static_cast<size_t>(in.message_index->Row(m));
+        for (size_t c = 0; c < msg.size(); ++c) msg[c] = (*mcols[c])[mr];
+        runner.AddMessage(msg.data());
+      }
+      runner.FinishVertex(sink);
+    }
+    runner.EmitAggregates(sink);
+  });
+}
+
+Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
+                                    const Table& input,
+                                    const TransformParallelism& par) {
+  const Schema& s = input.schema();
+  const int va = shared.program->value_arity();
+  const int ma = shared.program->message_arity();
+  const int id_c = s.FieldIndex("id");
+  const int halted_c = s.FieldIndex("halted");
+  const int msg_seq_c = s.FieldIndex("msg_seq");
+  const int edge_seq_c = s.FieldIndex("edge_seq");
+  const int edst_c = s.FieldIndex("edst");
+  const int eweight_c = s.FieldIndex("eweight");
+  if (id_c < 0 || halted_c < 0 || msg_seq_c < 0 || edge_seq_c < 0 ||
+      edst_c < 0 || eweight_c < 0 ||
+      input.column(id_c).type() != DataType::kInt64) {
+    return Status::Internal("join worker: unexpected input schema " +
+                            s.ToString());
+  }
+  std::vector<const Column*> v_cols;
+  for (int c = 0; c < va; ++c) {
+    VX_ASSIGN_OR_RETURN(int i, input.ColumnIndex(StringFormat("v%d", c)));
+    v_cols.push_back(&input.column(i));
+  }
+  std::vector<const Column*> m_cols;
+  for (int c = 0; c < ma; ++c) {
+    VX_ASSIGN_OR_RETURN(int i, input.ColumnIndex(StringFormat("mm%d", c)));
+    m_cols.push_back(&input.column(i));
+  }
+  const Column& halted = input.column(halted_c);
+  const Column& msg_seq = input.column(msg_seq_c);
+  const Column& edge_seq = input.column(edge_seq_c);
+  const Column& edst = input.column(edst_c);
+  const Column& eweight = input.column(eweight_c);
+  const std::vector<int64_t>& ids = input.column(id_c).ints();
+
+  std::vector<int64_t> all_rows(ids.size());
+  std::iota(all_rows.begin(), all_rows.end(), int64_t{0});
+  const Batches batches = BatchRows(all_rows, ids, par.partitions);
+
+  return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
+    VertexRunner runner(&shared);
+    std::vector<double> value(static_cast<size_t>(va));
+    std::vector<double> msg(static_cast<size_t>(ma));
+    // order-insensitive: membership tests only (dedup within one vertex's
+    // row group); rows stream through in partition order.
+    std::unordered_set<int64_t> seen_msgs;
+    std::unordered_set<int64_t> seen_edges;
+    const size_t end = batches.begin[p + 1];
+    size_t i = batches.begin[p];
+    while (i < end) {
+      const int64_t first = batches.rows[i];
+      const int64_t vid = ids[static_cast<size_t>(first)];
+      for (size_t c = 0; c < value.size(); ++c) {
+        value[c] = v_cols[c]->GetDouble(first);
+      }
+      runner.BeginVertex(vid, halted.GetBool(first), value.data());
+      seen_msgs.clear();
+      seen_edges.clear();
+      for (; i < end && ids[static_cast<size_t>(batches.rows[i])] == vid;
+           ++i) {
+        const int64_t r = batches.rows[i];
+        if (!msg_seq.IsNull(r) &&
+            seen_msgs.insert(msg_seq.GetInt64(r)).second) {
+          for (size_t c = 0; c < msg.size(); ++c) {
+            msg[c] = m_cols[c]->GetDouble(r);
+          }
+          runner.AddMessage(msg.data());
+        }
+        if (!edge_seq.IsNull(r) &&
+            seen_edges.insert(edge_seq.GetInt64(r)).second) {
+          runner.AddEdge(edst.GetInt64(r), eweight.GetDouble(r));
+        }
+      }
+      runner.FinishVertex(sink);
+    }
+    runner.EmitAggregates(sink);
+  });
+}
+
+}  // namespace vertexica

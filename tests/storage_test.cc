@@ -1046,9 +1046,41 @@ TEST(CsrIndexTest, AdjacentRunsSharingAValueMerge) {
   EXPECT_EQ(csr->NeighborSlice(9).end, 6);
 }
 
-TEST(CsrIndexTest, UngroupedKeysFailTheBuild) {
-  EXPECT_EQ(CsrIndex::Build(GroupedKeys({0, 2, 1})), nullptr);
-  EXPECT_EQ(CsrIndex::Build(Column::FromRleRuns({{3, 2}, {1, 2}})), nullptr);
+TEST(CsrIndexTest, UngroupedKeysGroupStably) {
+  // Not nondecreasing: the index carries the stable grouping permutation,
+  // so each key's slice lists its rows in row order.
+  const Column keys = GroupedKeys({5, 2, 5, 0, 2, 5});
+  const auto csr = CsrIndex::Build(keys);
+  ASSERT_NE(csr, nullptr);
+  EXPECT_FALSE(csr->identity_order());
+  EXPECT_EQ(csr->num_keys(), 3);
+  const auto rows_of = [&csr](int64_t key) {
+    std::vector<int64_t> rows;
+    const CsrIndex::Slice s = csr->NeighborSlice(key);
+    for (int64_t p = s.begin; p < s.end; ++p) rows.push_back(csr->Row(p));
+    return rows;
+  };
+  EXPECT_EQ(rows_of(0), (std::vector<int64_t>{3}));
+  EXPECT_EQ(rows_of(2), (std::vector<int64_t>{1, 4}));
+  EXPECT_EQ(rows_of(5), (std::vector<int64_t>{0, 2, 5}));
+  EXPECT_TRUE(rows_of(7).empty());
+  EXPECT_TRUE(csr->CheckInvariants(keys).ok());
+
+  // Unsorted RLE runs group the same way (decoded once).
+  const Column runs = Column::FromRleRuns({{3, 2}, {1, 2}, {3, 1}});
+  const auto rle = CsrIndex::Build(runs);
+  ASSERT_NE(rle, nullptr);
+  EXPECT_EQ(rle->NeighborSlice(1).length(), 2);
+  EXPECT_EQ(rle->Row(rle->NeighborSlice(1).begin), 2);
+  EXPECT_EQ(rle->NeighborSlice(3).length(), 3);
+  EXPECT_EQ(rle->Row(rle->NeighborSlice(3).end - 1), 4);
+  EXPECT_TRUE(rle->CheckInvariants(runs).ok());
+
+  // Sorted keys keep the identity order (no permutation is stored).
+  EXPECT_TRUE(CsrIndex::Build(GroupedKeys({0, 0, 1}))->identity_order());
+}
+
+TEST(CsrIndexTest, NullOrNonIntegerKeysFailTheBuild) {
   Column with_null(DataType::kInt64);
   with_null.AppendInt64(1);
   with_null.AppendNull();
@@ -1250,6 +1282,24 @@ TEST(InvariantAuditTest, StaleCsrIndexIsReported) {
   EXPECT_TRUE(Mentions(
       st2, "key 0 maps to slice [0, 2) but its rows span [0, 1)"))
       << st2.ToString();
+
+  // A permuted index audited against a reordered snapshot: stale by order.
+  const Column unsorted = Column::FromInts({1, 0, 1});
+  auto permuted = CsrIndex::Build(unsorted);
+  ASSERT_NE(permuted, nullptr);
+  EXPECT_TRUE(permuted->CheckInvariants(unsorted).ok());
+  const Column swapped = Column::FromInts({0, 1, 1});
+  const Status st3 = permuted->CheckInvariants(swapped);
+  ASSERT_FALSE(st3.ok());
+  EXPECT_TRUE(Mentions(
+      st3, "index stores a permutation over a nondecreasing key column"))
+      << st3.ToString();
+  const Column reordered = Column::FromInts({1, 1, 0});
+  const Status st4 = permuted->CheckInvariants(reordered);
+  ASSERT_FALSE(st4.ok());
+  EXPECT_TRUE(Mentions(
+      st4, "position 0 holds row 1 but the stable grouping puts row 2 there"))
+      << st4.ToString();
 }
 
 TEST(InvariantAuditTest, MalformedShardingSpecIsReported) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <mutex>
 
 #include "algorithms/collaborative_filtering.h"
 #include "algorithms/connected_components.h"
@@ -46,8 +47,6 @@ TEST(GraphTablesTest, SchemasMatchPaperLayout) {
   EXPECT_EQ(e.num_fields(), 3);  // src, dst, weight
   Schema m = MakeMessageSchema(1);
   EXPECT_EQ(m.num_fields(), 3);  // src (sender), dst (receiver), m0
-  Schema u = MakeUnionSchema(2);
-  EXPECT_EQ(u.num_fields(), 6);  // id, kind, other, halted, p0, p1
 }
 
 TEST(GraphTablesTest, LoadCreatesThreeTables) {
@@ -337,16 +336,17 @@ TEST(WorkerTest, RunnerSkipsInactiveVertex) {
   shared.program = &program;
   shared.superstep = 1;  // not superstep 0
   shared.num_vertices = 10;
-  shared.payload_arity = 1;
   std::map<std::string, double> prev;
   shared.prev_aggregates = &prev;
 
   VertexRunner runner(&shared);
-  UnionRowBuffer out(1);
+  WorkerSink out(1, 1);
   const double value = 0.1;
   runner.BeginVertex(5, /*halted=*/true, &value);  // halted, no messages
   EXPECT_FALSE(runner.FinishVertex(&out));
-  EXPECT_TRUE(out.id.empty());
+  EXPECT_EQ(out.active, 0);
+  EXPECT_TRUE(out.update_id.empty());
+  EXPECT_TRUE(out.message_dst.empty());
 }
 
 TEST(WorkerTest, RunnerReactivatesOnMessage) {
@@ -355,25 +355,26 @@ TEST(WorkerTest, RunnerReactivatesOnMessage) {
   shared.program = &program;
   shared.superstep = 2;
   shared.num_vertices = 10;
-  shared.payload_arity = 1;
   std::map<std::string, double> prev;
   shared.prev_aggregates = &prev;
 
   VertexRunner runner(&shared);
-  UnionRowBuffer out(1);
+  WorkerSink out(1, 1);
   const double inf = std::numeric_limits<double>::infinity();
   runner.BeginVertex(5, /*halted=*/true, &inf);
   runner.AddEdge(6, 1.0);
   const double msg = 3.0;
   runner.AddMessage(&msg);
   EXPECT_TRUE(runner.FinishVertex(&out));
-  // Vertex row with changed state + one relaxation message to vertex 6.
-  ASSERT_EQ(out.id.size(), 2u);
-  EXPECT_EQ(out.kind[0], kVertexTuple);
-  EXPECT_DOUBLE_EQ(out.payload[0][0], 3.0);
-  EXPECT_EQ(out.kind[1], kMessageTuple);
-  EXPECT_EQ(out.id[1], 6);
-  EXPECT_DOUBLE_EQ(out.payload[0][1], 4.0);
+  EXPECT_EQ(out.active, 1);
+  // One state update + one relaxation message to vertex 6.
+  ASSERT_EQ(out.update_id.size(), 1u);
+  EXPECT_EQ(out.update_id[0], 5);
+  EXPECT_DOUBLE_EQ(out.update_values[0][0], 3.0);
+  ASSERT_EQ(out.message_dst.size(), 1u);
+  EXPECT_EQ(out.message_src[0], 5);
+  EXPECT_EQ(out.message_dst[0], 6);
+  EXPECT_DOUBLE_EQ(out.message_values[0][0], 4.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -781,19 +782,27 @@ TEST(FrontierTest, OffModeNeverTakesTheSparsePath) {
   }
 }
 
-TEST(WorkerTest, UnionBufferToTable) {
-  UnionRowBuffer buf(2);
-  const double p[2] = {1.5, 2.5};
-  buf.AppendRow(7, kMessageTuple, 3, false, p, 2);
-  Table t = buf.ToTable();
-  EXPECT_EQ(t.num_rows(), 1);
-  EXPECT_EQ(t.ColumnByName("id")->GetInt64(0), 7);
-  EXPECT_DOUBLE_EQ(t.ColumnByName("p1")->GetDouble(0), 2.5);
-  // Buffer is reusable after ToTable.
-  buf.AppendRow(1, kVertexTuple, 0, true, p, 1);
-  Table t2 = buf.ToTable();
-  EXPECT_EQ(t2.num_rows(), 1);
-  EXPECT_DOUBLE_EQ(t2.ColumnByName("p1")->GetDouble(0), 0.0);  // padded
+TEST(WorkerTest, RunnerRecordsOnlyRealStateChanges) {
+  // An active vertex whose Compute neither modifies its value nor changes
+  // its halted flag counts as active but produces no update.
+  ShortestPathProgram program(0);
+  WorkerSharedState shared;
+  shared.program = &program;
+  shared.superstep = 3;
+  shared.num_vertices = 10;
+  std::map<std::string, double> prev;
+  shared.prev_aggregates = &prev;
+
+  VertexRunner runner(&shared);
+  WorkerSink out(1, 1);
+  const double dist = 2.0;
+  runner.BeginVertex(4, /*halted=*/true, &dist);
+  const double longer = 9.0;  // no improvement: stays halted, unchanged
+  runner.AddMessage(&longer);
+  EXPECT_TRUE(runner.FinishVertex(&out));
+  EXPECT_EQ(out.active, 1);
+  EXPECT_TRUE(out.update_id.empty());
+  EXPECT_TRUE(out.message_dst.empty());
 }
 
 TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
@@ -942,7 +951,8 @@ TEST(GoldenTest, OutputsMatchRecordedDigests) {
     for (const auto& [pname, entry] : programs) {
       const Graph input = entry.second ? graph->WithReverseEdges() : *graph;
       for (const bool union_input : {true, false}) {
-        for (const FrontierMode mode : {FrontierMode::kOff, FrontierMode::kOn}) {
+        for (const FrontierMode mode :
+             {FrontierMode::kOff, FrontierMode::kOn}) {
           auto program = entry.first();
           const std::string got =
               GoldenDigest(input, program.get(), union_input, mode);
@@ -966,6 +976,253 @@ TEST(GoldenTest, OutputsMatchRecordedDigests) {
   }
   EXPECT_EQ(checked, std::size(kCases));
   EXPECT_EQ(checked, 32u) << "recorded table:\n" << actual_table;
+}
+
+// ---------------------------------------------------------------------------
+// Stream contract. A recording program logs what each Compute call sees —
+// (superstep, id, edge targets, message payloads) — and the log must equal
+// a naive per-vertex derivation from the tables: every vertex row, its
+// edges in edge-table order, its messages in message-table order, vertices
+// visited partition by partition in ascending id. Checked at every
+// threads × shards × frontier × input-path point, on a loader-built graph
+// (duplicate edges, self-loops, isolated vertices) and on hand-built tables
+// (edges not sorted by src, edges from and to absent ids, a vertex table
+// with no declared id order), both with preloaded messages to absent ids.
+// ---------------------------------------------------------------------------
+
+using StreamLog =
+    std::map<std::pair<int, int64_t>,
+             std::pair<std::vector<int64_t>, std::vector<double>>>;
+
+constexpr int kStreamRounds = 3;  // supersteps that send messages
+constexpr int64_t kAbsentOffset = 1000;
+
+/// Sends (sender, 1000 * superstep + edge ordinal) along every edge plus one
+/// message to an absent id for kStreamRounds supersteps, and halts.
+class RecordingProgram : public VertexProgram {
+ public:
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 2; }
+  void InitValue(int64_t, int64_t, double* value) const override {
+    value[0] = 0.0;
+  }
+  void Compute(VertexContext* ctx) override {
+    std::vector<int64_t> edges;
+    for (int64_t e = 0; e < ctx->num_out_edges(); ++e) {
+      edges.push_back(ctx->OutEdgeTarget(e));
+    }
+    std::vector<double> payloads;
+    for (int64_t m = 0; m < ctx->num_messages(); ++m) {
+      payloads.push_back(ctx->GetMessage(m)[0]);
+      payloads.push_back(ctx->GetMessage(m)[1]);
+    }
+    const int s = ctx->superstep();
+    const int64_t id = ctx->vertex_id();
+    if (s < kStreamRounds) {
+      for (size_t e = 0; e < edges.size(); ++e) {
+        const double p[2] = {static_cast<double>(id),
+                             1000.0 * s + static_cast<double>(e)};
+        ctx->SendMessage(edges[e], p);
+      }
+      const double orphan[2] = {static_cast<double>(id), -1.0};
+      ctx->SendMessage(kAbsentOffset + id, orphan);
+    }
+    ctx->ModifyVertexValue(ctx->GetVertexValue(0) + 1.0);
+    ctx->VoteToHalt();
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool fresh =
+        log_.emplace(std::make_pair(s, id),
+                     std::make_pair(std::move(edges), std::move(payloads)))
+            .second;
+    if (!fresh) ++repeated_;
+  }
+
+  StreamLog log_;
+  int repeated_ = 0;
+
+ private:
+  std::mutex mu_;
+};
+
+/// The expected log, derived row by row from the starting tables.
+StreamLog NaiveStreams(const Table& vertex, const Table& edge,
+                       const Table& message) {
+  std::map<int64_t, bool> halted;  // a duplicated id's last row wins
+  const Column& vid = *vertex.ColumnByName("id");
+  for (int64_t r = 0; r < vertex.num_rows(); ++r) {
+    halted[vid.GetInt64(r)] = vertex.ColumnByName("halted")->GetBool(r);
+  }
+  std::vector<int64_t> order;
+  for (const auto& [id, h] : halted) order.push_back(id);
+  std::stable_sort(order.begin(), order.end(), [](int64_t a, int64_t b) {
+    return PartitionOf(a, kVertexBatchPartitions) <
+           PartitionOf(b, kVertexBatchPartitions);
+  });
+  struct Msg {
+    int64_t dst;
+    double m0, m1;
+  };
+  std::vector<Msg> msgs;
+  for (int64_t r = 0; r < message.num_rows(); ++r) {
+    msgs.push_back({message.ColumnByName("dst")->GetInt64(r),
+                    message.ColumnByName("m0")->GetDouble(r),
+                    message.ColumnByName("m1")->GetDouble(r)});
+  }
+  StreamLog log;
+  for (int s = 0;; ++s) {
+    bool all_halted = true;
+    for (const auto& [id, h] : halted) all_halted = all_halted && h;
+    if (s > 0 && msgs.empty() && all_halted) break;
+    std::vector<Msg> next;
+    int64_t active = 0;
+    for (const int64_t v : order) {
+      std::vector<double> in;
+      for (const Msg& m : msgs) {
+        if (m.dst == v) in.insert(in.end(), {m.m0, m.m1});
+      }
+      if (s > 0 && halted[v] && in.empty()) continue;
+      ++active;
+      std::vector<int64_t> edges;
+      for (int64_t r = 0; r < edge.num_rows(); ++r) {
+        if (edge.ColumnByName("src")->GetInt64(r) == v) {
+          edges.push_back(edge.ColumnByName("dst")->GetInt64(r));
+        }
+      }
+      if (s < kStreamRounds) {
+        for (size_t e = 0; e < edges.size(); ++e) {
+          next.push_back({edges[e], static_cast<double>(v),
+                          1000.0 * s + static_cast<double>(e)});
+        }
+        next.push_back({kAbsentOffset + v, static_cast<double>(v), -1.0});
+      }
+      halted[v] = true;
+      log[{s, v}] = {std::move(edges), std::move(in)};
+    }
+    msgs = std::move(next);
+    if (active == 0 && msgs.empty()) break;
+  }
+  return log;
+}
+
+Table MessageRows(const std::vector<std::vector<double>>& rows) {
+  Table t(MakeMessageSchema(2));
+  for (const auto& r : rows) {
+    EXPECT_TRUE(t.AppendRow({Value(static_cast<int64_t>(r[0])),
+                             Value(static_cast<int64_t>(r[1])), Value(r[2]),
+                             Value(r[3])})
+                    .ok());
+  }
+  return t;
+}
+
+/// Loader-built: duplicate edges, self-loops, isolated vertices 27..29.
+void LoadRecordedGraph(Catalog* cat) {
+  Graph g;
+  g.num_vertices = 30;
+  uint64_t x = 12345;
+  for (int i = 0; i < 90; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const auto src = static_cast<int64_t>((x >> 33) % 27);
+    const auto dst = static_cast<int64_t>((x >> 17) % 27);
+    g.AddEdge(src, dst, 1.0 + static_cast<double>(i % 5));
+  }
+  g.AddEdge(4, 9, 2.0);
+  g.AddEdge(4, 9, 3.0);  // duplicate edge
+  g.AddEdge(6, 6, 1.0);  // self-loop
+  RecordingProgram program;
+  ASSERT_TRUE(LoadGraphTables(cat, g, program).ok());
+  ASSERT_TRUE(cat->ReplaceTable("message",
+                                MessageRows({{0, 5, 0.5, 1.5},
+                                             {1, 500, 2.5, 3.5},
+                                             {2, 5, 4.5, 5.5},
+                                             {3, 28, 6.5, 7.5}}))
+                  .ok());
+}
+
+/// Hand-built: 41 shuffled vertex ids with no declared order (so several
+/// share a batching partition out of id order), edges not sorted by src
+/// (every vertex also feeds hub 0, whose message order then exposes the
+/// visiting order), a duplicate, a self-loop, and edges from and to
+/// absent ids.
+void LoadRecordedTables(Catalog* cat) {
+  Table vertex(MakeVertexSchema(1));
+  for (int64_t i = 0; i < 41; ++i) {
+    const int64_t id = (i * 17) % 41;
+    ASSERT_TRUE(
+        vertex.AppendRow({Value(id), Value(false), Value(0.0)}).ok());
+  }
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t i = 40; i >= 0; --i) {
+    const int64_t v = (i * 23) % 41;
+    edges.emplace_back(v, (v * 7 + 3) % 41);
+    edges.emplace_back(v, 0);
+  }
+  edges.insert(edges.begin() + 5, {9, 9});    // self-loop
+  edges.insert(edges.begin() + 9, {2, 7});    // duplicate of a later edge
+  edges.emplace_back(2, 7);
+  edges.emplace_back(7, 100);                 // to an absent id
+  edges.insert(edges.begin() + 13, {100, 2}); // from an absent id
+  Table edge(MakeEdgeSchema());
+  for (const auto& [src, dst] : edges) {
+    ASSERT_TRUE(edge.AppendRow({Value(src), Value(dst), Value(1.0)}).ok());
+  }
+  ASSERT_TRUE(cat->ReplaceTable("vertex", std::move(vertex)).ok());
+  ASSERT_TRUE(cat->ReplaceTable("edge", std::move(edge)).ok());
+  ASSERT_TRUE(cat->ReplaceTable("message",
+                                MessageRows({{0, 3, 0.5, 1.5},
+                                             {4, 77, 2.5, 3.5},
+                                             {9, 3, 4.5, 5.5},
+                                             {1, 2, 6.5, 7.5}}))
+                  .ok());
+}
+
+TEST(StreamContractTest, WorkersSeeTheTablesPerVertexStreams) {
+  for (const bool hand_built : {false, true}) {
+    Catalog cat0;
+    if (hand_built) {
+      LoadRecordedTables(&cat0);
+    } else {
+      LoadRecordedGraph(&cat0);
+    }
+    const StreamLog expected =
+        NaiveStreams(**cat0.GetTable("vertex"), **cat0.GetTable("edge"),
+                     **cat0.GetTable("message"));
+    ASSERT_GT(expected.size(), 10u);
+    for (const int threads : {1, 8}) {
+      for (const int shards : {1, 4}) {
+        for (const FrontierMode mode :
+             {FrontierMode::kOff, FrontierMode::kOn}) {
+          for (const bool union_input : {true, false}) {
+            ScopedExecThreads scoped_threads(threads);
+            ScopedFrontierMode scoped_mode(mode);
+            Catalog cat;
+            if (hand_built) {
+              LoadRecordedTables(&cat);
+            } else {
+              LoadRecordedGraph(&cat);
+            }
+            RecordingProgram program;
+            VertexicaOptions opts;
+            opts.num_shards = shards;
+            opts.use_union_input = union_input;
+            RunStats stats;
+            Coordinator coord(&cat, &program, opts);
+            const Status st = coord.Run(&stats);
+            const std::string where = StringFormat(
+                "%s tables, threads=%d, shards=%d, frontier=%s, %s input",
+                hand_built ? "hand-built" : "loaded", threads, shards,
+                FrontierModeName(mode), union_input ? "union" : "join");
+            ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
+            EXPECT_EQ(program.repeated_, 0) << where;
+            EXPECT_EQ(program.log_, expected) << where;
+            if (!hand_built && mode == FrontierMode::kOn) {
+              EXPECT_GT(stats.frontier_supersteps, 0) << where;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
