@@ -61,10 +61,6 @@ class CsrIndex {
     return order_.empty() ? pos : order_[static_cast<size_t>(pos)];
   }
 
-  /// \brief True when positions are rows (the key column is
-  /// nondecreasing), so every slice is a contiguous row range.
-  bool identity_order() const { return order_.empty(); }
-
   int64_t num_keys() const { return num_keys_; }
   int64_t num_rows() const { return num_rows_; }
 

@@ -438,13 +438,6 @@ Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
   return in;
 }
 
-Result<WorkerOutput> Coordinator::RunWorkers(
-    const WorkerSharedState& shared, const WorkerInput& input,
-    const TransformParallelism& par) const {
-  return options_.use_union_input ? RunUnionWorkers(shared, input.view, par)
-                                  : RunJoinWorkers(shared, input.join, par);
-}
-
 Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
                                                  const Table& updates) const {
   const int va = program_->value_arity();
@@ -688,7 +681,10 @@ Status Coordinator::Run(RunStats* stats) {
     // Vertex batching (§2.3): the workers run in parallel over the
     // hash partitions on vertex id.
     phase_timer.Restart();
-    VX_ASSIGN_OR_RETURN(WorkerOutput out, RunWorkers(shared, input, par));
+    VX_ASSIGN_OR_RETURN(WorkerOutput out,
+                        options_.use_union_input
+                            ? RunUnionWorkers(shared, input.view, par)
+                            : RunJoinWorkers(shared, input.join, par));
     const double worker_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
@@ -750,9 +746,9 @@ Status Coordinator::Run(RunStats* stats) {
         // (updated rows land at the tail); restore it on both input paths —
         // the join path's merge joins and the frontier's receiver binary
         // search both key on it. Stable and id-keyed, so results are
-        // unchanged: every id owns exactly one vertex row and the worker
-        // input is stable-sorted by id per partition, so vertex-table row
-        // order never reaches a per-vertex tuple stream. Not gated on the
+        // unchanged: every id owns exactly one vertex row and the workers
+        // visit each partition's vertices in id order, so vertex-table row
+        // order never reaches a per-vertex stream. Not gated on the
         // merge or frontier knobs (see the bit-identity note at the top
         // of Run).
         if (!OrderedByColumn(new_vertex, "id")) {
@@ -968,7 +964,10 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
             st.used_frontier = frontier_shard;
             st.frontier_vertices = frontier_shard ? frontier.active : 0;
             st.input_rows = input.rows;
-            VX_ASSIGN_OR_RETURN(st.out, RunWorkers(shared, input, par));
+            VX_ASSIGN_OR_RETURN(
+                st.out, options_.use_union_input
+                            ? RunUnionWorkers(shared, input.view, par)
+                            : RunJoinWorkers(shared, input.join, par));
           }
           return Status::OK();
         },

@@ -195,10 +195,6 @@ class Coordinator {
                                        const TablePtr& edge_join_side,
                                        const TablePtr& message,
                                        const Bitvector* frontier) const;
-  /// Runs the workers over `input` (vertexica/worker_driver.h).
-  Result<WorkerOutput> RunWorkers(const WorkerSharedState& shared,
-                                  const WorkerInput& input,
-                                  const TransformParallelism& par) const;
 
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
   /// side of an edge table — the per-run cacheable half of the join input;

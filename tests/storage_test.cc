@@ -1052,7 +1052,6 @@ TEST(CsrIndexTest, UngroupedKeysGroupStably) {
   const Column keys = GroupedKeys({5, 2, 5, 0, 2, 5});
   const auto csr = CsrIndex::Build(keys);
   ASSERT_NE(csr, nullptr);
-  EXPECT_FALSE(csr->identity_order());
   EXPECT_EQ(csr->num_keys(), 3);
   const auto rows_of = [&csr](int64_t key) {
     std::vector<int64_t> rows;
@@ -1075,9 +1074,6 @@ TEST(CsrIndexTest, UngroupedKeysGroupStably) {
   EXPECT_EQ(rle->NeighborSlice(3).length(), 3);
   EXPECT_EQ(rle->Row(rle->NeighborSlice(3).end - 1), 4);
   EXPECT_TRUE(rle->CheckInvariants(runs).ok());
-
-  // Sorted keys keep the identity order (no permutation is stored).
-  EXPECT_TRUE(CsrIndex::Build(GroupedKeys({0, 0, 1}))->identity_order());
 }
 
 TEST(CsrIndexTest, NullOrNonIntegerKeysFailTheBuild) {
