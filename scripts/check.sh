@@ -88,6 +88,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 "$BUILD_DIR"/vertexica_server --vertices=500 --edges=2500 --clients=4 \
     --requests=2 > /dev/null
 
+# The end-to-end benchmark's own selftest (perfbench/README.md): the only
+# check of the benchmark's correctness gate against real engine results.
+# Builds perfbench/ into .bench_build/ (gitignored) on first use.
+python3 perfbench/run.py --selftest
+
 # Fault-injection pass (docs/DEVELOPING.md, "Fault injection & recovery"):
 # the in-process arming API is covered by the regular suites above; this
 # pass proves the *environment* arming path fires in a fresh process. The

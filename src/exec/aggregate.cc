@@ -28,6 +28,12 @@ int CompareValues(const Value& a, const Value& b) {
     const int y = b.bool_value() ? 1 : 0;
     return x - y;
   }
+  if (a.is_int64() && b.is_int64()) {
+    // Exact: widening to double would tie values that differ beyond 2^53.
+    const int64_t x = a.int64_value();
+    const int64_t y = b.int64_value();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
   const double x = a.AsDouble();
   const double y = b.AsDouble();
   return x < y ? -1 : (x > y ? 1 : 0);

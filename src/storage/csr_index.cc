@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "storage/sort.h"
 
 namespace vertexica {
 
@@ -44,40 +45,20 @@ std::shared_ptr<const CsrIndex> CsrIndex::Build(const Column& keys) {
 
   const std::vector<int64_t>& values = keys.ints();  // decodes RLE once
   const int64_t n = static_cast<int64_t>(values.size());
-  if (std::is_sorted(values.begin(), values.end())) {
-    int64_t slice_begin = 0;
-    for (int64_t i = 1; i <= n; ++i) {
-      if (i == n || values[static_cast<size_t>(i)] !=
-                        values[static_cast<size_t>(i - 1)]) {
-        add_slice(values[static_cast<size_t>(i - 1)], slice_begin, i);
-        slice_begin = i;
-      }
+  if (!std::is_sorted(values.begin(), values.end())) {
+    // Any other order: the stable grouping permutation, from the shared
+    // radix sort (storage/sort.h) — each key's rows keep their table order.
+    index->order_.resize(static_cast<size_t>(n));
+    std::iota(index->order_.begin(), index->order_.end(), int64_t{0});
+    RadixSortRows(values, /*ascending=*/true, &index->order_);
+  }
+  int64_t slice_begin = 0;
+  for (int64_t p = 1; p <= n; ++p) {
+    const int64_t key = values[static_cast<size_t>(index->Row(p - 1))];
+    if (p == n || values[static_cast<size_t>(index->Row(p))] != key) {
+      add_slice(key, slice_begin, p);
+      slice_begin = p;
     }
-    return index;
-  }
-
-  // Any other order: a stable counting sort by key. Count each key, lay
-  // the distinct keys out in ascending order, then scatter the rows in row
-  // order — so each key's rows keep their table order.
-  Int64HashMap<int64_t> cursor;
-  std::vector<int64_t> distinct;
-  for (const int64_t v : values) {
-    int64_t& count = cursor.GetOrInsert(v, 0);
-    if (count++ == 0) distinct.push_back(v);
-  }
-  std::sort(distinct.begin(), distinct.end());
-  int64_t offset = 0;
-  for (const int64_t key : distinct) {
-    int64_t* slot = cursor.Find(key);
-    const int64_t count = *slot;
-    add_slice(key, offset, offset + count);
-    *slot = offset;
-    offset += count;
-  }
-  index->order_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    int64_t* slot = cursor.Find(values[static_cast<size_t>(i)]);
-    index->order_[static_cast<size_t>((*slot)++)] = i;
   }
   return index;
 }

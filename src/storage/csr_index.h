@@ -12,7 +12,8 @@
 /// Over a key column in any other order (an edge table loaded unsorted, or
 /// the message table keyed on `dst`, which arrives in worker-output order)
 /// Build additionally computes the stable grouping permutation: every row
-/// listed by ascending key, ties in ascending row order. Slices then index
+/// listed by ascending key, ties in ascending row order — the engine's one
+/// INT64 sort primitive, RadixSortRows (storage/sort.h). Slices then index
 /// into that permutation. Either way a key's slice lists exactly its rows
 /// in table order, which is what the superstep worker driver
 /// (vertexica/worker_driver.h) reads: each vertex's edges in edge-table

@@ -1,9 +1,16 @@
 /// \file sort.h
-/// \brief Multi-key table sorting.
+/// \brief Stable multi-key table sorting.
 ///
-/// Vertex batching (§2.3) sorts every hash partition of the union table on
-/// vertex id so a worker sees each vertex's tuples contiguously; this module
-/// provides that primitive for arbitrary key lists.
+/// Every sort in the engine is stable: rows with equal keys keep their
+/// input order, so for given keys and input order the permutation is
+/// unique and any two correct implementations return the same one. Key
+/// lists that are all INT64 and NULL-free go through one LSD radix
+/// primitive (RadixSortRows), applied key by key from last to first; any
+/// other key list (DOUBLE, STRING or BOOL keys, or NULLs) uses a
+/// comparator stable sort over Column::CompareRows. Callers include the
+/// edge-table loader (vertexica/graph_tables.cc), the superstep's id and
+/// message sorts, the worker driver's vertex batching, SortOp/TopN,
+/// transform partitions and CsrIndex::Build.
 
 #ifndef VERTEXICA_STORAGE_SORT_H_
 #define VERTEXICA_STORAGE_SORT_H_
@@ -16,6 +23,14 @@ namespace vertexica {
 
 // SortKey (column index + direction) lives in storage/table.h, next to the
 // Table sort-order property it also describes.
+
+/// \brief Stably reorders `rows` by `values[row]`, ascending or descending.
+/// Keys are normalised to `v - min` (`max - v` when descending); a range
+/// below max(rows, 2^16) takes one counting pass, any other range 16-bit
+/// LSD digit passes. Linear in `rows->size()`. Every entry of `rows` must
+/// index `values`.
+void RadixSortRows(const std::vector<int64_t>& values, bool ascending,
+                   std::vector<int64_t>* rows);
 
 /// \brief Returns the row permutation that sorts `table` by `keys`
 /// (stable; NULLs first within ascending order).

@@ -1,5 +1,8 @@
 #include "vertexica/graph_tables.h"
 
+#include <numeric>
+#include <type_traits>
+
 #include "common/string_util.h"
 #include "storage/sort.h"
 
@@ -36,38 +39,48 @@ Status LoadGraphTables(Catalog* catalog, const Graph& graph,
 
 Status LoadEdgeTable(Catalog* catalog, const Graph& graph,
                      const GraphTableNames& names) {
-  const Graph directed = graph.AsDirected();
+  // A directed graph's edge vectors are read in place; an undirected one
+  // is first expanded into both directions.
+  Graph expanded;
+  if (!graph.directed) expanded = graph.AsDirected();
+  const Graph& directed = graph.directed ? graph : expanded;
 
   // Edge table, stored sorted on (src, dst) — the column-store layout the
   // paper assumes: each vertex's out-edges are contiguous and the source-id
   // column becomes one run per vertex, so it RLE-compresses to O(V) runs
   // instead of O(E) values and its zone map makes per-vertex range scans
-  // prunable. Sorting is unconditional (layout must not depend on the
-  // encoding knob, or results could differ between encoding on and off);
-  // only the encoding step consults the ambient mode.
-  {
-    std::vector<Column> cols;
-    cols.push_back(Column::FromInts(directed.src));
-    cols.push_back(Column::FromInts(directed.dst));
-    if (directed.weight.empty()) {
-      cols.push_back(Column::FromDoubles(
-          std::vector<double>(directed.src.size(), 1.0)));
-    } else {
-      cols.push_back(Column::FromDoubles(directed.weight));
+  // prunable. The permutation is the stable (src, dst) sort SortTable would
+  // compute (storage/sort.h: one radix pass per key, dst then src), taken
+  // straight from the edge vectors, and each column is gathered once.
+  // Sorting is unconditional (layout must not depend on the encoding knob,
+  // or results could differ between encoding on and off); only the
+  // encoding step consults the ambient mode.
+  std::vector<int64_t> order(directed.src.size());
+  std::iota(order.begin(), order.end(), int64_t{0});
+  RadixSortRows(directed.dst, /*ascending=*/true, &order);
+  RadixSortRows(directed.src, /*ascending=*/true, &order);
+  const auto gather = [&order](const auto& in) {
+    std::decay_t<decltype(in)> out(order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      out[i] = in[static_cast<size_t>(order[i])];
     }
-    VX_ASSIGN_OR_RETURN(Table t, Table::Make(MakeEdgeSchema(), std::move(cols)));
-    t = SortTable(t, {{0, true}, {1, true}});
-    if (AmbientEncodingMode() != EncodingMode::kOff) {
-      t.BuildZoneMaps();
-      t.mutable_column(0)->Encode(AmbientEncodingMode());
-    }
-    // Re-declare after the encode step (mutable_column conservatively
-    // drops the declaration SortTable made; encoding is value-neutral, so
-    // the (src, dst) order still holds).
-    t.SetSortOrder({{0, true}, {1, true}});
-    VX_RETURN_NOT_OK(catalog->ReplaceTable(names.edge, std::move(t)));
+    return out;
+  };
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInts(gather(directed.src)));
+  cols.push_back(Column::FromInts(gather(directed.dst)));
+  cols.push_back(Column::FromDoubles(
+      directed.weight.empty() ? std::vector<double>(order.size(), 1.0)
+                              : gather(directed.weight)));
+  VX_ASSIGN_OR_RETURN(Table t, Table::Make(MakeEdgeSchema(), std::move(cols)));
+  if (AmbientEncodingMode() != EncodingMode::kOff) {
+    t.BuildZoneMaps();
+    t.mutable_column(0)->Encode(AmbientEncodingMode());
   }
-  return Status::OK();
+  // Declared after the encode step (mutable_column conservatively drops a
+  // declaration; encoding is value-neutral, so the (src, dst) order holds).
+  t.SetSortOrder({{0, true}, {1, true}});
+  return catalog->ReplaceTable(names.edge, std::move(t));
 }
 
 Status LoadProgramTables(Catalog* catalog, const Graph& graph,

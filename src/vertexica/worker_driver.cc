@@ -10,6 +10,7 @@
 #include "common/threadpool.h"
 #include "exec/kernel_stats.h"
 #include "storage/partition.h"
+#include "storage/sort.h"
 #include "vertexica/graph_tables.h"
 
 namespace vertexica {
@@ -51,8 +52,17 @@ struct Batches {
   std::vector<size_t> begin;
 };
 
-Batches BatchRows(const std::vector<int64_t>& candidates,
+/// Sorts the candidates stably by key first, then scatters them stably by
+/// partition: within each partition that is the same (key, candidate
+/// position) order as sorting each partition after the scatter.
+Batches BatchRows(std::vector<int64_t> candidates,
                   const std::vector<int64_t>& keys, int num_partitions) {
+  const auto by_key = [&keys](int64_t a, int64_t c) {
+    return keys[static_cast<size_t>(a)] < keys[static_cast<size_t>(c)];
+  };
+  if (!std::is_sorted(candidates.begin(), candidates.end(), by_key)) {
+    RadixSortRows(keys, /*ascending=*/true, &candidates);
+  }
   const auto parts = static_cast<size_t>(num_partitions);
   std::vector<int> part_of(candidates.size());
   Batches b;
@@ -67,17 +77,6 @@ Batches BatchRows(const std::vector<int64_t>& candidates,
   std::vector<size_t> cursor(b.begin.begin(), b.begin.end() - 1);
   for (size_t i = 0; i < candidates.size(); ++i) {
     b.rows[cursor[static_cast<size_t>(part_of[i])]++] = candidates[i];
-  }
-  const auto by_key = [&keys](int64_t a, int64_t c) {
-    return keys[static_cast<size_t>(a)] < keys[static_cast<size_t>(c)];
-  };
-  for (size_t p = 0; p < parts; ++p) {
-    const auto first = b.rows.begin() + static_cast<std::ptrdiff_t>(b.begin[p]);
-    const auto last =
-        b.rows.begin() + static_cast<std::ptrdiff_t>(b.begin[p + 1]);
-    if (!std::is_sorted(first, last, by_key)) {
-      std::stable_sort(first, last, by_key);
-    }
   }
   return b;
 }
@@ -194,7 +193,8 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
     candidates.resize(ids.size());
     std::iota(candidates.begin(), candidates.end(), int64_t{0});
   }
-  const Batches batches = BatchRows(candidates, ids, par.partitions);
+  const Batches batches =
+      BatchRows(std::move(candidates), ids, par.partitions);
 
   return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
     VertexRunner runner(&shared);
@@ -265,7 +265,8 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
 
   std::vector<int64_t> all_rows(ids.size());
   std::iota(all_rows.begin(), all_rows.end(), int64_t{0});
-  const Batches batches = BatchRows(all_rows, ids, par.partitions);
+  const Batches batches =
+      BatchRows(std::move(all_rows), ids, par.partitions);
 
   return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
     VertexRunner runner(&shared);

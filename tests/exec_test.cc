@@ -287,6 +287,40 @@ TEST(AggregateTest, MinMaxOnStrings) {
   EXPECT_EQ(result->column(1).GetString(0), "sfo");
 }
 
+TEST(AggregateTest, Int64MinMaxAreExactBeyondDoublePrecision) {
+  // 2^53 and 2^53 + 1 widen to the same double; MIN/MAX must still tell
+  // them apart, in either row order, in the serial operator's per-row fold
+  // and in the parallel kernel's per-row fold (one chunk) and chunk merge
+  // (one row per chunk).
+  const int64_t lo = int64_t{1} << 53;
+  const int64_t hi = lo + 1;
+  const std::vector<AggSpec> aggs = {{AggOp::kMin, "v", "mn"},
+                                     {AggOp::kMax, "v", "mx"}};
+  for (const auto& rows : {std::vector<int64_t>{hi, lo},
+                           std::vector<int64_t>{lo, hi}}) {
+    const Table t = Table::Make(Schema({{"v", DataType::kInt64}}),
+                                {Column::FromInts(rows)})
+                        .ValueOrDie();
+    const auto expect_exact = [&](const Table& out, const std::string& how) {
+      ASSERT_EQ(out.num_rows(), 1) << how;
+      EXPECT_EQ(out.column(0).GetInt64(0), lo) << how << " first=" << rows[0];
+      EXPECT_EQ(out.column(1).GetInt64(0), hi) << how << " first=" << rows[0];
+    };
+    HashAggregateOp serial_op(std::make_unique<TableScan>(t), {}, aggs);
+    auto serial = Collect(&serial_op);
+    ASSERT_TRUE(serial.ok());
+    expect_exact(*serial, "serial");
+    for (int64_t morsel : {int64_t{1}, int64_t{1024}}) {
+      ParallelOptions opts;
+      opts.num_threads = 2;
+      opts.morsel_rows = morsel;
+      auto parallel = ParallelHashAggregate(t, {}, aggs, opts);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      expect_exact(*parallel, "parallel morsel=" + std::to_string(morsel));
+    }
+  }
+}
+
 TEST(UnionAllTest, ConcatenatesAndRenames) {
   Table a(Schema({{"x", DataType::kInt64}}));
   VX_CHECK_OK(a.AppendRow({Value(int64_t{1})}));

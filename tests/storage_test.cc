@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "common/random.h"
 #include "exec/filter.h"
@@ -1345,6 +1348,259 @@ TEST(InvariantAuditTest, MisplacedShardRowIsReported) {
   EXPECT_TRUE(Mentions(
       st, "row 0 of shard 1 carries a key owned by shard 0"))
       << st.ToString();
+}
+
+
+// ---- Sort property: SortIndices and CsrIndex vs a reference stable sort.
+
+namespace sort_property {
+
+/// The definition every sort path must reproduce exactly: std::stable_sort
+/// over CompareRows, key by key.
+std::vector<int64_t> ReferenceSort(const Table& t,
+                                   const std::vector<SortKey>& keys) {
+  std::vector<int64_t> rows(static_cast<size_t>(t.num_rows()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  std::stable_sort(rows.begin(), rows.end(), [&](int64_t a, int64_t b) {
+    for (const SortKey& k : keys) {
+      const Column& col = t.column(k.column);
+      const int cmp = col.CompareRows(a, col, b);
+      if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
+    }
+    return false;
+  });
+  return rows;
+}
+
+/// Value shapes of a NULL-free INT64 key column, from {0,1} to the full
+/// int64 span.
+enum class Shape {
+  kBinary,    // {0, 1}
+  kFewDups,   // [0, 5]: heavy duplicates
+  kSigned,    // [-1000, 1000]
+  kWide,      // [-2^40, 2^40]: several 16-bit digits
+  kHighBits,  // multiples of 2^48: low digits constant
+  kFullSpan,  // any int64, INT64_MIN and INT64_MAX frequent
+  kRuns,      // runs of repeated values (RLE-friendly)
+};
+constexpr int kNumShapes = 7;
+
+std::vector<int64_t> RandomInts(Rng* rng, int64_t n, Shape shape) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> v;
+  v.reserve(static_cast<size_t>(n));
+  while (static_cast<int64_t>(v.size()) < n) {
+    switch (shape) {
+      case Shape::kBinary:
+        v.push_back(rng->UniformRange(0, 1));
+        break;
+      case Shape::kFewDups:
+        v.push_back(rng->UniformRange(0, 5));
+        break;
+      case Shape::kSigned:
+        v.push_back(rng->UniformRange(-1000, 1000));
+        break;
+      case Shape::kWide:
+        v.push_back(rng->UniformRange(-(int64_t{1} << 40), int64_t{1} << 40));
+        break;
+      case Shape::kHighBits:
+        v.push_back(rng->UniformRange(-3, 3) * (int64_t{1} << 48));
+        break;
+      case Shape::kFullSpan: {
+        const uint64_t pick = rng->Uniform(8);
+        v.push_back(pick == 0   ? kMin
+                    : pick == 1 ? kMax
+                                : static_cast<int64_t>(rng->Next()));
+        break;
+      }
+      case Shape::kRuns: {
+        const int64_t value = rng->UniformRange(-50, 50);
+        const int64_t len = rng->UniformRange(1, 40);
+        for (int64_t i = 0; i < len && static_cast<int64_t>(v.size()) < n;
+             ++i) {
+          v.push_back(value);
+        }
+        break;
+      }
+    }
+  }
+  return v;
+}
+
+int64_t RandomRowCount(Rng* rng, uint64_t seed) {
+  // Every shape meets the 0-, 1- and 2-row tables.
+  return seed % 10 < 3 ? static_cast<int64_t>(seed % 10)
+                       : rng->UniformRange(3, 3000);
+}
+
+}  // namespace sort_property
+
+TEST(SortPropertyTest, Int64KeyListsMatchReference) {
+  using sort_property::Shape;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed + 1000);
+    const int64_t n = sort_property::RandomRowCount(&rng, seed);
+    const int num_cols = static_cast<int>(rng.UniformRange(1, 3));
+    Schema schema;
+    std::vector<Column> cols;
+    std::string shapes;
+    for (int c = 0; c < num_cols; ++c) {
+      const auto shape = static_cast<Shape>(
+          (seed + static_cast<uint64_t>(c) * 3) % sort_property::kNumShapes);
+      shapes += std::to_string(static_cast<int>(shape)) + " ";
+      schema.AddField({"k" + std::to_string(c), DataType::kInt64});
+      cols.push_back(
+          Column::FromInts(sort_property::RandomInts(&rng, n, shape)));
+    }
+    const Table plain =
+        Table::Make(std::move(schema), std::move(cols)).ValueOrDie();
+    Table encoded = plain;
+    encoded.EncodeColumns(EncodingMode::kForce);  // RLE key columns
+
+    const int num_keys = static_cast<int>(rng.UniformRange(1, 3));
+    std::vector<SortKey> keys;
+    std::string desc;
+    for (int k = 0; k < num_keys; ++k) {
+      const int col = static_cast<int>(rng.Uniform(
+          static_cast<uint64_t>(num_cols)));
+      const bool ascending = rng.Bernoulli(0.5);
+      keys.push_back({col, ascending});
+      desc += "k" + std::to_string(col) + (ascending ? "+ " : "- ");
+    }
+    const std::vector<int64_t> want = sort_property::ReferenceSort(plain, keys);
+    EXPECT_EQ(SortIndices(plain, keys), want)
+        << "seed " << seed << " rows " << n << " shapes " << shapes
+        << "keys " << desc;
+    EXPECT_EQ(SortIndices(encoded, keys), want)
+        << "seed " << seed << " rows " << n << " shapes " << shapes
+        << "keys " << desc << "(RLE)";
+  }
+}
+
+TEST(SortPropertyTest, RangeAboveDigitWidthMatchesReference) {
+  // Ranges past one 16-bit digit: below the row count (one counting pass
+  // over `rows` buckets) and far above it (digit passes).
+  Rng rng(7);
+  constexpr int64_t kRows = 70000;
+  std::vector<int64_t> dense(kRows);
+  std::vector<int64_t> wide(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    dense[static_cast<size_t>(i)] = rng.UniformRange(-kRows / 2, kRows / 2);
+    wide[static_cast<size_t>(i)] =
+        rng.UniformRange(-(int64_t{1} << 33), int64_t{1} << 33);
+  }
+  const Table t =
+      Table::Make(Schema({{"dense", DataType::kInt64},
+                          {"wide", DataType::kInt64}}),
+                  {Column::FromInts(dense), Column::FromInts(wide)})
+          .ValueOrDie();
+  for (const std::vector<SortKey>& keys :
+       {std::vector<SortKey>{{0, true}}, std::vector<SortKey>{{0, false}},
+        std::vector<SortKey>{{1, true}}, std::vector<SortKey>{{1, false}},
+        std::vector<SortKey>{{0, false}, {1, true}}}) {
+    EXPECT_EQ(SortIndices(t, keys), sort_property::ReferenceSort(t, keys))
+        << "first key " << keys[0].column << (keys[0].ascending ? "+" : "-")
+        << " of " << keys.size();
+  }
+}
+
+TEST(SortPropertyTest, FallbackKeyListsMatchReference) {
+  // NULL INT64 keys, DOUBLE keys (NaN, -0.0 and 0.0 tie-breaking), STRING
+  // and BOOL keys, alone and mixed with NULL-free INT64 keys.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed + 2000);
+    const int64_t n = sort_property::RandomRowCount(&rng, seed);
+    Column nullable(DataType::kInt64);
+    Column doubles(DataType::kDouble);
+    Column strings(DataType::kString);
+    Column bools(DataType::kBool);
+    for (int64_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.2)) {
+        nullable.AppendNull();
+      } else {
+        nullable.AppendInt64(rng.UniformRange(-3, 3));
+      }
+      const uint64_t pick = rng.Uniform(5);
+      doubles.AppendDouble(pick == 0   ? nan
+                           : pick == 1 ? -0.0
+                           : pick == 2 ? 0.0
+                                       : rng.UniformRange(-2, 2) * 0.5);
+      strings.AppendString("s" + std::to_string(rng.Uniform(4)));
+      bools.AppendBool(rng.Bernoulli(0.5));
+    }
+    const std::vector<int64_t> ints =
+        sort_property::RandomInts(&rng, n, sort_property::Shape::kFewDups);
+    const Table plain =
+        Table::Make(Schema({{"n", DataType::kInt64},
+                            {"d", DataType::kDouble},
+                            {"s", DataType::kString},
+                            {"b", DataType::kBool},
+                            {"i", DataType::kInt64}}),
+                    {nullable, doubles, strings, bools,
+                     Column::FromInts(ints)})
+            .ValueOrDie();
+    Table encoded = plain;
+    encoded.EncodeColumns(EncodingMode::kForce);
+    for (int fallback = 0; fallback < 4; ++fallback) {
+      const bool ascending = rng.Bernoulli(0.5);
+      for (const std::vector<SortKey>& keys :
+           {std::vector<SortKey>{{fallback, ascending}},
+            std::vector<SortKey>{{4, !ascending}, {fallback, ascending}},
+            std::vector<SortKey>{{fallback, ascending}, {4, ascending}}}) {
+        const std::vector<int64_t> want =
+            sort_property::ReferenceSort(plain, keys);
+        EXPECT_EQ(SortIndices(plain, keys), want)
+            << "seed " << seed << " fallback column " << fallback;
+        EXPECT_EQ(SortIndices(encoded, keys), want)
+            << "seed " << seed << " fallback column " << fallback << " (RLE)";
+      }
+    }
+  }
+}
+
+TEST(SortPropertyTest, CsrIndexMatchesReferenceOnUnsortedKeys) {
+  using sort_property::Shape;
+  for (uint64_t seed = 0; seed < 70; ++seed) {
+    Rng rng(seed + 3000);
+    const int64_t n = sort_property::RandomRowCount(&rng, seed);
+    const auto shape = static_cast<Shape>(seed % sort_property::kNumShapes);
+    Column plain = Column::FromInts(sort_property::RandomInts(&rng, n, shape));
+    Column encoded = plain;
+    encoded.Encode(EncodingMode::kForce);
+    const Table t =
+        Table::Make(Schema({{"k", DataType::kInt64}}), {plain}).ValueOrDie();
+    const std::vector<int64_t> want =
+        sort_property::ReferenceSort(t, {{0, true}});
+    for (const Column* keys : {&plain, &encoded}) {
+      const auto csr = CsrIndex::Build(*keys);
+      ASSERT_NE(csr, nullptr) << "seed " << seed;
+      ASSERT_EQ(csr->num_rows(), n) << "seed " << seed;
+      std::vector<int64_t> got(static_cast<size_t>(n));
+      for (int64_t p = 0; p < n; ++p) got[static_cast<size_t>(p)] = csr->Row(p);
+      EXPECT_EQ(got, want) << "seed " << seed << " shape "
+                           << static_cast<int>(shape)
+                           << (keys == &encoded ? " (RLE)" : "");
+      // Each key's slice covers exactly its run in the reference order.
+      int64_t num_keys = 0;
+      for (int64_t p = 0; p < n;) {
+        const int64_t key = plain.GetInt64(want[static_cast<size_t>(p)]);
+        int64_t end = p;
+        while (end < n &&
+               plain.GetInt64(want[static_cast<size_t>(end)]) == key) {
+          ++end;
+        }
+        const CsrIndex::Slice slice = csr->NeighborSlice(key);
+        EXPECT_EQ(slice.begin, p) << "seed " << seed << " key " << key;
+        EXPECT_EQ(slice.end, end) << "seed " << seed << " key " << key;
+        ++num_keys;
+        p = end;
+      }
+      EXPECT_EQ(csr->num_keys(), num_keys) << "seed " << seed;
+      EXPECT_TRUE(csr->CheckInvariants(*keys).ok()) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace
