@@ -240,20 +240,6 @@ void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
   }
 }
 
-AggOp CombinerToAggOp(MessageCombiner c) {
-  switch (c) {
-    case MessageCombiner::kSum:
-      return AggOp::kSum;
-    case MessageCombiner::kMin:
-      return AggOp::kMin;
-    case MessageCombiner::kMax:
-      return AggOp::kMax;
-    case MessageCombiner::kNone:
-      break;
-  }
-  return AggOp::kSum;
-}
-
 }  // namespace
 
 /// Resident state of the persistent-sharding path, built once per run:
@@ -399,11 +385,14 @@ Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
       // output is probe-row-major, so dropping probe rows that produce no
       // worker output leaves the surviving rows' relative order (and the
       // per-vertex streams) bit-identical to the dense plan's.
-      Table active = vertex->Take(frontier->SetIndices());
+      // Each active id group's last row — the row the workers read, as on
+      // the union path.
+      VX_ASSIGN_OR_RETURN(int id_c, vertex->ColumnIndex("id"));
+      Table active = vertex->Take(
+          FrontierVertexRows(vertex->column(id_c).ints(), *frontier));
       // Take conservatively drops the declared order, but the gather
       // indices are ascending over an id-sorted table (a frontier
       // precondition) — re-declare it so the superstep joins keep merging.
-      VX_ASSIGN_OR_RETURN(int id_c, active.ColumnIndex("id"));
       active.SetSortOrder({{id_c, true}});
       probe = std::make_shared<const Table>(std::move(active));
     }
@@ -451,10 +440,12 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
   // other columns are exactly the ones being rewritten.)
   const bool ordered_by_id = OrderedByColumn(out, "id");
 
+  // A duplicated id maps to its last row: the row the workers read ("last
+  // row wins", vertexica/worker_driver.h) and ReadVertexValues reports.
   Int64HashMap<int64_t> row_of(static_cast<size_t>(out.num_rows()));
   const auto& ids = out.column(id_c).ints();
   for (int64_t r = 0; r < out.num_rows(); ++r) {
-    row_of.GetOrInsert(ids[static_cast<size_t>(r)], r);
+    row_of.GetOrInsert(ids[static_cast<size_t>(r)]) = r;
   }
 
   auto& halted = *out.mutable_column(halted_c)->mutable_bools();
@@ -499,31 +490,8 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
   return out;
 }
 
-Result<Table> Coordinator::CombineMessages(Table messages) const {
-  if (!options_.use_combiner ||
-      program_->combiner() == MessageCombiner::kNone ||
-      messages.num_rows() == 0) {
-    return messages;
-  }
-  const int ma = program_->message_arity();
-  const AggOp op = CombinerToAggOp(program_->combiner());
-  std::vector<AggSpec> specs;
-  for (int i = 0; i < ma; ++i) {
-    specs.push_back({op, StringFormat("m%d", i), StringFormat("m%d", i)});
-  }
-  // GROUP BY dst straight on the typed message table: the same
-  // chunk-parallel kernel (and chunk-order fold) the plan operator runs,
-  // minus the scan/collect/project round trip. Combined messages carry no
-  // single sender: src = -1.
-  VX_ASSIGN_OR_RETURN(Table combined,
-                      ParallelHashAggregate(messages, {"dst"}, specs));
-  std::vector<Column> cols;
-  cols.push_back(Column::FromInts(
-      std::vector<int64_t>(static_cast<size_t>(combined.num_rows()), -1)));
-  for (int c = 0; c < combined.num_columns(); ++c) {
-    cols.push_back(std::move(*combined.mutable_column(c)));
-  }
-  return Table::Make(MakeMessageSchema(ma), std::move(cols));
+MessageCombiner Coordinator::ActiveCombiner() const {
+  return options_.use_combiner ? program_->combiner() : MessageCombiner::kNone;
 }
 
 Result<Table> Coordinator::RebuildVertices(const Table& vertex,
@@ -689,7 +657,6 @@ Status Coordinator::Run(RunStats* stats) {
     phase_timer.Restart();
 
     Table updates = std::move(out.updates);
-    Table new_messages = std::move(out.messages);
     const int64_t active = out.active;
     std::map<std::string, double> new_aggregates;
     for (const auto& spec : agg_specs) {
@@ -697,9 +664,10 @@ Status Coordinator::Run(RunStats* stats) {
     }
     MergeAggregateRows(agg_specs, out.aggregate_rows, &new_aggregates);
 
-    // ---- Message combining. -------------------------------------------
-    VX_ASSIGN_OR_RETURN(new_messages,
-                        CombineMessages(std::move(new_messages)));
+    // ---- Messages: gathered, or combined per receiver. -----------------
+    VX_ASSIGN_OR_RETURN(Table new_messages,
+                        CollectMessages(std::move(out.message_sinks), ma,
+                                        ActiveCombiner()));
 
     // ---- Sorted-message invariant (order-aware joins). ----------------
     // Keep the stored message table sorted by receiver so the next
@@ -997,31 +965,31 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // Phase boundary: a worker failure surfaces here in a distributed
     // deployment (ROADMAP #1), so the exchange carries a fault site.
     VX_FAULT_POINT("coordinator.exchange");
-    // Concatenate the per-shard outputs in shard order (again the global
-    // row order), combine globally — identical combiner input, identical
-    // FP fold — then scatter on receiver back to the shards. The scatter
-    // preserves per-receiver order, and a per-shard stable sort by dst
-    // equals the global sort restricted to the shard, so next superstep's
-    // message streams are bit-identical to the unsharded path's.
+    // Collect every shard's sinks in shard order (again the global row
+    // order) — concatenated, or combined globally with the unsharded fold
+    // over identical input — then scatter on receiver back to the shards.
+    // The scatter preserves per-receiver order, and a per-shard stable sort
+    // by dst equals the global sort restricted to the shard, so next
+    // superstep's message streams are bit-identical to the unsharded path's.
     int64_t cross_shard = 0;
-    Table global_messages(step[0].out.messages.schema());
+    std::vector<WorkerSink> sinks;
     for (int s = 0; s < num_shards; ++s) {
-      const Table& msgs = step[static_cast<size_t>(s)].out.messages;
-      if (stats != nullptr) {
-        // Boundary-crossing counter only: one hash per produced message,
-        // skipped entirely when nobody collects stats.
-        VX_ASSIGN_OR_RETURN(int pdst_c, msgs.ColumnIndex("dst"));
-        const auto& dsts = msgs.column(pdst_c).ints();
-        for (int64_t r = 0; r < msgs.num_rows(); ++r) {
-          if (sharded_->spec.ShardOfKey(dsts[static_cast<size_t>(r)]) != s) {
-            ++cross_shard;
+      for (WorkerSink& sink : step[static_cast<size_t>(s)].out.message_sinks) {
+        if (stats != nullptr) {
+          // Boundary-crossing counter over the produced (pre-combine)
+          // messages: one hash per message, skipped entirely when nobody
+          // collects stats.
+          for (const int64_t dst : sink.message_dst) {
+            if (sharded_->spec.ShardOfKey(dst) != s) ++cross_shard;
           }
         }
+        sinks.push_back(std::move(sink));
       }
-      VX_RETURN_NOT_OK(global_messages.Append(msgs));
     }
-    VX_ASSIGN_OR_RETURN(global_messages,
-                        CombineMessages(std::move(global_messages)));
+    VX_ASSIGN_OR_RETURN(
+        Table global_messages,
+        CollectMessages(std::move(sinks), program_->message_arity(),
+                        ActiveCombiner()));
     const int64_t messages_sent = global_messages.num_rows();
     VX_ASSIGN_OR_RETURN(int dst_c, global_messages.ColumnIndex("dst"));
     VX_ASSIGN_OR_RETURN(

@@ -9,8 +9,12 @@
 ///     built; see vertexica/worker_driver.h), or as the traditional 3-way
 ///     join,
 ///  2. runs the worker UDFs in parallel over the vertex-batching partitions
-///     (§2.3), each writing typed updates, messages and aggregator partials,
-///  3. optionally combines messages per receiver (combiner),
+///     (§2.3), each writing typed updates, messages and aggregator partials
+///     into its partition's sink,
+///  3. builds the next message table from the sinks: concatenated, or —
+///     with a combiner — folded per receiver straight out of the sinks, so
+///     the uncombined messages are never materialized as a table (fold
+///     order: vertexica/worker_driver.h),
 ///  4. applies vertex updates in place or by table replacement depending on
 ///     the update fraction (update vs. replace), and swaps in the new
 ///     message table.
@@ -53,7 +57,9 @@ struct SuperstepStats {
   /// @{
   double input_seconds = 0.0;    ///< message grouping / join assembly
   double worker_seconds = 0.0;   ///< vertex batching + Compute
-  double split_seconds = 0.0;    ///< aggregator fold & combiner
+  /// Aggregator fold and message collection: the combiner fold over the
+  /// worker sinks, or their concatenation without a combiner.
+  double split_seconds = 0.0;
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
 
@@ -204,9 +210,9 @@ class Coordinator {
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,
                                            const TablePtr& edge_side,
                                            const TablePtr& message) const;
-  /// Applies the program's message combiner (when configured and enabled)
-  /// over a message table; otherwise returns it unchanged.
-  Result<Table> CombineMessages(Table messages) const;
+  /// The combiner CollectMessages folds with: the program's, or kNone when
+  /// use_combiner is off.
+  MessageCombiner ActiveCombiner() const;
   /// In-place path of §2.3 "Update Vs Replace": copies the vertex columns
   /// and scatters the updates.
   Result<Table> UpdateVerticesInPlace(const Table& vertex,

@@ -145,10 +145,28 @@ Result<std::vector<double>> ReadVertexValues(const Catalog& catalog,
   VX_ASSIGN_OR_RETURN(
       int vcol, table->ColumnIndex(StringFormat("v%d", component)));
   VX_ASSIGN_OR_RETURN(int idcol, table->ColumnIndex("id"));
-  const auto& ids = table->column(idcol).ints();
-  const auto& vals = table->column(vcol).doubles();
+  const Column& id_col = table->column(idcol);
+  const Column& val_col = table->column(vcol);
+  if (id_col.type() != DataType::kInt64 || id_col.null_count() > 0) {
+    return Status::InvalidArgument(
+        StringFormat("vertex table column 'id' is %s, expected non-NULL INT64",
+                     DataTypeName(id_col.type())));
+  }
+  if (val_col.type() != DataType::kDouble) {
+    return Status::InvalidArgument(StringFormat(
+        "vertex table column 'v%d' is %s, expected DOUBLE", component,
+        DataTypeName(val_col.type())));
+  }
+  const auto& ids = id_col.ints();
+  const auto& vals = val_col.doubles();
   int64_t max_id = -1;
-  for (int64_t id : ids) max_id = std::max(max_id, id);
+  for (int64_t id : ids) {
+    if (id < 0) {
+      return Status::InvalidArgument(StringFormat(
+          "vertex table holds negative id %lld", static_cast<long long>(id)));
+    }
+    max_id = std::max(max_id, id);
+  }
   std::vector<double> out(static_cast<size_t>(max_id + 1), 0.0);
   for (size_t i = 0; i < ids.size(); ++i) {
     out[static_cast<size_t>(ids[i])] = vals[i];

@@ -71,7 +71,9 @@ Status LoadProgramTables(Catalog* catalog, const Graph& graph,
                          const GraphTableNames& names = {});
 
 /// \brief Reads component `component` of every vertex value into a dense
-/// vector indexed by vertex id.
+/// vector indexed by vertex id; a duplicated id reports its last row.
+/// InvalidArgument when `id` is not a non-NULL INT64 column, `v<component>`
+/// is not DOUBLE, or an id is negative.
 Result<std::vector<double>> ReadVertexValues(const Catalog& catalog,
                                              const GraphTableNames& names,
                                              int component = 0);

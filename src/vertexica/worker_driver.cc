@@ -1,14 +1,18 @@
 #include "vertexica/worker_driver.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_set>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "exec/kernel_stats.h"
+#include "exec/parallel.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "vertexica/graph_tables.h"
@@ -81,8 +85,26 @@ Batches BatchRows(std::vector<int64_t> candidates,
   return b;
 }
 
+/// Concatenates `field(sink)` over `sinks` in order, releasing each sink's
+/// vector as it is read.
+template <typename Field>
+auto Gather(std::vector<WorkerSink>& sinks, const Field& field) {
+  using Vec = std::decay_t<decltype(field(sinks[0]))>;
+  size_t n = 0;
+  for (WorkerSink& s : sinks) n += field(s).size();
+  Vec out;
+  out.reserve(n);
+  for (WorkerSink& s : sinks) {
+    Vec& v = field(s);
+    out.insert(out.end(), v.begin(), v.end());
+    v = Vec{};
+  }
+  return out;
+}
+
 /// Runs `body(p, sink)` for every partition on the pool and concatenates
-/// the sinks in partition order.
+/// the sinks' updates and aggregator partials in partition order; the
+/// messages stay in the sinks for CollectMessages.
 template <typename Body>
 Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
                                    const TransformParallelism& par,
@@ -100,57 +122,257 @@ Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
       },
       par.workers));
 
-  // Concatenate in partition order, releasing each sink as it is read.
-  const auto gather = [&sinks](auto field) {
-    using Vec = std::decay_t<decltype(field(sinks[0]))>;
-    size_t n = 0;
-    for (WorkerSink& s : sinks) n += field(s).size();
-    Vec out;
-    out.reserve(n);
-    for (WorkerSink& s : sinks) {
-      Vec& v = field(s);
-      out.insert(out.end(), v.begin(), v.end());
-      v = Vec{};
-    }
-    return out;
-  };
   WorkerOutput out;
   std::vector<Column> ucols;
   ucols.push_back(Column::FromInts(
-      gather([](WorkerSink& s) -> auto& { return s.update_id; })));
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.update_id; })));
   ucols.push_back(Column::FromBools(
-      gather([](WorkerSink& s) -> auto& { return s.update_halted; })));
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.update_halted; })));
   for (int c = 0; c < va; ++c) {
-    ucols.push_back(Column::FromDoubles(gather([c](WorkerSink& s) -> auto& {
-      return s.update_values[static_cast<size_t>(c)];
-    })));
-  }
-  std::vector<Column> mcols;
-  mcols.push_back(Column::FromInts(
-      gather([](WorkerSink& s) -> auto& { return s.message_src; })));
-  mcols.push_back(Column::FromInts(
-      gather([](WorkerSink& s) -> auto& { return s.message_dst; })));
-  for (int c = 0; c < ma; ++c) {
-    mcols.push_back(Column::FromDoubles(gather([c](WorkerSink& s) -> auto& {
-      return s.message_values[static_cast<size_t>(c)];
-    })));
+    ucols.push_back(
+        Column::FromDoubles(Gather(sinks, [c](WorkerSink& s) -> auto& {
+          return s.update_values[static_cast<size_t>(c)];
+        })));
   }
   out.aggregate_rows =
-      gather([](WorkerSink& s) -> auto& { return s.aggregate_rows; });
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.aggregate_rows; });
   for (const WorkerSink& s : sinks) out.active += s.active;
-  // materialize-ok: the worker outputs themselves — the updates to apply
-  // and the next superstep's message table.
+  // materialize-ok: the worker output itself — the updates to apply.
   VX_ASSIGN_OR_RETURN(out.updates,
                       Table::Make(MakeVertexSchema(va), std::move(ucols)));
-  // materialize-ok: as above.
-  VX_ASSIGN_OR_RETURN(out.messages,
-                      Table::Make(MakeMessageSchema(ma), std::move(mcols)));
   NoteMaterialized(out.updates);
-  NoteMaterialized(out.messages);
+  out.message_sinks = std::move(sinks);
   return out;
 }
 
+/// Receiver → group number. Receivers are vertex ids, which are dense in
+/// practice, so a fold whose receivers span at most twice as many ids as it
+/// has rows indexes a direct-address table over that span; any other span
+/// takes an Int64HashMap. Either way it is the same map, so the choice
+/// never changes the fold.
+class GroupIndex {
+ public:
+  /// `lo`..`hi`: the receivers' range; `rows`: values to be folded.
+  GroupIndex(int64_t lo, int64_t hi, size_t rows) {
+    const auto span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (lo <= hi && span < 2 * static_cast<uint64_t>(rows)) {
+      lo_ = lo;
+      direct_.assign(static_cast<size_t>(span) + 1, -1);
+    } else {
+      hash_.emplace(std::min<size_t>(rows, kInitialHashGroups));
+    }
+  }
+
+  /// `dst`'s group number; -1 until the caller assigns one.
+  int64_t& operator[](int64_t dst) {
+    if (hash_.has_value()) return hash_->GetOrInsert(dst, -1);
+    return direct_[static_cast<size_t>(static_cast<uint64_t>(dst) -
+                                       static_cast<uint64_t>(lo_))];
+  }
+
+ private:
+  /// The hash map starts here and grows, so few receivers stay
+  /// cache-resident.
+  static constexpr size_t kInitialHashGroups = 1024;
+
+  int64_t lo_ = 0;
+  std::vector<int64_t> direct_;
+  std::optional<Int64HashMap<int64_t>> hash_;
+};
+
+/// Per-receiver combiner state: receivers in first-appearance order and
+/// their accumulators, `arity` per receiver.
+template <MessageCombiner Op>
+class CombineFold {
+ public:
+  /// Folds `rows` value tuples for receivers in [lo, hi].
+  CombineFold(int arity, int64_t lo, int64_t hi, size_t rows)
+      : arity_(static_cast<size_t>(arity)),
+        lo_(lo),
+        hi_(hi),
+        group_of_(lo, hi, rows) {}
+
+  /// Folds the value tuple `value[0..arity)` into receiver `dst`'s
+  /// accumulators: a new receiver starts from its first tuple (SUM from
+  /// 0.0 plus it); after that SUM adds and MIN/MAX replace only on a
+  /// strict `<` / `>`.
+  template <typename ValueAt>
+  void Add(int64_t dst, const ValueAt& value) {
+    int64_t& g = group_of_[dst];
+    if (g < 0) {
+      g = static_cast<int64_t>(dst_.size());
+      dst_.push_back(dst);
+      for (size_t c = 0; c < arity_; ++c) {
+        acc_.push_back(Op == MessageCombiner::kSum ? 0.0 + value(c)
+                                                   : value(c));
+      }
+      return;
+    }
+    double* a = acc_.data() + static_cast<size_t>(g) * arity_;
+    for (size_t c = 0; c < arity_; ++c) {
+      const double v = value(c);
+      if constexpr (Op == MessageCombiner::kSum) {
+        a[c] += v;
+      } else if constexpr (Op == MessageCombiner::kMin) {
+        if (v < a[c]) a[c] = v;
+      } else {
+        if (v > a[c]) a[c] = v;
+      }
+    }
+  }
+
+  size_t num_groups() const { return dst_.size(); }
+  int64_t lo() const { return lo_; }
+  int64_t hi() const { return hi_; }
+  int64_t dst(size_t g) const { return dst_[g]; }
+  const double* acc(size_t g) const { return acc_.data() + g * arity_; }
+
+  /// The (src = −1, dst, m0..) columns, consuming the state.
+  std::vector<Column> TakeColumns() && {
+    const size_t n = dst_.size();
+    std::vector<Column> cols;
+    cols.push_back(Column::FromInts(std::vector<int64_t>(n, -1)));
+    cols.push_back(Column::FromInts(std::move(dst_)));
+    if (arity_ == 1) {
+      cols.push_back(Column::FromDoubles(std::move(acc_)));
+      return cols;
+    }
+    for (size_t c = 0; c < arity_; ++c) {
+      std::vector<double> col(n);
+      for (size_t g = 0; g < n; ++g) col[g] = acc_[g * arity_ + c];
+      cols.push_back(Column::FromDoubles(std::move(col)));
+    }
+    return cols;
+  }
+
+ private:
+  size_t arity_;
+  int64_t lo_;
+  int64_t hi_;
+  GroupIndex group_of_;
+  std::vector<int64_t> dst_;
+  std::vector<double> acc_;  ///< [group * arity + column]
+};
+
+/// The combined message columns: chunks of kDefaultMorselRows rows of the
+/// sinks' concatenated messages fold in parallel, then merge in chunk
+/// order — the association of the chunk-parallel hash aggregate.
+template <MessageCombiner Op>
+Result<std::vector<Column>> CombineSinks(const std::vector<WorkerSink>& sinks,
+                                         int arity) {
+  // offset[k]: global row of sink k's first message.
+  std::vector<size_t> offset(sinks.size() + 1, 0);
+  for (size_t k = 0; k < sinks.size(); ++k) {
+    offset[k + 1] = offset[k] + sinks[k].message_dst.size();
+  }
+  const size_t rows = offset.back();
+  const auto grain = static_cast<size_t>(kDefaultMorselRows);
+  const size_t num_chunks = (rows + grain - 1) / grain;
+  std::vector<std::optional<CombineFold<Op>>> partials(num_chunks);
+  // ambient-ok: the body reads the sinks only; ExecThreads() is evaluated
+  // on the submitting thread.
+  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+      0, num_chunks, /*grain=*/1,
+      [&](size_t begin, size_t end) -> Status {
+        for (size_t j = begin; j < end; ++j) {
+          // Calls body(sink, first, last) for the sink slices of chunk j.
+          const auto for_each_slice = [&](const auto& body) {
+            size_t row = j * grain;
+            const size_t stop = std::min(rows, row + grain);
+            auto k = static_cast<size_t>(
+                std::upper_bound(offset.begin(), offset.end(), row) -
+                offset.begin() - 1);
+            for (; row < stop; ++k) {
+              const size_t last = std::min(offset[k + 1], stop) - offset[k];
+              body(sinks[k], row - offset[k], last);
+              row = offset[k] + last;
+            }
+          };
+          int64_t lo = std::numeric_limits<int64_t>::max();
+          int64_t hi = std::numeric_limits<int64_t>::min();
+          for_each_slice([&](const WorkerSink& s, size_t i, size_t last) {
+            for (; i < last; ++i) {
+              lo = std::min(lo, s.message_dst[i]);
+              hi = std::max(hi, s.message_dst[i]);
+            }
+          });
+          // Built on the folding thread and published once at the end, so
+          // concurrent chunks share no written cache lines.
+          CombineFold<Op> fold(arity, lo, hi,
+                               std::min(rows, (j + 1) * grain) - j * grain);
+          for_each_slice([&](const WorkerSink& s, size_t i, size_t last) {
+            for (; i < last; ++i) {
+              fold.Add(s.message_dst[i], [&s, i](size_t c) {
+                return s.message_values[c][i];
+              });
+            }
+          });
+          partials[j].emplace(std::move(fold));
+        }
+        return Status::OK();
+      },
+      ExecThreads()));
+
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  size_t partial_groups = 0;
+  for (const auto& p : partials) {
+    lo = std::min(lo, p->lo());
+    hi = std::max(hi, p->hi());
+    partial_groups += p->num_groups();
+  }
+  CombineFold<Op> merged(arity, lo, hi, partial_groups);
+  for (const auto& p : partials) {
+    for (size_t g = 0; g < p->num_groups(); ++g) {
+      const double* acc = p->acc(g);
+      merged.Add(p->dst(g), [acc](size_t c) { return acc[c]; });
+    }
+  }
+  return std::move(merged).TakeColumns();
+}
+
+/// The message table's columns: folded per receiver, or concatenated.
+Result<std::vector<Column>> MessageColumns(std::vector<WorkerSink>& sinks,
+                                           int message_arity,
+                                           MessageCombiner combiner) {
+  switch (combiner) {
+    case MessageCombiner::kSum:
+      return CombineSinks<MessageCombiner::kSum>(sinks, message_arity);
+    case MessageCombiner::kMin:
+      return CombineSinks<MessageCombiner::kMin>(sinks, message_arity);
+    case MessageCombiner::kMax:
+      return CombineSinks<MessageCombiner::kMax>(sinks, message_arity);
+    case MessageCombiner::kNone:
+      break;
+  }
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInts(
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.message_src; })));
+  cols.push_back(Column::FromInts(
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.message_dst; })));
+  for (int c = 0; c < message_arity; ++c) {
+    cols.push_back(
+        Column::FromDoubles(Gather(sinks, [c](WorkerSink& s) -> auto& {
+          return s.message_values[static_cast<size_t>(c)];
+        })));
+  }
+  return cols;
+}
+
 }  // namespace
+
+std::vector<int64_t> FrontierVertexRows(const std::vector<int64_t>& ids,
+                                        const Bitvector& frontier) {
+  std::vector<int64_t> rows;
+  const auto n = static_cast<int64_t>(ids.size());
+  frontier.ForEachSetBit([&](int64_t r) {
+    const int64_t id = ids[static_cast<size_t>(r)];
+    if (!rows.empty() && ids[static_cast<size_t>(rows.back())] == id) return;
+    while (r + 1 < n && ids[static_cast<size_t>(r + 1)] == id) ++r;
+    rows.push_back(r);
+  });
+  return rows;
+}
 
 Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
                                      const UnionWorkerInput& in,
@@ -173,22 +395,11 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
   const std::vector<int64_t>& edst = edst_col->ints();
   const std::vector<double>& weight = weight_col->doubles();
 
-  // The visited vertex rows: every row, or on frontier supersteps every
-  // active row. The frontier's id-sorted vertex table keeps a duplicated
-  // id's rows adjacent, so an active row stands for its whole id group and
-  // the group's last row is the one read — as on the dense path.
+  // The visited vertex rows: every row, or on frontier supersteps the
+  // active id groups' last rows.
   std::vector<int64_t> candidates;
   if (in.frontier != nullptr) {
-    const int64_t n = static_cast<int64_t>(ids.size());
-    in.frontier->ForEachSetBit([&](int64_t r) {
-      const int64_t id = ids[static_cast<size_t>(r)];
-      if (!candidates.empty() &&
-          ids[static_cast<size_t>(candidates.back())] == id) {
-        return;
-      }
-      while (r + 1 < n && ids[static_cast<size_t>(r + 1)] == id) ++r;
-      candidates.push_back(r);
-    });
+    candidates = FrontierVertexRows(ids, *in.frontier);
   } else {
     candidates.resize(ids.size());
     std::iota(candidates.begin(), candidates.end(), int64_t{0});
@@ -279,16 +490,23 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
     const size_t end = batches.begin[p + 1];
     size_t i = batches.begin[p];
     while (i < end) {
-      const int64_t first = batches.rows[i];
-      const int64_t vid = ids[static_cast<size_t>(first)];
-      for (size_t c = 0; c < value.size(); ++c) {
-        value[c] = v_cols[c]->GetDouble(first);
+      const int64_t vid = ids[static_cast<size_t>(batches.rows[i])];
+      size_t group_end = i + 1;
+      while (group_end < end &&
+             ids[static_cast<size_t>(batches.rows[group_end])] == vid) {
+        ++group_end;
       }
-      runner.BeginVertex(vid, halted.GetBool(first), value.data());
+      // A duplicated id is one vertex and its last row wins, as on the union
+      // input: the join output is probe-row-major, so that vertex row's join
+      // rows end the stable id group.
+      const int64_t last = batches.rows[group_end - 1];
+      for (size_t c = 0; c < value.size(); ++c) {
+        value[c] = v_cols[c]->GetDouble(last);
+      }
+      runner.BeginVertex(vid, halted.GetBool(last), value.data());
       seen_msgs.clear();
       seen_edges.clear();
-      for (; i < end && ids[static_cast<size_t>(batches.rows[i])] == vid;
-           ++i) {
+      for (; i < group_end; ++i) {
         const int64_t r = batches.rows[i];
         if (!msg_seq.IsNull(r) &&
             seen_msgs.insert(msg_seq.GetInt64(r)).second) {
@@ -306,6 +524,18 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
     }
     runner.EmitAggregates(sink);
   });
+}
+
+Result<Table> CollectMessages(std::vector<WorkerSink> sinks, int message_arity,
+                              MessageCombiner combiner) {
+  VX_ASSIGN_OR_RETURN(std::vector<Column> cols,
+                      MessageColumns(sinks, message_arity, combiner));
+  // materialize-ok: the next superstep's message table.
+  VX_ASSIGN_OR_RETURN(
+      Table messages,
+      Table::Make(MakeMessageSchema(message_arity), std::move(cols)));
+  NoteMaterialized(messages);
+  return messages;
 }
 
 }  // namespace vertexica

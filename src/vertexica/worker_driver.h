@@ -20,10 +20,26 @@
 /// Join input — §2.3's 3-way-join strawman. The wide
 /// vertex ⟕ message ⟕ edge rows are grouped per partition by row index
 /// (stably, then stably id-ordered) and each id group is parsed with the
-/// msg_seq/edge_seq columns undoing the join fan-out.
+/// msg_seq/edge_seq columns undoing the join fan-out; a duplicated vertex
+/// id's last row wins here too.
 ///
-/// Both inputs fill one WorkerSink per partition, concatenated in partition
-/// order into a single WorkerOutput — the one worker-output format.
+/// Both inputs fill one WorkerSink per partition. The updates and aggregator
+/// partials are concatenated in partition order into a WorkerOutput; the
+/// messages stay in the sinks until CollectMessages turns them into the
+/// next superstep's message table — concatenated, or folded per receiver
+/// by the program's combiner without materializing the uncombined rows.
+///
+/// Combiner fold order. The fold replays the association the chunk-parallel
+/// hash aggregate (exec/parallel.h) gives a GROUP BY dst over the
+/// concatenated messages, so the combined table is the same in rows, order
+/// and bits: the partition-order message sequence is cut at global row
+/// offsets that are multiples of kDefaultMorselRows; each chunk folds its
+/// rows in order into groups in first-appearance order (SUM from 0.0 with
+/// `+=`; MIN/MAX take the first value and replace it only on a strict
+/// `<` / `>`, which fixes the NaN and −0.0 outcomes); the chunk partials are
+/// then merged serially in chunk order, the same way, into groups in global
+/// first-appearance order. Chunks fold in parallel; boundaries never depend
+/// on the thread count.
 
 #ifndef VERTEXICA_VERTEXICA_WORKER_DRIVER_H_
 #define VERTEXICA_VERTEXICA_WORKER_DRIVER_H_
@@ -43,8 +59,10 @@ namespace vertexica {
 
 /// \brief One superstep's worker output, in partition order.
 struct WorkerOutput {
-  Table updates;   ///< changed vertices: (id, halted, v0..)
-  Table messages;  ///< new messages: (src, dst, m0..)
+  Table updates;  ///< changed vertices: (id, halted, v0..)
+  /// The partitions' sinks in partition order, holding only their messages
+  /// (src, dst, m0..); see CollectMessages.
+  std::vector<WorkerSink> message_sinks;
   /// Aggregator partials (index into aggregator_names, partial) in
   /// partition order — the order the coordinator folds them in.
   std::vector<std::pair<int64_t, double>> aggregate_rows;
@@ -63,6 +81,14 @@ struct UnionWorkerInput {
   const Bitvector* frontier = nullptr;
 };
 
+/// \brief The vertex rows a frontier superstep visits: for each id group
+/// holding an active row, the group's last row, ascending. `ids` must keep
+/// a duplicated id's rows adjacent (the frontier's id-sorted vertex table),
+/// so an active row stands for its whole group and the row read is the one
+/// the dense path reads.
+std::vector<int64_t> FrontierVertexRows(const std::vector<int64_t>& ids,
+                                        const Bitvector& frontier);
+
 /// \brief Runs the workers over the in-place union input.
 Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
                                      const UnionWorkerInput& input,
@@ -74,6 +100,14 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
 Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
                                     const Table& input,
                                     const TransformParallelism& par);
+
+/// \brief The next superstep's message table (src, dst, m0..) from the
+/// sinks' messages, read in the order given — global partition order. With
+/// `combiner` kNone the messages are concatenated; otherwise they are
+/// folded per receiver (see "Combiner fold order" above) into
+/// (src = −1, dst, m0..) rows. The sinks are consumed.
+Result<Table> CollectMessages(std::vector<WorkerSink> sinks, int message_arity,
+                              MessageCombiner combiner);
 
 }  // namespace vertexica
 

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
 
 #include "algorithms/collaborative_filtering.h"
@@ -14,10 +16,13 @@
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
 #include "common/string_util.h"
+#include "exec/aggregate.h"
 #include "exec/frontier.h"
 #include "exec/merge_join.h"
+#include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "storage/partition.h"
+#include "storage/sort.h"
 #include "vertexica/coordinator.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/worker.h"
@@ -1222,6 +1227,309 @@ TEST(StreamContractTest, WorkersSeeTheTablesPerVertexStreams) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Duplicated vertex ids. A duplicated id is one vertex whose last row wins:
+// the workers read it and ReadVertexValues reports it, so both update paths
+// must write it.
+// ---------------------------------------------------------------------------
+
+/// Adds 1 to its value for three supersteps, then halts.
+class AddOneProgram : public VertexProgram {
+ public:
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 1; }
+  void InitValue(int64_t id, int64_t, double* value) const override {
+    value[0] = static_cast<double>(id);
+  }
+  void Compute(VertexContext* ctx) override {
+    if (ctx->superstep() < 3) {
+      ctx->ModifyVertexValue(ctx->GetVertexValue(0) + 1.0);
+    } else {
+      ctx->VoteToHalt();
+    }
+  }
+};
+
+TEST(CoordinatorTest, DuplicatedIdGetsTheSameValueOnBothUpdatePaths) {
+  for (const int shards : {1, 4}) {
+    for (const bool union_input : {true, false}) {
+      std::vector<std::vector<double>> results;
+      // 0 always replaces; 1.1 always updates in place.
+      for (const double threshold : {0.0, 1.1}) {
+        const std::string where =
+            StringFormat("shards=%d, %s input, update_threshold=%g", shards,
+                         union_input ? "union" : "join", threshold);
+        AddOneProgram program;
+        Catalog cat;
+        ASSERT_TRUE(LoadGraphTables(&cat, ChainGraph(20), program).ok());
+        // 21 rows, sorted by id: id 3 twice, both rows with value 100.
+        Table vertex(MakeVertexSchema(1));
+        for (int64_t id = 0; id < 20; ++id) {
+          for (int copy = 0; copy < (id == 3 ? 2 : 1); ++copy) {
+            const double v = id == 3 ? 100.0 : static_cast<double>(id);
+            ASSERT_TRUE(
+                vertex.AppendRow({Value(id), Value(false), Value(v)}).ok());
+          }
+        }
+        vertex.SetSortOrder({{0, true}});
+        ASSERT_TRUE(cat.ReplaceTable("vertex", std::move(vertex)).ok());
+        VertexicaOptions opts;
+        opts.num_shards = shards;
+        opts.use_union_input = union_input;
+        opts.update_threshold = threshold;
+        opts.max_supersteps = 20;
+        Coordinator coord(&cat, &program, opts);
+        const Status st = coord.Run();
+        ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
+        auto values = ReadVertexValues(cat, {});
+        ASSERT_TRUE(values.ok()) << where;
+        ASSERT_EQ(values->size(), 20u) << where;
+        EXPECT_EQ((*values)[3], 103.0) << where;
+        EXPECT_EQ((*values)[4], 7.0) << where;
+        results.push_back(*std::move(values));
+      }
+      EXPECT_EQ(results[0], results[1])
+          << "shards=" << shards << (union_input ? " union" : " join");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ReadVertexValues rejects vertex tables it cannot index by id.
+// ---------------------------------------------------------------------------
+
+Status ReadValuesOf(Table vertex) {
+  Catalog cat;
+  EXPECT_TRUE(cat.ReplaceTable("vertex", std::move(vertex)).ok());
+  return ReadVertexValues(cat, {}).status();
+}
+
+TEST(GraphTablesTest, ReadVertexValuesRejectsNonInt64Ids) {
+  Table vertex(Schema({{"id", DataType::kDouble},
+                       {"halted", DataType::kBool},
+                       {"v0", DataType::kDouble}}));
+  ASSERT_TRUE(vertex.AppendRow({Value(1.0), Value(false), Value(2.0)}).ok());
+  const Status st = ReadValuesOf(std::move(vertex));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+TEST(GraphTablesTest, ReadVertexValuesRejectsNonDoubleValues) {
+  Table vertex(Schema({{"id", DataType::kInt64},
+                       {"halted", DataType::kBool},
+                       {"v0", DataType::kInt64}}));
+  ASSERT_TRUE(
+      vertex.AppendRow({Value(int64_t{1}), Value(false), Value(int64_t{2})})
+          .ok());
+  const Status st = ReadValuesOf(std::move(vertex));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+TEST(GraphTablesTest, ReadVertexValuesRejectsNegativeIds) {
+  Table vertex(MakeVertexSchema(1));
+  ASSERT_TRUE(
+      vertex.AppendRow({Value(int64_t{0}), Value(false), Value(1.0)}).ok());
+  ASSERT_TRUE(
+      vertex.AppendRow({Value(int64_t{-2}), Value(false), Value(1.0)}).ok());
+  const Status st = ReadValuesOf(std::move(vertex));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Combines spanning several chunks. One superstep sends 40,000 two-column
+// messages (three kDefaultMorselRows chunks) mixing finite values of wide
+// magnitude, ±0.0, NaN and ±inf; the stored combined table must equal,
+// bit for bit, the chunk-parallel hash aggregate over the uncombined
+// messages in worker-output order — the association the combiner fold
+// replays. Receivers divisible by 11 get only −0.0 (SUM must give +0.0).
+// The one NaN sent is the one inf − inf yields: which NaN a sum of two
+// different NaNs returns depends on the compiler's operand order, so a
+// second NaN pattern would make the expected bits build-dependent.
+// ---------------------------------------------------------------------------
+
+uint64_t SplitMix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+double SpecialPayload(int64_t src, int64_t edge, int64_t dst, int column) {
+  const uint64_t h = SplitMix(static_cast<uint64_t>(src) * 1000003u +
+                              static_cast<uint64_t>(edge) * 31u +
+                              static_cast<uint64_t>(column));
+  // Volatile, so inf - inf is computed at run time: the hardware's NaN.
+  volatile double inf = std::numeric_limits<double>::infinity();
+  if (dst % 11 == 0) return -0.0;
+  if (dst % 5 == 0) {
+    switch (h % 8) {
+      case 0:
+        return inf - inf;  // NaN
+      case 1:
+        return inf;
+      case 2:
+        return -inf;
+      case 3:
+        return -0.0;
+      case 4:
+        return 0.0;
+      default:
+        break;
+    }
+  }
+  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53 * 2.0 - 1.0;
+  return std::ldexp(unit, static_cast<int>((h >> 3) % 41) - 20);
+}
+
+/// Sends SpecialPayload along every out-edge in superstep 0, plus one
+/// message to an absent receiver, and halts. The absent receivers are
+/// negative ids next to the graph's (the receivers stay a dense id range)
+/// or, with `sparse_receivers`, ids near ±2^50 (a wide range).
+class SpecialPayloadProgram : public VertexProgram {
+ public:
+  SpecialPayloadProgram(MessageCombiner combiner, bool sparse_receivers)
+      : combiner_(combiner), sparse_receivers_(sparse_receivers) {}
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 2; }
+  void InitValue(int64_t, int64_t, double* value) const override {
+    value[0] = 0.0;
+  }
+  void Compute(VertexContext* ctx) override {
+    for (int64_t e = 0; e < ctx->num_out_edges(); ++e) {
+      const int64_t dst = ctx->OutEdgeTarget(e);
+      const double payload[2] = {SpecialPayload(ctx->vertex_id(), e, dst, 0),
+                                 SpecialPayload(ctx->vertex_id(), e, dst, 1)};
+      ctx->SendMessage(dst, payload);
+    }
+    const int64_t id = ctx->vertex_id();
+    constexpr int64_t kFar = int64_t{1} << 50;
+    const int64_t absent = sparse_receivers_
+                               ? (id % 2 == 0 ? kFar : -kFar) + id % 97
+                               : -1 - id % 5;
+    const double payload[2] = {SpecialPayload(id, -1, absent, 0),
+                               SpecialPayload(id, -1, absent, 1)};
+    ctx->SendMessage(absent, payload);
+    ctx->VoteToHalt();
+  }
+  MessageCombiner combiner() const override { return combiner_; }
+
+ private:
+  MessageCombiner combiner_;
+  bool sparse_receivers_;
+};
+
+/// The message table stored after one superstep of `program` on `g`.
+Table OneSuperstepMessages(const Graph& g, VertexProgram* program,
+                           VertexicaOptions opts) {
+  Catalog cat;
+  EXPECT_TRUE(LoadGraphTables(&cat, g, *program).ok());
+  opts.max_supersteps = 1;
+  Coordinator coord(&cat, program, opts);
+  const Status st = coord.Run();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return **cat.GetTable("message");
+}
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+/// Empty when `got` and `want` are equal row by row and bit for bit.
+std::string DiffMessageTables(const Table& got, const Table& want) {
+  if (got.num_rows() != want.num_rows()) {
+    return StringFormat("%lld rows, want %lld",
+                        static_cast<long long>(got.num_rows()),
+                        static_cast<long long>(want.num_rows()));
+  }
+  for (const char* name : {"src", "dst"}) {
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      const int64_t a = got.ColumnByName(name)->GetInt64(r);
+      const int64_t b = want.ColumnByName(name)->GetInt64(r);
+      if (a != b) {
+        return StringFormat("row %lld: %s %lld, want %lld",
+                            static_cast<long long>(r), name,
+                            static_cast<long long>(a),
+                            static_cast<long long>(b));
+      }
+    }
+  }
+  for (const char* name : {"m0", "m1"}) {
+    for (int64_t r = 0; r < got.num_rows(); ++r) {
+      const double a = got.ColumnByName(name)->GetDouble(r);
+      const double b = want.ColumnByName(name)->GetDouble(r);
+      if (Bits(a) != Bits(b)) {
+        return StringFormat("row %lld (dst %lld): %s %a, want %a",
+                            static_cast<long long>(r),
+                            static_cast<long long>(
+                                want.ColumnByName("dst")->GetInt64(r)),
+                            name, a, b);
+      }
+    }
+  }
+  return "";
+}
+
+/// Checks one combiner over `g` at every threads × shards × input point.
+void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
+                                   AggOp op, bool sparse_receivers) {
+  const std::string what =
+      StringFormat("combiner %d, %s receivers", static_cast<int>(combiner),
+                   sparse_receivers ? "sparse" : "dense");
+  // Reference: the uncombined messages in worker-output order (the
+  // unsharded union path stores them unsorted), aggregated on dst.
+  SpecialPayloadProgram program(combiner, sparse_receivers);
+  VertexicaOptions plain;
+  plain.use_combiner = false;
+  plain.num_shards = 1;
+  plain.use_union_input = true;
+  const Table uncombined = OneSuperstepMessages(g, &program, plain);
+  ASSERT_GT(uncombined.num_rows(), 2 * kDefaultMorselRows) << what;
+  auto agg = ParallelHashAggregate(uncombined, {"dst"},
+                                   {{op, "m0", "m0"}, {op, "m1", "m1"}});
+  ASSERT_TRUE(agg.ok()) << what << ": " << agg.status().ToString();
+  std::vector<Column> cols;
+  cols.push_back(Column::FromInts(
+      std::vector<int64_t>(static_cast<size_t>(agg->num_rows()), -1)));
+  for (int c = 0; c < agg->num_columns(); ++c) {
+    cols.push_back(agg->column(c));
+  }
+  auto reference = Table::Make(MakeMessageSchema(2), std::move(cols));
+  ASSERT_TRUE(reference.ok()) << what;
+  // Sharded runs and the join input store the table sorted by receiver.
+  const Table reference_by_dst = SortTable(*reference, {{1, true}});
+
+  for (const int threads : {1, 8}) {
+    for (const int shards : {1, 4}) {
+      for (const bool union_input : {true, false}) {
+        ScopedExecThreads scoped_threads(threads);
+        VertexicaOptions opts;
+        opts.num_shards = shards;
+        opts.use_union_input = union_input;
+        const Table combined = OneSuperstepMessages(g, &program, opts);
+        const bool by_dst = shards > 1 || !union_input;
+        EXPECT_EQ(DiffMessageTables(
+                      combined, by_dst ? reference_by_dst : *reference),
+                  "")
+            << what << ", threads=" << threads << ", shards=" << shards
+            << ", " << (union_input ? "union" : "join") << " input";
+      }
+    }
+  }
+}
+
+TEST(CombinerTest, MultiChunkCombineMatchesChunkParallelAggregate) {
+  const Graph g = GenerateRmat(2000, 40000, 77);
+  for (const bool sparse_receivers : {false, true}) {
+    ExpectCombineMatchesAggregate(g, MessageCombiner::kSum, AggOp::kSum,
+                                  sparse_receivers);
+    ExpectCombineMatchesAggregate(g, MessageCombiner::kMin, AggOp::kMin,
+                                  sparse_receivers);
+    ExpectCombineMatchesAggregate(g, MessageCombiner::kMax, AggOp::kMax,
+                                  sparse_receivers);
   }
 }
 
