@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
 
 #include "algorithms/reference.h"
+#include "common/string_util.h"
+#include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "sqlgraph/clustering_coefficient.h"
 #include "sqlgraph/sql_common.h"
@@ -15,6 +19,7 @@
 #include "sqlgraph/strong_overlap.h"
 #include "sqlgraph/triangle_count.h"
 #include "sqlgraph/weak_ties.h"
+#include "storage/encoding.h"
 
 namespace vertexica {
 namespace {
@@ -325,6 +330,105 @@ TEST(ClusteringCoefficientTest, EmptyEdgesNotFound) {
                   {"dst", DataType::kInt64},
                   {"weight", DataType::kDouble}}));
   EXPECT_TRUE(SqlMaxClusteringVertex(e).status().IsNotFound());
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden pins for the SQL backend. FNV digests (the `%.17g` scheme of the
+// vertexica GoldenTest) of every output row, in output order, of SQL
+// PageRank, SSSP and connected components on the vertexica golden graphs
+// plus one graph wide enough to span several morsels. The digests were
+// recorded from the row-at-a-time join, aggregate and expression kernels;
+// every thread count and encoding mode must reproduce them bit for bit.
+// ---------------------------------------------------------------------------
+
+uint64_t Fnv1a(uint64_t h, const std::string& s) {
+  for (const char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h ^ 0xff;  // field separator
+}
+
+std::string TableDigest(const Table& t) {
+  uint64_t h = 14695981039346656037ull;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const Column& col = t.column(c);
+      char buf[40];
+      if (col.IsNull(r)) {
+        std::snprintf(buf, sizeof(buf), "null");
+      } else {
+        std::snprintf(buf, sizeof(buf), "%.17g", col.GetNumeric(r));
+      }
+      h = Fnv1a(h, buf);
+    }
+  }
+  return StringFormat("%016llx", static_cast<unsigned long long>(h));
+}
+
+TEST(GoldenTest, SqlBackendMatchesRecordedDigests) {
+  Graph rmat = GenerateRmat(300, 2400, 101);
+  AssignRandomWeights(&rmat, 1.0, 5.0, 102);
+  Graph ring = GenerateWattsStrogatz(250, 4, 0.2, 103);
+  AssignRandomWeights(&ring, 1.0, 5.0, 104);
+  Graph wide = GenerateRmat(4096, 40000, 105);
+  AssignRandomWeights(&wide, 1.0, 5.0, 106);
+  const std::map<std::string, const Graph*> graphs = {
+      {"rmat", &rmat}, {"ring", &ring}, {"wide", &wide}};
+  static const std::map<std::string, std::string> kDigests = {
+      {"ring/pagerank", "741ac30a34776433"},
+      {"ring/sssp", "9fee32e61a156b7a"},
+      {"ring/cc", "0982a5d956611b92"},
+      {"rmat/pagerank", "4265f7122cbfe770"},
+      {"rmat/sssp", "3839266b1aa407b8"},
+      {"rmat/cc", "8da391bbdcc63d85"},
+      {"wide/pagerank", "0441f376c9dfae0e"},
+      {"wide/sssp", "7b59031d0e6a20e9"},
+      {"wide/cc", "8773f145356e716c"},
+  };
+  std::string actual_table;
+  size_t checked = 0;
+  for (const auto& [gname, graph] : graphs) {
+    const Table vertices = MakeVertexListTable(*graph);
+    const Table edges = MakeEdgeListTable(*graph);
+    for (const char* algo : {"pagerank", "sssp", "cc"}) {
+      const std::string key = gname + "/" + algo;
+      std::string first;
+      for (const int threads : {1, 8}) {
+        for (const EncodingMode enc :
+             {EncodingMode::kOff, EncodingMode::kAuto, EncodingMode::kForce}) {
+          ScopedExecThreads scoped_threads(threads);
+          ScopedEncodingMode scoped_enc(enc);
+          Result<Table> out = Status::Internal("unset");
+          if (std::string(algo) == "pagerank") {
+            out = SqlPageRank(vertices, edges, 8);
+          } else if (std::string(algo) == "sssp") {
+            out = SqlShortestPaths(vertices, edges, 0);
+          } else {
+            out = SqlConnectedComponents(vertices, edges);
+          }
+          ASSERT_TRUE(out.ok()) << key << ": " << out.status().ToString();
+          const std::string got = TableDigest(*out);
+          if (first.empty()) {
+            first = got;
+            actual_table += StringFormat("      {\"%s\", \"%s\"},\n",
+                                         key.c_str(), got.c_str());
+          }
+          EXPECT_EQ(got, first) << key << " threads=" << threads
+                                << " encoding=" << EncodingModeName(enc);
+          const auto it = kDigests.find(key);
+          if (it != kDigests.end()) {
+            EXPECT_EQ(got, it->second)
+                << key << " threads=" << threads
+                << " encoding=" << EncodingModeName(enc);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 9u * 6u) << "recorded table:\n" << actual_table;
 }
 
 }  // namespace
