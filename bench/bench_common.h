@@ -149,16 +149,17 @@ inline void MaybeDumpStatsJson(const std::string& label,
   std::printf("STATS_JSON %s %s\n", label.c_str(), stats.ToJson().c_str());
 }
 
-/// \brief Collects (row, column) -> seconds results and renders the same
-/// table the paper's figure reports.
+/// \brief Collects (row, column) -> value results, each with its unit
+/// (seconds unless stated), and renders the same table the paper's figure
+/// reports.
 class FigureTable {
  public:
   explicit FigureTable(std::string title) : title_(std::move(title)) {}
 
-  void Record(const std::string& row, const std::string& column,
-              double seconds) {
+  void Record(const std::string& row, const std::string& column, double value,
+              const std::string& unit = "s") {
     std::lock_guard<std::mutex> lock(mutex_);
-    cells_[row][column] = seconds;
+    cells_[row][column] = Cell{value, unit};
     if (std::find(columns_.begin(), columns_.end(), column) ==
         columns_.end()) {
       columns_.push_back(column);
@@ -206,26 +207,27 @@ class FigureTable {
         if (!first) out << ",";
         first = false;
         out << "{\"row\":\"" << JsonEscape(r) << "\",\"column\":\""
-            << JsonEscape(c) << "\",\"seconds\":" << cell_it->second << "}";
+            << JsonEscape(c) << "\",\"value\":" << cell_it->second.value
+            << ",\"unit\":\"" << JsonEscape(cell_it->second.unit) << "\"}";
       }
     }
     out << "]}\n";
     return static_cast<bool>(out);
   }
 
-  /// \brief Seconds recorded for (row, column), or a negative sentinel.
+  /// \brief Value recorded for (row, column), or a negative sentinel.
   double Lookup(const std::string& row, const std::string& column) const {
     std::lock_guard<std::mutex> lock(mutex_);
     auto row_it = cells_.find(row);
     if (row_it == cells_.end()) return -1.0;
     auto cell_it = row_it->second.find(column);
-    return cell_it == row_it->second.end() ? -1.0 : cell_it->second;
+    return cell_it == row_it->second.end() ? -1.0 : cell_it->second.value;
   }
 
   void Print() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::printf("\n=== %s (scale=%.3f; seconds) ===\n", title_.c_str(),
-                Scale());
+    std::printf("\n=== %s (scale=%.3f; seconds unless marked) ===\n",
+                title_.c_str(), Scale());
     std::printf("%-14s", "Dataset");
     for (const auto& c : columns_) std::printf(" %16s", c.c_str());
     std::printf("\n");
@@ -236,8 +238,13 @@ class FigureTable {
         auto cell_it = row_it->second.find(c);
         if (cell_it == row_it->second.end()) {
           std::printf(" %16s", "n/a");
+        } else if (cell_it->second.unit == "s") {
+          std::printf(" %16.3f", cell_it->second.value);
         } else {
-          std::printf(" %16.3f", cell_it->second);
+          char buf[64];
+          std::snprintf(buf, sizeof(buf), "%.0f %s", cell_it->second.value,
+                        cell_it->second.unit.c_str());
+          std::printf(" %16s", buf);
         }
       }
       std::printf("\n");
@@ -250,7 +257,11 @@ class FigureTable {
   mutable std::mutex mutex_;
   std::vector<std::string> rows_;
   std::vector<std::string> columns_;
-  std::map<std::string, std::map<std::string, double>> cells_;
+  struct Cell {
+    double value;
+    std::string unit;
+  };
+  std::map<std::string, std::map<std::string, Cell>> cells_;
 };
 
 }  // namespace bench

@@ -53,5 +53,6 @@ int main(int argc, char** argv) {
       "ShortestPaths", vertexica::bench::BM_ShortestPaths);
   ::benchmark::RunSpecifiedBenchmarks();
   ::vertexica::bench::Table2b().Print();
+  ::vertexica::bench::Table2b().WriteJson("BENCH_fig2b_shortest_paths.json");
   return 0;
 }

@@ -233,8 +233,9 @@ void BM_ServingTransientFaults(benchmark::State& state) {
   const std::string row = ClientsRow(clients) + ", 10% transient faults";
   TableServing().Record(row, "latency p50", Percentile(latencies, 0.50));
   TableServing().Record(row, "latency p99", Percentile(latencies, 0.99));
-  TableServing().Record(row, "retries", static_cast<double>(retries));
-  TableServing().Record(row, "shed", static_cast<double>(shed));
+  TableServing().Record(row, "retries", static_cast<double>(retries),
+                        "count");
+  TableServing().Record(row, "shed", static_cast<double>(shed), "count");
   TableServing().Record(row, "wall", wall_seconds);
 }
 BENCHMARK(BM_ServingTransientFaults)->Arg(8)

@@ -1,10 +1,13 @@
 #include "exec/aggregate.h"
 
+#include <optional>
 #include <unordered_map>
 
 #include "common/hash.h"
+#include "common/int_arith.h"
 #include "common/threadpool.h"
 #include "exec/parallel.h"
+#include "exec/typed_fold.h"
 
 namespace vertexica {
 
@@ -79,7 +82,7 @@ void AccumulateRow(const AggSpec& spec, const Table& in, int agg_col,
     case AggOp::kAvg:
       ++st.count;
       if (col.type() == DataType::kInt64) {
-        st.isum += col.GetInt64(i);
+        st.isum = WrappingAdd(st.isum, col.GetInt64(i));
         st.dsum += static_cast<double>(col.GetInt64(i));
       } else {
         st.dsum += col.GetDouble(i);
@@ -108,7 +111,7 @@ void AccumulateRow(const AggSpec& spec, const Table& in, int agg_col,
 /// Merges a later-chunk partial `src` into `dst` (chunk-order fold).
 void MergeAcc(const AggSpec& spec, const AccState& src, AccState& dst) {
   dst.count += src.count;
-  dst.isum += src.isum;
+  dst.isum = WrappingAdd(dst.isum, src.isum);
   dst.dsum += src.dsum;
   if (src.seen) {
     if (!dst.seen) {
@@ -199,6 +202,34 @@ Status ResolveAggColumns(const Table& in,
     }
   }
   return Status::OK();
+}
+
+/// The typed fold's specs (exec/typed_fold.h) when it applies: a single
+/// NULL-free INT64 group key, and every aggregate COUNT(*), a COUNT over a
+/// NULL-free column, or SUM/AVG/MIN/MAX over a NULL-free INT64 or DOUBLE
+/// column. nullopt sends the aggregate down the AccState path.
+std::optional<std::vector<FoldSpec>> TypedFoldSpecs(
+    const Table& in, const std::vector<int>& group_cols,
+    const std::vector<AggSpec>& aggs, const std::vector<int>& agg_cols) {
+  if (group_cols.size() != 1) return std::nullopt;
+  const Column& key = in.column(group_cols[0]);
+  if (key.type() != DataType::kInt64 || key.null_count() != 0) {
+    return std::nullopt;
+  }
+  std::vector<FoldSpec> specs;
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].op == AggOp::kCountStar) {
+      specs.push_back({AggOp::kCountStar, DataType::kInt64});
+      continue;
+    }
+    const Column& col = in.column(agg_cols[a]);
+    if (col.null_count() != 0) return std::nullopt;
+    if (aggs[a].op != AggOp::kCount && !IsNumeric(col.type())) {
+      return std::nullopt;
+    }
+    specs.push_back({aggs[a].op, col.type()});
+  }
+  return specs;
 }
 
 /// One chunk's partial aggregation: groups in local first-appearance order
@@ -441,6 +472,37 @@ Result<Table> ParallelHashAggregate(const Table& input,
   const int64_t rows = input.num_rows();
   const int64_t grain = options.ResolvedGrain();
   const size_t num_aggs = aggs.size();
+
+  if (auto specs = TypedFoldSpecs(input, group_cols, aggs, agg_cols)) {
+    const int64_t* keys = input.column(group_cols[0]).ints().data();
+    std::vector<FoldInput> base(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      if ((*specs)[a].op == AggOp::kCount ||
+          (*specs)[a].op == AggOp::kCountStar) {
+        continue;
+      }
+      const Column& col = input.column(agg_cols[a]);
+      if (col.type() == DataType::kInt64) {
+        base[a].ints = col.ints().data();
+      } else {
+        base[a].doubles = col.doubles().data();
+      }
+    }
+    VX_ASSIGN_OR_RETURN(
+        TypedFold fold,
+        ParallelTypedFold(
+            *specs, static_cast<size_t>(rows), static_cast<size_t>(grain),
+            options.ResolvedThreads(),
+            [&](size_t begin, size_t end, const auto& body) {
+              std::vector<FoldInput> slice(base);
+              for (FoldInput& in : slice) {
+                if (in.ints != nullptr) in.ints += begin;
+                if (in.doubles != nullptr) in.doubles += begin;
+              }
+              body(keys + begin, slice.data(), end - begin);
+            }));
+    return Table::Make(schema, std::move(fold).TakeColumns());
+  }
   const bool int64_fast_path =
       group_cols.size() == 1 &&
       input.column(group_cols[0]).type() == DataType::kInt64 &&

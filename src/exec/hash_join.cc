@@ -9,27 +9,6 @@
 
 namespace vertexica {
 
-Column JoinTakeWithNulls(const Column& col,
-                         const std::vector<int64_t>& indices) {
-  // Inner joins (and fully matched left joins) have no -1 padding: use the
-  // typed gather instead of per-row Value boxing. Column::Take also reads
-  // dictionary-encoded build columns without decoding them.
-  const bool padded =
-      std::any_of(indices.begin(), indices.end(),
-                  [](int64_t idx) { return idx < 0; });
-  if (!padded) return col.Take(indices);
-  Column out(col.type());
-  out.Reserve(static_cast<int64_t>(indices.size()));
-  for (int64_t idx : indices) {
-    if (idx < 0) {
-      out.AppendNull();
-    } else {
-      out.AppendValue(col.GetValue(idx));
-    }
-  }
-  return out;
-}
-
 uint64_t JoinKeyHash(const Table& t, const std::vector<int>& key_cols,
                      int64_t row) {
   // STRING key columns that are dictionary-encoded hash via the segment's
@@ -250,7 +229,7 @@ Result<std::optional<Table>> HashJoinOp::Next() {
     }
     if (type_ == JoinType::kInner || type_ == JoinType::kLeft) {
       for (int c = 0; c < build_table_.num_columns(); ++c) {
-        columns.push_back(JoinTakeWithNulls(build_table_.column(c), build_idx));
+        columns.push_back(build_table_.column(c).TakeOrNull(build_idx));
       }
     }
     VX_ASSIGN_OR_RETURN(Table out, Table::Make(schema_, std::move(columns)));

@@ -49,10 +49,6 @@ bool JoinKeyHasNull(const Table& t, const std::vector<int>& key_cols,
 bool JoinKeysEqual(const Table& a, const std::vector<int>& a_cols, int64_t ai,
                    const Table& b, const std::vector<int>& b_cols, int64_t bi);
 
-/// \brief Gathers `indices` from `col`; index -1 produces NULL (left-join
-/// padding).
-Column JoinTakeWithNulls(const Column& col, const std::vector<int64_t>& indices);
-
 /// \brief Output schema shared by all hash-join implementations: probe
 /// columns then build columns (inner/left, collisions suffixed "_r"), probe
 /// columns only (semi/anti). Validates the key lists against both schemas.

@@ -351,8 +351,7 @@ Result<Table> ParallelMergeJoin(const Table& probe, const Table& build,
           }
           if (emit_build) {
             for (int c = 0; c < build.num_columns(); ++c) {
-              columns.push_back(
-                  JoinTakeWithNulls(build.column(c), build_idx));
+              columns.push_back(build.column(c).TakeOrNull(build_idx));
             }
           }
           VX_ASSIGN_OR_RETURN(Table out,

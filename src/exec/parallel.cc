@@ -14,6 +14,7 @@
 #include "exec/merge_join.h"
 #include "exec/scan.h"
 #include "exec/vectorized.h"
+#include "storage/csr_index.h"
 
 namespace vertexica {
 
@@ -350,30 +351,192 @@ struct JoinBuildIndex {
   std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> partitions;
 };
 
-}  // namespace
-
-Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
-                               const std::vector<std::string>& probe_keys,
-                               const std::vector<std::string>& build_keys,
-                               JoinType type, const ParallelOptions& options) {
-  WallTimer timer;
-  VX_ASSIGN_OR_RETURN(
-      Schema schema, HashJoinOutputSchema(probe.schema(), build.schema(),
-                                          probe_keys, build_keys, type));
-  std::vector<int> probe_cols;
-  for (const auto& k : probe_keys) {
-    VX_ASSIGN_OR_RETURN(int idx, probe.ColumnIndex(k));
-    probe_cols.push_back(idx);
+/// The build side of a join on one NULL-free INT64 key: each key's build
+/// rows as a contiguous slice, in ascending row order (the serial join's
+/// match order). Keys spanning fewer than twice as many values as there
+/// are rows get a direct-address layout — per-key offsets into one
+/// counting-sorted row list; any other span gets a CsrIndex
+/// (storage/csr_index.h), the same count-plus-slices layout behind a hash
+/// lookup.
+class Int64JoinIndex {
+ public:
+  explicit Int64JoinIndex(const Column& keys) {
+    const std::vector<int64_t>& k = keys.ints();
+    if (k.empty()) return;
+    const auto [min, max] = std::minmax_element(k.begin(), k.end());
+    lo_ = *min;
+    hi_ = *max;
+    const uint64_t span =
+        static_cast<uint64_t>(hi_) - static_cast<uint64_t>(lo_);
+    if (span >= 2 * static_cast<uint64_t>(k.size())) {
+      csr_ = CsrIndex::Build(keys);
+      return;
+    }
+    offsets_.assign(static_cast<size_t>(span) + 2, 0);
+    for (const int64_t v : k) ++offsets_[Slot(v) + 1];
+    for (size_t s = 1; s < offsets_.size(); ++s) {
+      offsets_[s] += offsets_[s - 1];
+    }
+    std::vector<int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    rows_.resize(k.size());
+    for (size_t i = 0; i < k.size(); ++i) {
+      rows_[static_cast<size_t>(cursor[Slot(k[i])]++)] =
+          static_cast<int64_t>(i);
+    }
   }
-  std::vector<int> build_cols;
-  for (const auto& k : build_keys) {
-    VX_ASSIGN_OR_RETURN(int idx, build.ColumnIndex(k));
-    build_cols.push_back(idx);
+
+  /// The index positions of `key`'s build rows (empty when absent).
+  CsrIndex::Slice Find(int64_t key) const {
+    if (csr_ != nullptr) return csr_->NeighborSlice(key);
+    if (offsets_.empty() || key < lo_ || key > hi_) return {};
+    const size_t s = Slot(key);
+    return {offsets_[s], offsets_[s + 1]};
   }
 
-  const int threads = options.ResolvedThreads();
-  const int64_t grain = options.ResolvedGrain();
+  /// The build row at index position `pos`.
+  int64_t Row(int64_t pos) const {
+    return csr_ != nullptr ? csr_->Row(pos) : rows_[static_cast<size_t>(pos)];
+  }
 
+ private:
+  size_t Slot(int64_t key) const {
+    return static_cast<size_t>(static_cast<uint64_t>(key) -
+                               static_cast<uint64_t>(lo_));
+  }
+
+  int64_t lo_ = 0;
+  int64_t hi_ = 0;
+  std::vector<int64_t> offsets_;  ///< direct layout: slot → first position
+  std::vector<int64_t> rows_;     ///< direct layout: position → build row
+  std::shared_ptr<const CsrIndex> csr_;
+};
+
+/// Output rows of a probe row that has `matches` build matches.
+int64_t JoinOutputRows(JoinType type, int64_t matches) {
+  switch (type) {
+    case JoinType::kInner:
+      return matches;
+    case JoinType::kLeft:
+      return std::max<int64_t>(matches, 1);
+    case JoinType::kSemi:
+      return matches > 0 ? 1 : 0;
+    case JoinType::kAnti:
+      return matches == 0 ? 1 : 0;
+  }
+  return 0;
+}
+
+/// The join on one NULL-free INT64 key: a flat build index, then two
+/// passes over the probe morsels — count each morsel's output rows, then
+/// write every (probe row, build row) pair straight to its morsel's offset
+/// — and one typed gather per output column. Same rows, order and NULL
+/// padding as the generic kernel below.
+Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
+                           int probe_col, int build_col, JoinType type,
+                           const Schema& schema, int threads, int64_t grain) {
+  const Int64JoinIndex index(build.column(build_col));
+  const int64_t* keys = probe.column(probe_col).ints().data();
+  const int64_t probe_rows = probe.num_rows();
+  const size_t chunks =
+      static_cast<size_t>((probe_rows + grain - 1) / grain);
+  const bool emit_build = type == JoinType::kInner || type == JoinType::kLeft;
+  // Calls emit(i, slice) for each probe row of morsel j.
+  const auto for_each_row = [&](size_t j, const auto& emit) {
+    const auto first = static_cast<int64_t>(j) * grain;
+    const int64_t end = std::min(probe_rows, first + grain);
+    for (int64_t i = first; i < end; ++i) {
+      emit(i, index.Find(keys[i]));
+    }
+  };
+
+  // Pass 1: output rows per morsel, then each morsel's first output row;
+  // `one_each[j]`: every probe row of morsel j yields exactly one row.
+  std::vector<int64_t> offset(chunks + 1, 0);
+  std::vector<uint8_t> one_each(chunks, 1);
+  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+      0, chunks, 1,
+      [&](size_t begin, size_t end) {
+        for (size_t j = begin; j < end; ++j) {
+          int64_t n = 0;
+          for_each_row(j, [&](int64_t, CsrIndex::Slice m) {
+            const int64_t rows = JoinOutputRows(type, m.length());
+            if (rows != 1) one_each[j] = 0;
+            n += rows;
+          });
+          offset[j + 1] = n;
+        }
+        return Status::OK();
+      },
+      threads));
+  for (size_t j = 0; j < chunks; ++j) offset[j + 1] += offset[j];
+  // Output row i is then probe row i: the probe columns are copied whole.
+  const bool probe_identity = std::all_of(
+      one_each.begin(), one_each.end(), [](uint8_t b) { return b != 0; });
+
+  // Pass 2: the row pairs, written in place.
+  const auto out_rows = static_cast<size_t>(offset[chunks]);
+  std::vector<int64_t> probe_idx(probe_identity ? 0 : out_rows);
+  std::vector<int64_t> build_idx(emit_build ? out_rows : 0);
+  if (!probe_identity || emit_build) {
+    VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+        0, chunks, 1,
+        [&](size_t begin, size_t end) {
+          for (size_t j = begin; j < end; ++j) {
+            auto o = static_cast<size_t>(offset[j]);
+            for_each_row(j, [&](int64_t i, CsrIndex::Slice m) {
+              if (emit_build) {
+                for (int64_t p = m.begin; p < m.end; ++p, ++o) {
+                  if (!probe_identity) probe_idx[o] = i;
+                  build_idx[o] = index.Row(p);
+                }
+                if (type == JoinType::kLeft && m.length() == 0) {
+                  if (!probe_identity) probe_idx[o] = i;
+                  build_idx[o++] = -1;
+                }
+              } else if (JoinOutputRows(type, m.length()) == 1) {
+                probe_idx[o++] = i;
+              }
+            });
+          }
+          return Status::OK();
+        },
+        threads));
+  }
+
+  // One gather per output column: probe columns, then build columns.
+  std::vector<Column> columns(static_cast<size_t>(schema.num_fields()));
+  const auto probe_columns = static_cast<size_t>(probe.num_columns());
+  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
+      0, columns.size(), 1,
+      [&](size_t begin, size_t end) {
+        for (size_t c = begin; c < end; ++c) {
+          if (c >= probe_columns) {
+            columns[c] = build.column(static_cast<int>(c - probe_columns))
+                             .TakeOrNull(build_idx);
+            continue;
+          }
+          const Column& col = probe.column(static_cast<int>(c));
+          if (!probe_identity) {
+            columns[c] = col.Take(probe_idx);
+            continue;
+          }
+          // The plain, flag-free column Take would produce.
+          columns[c] = col.Slice(0, probe_rows);
+          columns[c].set_sorted_ascending(false);
+        }
+        return Status::OK();
+      },
+      threads));
+  return Table::Make(schema, std::move(columns));
+}
+
+/// The generic join: partitioned hash build over any key list, hashed
+/// morsel-parallel probe with key re-verification.
+Result<Table> GenericHashJoin(const Table& probe, const Table& build,
+                              const std::vector<int>& probe_cols,
+                              const std::vector<int>& build_cols,
+                              JoinType type, const Schema& schema,
+                              int threads, int64_t grain) {
   // ---- Build: scatter (hash, row) into per-chunk partition buckets, then
   // assemble each partition from the chunks in row order. ----------------
   const int64_t build_rows = build.num_rows();
@@ -501,7 +664,7 @@ Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
         }
         if (emit_build) {
           for (int c = 0; c < build.num_columns(); ++c) {
-            columns.push_back(JoinTakeWithNulls(build.column(c), build_idx));
+            columns.push_back(build.column(c).TakeOrNull(build_idx));
           }
         }
         VX_ASSIGN_OR_RETURN(Table out,
@@ -514,6 +677,47 @@ Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
   Table result(schema);
   for (const Table& out : outputs) {
     VX_RETURN_NOT_OK(result.Append(out));
+  }
+  return result;
+}
+
+}  // namespace
+
+Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
+                               const std::vector<std::string>& probe_keys,
+                               const std::vector<std::string>& build_keys,
+                               JoinType type, const ParallelOptions& options) {
+  WallTimer timer;
+  VX_ASSIGN_OR_RETURN(
+      Schema schema, HashJoinOutputSchema(probe.schema(), build.schema(),
+                                          probe_keys, build_keys, type));
+  std::vector<int> probe_cols;
+  for (const auto& k : probe_keys) {
+    VX_ASSIGN_OR_RETURN(int idx, probe.ColumnIndex(k));
+    probe_cols.push_back(idx);
+  }
+  std::vector<int> build_cols;
+  for (const auto& k : build_keys) {
+    VX_ASSIGN_OR_RETURN(int idx, build.ColumnIndex(k));
+    build_cols.push_back(idx);
+  }
+
+  const int threads = options.ResolvedThreads();
+  const int64_t grain = options.ResolvedGrain();
+  const auto int64_key = [](const Column& col) {
+    return col.type() == DataType::kInt64 && col.null_count() == 0;
+  };
+  Table result;
+  if (probe_cols.size() == 1 && int64_key(probe.column(probe_cols[0])) &&
+      int64_key(build.column(build_cols[0]))) {
+    VX_ASSIGN_OR_RETURN(result,
+                        Int64KeyJoin(probe, build, probe_cols[0],
+                                     build_cols[0], type, schema, threads,
+                                     grain));
+  } else {
+    VX_ASSIGN_OR_RETURN(result,
+                        GenericHashJoin(probe, build, probe_cols, build_cols,
+                                        type, schema, threads, grain));
   }
   // Probe-row-major output: the probe side's declared order survives the
   // join (its columns keep their positions), whatever the join type.
@@ -603,9 +807,10 @@ Result<std::optional<Table>> ParallelAggregateOp::Next() {
   VX_RETURN_NOT_OK(init_status_);
   if (done_) return std::optional<Table>{};
   done_ = true;
-  VX_ASSIGN_OR_RETURN(Table in, Collect(input_.get()));
+  // A whole-table scan input is read in place, like the join's inputs.
+  VX_ASSIGN_OR_RETURN(auto in, CollectShared(input_.get()));
   VX_ASSIGN_OR_RETURN(Table out,
-                      ParallelHashAggregate(in, group_by_, aggs_, options_));
+                      ParallelHashAggregate(*in, group_by_, aggs_, options_));
   return std::optional<Table>(std::move(out));
 }
 

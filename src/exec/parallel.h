@@ -154,11 +154,13 @@ Result<Table> ParallelFilterProject(std::shared_ptr<const Table> input,
                                     const ParallelOptions& options = {});
 /// @}
 
-/// \brief Parallel hash join over materialized sides: partitioned parallel
-/// build (per-chunk bucket scatter, per-partition table build) and
-/// morsel-parallel probe. Output rows are in probe-row-major order with
-/// build matches in build-row order — exactly the serial HashJoinOp order,
-/// at any thread count.
+/// \brief Parallel hash join over materialized sides. One NULL-free INT64
+/// key on each side takes the typed join (flat build index, two-pass
+/// morsel probe into precomputed offsets, one gather per output column);
+/// any other key list a partitioned parallel build (per-chunk bucket
+/// scatter, per-partition table build) and morsel-parallel probe. Output
+/// rows are in probe-row-major order with build matches in build-row order
+/// — exactly the serial HashJoinOp order, at any thread count.
 Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
                                const std::vector<std::string>& probe_keys,
                                const std::vector<std::string>& build_keys,
@@ -167,7 +169,10 @@ Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
 
 /// \brief Parallel hash aggregation: per-chunk partial states merged in
 /// chunk order (so group order matches global first-appearance order, like
-/// the serial operator). Defined in aggregate.cc next to the serial kernel.
+/// the serial operator). One NULL-free INT64 key over NULL-free numeric
+/// inputs runs the typed fold (exec/typed_fold.h), every other shape the
+/// AccState fold; both keep that association. Defined in aggregate.cc
+/// next to the serial kernel.
 Result<Table> ParallelHashAggregate(const Table& input,
                                     const std::vector<std::string>& group_by,
                                     const std::vector<AggSpec>& aggs,

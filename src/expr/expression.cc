@@ -1,8 +1,11 @@
 #include "expr/expression.h"
 
 #include <cmath>
+#include <type_traits>
 
+#include "common/int_arith.h"
 #include "common/string_util.h"
+#include "storage/encoding.h"
 
 namespace vertexica {
 
@@ -35,36 +38,170 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-int64_t ApplyIntArith(BinaryOp op, int64_t a, int64_t b) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      return a + b;
-    case BinaryOp::kSub:
-      return a - b;
-    case BinaryOp::kMul:
-      return a * b;
-    case BinaryOp::kMod:
-      return b == 0 ? 0 : a % b;
-    default:
-      return 0;
+/// `expr` over `batch`: the batch's own column for a column reference,
+/// else the evaluated column, kept in `*storage`.
+Result<const Column*> EvaluateBorrowed(const Expr& expr, const Table& batch,
+                                       Column* storage) {
+  if (const Column* col = expr.Borrow(batch)) return col;
+  VX_ASSIGN_OR_RETURN(*storage, expr.Evaluate(batch));
+  return storage;
+}
+
+/// Calls `f` with the typed values of a numeric column.
+template <typename F>
+void VisitNumeric(const Column& col, const F& f) {
+  if (col.type() == DataType::kInt64) {
+    f(col.ints().data());
+  } else {
+    f(col.doubles().data());
   }
 }
 
-double ApplyDoubleArith(BinaryOp op, double a, double b) {
+/// out[i] = f(a[i], b[i]) for i in [0, n).
+template <typename A, typename B, typename R, typename F>
+void MapRows(const A* a, const B* b, R* out, int64_t n, F f) {
+  for (int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
+}
+
+void IntArithRows(BinaryOp op, const int64_t* a, const int64_t* b,
+                  int64_t* out, int64_t n) {
   switch (op) {
     case BinaryOp::kAdd:
-      return a + b;
+      MapRows(a, b, out, n, WrappingAdd);
+      break;
     case BinaryOp::kSub:
-      return a - b;
+      MapRows(a, b, out, n, WrappingSub);
+      break;
     case BinaryOp::kMul:
-      return a * b;
-    case BinaryOp::kDiv:
-      return a / b;
+      MapRows(a, b, out, n, WrappingMul);
+      break;
     case BinaryOp::kMod:
-      return std::fmod(a, b);
-    default:
-      return 0.0;
+      MapRows(a, b, out, n, SafeMod);
+      break;
+    default:  // kDiv is DOUBLE-valued; never here
+      break;
   }
+}
+
+/// DOUBLE arithmetic; INT64 operands are widened with static_cast<double>.
+template <typename A, typename B>
+void DoubleArithRows(BinaryOp op, const A* a, const B* b, double* out,
+                     int64_t n) {
+  const auto d = [](auto x) { return static_cast<double>(x); };
+  switch (op) {
+    case BinaryOp::kAdd:
+      MapRows(a, b, out, n, [d](A x, B y) { return d(x) + d(y); });
+      break;
+    case BinaryOp::kSub:
+      MapRows(a, b, out, n, [d](A x, B y) { return d(x) - d(y); });
+      break;
+    case BinaryOp::kMul:
+      MapRows(a, b, out, n, [d](A x, B y) { return d(x) * d(y); });
+      break;
+    case BinaryOp::kDiv:
+      MapRows(a, b, out, n, [d](A x, B y) { return d(x) / d(y); });
+      break;
+    case BinaryOp::kMod:
+      MapRows(a, b, out, n, [d](A x, B y) { return std::fmod(d(x), d(y)); });
+      break;
+    default:
+      break;
+  }
+}
+
+/// Three-way numeric comparison: INT64 pairs exactly, DOUBLE pairs in the
+/// storage total order (Column::CompareRows), mixed pairs on the widened
+/// values with `<` / `>` (NaN then compares equal to everything).
+template <typename A, typename B>
+int CompareNumeric(A a, B b) {
+  if constexpr (std::is_same_v<A, int64_t> && std::is_same_v<B, int64_t>) {
+    return a < b ? -1 : (a > b ? 1 : 0);
+  } else if constexpr (std::is_same_v<A, double> &&
+                       std::is_same_v<B, double>) {
+    return TotalOrderCompareDoubles(a, b);
+  } else {
+    const auto x = static_cast<double>(a);
+    const auto y = static_cast<double>(b);
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+}
+
+/// 1 where both columns are non-NULL; empty when neither has a NULL.
+std::vector<uint8_t> BothValid(const Column& a, const Column& b, int64_t n) {
+  std::vector<uint8_t> valid;
+  if (a.null_count() == 0 && b.null_count() == 0) return valid;
+  valid.resize(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    valid[static_cast<size_t>(i)] = !a.IsNull(i) && !b.IsNull(i) ? 1 : 0;
+  }
+  return valid;
+}
+
+/// `out` with the NULLs of `valid` (no-op when it is empty).
+Column WithValidity(Column out, std::vector<uint8_t> valid) {
+  if (!valid.empty()) out.SetValidity(std::move(valid));
+  return out;
+}
+
+/// Numeric arithmetic, column at a time.
+Column ArithColumn(BinaryOp op, DataType out_type, const Column& lhs,
+                   const Column& rhs, int64_t n) {
+  const auto rows = static_cast<size_t>(n);
+  if (out_type == DataType::kInt64) {
+    std::vector<int64_t> out(rows);
+    IntArithRows(op, lhs.ints().data(), rhs.ints().data(), out.data(), n);
+    return WithValidity(Column::FromInts(std::move(out)),
+                        BothValid(lhs, rhs, n));
+  }
+  std::vector<double> out(rows);
+  VisitNumeric(lhs, [&](const auto* a) {
+    VisitNumeric(rhs, [&](const auto* b) {
+      DoubleArithRows(op, a, b, out.data(), n);
+    });
+  });
+  return WithValidity(Column::FromDoubles(std::move(out)),
+                      BothValid(lhs, rhs, n));
+}
+
+/// Numeric comparison, column at a time.
+Column CompareColumn(BinaryOp op, const Column& lhs, const Column& rhs,
+                     int64_t n) {
+  std::vector<uint8_t> out(static_cast<size_t>(n));
+  VisitNumeric(lhs, [&](const auto* a) {
+    VisitNumeric(rhs, [&](const auto* b) {
+      using A = std::remove_cv_t<std::remove_pointer_t<decltype(a)>>;
+      using B = std::remove_cv_t<std::remove_pointer_t<decltype(b)>>;
+      const auto rows = [&](auto pred) {
+        MapRows(a, b, out.data(), n, [pred](A x, B y) -> uint8_t {
+          return pred(CompareNumeric(x, y)) ? 1 : 0;
+        });
+      };
+      switch (op) {
+        case BinaryOp::kEq:
+          rows([](int c) { return c == 0; });
+          break;
+        case BinaryOp::kNe:
+          rows([](int c) { return c != 0; });
+          break;
+        case BinaryOp::kLt:
+          rows([](int c) { return c < 0; });
+          break;
+        case BinaryOp::kLe:
+          rows([](int c) { return c <= 0; });
+          break;
+        case BinaryOp::kGt:
+          rows([](int c) { return c > 0; });
+          break;
+        case BinaryOp::kGe:
+          rows([](int c) { return c >= 0; });
+          break;
+        default:
+          break;
+      }
+    });
+  });
+  return WithValidity(Column::FromBools(std::move(out)),
+                      BothValid(lhs, rhs, n));
 }
 
 bool ApplyCompare(BinaryOp op, int cmp) {
@@ -143,9 +280,27 @@ Result<DataType> ColumnRefExpr::OutputType(const Schema& schema) const {
 // ------------------------------------------------------------------ Literal
 
 Result<Column> LiteralExpr::Evaluate(const Table& batch) const {
+  const auto n = static_cast<size_t>(batch.num_rows());
+  // The constant as the column stores it (AppendValue's conversions),
+  // then broadcast.
+  Column one(type_);
+  one.AppendValue(value_);
   Column out(type_);
-  out.Reserve(batch.num_rows());
-  for (int64_t i = 0; i < batch.num_rows(); ++i) out.AppendValue(value_);
+  switch (type_) {
+    case DataType::kInt64:
+      out = Column::FromInts(std::vector<int64_t>(n, one.ints()[0]));
+      break;
+    case DataType::kDouble:
+      out = Column::FromDoubles(std::vector<double>(n, one.doubles()[0]));
+      break;
+    case DataType::kString:
+      out = Column::FromStrings(std::vector<std::string>(n, one.strings()[0]));
+      break;
+    case DataType::kBool:
+      out = Column::FromBools(std::vector<uint8_t>(n, one.bools()[0]));
+      break;
+  }
+  if (value_.is_null()) out.SetValidity(std::vector<uint8_t>(n, 0));
   return out;
 }
 
@@ -186,58 +341,31 @@ Result<DataType> BinaryExpr::OutputType(const Schema& schema) const {
 
 Result<Column> BinaryExpr::Evaluate(const Table& batch) const {
   VX_ASSIGN_OR_RETURN(DataType out_type, OutputType(batch.schema()));
-  VX_ASSIGN_OR_RETURN(Column lhs, left_->Evaluate(batch));
-  VX_ASSIGN_OR_RETURN(Column rhs, right_->Evaluate(batch));
+  Column lstore;
+  Column rstore;
+  VX_ASSIGN_OR_RETURN(const Column* lp,
+                      EvaluateBorrowed(*left_, batch, &lstore));
+  VX_ASSIGN_OR_RETURN(const Column* rp,
+                      EvaluateBorrowed(*right_, batch, &rstore));
+  const Column& lhs = *lp;
+  const Column& rhs = *rp;
   const int64_t n = batch.num_rows();
-  Column out(out_type);
-  out.Reserve(n);
 
-  const bool no_nulls = lhs.null_count() == 0 && rhs.null_count() == 0;
-
-  if (IsArithmetic(op_)) {
-    if (out_type == DataType::kInt64 && no_nulls) {
-      // int64 (+,-,*,%) int64 fast path.
-      const auto& a = lhs.ints();
-      const auto& b = rhs.ints();
-      auto* dst = out.mutable_ints();
-      dst->resize(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i) {
-        (*dst)[static_cast<size_t>(i)] = ApplyIntArith(
-            op_, a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
-      }
-      return Column::FromInts(std::move(*dst));
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      if (lhs.IsNull(i) || rhs.IsNull(i)) {
-        out.AppendNull();
-        continue;
-      }
-      if (out_type == DataType::kInt64) {
-        out.AppendInt64(ApplyIntArith(op_, lhs.GetInt64(i), rhs.GetInt64(i)));
-      } else {
-        out.AppendDouble(
-            ApplyDoubleArith(op_, lhs.GetNumeric(i), rhs.GetNumeric(i)));
-      }
-    }
-    return out;
+  // OutputType admits numeric operands only for arithmetic.
+  if (IsArithmetic(op_)) return ArithColumn(op_, out_type, lhs, rhs, n);
+  if (IsComparison(op_) && IsNumeric(lhs.type()) && IsNumeric(rhs.type())) {
+    return CompareColumn(op_, lhs, rhs, n);
   }
 
-  if (IsComparison(op_)) {
-    const bool numeric = IsNumeric(lhs.type()) && IsNumeric(rhs.type());
+  Column out(out_type);
+  out.Reserve(n);
+  if (IsComparison(op_)) {  // STRING or BOOL operands of one type
     for (int64_t i = 0; i < n; ++i) {
       if (lhs.IsNull(i) || rhs.IsNull(i)) {
         out.AppendNull();
         continue;
       }
-      int cmp;
-      if (numeric && lhs.type() != rhs.type()) {
-        const double a = lhs.GetNumeric(i);
-        const double b = rhs.GetNumeric(i);
-        cmp = a < b ? -1 : (a > b ? 1 : 0);
-      } else {
-        cmp = lhs.CompareRows(i, rhs, i);
-      }
-      out.AppendBool(ApplyCompare(op_, cmp));
+      out.AppendBool(ApplyCompare(op_, lhs.CompareRows(i, rhs, i)));
     }
     return out;
   }
@@ -299,7 +427,10 @@ Result<DataType> UnaryExpr::OutputType(const Schema& schema) const {
 
 Result<Column> UnaryExpr::Evaluate(const Table& batch) const {
   VX_ASSIGN_OR_RETURN(DataType out_type, OutputType(batch.schema()));
-  VX_ASSIGN_OR_RETURN(Column in, input_->Evaluate(batch));
+  Column store;
+  VX_ASSIGN_OR_RETURN(const Column* in_col,
+                      EvaluateBorrowed(*input_, batch, &store));
+  const Column& in = *in_col;
   const int64_t n = in.length();
   Column out(out_type);
   out.Reserve(n);
@@ -322,7 +453,7 @@ Result<Column> UnaryExpr::Evaluate(const Table& batch) const {
         if (in.IsNull(i)) {
           out.AppendNull();
         } else if (in.type() == DataType::kInt64) {
-          out.AppendInt64(-in.GetInt64(i));
+          out.AppendInt64(WrappingSub(0, in.GetInt64(i)));
         } else {
           out.AppendDouble(-in.GetDouble(i));
         }
@@ -331,7 +462,8 @@ Result<Column> UnaryExpr::Evaluate(const Table& batch) const {
         if (in.IsNull(i)) {
           out.AppendNull();
         } else if (in.type() == DataType::kInt64) {
-          out.AppendInt64(std::abs(in.GetInt64(i)));
+          const int64_t v = in.GetInt64(i);
+          out.AppendInt64(v < 0 ? WrappingSub(0, v) : v);
         } else {
           out.AppendDouble(std::fabs(in.GetDouble(i)));
         }
@@ -371,7 +503,10 @@ Result<DataType> CastExpr::OutputType(const Schema& schema) const {
 
 Result<Column> CastExpr::Evaluate(const Table& batch) const {
   VX_RETURN_NOT_OK(OutputType(batch.schema()).status());
-  VX_ASSIGN_OR_RETURN(Column in, input_->Evaluate(batch));
+  Column store;
+  VX_ASSIGN_OR_RETURN(const Column* in_col,
+                      EvaluateBorrowed(*input_, batch, &store));
+  const Column& in = *in_col;
   if (in.type() == to_) return in;
   Column out(to_);
   out.Reserve(in.length());
@@ -385,7 +520,15 @@ Result<Column> CastExpr::Evaluate(const Table& batch) const {
         if (in.type() == DataType::kBool) {
           out.AppendInt64(in.GetBool(i) ? 1 : 0);
         } else {
-          out.AppendInt64(static_cast<int64_t>(in.GetDouble(i)));
+          // Truncation is defined only for finite doubles in
+          // [-2^63, 2^63); NaN fails both comparisons.
+          const double d = in.GetDouble(i);
+          if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+            return Status::InvalidArgument(StringFormat(
+                "%s: %.17g is not representable as INT64",
+                ToString().c_str(), d));
+          }
+          out.AppendInt64(static_cast<int64_t>(d));
         }
         break;
       case DataType::kDouble:
@@ -430,6 +573,52 @@ void AppendCoerced(Column* out, const Column& in, int64_t i) {
     out->AppendValue(in.GetValue(i));
   }
 }
+
+/// Row i of `a` where take_a(i), else row i of `b`, as T (INT64 widened
+/// with static_cast<double> for a DOUBLE result) — AppendCoerced's rows,
+/// column at a time.
+template <typename T, typename A, typename B, typename TakeA>
+Column SelectRows(const Column& a, const A* x, const Column& b, const B* y,
+                  int64_t n, const TakeA& take_a) {
+  std::vector<T> values(static_cast<size_t>(n));
+  std::vector<uint8_t> valid(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const auto r = static_cast<size_t>(i);
+    if (take_a(i)) {
+      values[r] = static_cast<T>(x[i]);
+      valid[r] = a.IsNull(i) ? 0 : 1;
+    } else {
+      values[r] = static_cast<T>(y[i]);
+      valid[r] = b.IsNull(i) ? 0 : 1;
+    }
+  }
+  Column out;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    out = Column::FromInts(std::move(values));
+  } else {
+    out = Column::FromDoubles(std::move(values));
+  }
+  out.SetValidity(std::move(valid));
+  return out;
+}
+
+/// The typed If/Coalesce kernel for a numeric result; the row path covers
+/// STRING and BOOL.
+template <typename TakeA>
+Column SelectNumeric(DataType out_type, const Column& a, const Column& b,
+                     int64_t n, const TakeA& take_a) {
+  if (out_type == DataType::kInt64) {  // both branches INT64
+    return SelectRows<int64_t>(a, a.ints().data(), b, b.ints().data(), n,
+                               take_a);
+  }
+  Column out;
+  VisitNumeric(a, [&](const auto* x) {
+    VisitNumeric(b, [&](const auto* y) {
+      out = SelectRows<double>(a, x, b, y, n, take_a);
+    });
+  });
+  return out;
+}
 }  // namespace
 
 Result<DataType> IfExpr::OutputType(const Schema& schema) const {
@@ -444,14 +633,27 @@ Result<DataType> IfExpr::OutputType(const Schema& schema) const {
 
 Result<Column> IfExpr::Evaluate(const Table& batch) const {
   VX_ASSIGN_OR_RETURN(DataType out_type, OutputType(batch.schema()));
-  VX_ASSIGN_OR_RETURN(Column cond, cond_->Evaluate(batch));
-  VX_ASSIGN_OR_RETURN(Column thenv, then_->Evaluate(batch));
-  VX_ASSIGN_OR_RETURN(Column elsev, else_->Evaluate(batch));
+  Column cstore;
+  Column tstore;
+  Column estore;
+  VX_ASSIGN_OR_RETURN(const Column* cond,
+                      EvaluateBorrowed(*cond_, batch, &cstore));
+  VX_ASSIGN_OR_RETURN(const Column* thenv,
+                      EvaluateBorrowed(*then_, batch, &tstore));
+  VX_ASSIGN_OR_RETURN(const Column* elsev,
+                      EvaluateBorrowed(*else_, batch, &estore));
+  const int64_t n = cond->length();
+  const std::vector<uint8_t>& flags = cond->bools();
+  const auto take_then = [cond, &flags](int64_t i) {
+    return !cond->IsNull(i) && flags[static_cast<size_t>(i)] != 0;
+  };
+  if (IsNumeric(out_type)) {
+    return SelectNumeric(out_type, *thenv, *elsev, n, take_then);
+  }
   Column out(out_type);
-  out.Reserve(cond.length());
-  for (int64_t i = 0; i < cond.length(); ++i) {
-    const bool take_then = !cond.IsNull(i) && cond.GetBool(i);
-    AppendCoerced(&out, take_then ? thenv : elsev, i);
+  out.Reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
+    AppendCoerced(&out, take_then(i) ? *thenv : *elsev, i);
   }
   return out;
 }
@@ -471,12 +673,21 @@ Result<DataType> CoalesceExpr::OutputType(const Schema& schema) const {
 
 Result<Column> CoalesceExpr::Evaluate(const Table& batch) const {
   VX_ASSIGN_OR_RETURN(DataType out_type, OutputType(batch.schema()));
-  VX_ASSIGN_OR_RETURN(Column a, first_->Evaluate(batch));
-  VX_ASSIGN_OR_RETURN(Column b, second_->Evaluate(batch));
+  Column astore;
+  Column bstore;
+  VX_ASSIGN_OR_RETURN(const Column* a,
+                      EvaluateBorrowed(*first_, batch, &astore));
+  VX_ASSIGN_OR_RETURN(const Column* b,
+                      EvaluateBorrowed(*second_, batch, &bstore));
+  const int64_t n = a->length();
+  const auto take_first = [a](int64_t i) { return !a->IsNull(i); };
+  if (IsNumeric(out_type)) {
+    return SelectNumeric(out_type, *a, *b, n, take_first);
+  }
   Column out(out_type);
-  out.Reserve(a.length());
-  for (int64_t i = 0; i < a.length(); ++i) {
-    AppendCoerced(&out, a.IsNull(i) ? b : a, i);
+  out.Reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
+    AppendCoerced(&out, take_first(i) ? *a : *b, i);
   }
   return out;
 }

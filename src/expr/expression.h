@@ -36,6 +36,14 @@ class Expr {
 
   /// \brief SQL-ish rendering, for plan explanation and error messages.
   virtual std::string ToString() const = 0;
+
+  /// \brief The batch's own column when this expression is a column
+  /// reference, so a parent kernel reads it in place instead of copying it
+  /// through Evaluate; nullptr for every other expression (and for a
+  /// reference the batch cannot resolve, which Evaluate reports).
+  virtual const Column* Borrow(const Table& /*batch*/) const {
+    return nullptr;
+  }
 };
 
 /// \brief Reference to an input column by name.
@@ -45,6 +53,9 @@ class ColumnRefExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override { return name_; }
+  const Column* Borrow(const Table& batch) const override {
+    return batch.ColumnByName(name_);
+  }
   const std::string& name() const { return name_; }
 
  private:
@@ -89,7 +100,12 @@ const char* BinaryOpName(BinaryOp op);
 /// \brief A binary expression with SQL NULL semantics.
 ///
 /// Arithmetic/comparison: NULL in → NULL out. AND/OR use Kleene logic
-/// (`false AND NULL` is false; `true OR NULL` is true).
+/// (`false AND NULL` is false; `true OR NULL` is true). INT64 arithmetic
+/// wraps in two's complement and `x % 0` and `x % -1` are 0
+/// (common/int_arith.h). Mixed INT64/DOUBLE operands are widened with
+/// `static_cast<double>`. DOUBLE = DOUBLE comparisons use the storage
+/// total order (NaN equals itself and sorts last); mixed-type ones compare
+/// the widened values with `<` / `>`.
 class BinaryExpr : public Expr {
  public:
   BinaryExpr(BinaryOp op, ExprPtr left, ExprPtr right)
@@ -127,8 +143,10 @@ class UnaryExpr : public Expr {
   ExprPtr input_;
 };
 
-/// \brief CAST(input AS type). Numeric casts truncate toward zero;
-/// casting to string renders like Value::ToString (without quotes).
+/// \brief CAST(input AS type). Numeric casts truncate toward zero; a
+/// DOUBLE that is NaN, infinite or outside the INT64 range fails the cast
+/// with InvalidArgument. Casting to string renders like Value::ToString
+/// (without quotes).
 class CastExpr : public Expr {
  public:
   CastExpr(ExprPtr input, DataType to) : input_(std::move(input)), to_(to) {}

@@ -462,6 +462,61 @@ Column Column::Take(const std::vector<int64_t>& indices) const {
   return out;
 }
 
+Column Column::TakeOrNull(const std::vector<int64_t>& indices) const {
+  const bool padded = std::any_of(indices.begin(), indices.end(),
+                                  [](int64_t idx) { return idx < 0; });
+  if (!padded) return Take(indices);
+  const size_t n = indices.size();
+  Column out(type_);
+  if (length_ == 0) {  // every row is padding
+    for (size_t i = 0; i < n; ++i) out.AppendNull();
+    return out;
+  }
+  // Gather with padded rows reading row 0, then mark them NULL (which
+  // resets their slots to the type's default).
+  std::vector<int64_t> safe(n);
+  std::vector<uint8_t> validity(n);
+  for (size_t i = 0; i < n; ++i) {
+    const bool present = indices[i] >= 0;
+    safe[i] = present ? indices[i] : 0;
+    validity[i] = present && !IsNull(indices[i]) ? 1 : 0;
+  }
+  out = Take(safe);
+  out.SetValidity(std::move(validity));
+  return out;
+}
+
+void Column::SetValidity(std::vector<uint8_t> validity) {
+  VX_CHECK(static_cast<int64_t>(validity.size()) == length_)
+      << "SetValidity: " << validity.size() << " flags for " << length_
+      << " rows";
+  if (MutationInvalidatesState()) PrepareMutation();
+  null_count_ = length_ - std::count(validity.begin(), validity.end(),
+                                     static_cast<uint8_t>(1));
+  if (null_count_ == 0) {
+    validity_.clear();
+    return;
+  }
+  for (size_t i = 0; i < validity.size(); ++i) {
+    if (validity[i] != 0) continue;
+    switch (type_) {
+      case DataType::kInt64:
+        ints_[i] = 0;
+        break;
+      case DataType::kDouble:
+        doubles_[i] = 0.0;
+        break;
+      case DataType::kString:
+        strings_[i].clear();
+        break;
+      case DataType::kBool:
+        bools_[i] = 0;
+        break;
+    }
+  }
+  validity_ = std::move(validity);
+}
+
 Column Column::Slice(int64_t offset, int64_t count) const {
   VX_CHECK(offset >= 0 && offset + count <= length_);
   Column out(type_);

@@ -120,6 +120,11 @@ class Column {
   void AppendValue(const Value& v);
   /// \brief Appends rows [0, other.length()) of `other` (same type).
   void AppendColumn(const Column& other);
+  /// \brief Replaces the validity of every row (1 = valid, 0 = NULL;
+  /// `validity.size()` must equal length()). Typed kernels that compute a
+  /// whole column use it to mark their NULL rows in one step; those rows
+  /// should hold the type's default value, as AppendNull leaves them.
+  void SetValidity(std::vector<uint8_t> validity);
   /// @}
 
   /// \name Element access
@@ -262,6 +267,11 @@ class Column {
 
   /// \brief Gather: column of `indices.size()` rows taken at the indices.
   Column Take(const std::vector<int64_t>& indices) const;
+
+  /// \brief Gather in which a negative index produces a NULL row (the
+  /// padding of a left outer join); otherwise the same rows as Take.
+  /// Always returns a plain column.
+  Column TakeOrNull(const std::vector<int64_t>& indices) const;
 
   /// \brief Contiguous sub-column [offset, offset + count).
   Column Slice(int64_t offset, int64_t count) const;

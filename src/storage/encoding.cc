@@ -155,13 +155,6 @@ ScopedEncodingMode::~ScopedEncodingMode() {
   }
 }
 
-int TotalOrderCompareDoubles(double a, double b) {
-  const bool an = std::isnan(a);
-  const bool bn = std::isnan(b);
-  if (an || bn) return an == bn ? 0 : (an ? 1 : -1);
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:

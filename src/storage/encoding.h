@@ -14,6 +14,7 @@
 #ifndef VERTEXICA_STORAGE_ENCODING_H_
 #define VERTEXICA_STORAGE_ENCODING_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -190,7 +191,12 @@ struct ColumnPredicate {
 /// The single definition shared by Column::CompareRows, the filter kernels
 /// and the zone-map logic — these three must agree exactly or pruning
 /// could change results.
-int TotalOrderCompareDoubles(double a, double b);
+inline int TotalOrderCompareDoubles(double a, double b) {
+  const bool an = std::isnan(a);
+  const bool bn = std::isnan(b);
+  if (an || bn) return an == bn ? 0 : (an ? 1 : -1);
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
 
 }  // namespace vertexica
 

@@ -1,18 +1,16 @@
 #include "vertexica/worker_driver.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <unordered_set>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
+#include "exec/typed_fold.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "vertexica/graph_tables.h"
@@ -145,190 +143,44 @@ Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
   return out;
 }
 
-/// Receiver → group number. Receivers are vertex ids, which are dense in
-/// practice, so a fold whose receivers span at most twice as many ids as it
-/// has rows indexes a direct-address table over that span; any other span
-/// takes an Int64HashMap. Either way it is the same map, so the choice
-/// never changes the fold.
-class GroupIndex {
- public:
-  /// `lo`..`hi`: the receivers' range; `rows`: values to be folded.
-  GroupIndex(int64_t lo, int64_t hi, size_t rows) {
-    const auto span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-    if (lo <= hi && span < 2 * static_cast<uint64_t>(rows)) {
-      lo_ = lo;
-      direct_.assign(static_cast<size_t>(span) + 1, -1);
-    } else {
-      hash_.emplace(std::min<size_t>(rows, kInitialHashGroups));
-    }
-  }
-
-  /// `dst`'s group number; -1 until the caller assigns one.
-  int64_t& operator[](int64_t dst) {
-    if (hash_.has_value()) return hash_->GetOrInsert(dst, -1);
-    return direct_[static_cast<size_t>(static_cast<uint64_t>(dst) -
-                                       static_cast<uint64_t>(lo_))];
-  }
-
- private:
-  /// The hash map starts here and grows, so few receivers stay
-  /// cache-resident.
-  static constexpr size_t kInitialHashGroups = 1024;
-
-  int64_t lo_ = 0;
-  std::vector<int64_t> direct_;
-  std::optional<Int64HashMap<int64_t>> hash_;
-};
-
-/// Per-receiver combiner state: receivers in first-appearance order and
-/// their accumulators, `arity` per receiver.
-template <MessageCombiner Op>
-class CombineFold {
- public:
-  /// Folds `rows` value tuples for receivers in [lo, hi].
-  CombineFold(int arity, int64_t lo, int64_t hi, size_t rows)
-      : arity_(static_cast<size_t>(arity)),
-        lo_(lo),
-        hi_(hi),
-        group_of_(lo, hi, rows) {}
-
-  /// Folds the value tuple `value[0..arity)` into receiver `dst`'s
-  /// accumulators: a new receiver starts from its first tuple (SUM from
-  /// 0.0 plus it); after that SUM adds and MIN/MAX replace only on a
-  /// strict `<` / `>`.
-  template <typename ValueAt>
-  void Add(int64_t dst, const ValueAt& value) {
-    int64_t& g = group_of_[dst];
-    if (g < 0) {
-      g = static_cast<int64_t>(dst_.size());
-      dst_.push_back(dst);
-      for (size_t c = 0; c < arity_; ++c) {
-        acc_.push_back(Op == MessageCombiner::kSum ? 0.0 + value(c)
-                                                   : value(c));
-      }
-      return;
-    }
-    double* a = acc_.data() + static_cast<size_t>(g) * arity_;
-    for (size_t c = 0; c < arity_; ++c) {
-      const double v = value(c);
-      if constexpr (Op == MessageCombiner::kSum) {
-        a[c] += v;
-      } else if constexpr (Op == MessageCombiner::kMin) {
-        if (v < a[c]) a[c] = v;
-      } else {
-        if (v > a[c]) a[c] = v;
-      }
-    }
-  }
-
-  size_t num_groups() const { return dst_.size(); }
-  int64_t lo() const { return lo_; }
-  int64_t hi() const { return hi_; }
-  int64_t dst(size_t g) const { return dst_[g]; }
-  const double* acc(size_t g) const { return acc_.data() + g * arity_; }
-
-  /// The (src = −1, dst, m0..) columns, consuming the state.
-  std::vector<Column> TakeColumns() && {
-    const size_t n = dst_.size();
-    std::vector<Column> cols;
-    cols.push_back(Column::FromInts(std::vector<int64_t>(n, -1)));
-    cols.push_back(Column::FromInts(std::move(dst_)));
-    if (arity_ == 1) {
-      cols.push_back(Column::FromDoubles(std::move(acc_)));
-      return cols;
-    }
-    for (size_t c = 0; c < arity_; ++c) {
-      std::vector<double> col(n);
-      for (size_t g = 0; g < n; ++g) col[g] = acc_[g * arity_ + c];
-      cols.push_back(Column::FromDoubles(std::move(col)));
-    }
-    return cols;
-  }
-
- private:
-  size_t arity_;
-  int64_t lo_;
-  int64_t hi_;
-  GroupIndex group_of_;
-  std::vector<int64_t> dst_;
-  std::vector<double> acc_;  ///< [group * arity + column]
-};
-
-/// The combined message columns: chunks of kDefaultMorselRows rows of the
-/// sinks' concatenated messages fold in parallel, then merge in chunk
-/// order — the association of the chunk-parallel hash aggregate.
-template <MessageCombiner Op>
+/// The combined message columns (src = −1, dst, m0..): the sinks'
+/// concatenated messages folded per receiver by the typed fold
+/// (exec/typed_fold.h) in chunks of kDefaultMorselRows rows — the
+/// association of the chunk-parallel hash aggregate.
 Result<std::vector<Column>> CombineSinks(const std::vector<WorkerSink>& sinks,
-                                         int arity) {
+                                         int arity, AggOp op) {
   // offset[k]: global row of sink k's first message.
   std::vector<size_t> offset(sinks.size() + 1, 0);
   for (size_t k = 0; k < sinks.size(); ++k) {
     offset[k + 1] = offset[k] + sinks[k].message_dst.size();
   }
-  const size_t rows = offset.back();
-  const auto grain = static_cast<size_t>(kDefaultMorselRows);
-  const size_t num_chunks = (rows + grain - 1) / grain;
-  std::vector<std::optional<CombineFold<Op>>> partials(num_chunks);
-  // ambient-ok: the body reads the sinks only; ExecThreads() is evaluated
-  // on the submitting thread.
-  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-      0, num_chunks, /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t j = begin; j < end; ++j) {
-          // Calls body(sink, first, last) for the sink slices of chunk j.
-          const auto for_each_slice = [&](const auto& body) {
-            size_t row = j * grain;
-            const size_t stop = std::min(rows, row + grain);
+  const std::vector<FoldSpec> specs(static_cast<size_t>(arity),
+                                    FoldSpec{op, DataType::kDouble});
+  VX_ASSIGN_OR_RETURN(
+      TypedFold fold,
+      ParallelTypedFold(
+          specs, offset.back(), static_cast<size_t>(kDefaultMorselRows),
+          ExecThreads(), [&](size_t row, size_t stop, const auto& body) {
+            // The sink slices of rows [row, stop).
             auto k = static_cast<size_t>(
                 std::upper_bound(offset.begin(), offset.end(), row) -
                 offset.begin() - 1);
+            std::vector<FoldInput> inputs(specs.size());
             for (; row < stop; ++k) {
+              const WorkerSink& s = sinks[k];
+              const size_t i = row - offset[k];
               const size_t last = std::min(offset[k + 1], stop) - offset[k];
-              body(sinks[k], row - offset[k], last);
+              for (size_t c = 0; c < inputs.size(); ++c) {
+                inputs[c].doubles = s.message_values[c].data() + i;
+              }
+              body(s.message_dst.data() + i, inputs.data(), last - i);
               row = offset[k] + last;
             }
-          };
-          int64_t lo = std::numeric_limits<int64_t>::max();
-          int64_t hi = std::numeric_limits<int64_t>::min();
-          for_each_slice([&](const WorkerSink& s, size_t i, size_t last) {
-            for (; i < last; ++i) {
-              lo = std::min(lo, s.message_dst[i]);
-              hi = std::max(hi, s.message_dst[i]);
-            }
-          });
-          // Built on the folding thread and published once at the end, so
-          // concurrent chunks share no written cache lines.
-          CombineFold<Op> fold(arity, lo, hi,
-                               std::min(rows, (j + 1) * grain) - j * grain);
-          for_each_slice([&](const WorkerSink& s, size_t i, size_t last) {
-            for (; i < last; ++i) {
-              fold.Add(s.message_dst[i], [&s, i](size_t c) {
-                return s.message_values[c][i];
-              });
-            }
-          });
-          partials[j].emplace(std::move(fold));
-        }
-        return Status::OK();
-      },
-      ExecThreads()));
-
-  int64_t lo = std::numeric_limits<int64_t>::max();
-  int64_t hi = std::numeric_limits<int64_t>::min();
-  size_t partial_groups = 0;
-  for (const auto& p : partials) {
-    lo = std::min(lo, p->lo());
-    hi = std::max(hi, p->hi());
-    partial_groups += p->num_groups();
-  }
-  CombineFold<Op> merged(arity, lo, hi, partial_groups);
-  for (const auto& p : partials) {
-    for (size_t g = 0; g < p->num_groups(); ++g) {
-      const double* acc = p->acc(g);
-      merged.Add(p->dst(g), [acc](size_t c) { return acc[c]; });
-    }
-  }
-  return std::move(merged).TakeColumns();
+          }));
+  std::vector<Column> cols = std::move(fold).TakeColumns();
+  cols.insert(cols.begin(), Column::FromInts(std::vector<int64_t>(
+                                static_cast<size_t>(cols[0].length()), -1)));
+  return cols;
 }
 
 /// The message table's columns: folded per receiver, or concatenated.
@@ -337,11 +189,11 @@ Result<std::vector<Column>> MessageColumns(std::vector<WorkerSink>& sinks,
                                            MessageCombiner combiner) {
   switch (combiner) {
     case MessageCombiner::kSum:
-      return CombineSinks<MessageCombiner::kSum>(sinks, message_arity);
+      return CombineSinks(sinks, message_arity, AggOp::kSum);
     case MessageCombiner::kMin:
-      return CombineSinks<MessageCombiner::kMin>(sinks, message_arity);
+      return CombineSinks(sinks, message_arity, AggOp::kMin);
     case MessageCombiner::kMax:
-      return CombineSinks<MessageCombiner::kMax>(sinks, message_arity);
+      return CombineSinks(sinks, message_arity, AggOp::kMax);
     case MessageCombiner::kNone:
       break;
   }

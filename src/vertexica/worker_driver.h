@@ -29,17 +29,13 @@
 /// next superstep's message table — concatenated, or folded per receiver
 /// by the program's combiner without materializing the uncombined rows.
 ///
-/// Combiner fold order. The fold replays the association the chunk-parallel
+/// Combiner fold order. The combiners run on the typed fold
+/// (exec/typed_fold.h) over the partition-order message sequence, cut into
+/// chunks of kDefaultMorselRows rows — the association the chunk-parallel
 /// hash aggregate (exec/parallel.h) gives a GROUP BY dst over the
-/// concatenated messages, so the combined table is the same in rows, order
-/// and bits: the partition-order message sequence is cut at global row
-/// offsets that are multiples of kDefaultMorselRows; each chunk folds its
-/// rows in order into groups in first-appearance order (SUM from 0.0 with
-/// `+=`; MIN/MAX take the first value and replace it only on a strict
-/// `<` / `>`, which fixes the NaN and −0.0 outcomes); the chunk partials are
-/// then merged serially in chunk order, the same way, into groups in global
-/// first-appearance order. Chunks fold in parallel; boundaries never depend
-/// on the thread count.
+/// concatenated messages, so the combined table is the same in rows,
+/// order and bits. Chunks fold in parallel; boundaries never depend on the
+/// thread count.
 
 #ifndef VERTEXICA_VERTEXICA_WORKER_DRIVER_H_
 #define VERTEXICA_VERTEXICA_WORKER_DRIVER_H_

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "catalog/catalog.h"
@@ -317,6 +320,41 @@ TEST(AggregateTest, Int64MinMaxAreExactBeyondDoublePrecision) {
       auto parallel = ParallelHashAggregate(t, {}, aggs, opts);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
       expect_exact(*parallel, "parallel morsel=" + std::to_string(morsel));
+    }
+  }
+}
+
+TEST(AggregateTest, IntSumWrapsOnOverflow) {
+  // INT64 SUM wraps in two's complement (it used to overflow a signed
+  // accumulator, which is undefined) — in the serial fold, the typed fold
+  // (NULL-free input) and the AccState fold (a NULL in the input), within
+  // a chunk and across the chunk merge.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  for (const bool with_null : {false, true}) {
+    Table t(Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}));
+    VX_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value(max)}));
+    VX_CHECK_OK(t.AppendRow({Value(int64_t{2}), Value(min)}));
+    VX_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value(int64_t{2})}));
+    VX_CHECK_OK(t.AppendRow({Value(int64_t{2}), Value(int64_t{-1})}));
+    if (with_null) VX_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value::Null()}));
+    const std::vector<AggSpec> aggs = {{AggOp::kSum, "v", "s"}};
+    const auto expect_wrapped = [&](const Table& out, const std::string& how) {
+      ASSERT_EQ(out.num_rows(), 2) << how;
+      EXPECT_EQ(out.column(1).GetInt64(0), min + 1) << how;  // max + 2
+      EXPECT_EQ(out.column(1).GetInt64(1), max) << how;      // min - 1
+    };
+    HashAggregateOp serial_op(std::make_unique<TableScan>(t), {"k"}, aggs);
+    auto serial = Collect(&serial_op);
+    ASSERT_TRUE(serial.ok());
+    expect_wrapped(*serial, "serial");
+    for (int64_t morsel : {int64_t{1}, int64_t{1024}}) {
+      ParallelOptions opts;
+      opts.morsel_rows = morsel;
+      auto parallel = ParallelHashAggregate(t, {"k"}, aggs, opts);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      expect_wrapped(*parallel, "parallel morsel=" + std::to_string(morsel) +
+                                    " null=" + std::to_string(with_null));
     }
   }
 }
@@ -1300,6 +1338,403 @@ TEST(KernelStatsTest, CountersAreDeterministicAcrossThreadsAndPerScope) {
   EXPECT_EQ(Snapshot(fresh).bytes_materialized, 0);
   // And with no collector installed, counting is off entirely.
   EXPECT_EQ(AmbientKernelStats(), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Typed kernels (docs/EXECUTOR.md, "Typed kernels"): the single-INT64-key
+// join, the typed grouped fold and the typed expression loops must give
+// exactly the rows, order and bits of the generic operators. Seeded
+// property sweeps; a failure prints the seed that replays it.
+// ---------------------------------------------------------------------------
+
+/// The hardware's NaN (the one inf - inf yields), so NaN sums never depend
+/// on which of two different NaNs an addition returns.
+double HardwareNaN() {
+  volatile double inf = std::numeric_limits<double>::infinity();
+  return inf - inf;
+}
+
+/// Same types, same NULLs and the same raw bits in every slot (so -0.0 and
+/// 0.0 differ, and NaN payloads count) — stricter than Table::Equals.
+::testing::AssertionResult BitIdentical(const Table& a, const Table& b) {
+  if (!a.schema().EqualTypes(b.schema()) || a.num_rows() != b.num_rows()) {
+    return ::testing::AssertionFailure()
+           << "shape " << a.schema().ToString() << " x " << a.num_rows()
+           << " vs " << b.schema().ToString() << " x " << b.num_rows();
+  }
+  for (int c = 0; c < a.num_columns(); ++c) {
+    const Column& x = a.column(c);
+    const Column& y = b.column(c);
+    for (int64_t r = 0; r < a.num_rows(); ++r) {
+      bool same = x.IsNull(r) == y.IsNull(r);
+      if (same && !x.IsNull(r)) {
+        if (x.type() == DataType::kDouble) {
+          const double dx = x.GetDouble(r);
+          const double dy = y.GetDouble(r);
+          same = std::memcmp(&dx, &dy, sizeof(double)) == 0;
+        } else {
+          same = x.CompareRows(r, y, r) == 0;
+        }
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "column " << a.schema().field(c).name << " row " << r
+               << ": " << x.GetValue(r).ToString() << " vs "
+               << y.GetValue(r).ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Key shapes: dense small ids (direct-address paths), sparse ids near
+/// ±2^50 (hash/CSR paths), dense ids with NULLs (the generic fallback).
+enum class KeyShape { kDense, kSparse, kNullable };
+
+int64_t TypedKey(Rng* rng, KeyShape shape) {
+  const int64_t small = rng->UniformRange(-3, 12);
+  if (shape != KeyShape::kSparse) return small;
+  const int64_t far = int64_t{1} << 50;
+  return (rng->Bernoulli(0.5) ? far : -far) + small * 977;
+}
+
+/// (k INT64 key, v INT64, x DOUBLE): v spans values beyond 2^53 and the
+/// INT64 extremes, x holds -0.0, 0.0, NaN, ±inf and wide magnitudes;
+/// `nullable_values` adds NULLs to v and x.
+Table TypedTable(Rng* rng, int64_t rows, KeyShape shape,
+                 bool nullable_values) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {-0.0, 0.0,     HardwareNaN(), kInf, -kInf,
+                            1e300, -1e300, 1e-300,        0.1,  -2.5};
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const int64_t ints[] = {big,
+                          -big,
+                          std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min(),
+                          0,
+                          -1};
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"x", DataType::kDouble}}));
+  for (int64_t r = 0; r < rows; ++r) {
+    const Value k = shape == KeyShape::kNullable && rng->Bernoulli(0.15)
+                        ? Value::Null()
+                        : Value(TypedKey(rng, shape));
+    Value v = rng->Bernoulli(0.5) ? Value(ints[rng->Uniform(6)])
+                                  : Value(rng->UniformRange(-1000, 1000));
+    Value x = rng->Bernoulli(0.6) ? Value(doubles[rng->Uniform(10)])
+                                  : Value(rng->NextGaussian() * 1e6);
+    if (nullable_values && rng->Bernoulli(0.1)) v = Value::Null();
+    if (nullable_values && rng->Bernoulli(0.1)) x = Value::Null();
+    VX_CHECK_OK(t.AppendRow({k, std::move(v), std::move(x)}));
+  }
+  return t;
+}
+
+TEST(TypedKernelTest, JoinsMatchSerialHashJoin) {
+  for (uint64_t seed = 1; seed <= 36; ++seed) {
+    Rng rng(seed * 7919);
+    const auto shape = static_cast<KeyShape>(seed % 3);
+    // Empty sides now and then; otherwise enough rows for duplicate keys.
+    const int64_t probe_rows = seed % 11 == 0 ? 0 : rng.UniformRange(1, 300);
+    const int64_t build_rows = seed % 7 == 0 ? 0 : rng.UniformRange(1, 120);
+    const Table probe = TypedTable(&rng, probe_rows, shape, true);
+    Table build = TypedTable(&rng, build_rows, shape, true);
+    // A key-sorted build side gives CsrIndex its no-permutation layout.
+    if (seed % 2 == 0) build = SortTable(build, {SortKey{0, true}});
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
+                          JoinType::kAnti}) {
+      HashJoinOp serial_op(std::make_unique<TableScan>(probe),
+                           std::make_unique<TableScan>(build), {"k"}, {"k"},
+                           type);
+      auto serial = Collect(&serial_op);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      for (int threads : {1, 8}) {
+        for (int64_t morsel : {int64_t{7}, int64_t{1024}}) {
+          ParallelOptions opts;
+          opts.num_threads = threads;
+          opts.morsel_rows = morsel;
+          auto out = ParallelHashJoin(probe, build, {"k"}, {"k"}, type, opts);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          EXPECT_TRUE(BitIdentical(*out, *serial))
+              << "replay: TypedKernelTest.Joins seed=" << seed << " "
+              << JoinTypeName(type) << " threads=" << threads
+              << " morsel=" << morsel;
+        }
+      }
+    }
+  }
+}
+
+/// The aggregates of the fold sweep: every op over INT64 and DOUBLE.
+const std::vector<AggSpec>& TypedAggs() {
+  static const std::vector<AggSpec> aggs = {
+      {AggOp::kSum, "v", "sv"},   {AggOp::kSum, "x", "sx"},
+      {AggOp::kMin, "v", "nv"},   {AggOp::kMin, "x", "nx"},
+      {AggOp::kMax, "v", "xv"},   {AggOp::kMax, "x", "xx"},
+      {AggOp::kCount, "v", "cv"}, {AggOp::kCountStar, "", "n"},
+      {AggOp::kAvg, "v", "av"},   {AggOp::kAvg, "x", "ax"}};
+  return aggs;
+}
+
+/// The documented fold order, built from the serial operator: each chunk
+/// of `morsel` rows aggregated by HashAggregateOp, the chunk results then
+/// merged in chunk order into groups in first-appearance order (SUM from
+/// 0 with +=, INT64 wrapping; MIN/MAX first value then strict < / >;
+/// counts added; AVG = merged DOUBLE sum / merged count).
+Table ChunkedFoldReference(const Table& t, int64_t morsel) {
+  struct Group {
+    std::optional<int64_t> key;
+    int64_t sv = 0, cv = 0, n = 0, cx = 0;
+    double sx = 0.0, dv = 0.0;
+    std::optional<int64_t> nv, xv;
+    std::optional<double> nx, xx;
+  };
+  std::vector<Group> groups;
+  std::map<std::optional<int64_t>, size_t> index;
+  for (int64_t begin = 0; begin < t.num_rows(); begin += morsel) {
+    const int64_t len = std::min(morsel, t.num_rows() - begin);
+    // v widened to DOUBLE feeds AVG(v)'s DOUBLE sum, as AccState keeps it.
+    auto widened = PlanBuilder::Scan(t.Slice(begin, len))
+                       .Project({{"k", Col("k")},
+                                 {"v", Col("v")},
+                                 {"x", Col("x")},
+                                 {"dv", Cast(Col("v"), DataType::kDouble)}})
+                       .Execute();
+    VX_CHECK_OK(widened.status());
+    HashAggregateOp op(std::make_unique<TableScan>(*widened), {"k"},
+                       {{AggOp::kSum, "v", "sv"},
+                        {AggOp::kSum, "x", "sx"},
+                        {AggOp::kSum, "dv", "dv"},
+                        {AggOp::kMin, "v", "nv"},
+                        {AggOp::kMin, "x", "nx"},
+                        {AggOp::kMax, "v", "xv"},
+                        {AggOp::kMax, "x", "xx"},
+                        {AggOp::kCount, "v", "cv"},
+                        {AggOp::kCount, "x", "cx"},
+                        {AggOp::kCountStar, "", "n"}});
+    auto chunk = Collect(&op);
+    VX_CHECK_OK(chunk.status());
+    for (int64_t r = 0; r < chunk->num_rows(); ++r) {
+      const auto col = [&](int c) -> const Column& { return chunk->column(c); };
+      std::optional<int64_t> key;
+      if (!col(0).IsNull(r)) key = col(0).GetInt64(r);
+      auto [it, fresh] = index.emplace(key, groups.size());
+      if (fresh) {
+        groups.emplace_back();
+        groups.back().key = key;
+      }
+      Group& g = groups[it->second];
+      if (!col(1).IsNull(r)) {
+        g.sv = static_cast<int64_t>(static_cast<uint64_t>(g.sv) +
+                                    static_cast<uint64_t>(col(1).GetInt64(r)));
+      }
+      if (!col(2).IsNull(r)) g.sx += col(2).GetDouble(r);
+      if (!col(3).IsNull(r)) g.dv += col(3).GetDouble(r);
+      const auto keep = [&](auto& acc, auto v, bool less) {
+        if (!acc.has_value() || (less ? v < *acc : v > *acc)) acc = v;
+      };
+      if (!col(4).IsNull(r)) keep(g.nv, col(4).GetInt64(r), true);
+      if (!col(5).IsNull(r)) keep(g.nx, col(5).GetDouble(r), true);
+      if (!col(6).IsNull(r)) keep(g.xv, col(6).GetInt64(r), false);
+      if (!col(7).IsNull(r)) keep(g.xx, col(7).GetDouble(r), false);
+      g.cv += col(8).GetInt64(r);
+      g.cx += col(9).GetInt64(r);
+      g.n += col(10).GetInt64(r);
+    }
+  }
+  Table out(Schema({{"k", DataType::kInt64},  {"sv", DataType::kInt64},
+                    {"sx", DataType::kDouble}, {"nv", DataType::kInt64},
+                    {"nx", DataType::kDouble}, {"xv", DataType::kInt64},
+                    {"xx", DataType::kDouble}, {"cv", DataType::kInt64},
+                    {"n", DataType::kInt64},   {"av", DataType::kDouble},
+                    {"ax", DataType::kDouble}}));
+  const auto opt = [](const auto& o) { return o ? Value(*o) : Value::Null(); };
+  for (const Group& g : groups) {
+    VX_CHECK_OK(out.AppendRow(
+        {opt(g.key), g.cv > 0 ? Value(g.sv) : Value::Null(),
+         g.cx > 0 ? Value(g.sx) : Value::Null(), opt(g.nv), opt(g.nx),
+         opt(g.xv), opt(g.xx), Value(g.cv), Value(g.n),
+         g.cv > 0 ? Value(g.dv / static_cast<double>(g.cv)) : Value::Null(),
+         g.cx > 0 ? Value(g.sx / static_cast<double>(g.cx)) : Value::Null()}));
+  }
+  return out;
+}
+
+TEST(TypedKernelTest, AggregatesMatchChunkedSerialFold) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed * 104729);
+    const auto shape = static_cast<KeyShape>(seed % 3);
+    const bool nullable_values = seed % 4 == 3;  // AccState path
+    const int64_t rows = seed % 10 == 0 ? 0 : rng.UniformRange(1, 700);
+    const Table t = TypedTable(&rng, rows, shape, nullable_values);
+    for (int64_t morsel : {int64_t{7}, int64_t{1024}}) {
+      const Table expect = ChunkedFoldReference(t, morsel);
+      for (int threads : {1, 8}) {
+        ParallelOptions opts;
+        opts.num_threads = threads;
+        opts.morsel_rows = morsel;
+        auto out = ParallelHashAggregate(t, {"k"}, TypedAggs(), opts);
+        ASSERT_TRUE(out.ok()) << out.status().ToString();
+        EXPECT_TRUE(BitIdentical(*out, expect))
+            << "replay: TypedKernelTest.Aggregates seed=" << seed
+            << " threads=" << threads << " morsel=" << morsel;
+      }
+    }
+    // One chunk is the serial operator's own row fold.
+    if (rows <= 1024) {
+      HashAggregateOp serial_op(std::make_unique<TableScan>(t), {"k"},
+                                TypedAggs());
+      auto serial = Collect(&serial_op);
+      ASSERT_TRUE(serial.ok());
+      ParallelOptions opts;
+      opts.morsel_rows = 1024;
+      auto out = ParallelHashAggregate(t, {"k"}, TypedAggs(), opts);
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(BitIdentical(*out, *serial))
+          << "replay: TypedKernelTest.Aggregates seed=" << seed;
+    }
+  }
+}
+
+/// Row-at-a-time reference of numeric BinaryExpr semantics: NULL in, NULL
+/// out; INT64 results wrap (x % 0 and x % -1 are 0); DOUBLE results widen
+/// INT64 operands; same-type comparisons use Column::CompareRows, mixed
+/// ones the widened values with < / >.
+Column RowWiseBinary(BinaryOp op, DataType out_type, const Column& l,
+                     const Column& r) {
+  Column out(out_type);
+  for (int64_t i = 0; i < l.length(); ++i) {
+    if (l.IsNull(i) || r.IsNull(i)) {
+      out.AppendNull();
+      continue;
+    }
+    if (out_type == DataType::kBool) {
+      int cmp;
+      if (l.type() == r.type()) {
+        cmp = l.CompareRows(i, r, i);
+      } else {
+        const double a = l.GetNumeric(i);
+        const double b = r.GetNumeric(i);
+        cmp = a < b ? -1 : (a > b ? 1 : 0);
+      }
+      const bool v = op == BinaryOp::kEq   ? cmp == 0
+                     : op == BinaryOp::kNe ? cmp != 0
+                     : op == BinaryOp::kLt ? cmp < 0
+                     : op == BinaryOp::kLe ? cmp <= 0
+                     : op == BinaryOp::kGt ? cmp > 0
+                                           : cmp >= 0;
+      out.AppendBool(v);
+    } else if (out_type == DataType::kInt64) {
+      const auto a = static_cast<uint64_t>(l.GetInt64(i));
+      const auto b = static_cast<uint64_t>(r.GetInt64(i));
+      const int64_t sb = r.GetInt64(i);
+      const int64_t v =
+          op == BinaryOp::kAdd   ? static_cast<int64_t>(a + b)
+          : op == BinaryOp::kSub ? static_cast<int64_t>(a - b)
+          : op == BinaryOp::kMul ? static_cast<int64_t>(a * b)
+          : (sb == 0 || sb == -1) ? 0
+                                  : l.GetInt64(i) % sb;
+      out.AppendInt64(v);
+    } else {
+      const double a = l.GetNumeric(i);
+      const double b = r.GetNumeric(i);
+      const double v = op == BinaryOp::kAdd   ? a + b
+                       : op == BinaryOp::kSub ? a - b
+                       : op == BinaryOp::kMul ? a * b
+                       : op == BinaryOp::kDiv ? a / b
+                                              : std::fmod(a, b);
+      out.AppendDouble(v);
+    }
+  }
+  return out;
+}
+
+/// Row-at-a-time COALESCE / CASE reference: row i of `first` when
+/// take_first[i], else of `second`, widened to `out_type`.
+Column RowWiseSelect(DataType out_type, const Column& first,
+                     const Column& second,
+                     const std::vector<bool>& take_first) {
+  Column out(out_type);
+  for (int64_t i = 0; i < first.length(); ++i) {
+    const Column& src = take_first[static_cast<size_t>(i)] ? first : second;
+    if (src.IsNull(i)) {
+      out.AppendNull();
+    } else if (out_type == DataType::kDouble) {
+      out.AppendDouble(src.GetNumeric(i));
+    } else {
+      out.AppendInt64(src.GetInt64(i));
+    }
+  }
+  return out;
+}
+
+TEST(TypedKernelTest, ExpressionsMatchRowWiseSemantics) {
+  const BinaryOp ops[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                          BinaryOp::kDiv, BinaryOp::kMod, BinaryOp::kEq,
+                          BinaryOp::kNe,  BinaryOp::kLt,  BinaryOp::kLe,
+                          BinaryOp::kGt,  BinaryOp::kGe};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 31337);
+    const int64_t rows = seed == 1 ? 0 : rng.UniformRange(1, 400);
+    Table base = TypedTable(&rng, rows, KeyShape::kNullable, seed % 2 == 0);
+    // A nullable BOOL condition for CASE.
+    Column p(DataType::kBool);
+    for (int64_t r = 0; r < rows; ++r) {
+      if (rng.Bernoulli(0.2)) {
+        p.AppendNull();
+      } else {
+        p.AppendBool(rng.Bernoulli(0.5));
+      }
+    }
+    std::vector<Column> cols;
+    std::vector<Field> fields = base.schema().fields();
+    for (int c = 0; c < base.num_columns(); ++c) cols.push_back(base.column(c));
+    cols.push_back(std::move(p));
+    fields.push_back({"p", DataType::kBool});
+    Table t = Table::Make(Schema(fields), std::move(cols)).ValueOrDie();
+    if (seed % 3 == 0) t.EncodeColumns(EncodingMode::kForce);
+    const std::vector<ExprPtr> operands = {Col("k"), Col("v"), Col("x"),
+                                           Lit(int64_t{-1}), Lit(-0.0),
+                                           NullLit(DataType::kDouble)};
+    std::vector<Column> values;
+    for (const ExprPtr& e : operands) {
+      values.push_back(e->Evaluate(t).ValueOrDie());
+    }
+    const auto check = [&](const ExprPtr& e, const Column& expect) {
+      auto got = e->Evaluate(t);
+      ASSERT_TRUE(got.ok()) << e->ToString() << ": " << got.status().ToString();
+      const Schema s({{"c", expect.type()}});
+      EXPECT_TRUE(BitIdentical(Table::Make(s, {*got}).ValueOrDie(),
+                               Table::Make(s, {expect}).ValueOrDie()))
+          << "replay: TypedKernelTest.Expressions seed=" << seed << " "
+          << e->ToString();
+    };
+    for (size_t a = 0; a < operands.size(); ++a) {
+      for (size_t b = 0; b < operands.size(); ++b) {
+        for (BinaryOp op : ops) {
+          const auto e = std::make_shared<BinaryExpr>(op, operands[a],
+                                                      operands[b]);
+          const DataType out_type = e->OutputType(t.schema()).ValueOrDie();
+          check(e, RowWiseBinary(op, out_type, values[a], values[b]));
+        }
+        const DataType branch =
+            values[a].type() == values[b].type() ? values[a].type()
+                                                 : DataType::kDouble;
+        std::vector<bool> first_valid;
+        std::vector<bool> cond;
+        const Column& pc = t.column(3);
+        for (int64_t i = 0; i < rows; ++i) {
+          first_valid.push_back(!values[a].IsNull(i));
+          cond.push_back(!pc.IsNull(i) && pc.GetBool(i));
+        }
+        check(Coalesce(operands[a], operands[b]),
+              RowWiseSelect(branch, values[a], values[b], first_valid));
+        check(If(Col("p"), operands[a], operands[b]),
+              RowWiseSelect(branch, values[a], values[b], cond));
+      }
+    }
+  }
 }
 
 TEST(ParallelForTest, NestedCallsDoNotDeadlock) {

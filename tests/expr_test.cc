@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "expr/expression.h"
 
@@ -218,6 +220,181 @@ TEST(ExprTest, DivByZeroYieldsInf) {
   auto col = Div(Col("a"), Lit(0.0))->Evaluate(t);
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(std::isinf(col->GetDouble(0)));
+}
+
+
+// ---------------------------------------------------------------------------
+// INT64 arithmetic is defined for every input: + - * wrap in two's
+// complement and a zero or -1 divisor gives 0 (INT64_MIN % -1 used to raise
+// SIGFPE). Casting a DOUBLE that has no INT64 value fails instead of
+// invoking undefined behaviour.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+
+Table ExtremeInts() {
+  Table t(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  VX_CHECK_OK(t.AppendRow({Value(kMin64), Value(int64_t{-1})}));
+  VX_CHECK_OK(t.AppendRow({Value(kMax64), Value(int64_t{1})}));
+  VX_CHECK_OK(t.AppendRow({Value(int64_t{7}), Value(int64_t{0})}));
+  VX_CHECK_OK(t.AppendRow({Value(int64_t{-7}), Value(int64_t{-1})}));
+  VX_CHECK_OK(t.AppendRow({Value(int64_t{-7}), Value(int64_t{3})}));
+  return t;
+}
+
+TEST(ExprTest, ModByMinusOneAndZeroIsZero) {
+  const Table t = ExtremeInts();
+  auto col = Mod(Col("a"), Col("b"))->Evaluate(t);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  EXPECT_EQ(col->GetInt64(0), 0);   // INT64_MIN % -1
+  EXPECT_EQ(col->GetInt64(1), 0);   // INT64_MAX % 1
+  EXPECT_EQ(col->GetInt64(2), 0);   // 7 % 0
+  EXPECT_EQ(col->GetInt64(3), 0);   // -7 % -1
+  EXPECT_EQ(col->GetInt64(4), -1);  // truncated toward zero
+  auto lit = Mod(Lit(kMin64), Lit(int64_t{-1}))->Evaluate(t);
+  ASSERT_TRUE(lit.ok());
+  EXPECT_EQ(lit->GetInt64(0), 0);
+}
+
+TEST(ExprTest, IntArithmeticWrapsOnOverflow) {
+  const Table t = ExtremeInts();
+  auto sum = Add(Col("a"), Col("b"))->Evaluate(t);
+  auto diff = Sub(Col("a"), Col("b"))->Evaluate(t);
+  auto prod = Mul(Col("a"), Col("b"))->Evaluate(t);
+  ASSERT_TRUE(sum.ok() && diff.ok() && prod.ok());
+  EXPECT_EQ(sum->GetInt64(0), kMax64);   // MIN + -1
+  EXPECT_EQ(sum->GetInt64(1), kMin64);   // MAX + 1
+  EXPECT_EQ(diff->GetInt64(0), kMin64 + 1);
+  EXPECT_EQ(diff->GetInt64(1), kMax64 - 1);
+  EXPECT_EQ(prod->GetInt64(0), kMin64);  // MIN * -1 wraps to MIN
+  EXPECT_EQ(prod->GetInt64(1), kMax64);
+  auto square = Mul(Col("a"), Col("a"))->Evaluate(t);
+  ASSERT_TRUE(square.ok());
+  EXPECT_EQ(square->GetInt64(1), 1);  // (2^63 - 1)^2 mod 2^64
+  auto neg = Negate(Col("a"))->Evaluate(t);
+  auto abs = Abs(Col("a"))->Evaluate(t);
+  ASSERT_TRUE(neg.ok() && abs.ok());
+  EXPECT_EQ(neg->GetInt64(0), kMin64);
+  EXPECT_EQ(abs->GetInt64(0), kMin64);
+  EXPECT_EQ(abs->GetInt64(3), 7);
+}
+
+TEST(ExprTest, CastOfUnrepresentableDoubleFails) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf, 9223372036854775808.0, -1e19}) {
+    Table t(Schema({{"x", DataType::kDouble}}));
+    VX_CHECK_OK(t.AppendRow({Value(1.5)}));
+    VX_CHECK_OK(t.AppendRow({Value(bad)}));
+    auto col = Cast(Col("x"), DataType::kInt64)->Evaluate(t);
+    ASSERT_FALSE(col.ok()) << bad;
+    EXPECT_TRUE(col.status().IsInvalidArgument()) << col.status().ToString();
+    EXPECT_NE(col.status().ToString().find("not representable as INT64"),
+              std::string::npos)
+        << col.status().ToString();
+  }
+  // The range ends themselves: -2^63 is exact, the largest double below
+  // 2^63 truncates; NULLs pass through.
+  Table t(Schema({{"x", DataType::kDouble}}));
+  VX_CHECK_OK(t.AppendRow({Value(-9223372036854775808.0)}));
+  VX_CHECK_OK(t.AppendRow({Value(9223372036854774784.0)}));
+  VX_CHECK_OK(t.AppendRow({Value(-2.75)}));
+  VX_CHECK_OK(t.AppendRow({Value::Null()}));
+  auto col = Cast(Col("x"), DataType::kInt64)->Evaluate(t);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  EXPECT_EQ(col->GetInt64(0), kMin64);
+  EXPECT_EQ(col->GetInt64(1), int64_t{9223372036854774784});
+  EXPECT_EQ(col->GetInt64(2), -2);
+  EXPECT_TRUE(col->IsNull(3));
+}
+
+// ---------------------------------------------------------------------------
+// The typed kernels keep the row-wise results: a column reference is read
+// in place, literals broadcast (NULL literals too), DOUBLE = DOUBLE uses
+// the storage total order while mixed comparisons widen, and
+// COALESCE/CASE keep NULLs and widen INT64 branches.
+// ---------------------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ExprTest, ColumnRefBorrowsAndLiteralsBroadcast) {
+  const Table t = NumBatch();
+  EXPECT_EQ(Col("b")->Borrow(t), &t.column(1));
+  EXPECT_EQ(Col("nope")->Borrow(t), nullptr);
+  EXPECT_EQ(Lit(int64_t{1})->Borrow(t), nullptr);
+  auto d = Lit(0.25)->Evaluate(t);
+  auto s = Lit(std::string("v"))->Evaluate(t);
+  auto b = Lit(true)->Evaluate(t);
+  auto n = NullLit(DataType::kDouble)->Evaluate(t);
+  ASSERT_TRUE(d.ok() && s.ok() && b.ok() && n.ok());
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(d->GetDouble(i), 0.25);
+    EXPECT_EQ(s->GetString(i), "v");
+    EXPECT_TRUE(b->GetBool(i));
+    EXPECT_TRUE(n->IsNull(i));
+  }
+  EXPECT_EQ(n->null_count(), 3);
+  // A DOUBLE literal built from an INT64 value widens like AppendValue.
+  auto widened = std::make_shared<LiteralExpr>(Value(int64_t{3}),
+                                               DataType::kDouble)
+                     ->Evaluate(t);
+  ASSERT_TRUE(widened.ok());
+  EXPECT_EQ(widened->GetDouble(2), 3.0);
+}
+
+TEST(ExprTest, DoubleComparisonsUseTheTotalOrderMixedOnesWiden) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Table t(Schema({{"x", DataType::kDouble},
+                  {"y", DataType::kDouble},
+                  {"i", DataType::kInt64}}));
+  VX_CHECK_OK(t.AppendRow({Value(kNaN), Value(kNaN), Value(int64_t{1})}));
+  VX_CHECK_OK(t.AppendRow({Value(kNaN), Value(1.0), Value(int64_t{1})}));
+  VX_CHECK_OK(t.AppendRow({Value(-0.0), Value(0.0), Value(int64_t{0})}));
+  VX_CHECK_OK(t.AppendRow({Value::Null(), Value(1.0), Value(int64_t{1})}));
+  auto eq = Eq(Col("x"), Col("y"))->Evaluate(t);
+  auto gt = Gt(Col("x"), Col("y"))->Evaluate(t);
+  auto mixed_eq = Eq(Col("x"), Col("i"))->Evaluate(t);
+  auto mixed_gt = Gt(Col("i"), Col("x"))->Evaluate(t);
+  ASSERT_TRUE(eq.ok() && gt.ok() && mixed_eq.ok() && mixed_gt.ok());
+  EXPECT_TRUE(eq->GetBool(0));   // NaN = NaN in the total order
+  EXPECT_TRUE(gt->GetBool(1));   // NaN sorts last
+  EXPECT_TRUE(eq->GetBool(2));   // -0.0 = 0.0
+  EXPECT_TRUE(eq->IsNull(3));
+  EXPECT_TRUE(mixed_eq->GetBool(1));   // widened: NaN compares equal
+  EXPECT_FALSE(mixed_gt->GetBool(1));
+  EXPECT_TRUE(mixed_eq->GetBool(2));
+  EXPECT_TRUE(mixed_eq->IsNull(3));
+}
+
+TEST(ExprTest, CoalesceAndIfKeepNullsAndWiden) {
+  Table t(Schema({{"x", DataType::kDouble},
+                  {"i", DataType::kInt64},
+                  {"p", DataType::kBool}}));
+  VX_CHECK_OK(t.AppendRow({Value(-0.0), Value(int64_t{5}), Value(true)}));
+  VX_CHECK_OK(t.AppendRow({Value::Null(), Value(int64_t{6}), Value(false)}));
+  VX_CHECK_OK(t.AppendRow({Value::Null(), Value::Null(), Value::Null()}));
+  auto co = Coalesce(Col("x"), Col("i"))->Evaluate(t);
+  ASSERT_TRUE(co.ok());
+  EXPECT_EQ(co->type(), DataType::kDouble);
+  EXPECT_TRUE(SameBits(co->GetDouble(0), -0.0));
+  EXPECT_EQ(co->GetDouble(1), 6.0);
+  EXPECT_TRUE(co->IsNull(2));
+  EXPECT_EQ(co->null_count(), 1);
+  auto pick = If(Col("p"), Col("i"), Col("x"))->Evaluate(t);
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(pick->GetDouble(0), 5.0);
+  EXPECT_TRUE(pick->IsNull(1));  // else branch is NULL
+  EXPECT_TRUE(pick->IsNull(2));  // NULL condition takes the else branch
+  auto ints = If(Col("p"), Col("i"), Lit(int64_t{-1}))->Evaluate(t);
+  ASSERT_TRUE(ints.ok());
+  EXPECT_EQ(ints->type(), DataType::kInt64);
+  EXPECT_EQ(ints->GetInt64(0), 5);
+  EXPECT_EQ(ints->GetInt64(1), -1);
+  EXPECT_EQ(ints->GetInt64(2), -1);
+  EXPECT_EQ(ints->null_count(), 0);
 }
 
 }  // namespace
