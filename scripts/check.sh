@@ -68,12 +68,14 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest -R 'vertexica_test|api_test|server_test|extensions_test' \
     --output-on-failure -j "$(nproc)")
 
-# And with the ambient shard count forced up: the persistent-sharding
-# superstep dataflow must be value-neutral too (docs/API.md), so every
-# vertexica/api expectation has to hold unchanged when all runs shard.
+# And with the ambient shard count forced up: the resident-shard superstep
+# loop must be value-neutral at every shard count (docs/API.md), so every
+# vertexica/api expectation — and the checkpoint, fault and serving
+# expectations of extensions_test and server_test — has to hold unchanged
+# when all runs use four shards.
 (cd "$BUILD_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
+    --output-on-failure -j "$(nproc)")
 
 # The serving subsystem by name (docs/SERVER.md): concurrent clients with
 # differing per-request knobs on one EngineServer must stay bit-identical
@@ -121,8 +123,8 @@ cmake -B "$DCHECK_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DVERTEXICA_DCHECK=ON \
 cmake --build "$DCHECK_DIR" -j "$(nproc)"
 (cd "$DCHECK_DIR" && ctest --output-on-failure -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
+    --output-on-failure -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_ENCODING=force \
     ctest -R 'storage_test|exec_test|vertexica_test' --output-on-failure \
     -j "$(nproc)")

@@ -81,7 +81,7 @@ struct RunRequest {
   /// hash-partitioned on vertex id into this many resident shards once per
   /// run, the per-shard dataflow runs shard-wise in parallel, and only
   /// cross-shard messages are exchanged between supersteps. 0 keeps the
-  /// ambient setting (VERTEXICA_SHARDS env var, else 1 = unsharded).
+  /// ambient setting (VERTEXICA_SHARDS env var, else 1 shard).
   /// Installed as a scoped override around the backend dispatch, like
   /// `threads`; backends without a superstep loop ignore it. Value-neutral
   /// on every backend: shards are contiguous blocks of the vertex-batching

@@ -185,22 +185,28 @@ Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
   return out;
 }
 
-Result<PartitionSet> PartitionSet::Build(const Table& table, int key_column,
+Result<PartitionSet> PartitionSet::Build(TablePtr table, int key_column,
                                          const ShardingSpec& spec) {
-  VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
-                      ShardScatter(table, key_column, spec));
   PartitionSet set;
   set.spec_ = spec;
   set.key_column_ = key_column;
-  set.shards_.reserve(shards.size());
-  const EncodingMode mode = AmbientEncodingMode();
-  for (Table& shard : shards) {
-    // Retain the physical design per shard: the scatter already carried
-    // the sort-order declaration over; encoding adds segments + zone maps
-    // for the columns it encodes (a key column rebuilt from runs is
-    // already RLE and keeps its segment).
-    if (mode != EncodingMode::kOff) shard.EncodeColumns(mode);
-    set.shards_.push_back(std::make_shared<const Table>(std::move(shard)));
+  if (spec.num_shards == 1 && spec.base_partitions >= 1) {
+    // One shard owns every key: the snapshot is the shard, as stored.
+    VX_RETURN_NOT_OK(ValidateKeyColumn(*table, key_column));
+    set.shards_.push_back(std::move(table));
+  } else {
+    VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
+                        ShardScatter(*table, key_column, spec));
+    set.shards_.reserve(shards.size());
+    const EncodingMode mode = AmbientEncodingMode();
+    for (Table& shard : shards) {
+      // Retain the physical design per shard: the scatter already carried
+      // the sort-order declaration over; encoding adds segments + zone maps
+      // for the columns it encodes (a key column rebuilt from runs is
+      // already RLE and keeps its segment).
+      if (mode != EncodingMode::kOff) shard.EncodeColumns(mode);
+      set.shards_.push_back(std::make_shared<const Table>(std::move(shard)));
+    }
   }
   // Self-audit the freshly built set (placement, per-shard structure): a
   // scatter bug caught here aborts at the source instead of surfacing as a

@@ -54,7 +54,7 @@ std::vector<Table> HashPartition(const Table& table, int key_column,
 /// Mirrors the `threads` and `encoding` knobs (exec/parallel.h,
 /// storage/encoding.h): innermost ScopedExecShards override, else the
 /// process default (SetDefaultExecShards), else the VERTEXICA_SHARDS
-/// environment variable, else 1 (unsharded). RunRequest::shards installs a
+/// environment variable, else 1 (one shard). RunRequest::shards installs a
 /// scoped override around the backend dispatch; the Vertexica coordinator
 /// resolves its shard count through ExecShards().
 /// @{
@@ -87,7 +87,7 @@ class ScopedExecShards {
 /// Coarsening the *same* base partitioning is what makes shard placement
 /// compose with vertex batching: a shard's rows hash into a contiguous
 /// block of the base partitions, so a per-shard batching pass (with the
-/// same base count) reproduces exactly the partitions of an unsharded pass,
+/// same base count) reproduces exactly the partitions of a one-shard pass,
 /// in order — the property behind the sharded dataflow being bit-identical
 /// at any shard count. `num_shards` must not exceed `base_partitions`.
 struct ShardingSpec {
@@ -127,21 +127,24 @@ Result<std::vector<Table>> ShardScatter(const Table& table, int key_column,
 /// kept across uses (the superstep dataflow re-reads shards every superstep
 /// instead of re-partitioning its input).
 ///
-/// Build retains per-shard physical-design metadata: inherited sort-order
-/// declarations from the scatter, and — when the ambient encoding mode is
-/// not off — per-shard segment encodings and zone maps (Table::EncodeColumns
-/// over each shard). Shards are exposed as shared snapshots so the
-/// morsel-parallel executor can range-scan them without copying.
+/// With more than one shard, Build retains per-shard physical-design
+/// metadata: inherited sort-order declarations from the scatter, and — when
+/// the ambient encoding mode is not off — per-shard segment encodings and
+/// zone maps (Table::EncodeColumns over each shard). A one-shard set is the
+/// input snapshot itself: no scatter, no copy, no re-encode. Shards are
+/// exposed as shared snapshots so the morsel-parallel executor can
+/// range-scan them without copying.
 class PartitionSet {
  public:
   using TablePtr = std::shared_ptr<const Table>;
 
   PartitionSet() = default;
 
-  /// \brief Partitions `table` on `key_column` per `spec`. Fails when the
-  /// key column is not INT64 or the spec is malformed
-  /// (num_shards < 1 or num_shards > base_partitions).
-  static Result<PartitionSet> Build(const Table& table, int key_column,
+  /// \brief Partitions `table` on `key_column` per `spec`; at one shard
+  /// the set holds `table` itself as shard 0. Fails when the key column is
+  /// not INT64 or the spec is malformed (num_shards < 1 or
+  /// num_shards > base_partitions).
+  static Result<PartitionSet> Build(TablePtr table, int key_column,
                                     const ShardingSpec& spec);
 
   const ShardingSpec& spec() const { return spec_; }
@@ -154,8 +157,9 @@ class PartitionSet {
   /// \brief Sum of rows across shards.
   int64_t total_rows() const;
 
-  /// \brief Swaps in a new table for shard `s` (the vertex-update path; the
-  /// caller is responsible for the rows still belonging to the shard).
+  /// \brief Swaps in a new table for shard `s` (the vertex-update and
+  /// message-exchange paths; the caller is responsible for the rows still
+  /// belonging to the shard).
   void ReplaceShard(int s, Table t);
 
   /// \brief Deep structural audit (the VX_DCHECK tier; see

@@ -110,28 +110,6 @@ bool OrderedByColumn(const Table& t, const std::string& name) {
   return k.ascending && t.schema().field(k.column).name == name;
 }
 
-/// Debug-audit helper (the VX_DCHECK tier): every row of `t` must be owned
-/// by shard `shard` under `spec` — the scatter contract a table routed to a
-/// shard carries (NULL keys belong to shard 0). Mirrors
-/// PartitionSet::CheckInvariants for tables held outside a PartitionSet
-/// (the per-shard message tables).
-[[maybe_unused]] Status AuditShardPlacement(const Table& t, int key_column,
-                                            const ShardingSpec& spec,
-                                            int shard) {
-  const Column& keys = t.column(key_column);
-  for (int64_t r = 0; r < keys.length(); ++r) {
-    const int want = keys.IsNull(r) ? spec.ShardOfNull()
-                                    : spec.ShardOfKey(keys.GetInt64(r));
-    if (want != shard) {
-      return Status::Internal(StringFormat(
-          "shard placement violated: row %lld routed to shard %d but its "
-          "key is owned by shard %d",
-          static_cast<long long>(r), shard, want));
-    }
-  }
-  return Status::OK();
-}
-
 /// The active set of one superstep over one vertex/message (shard) pair:
 /// one bit per vertex row, plus its popcount.
 struct Frontier {
@@ -240,21 +218,76 @@ void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
   }
 }
 
-}  // namespace
+/// The CSR index over `table`'s INT64 key column `key`; InvalidArgument
+/// when the column holds NULLs or has another type.
+Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
+                                                      const std::string& key) {
+  VX_ASSIGN_OR_RETURN(int c, table.ColumnIndex(key));
+  auto index = CsrIndex::Build(table.column(c));
+  if (index == nullptr) {
+    return Status::InvalidArgument(
+        "graph table column '" + key +
+        "' must be a non-NULL INT64 vertex id to group the worker input");
+  }
+  // The index is read across the whole superstep (and kept across the run
+  // for edges); prove once that it describes exactly this key column.
+  VX_DCHECK_OK(index->CheckInvariants(table.column(c)));
+  return index;
+}
 
-/// Resident state of the persistent-sharding path, built once per run:
-/// vertex shards (replaced in place as supersteps apply updates), immutable
-/// edge shards with their cached join sides, and the per-shard message
-/// tables swapped by the between-superstep exchange.
-struct Coordinator::ShardedState {
+/// A run's resident state, built once per run: vertex shards by id
+/// (replaced shard-wise as supersteps apply updates), immutable edge shards
+/// by src, and message shards by dst (swapped by the between-superstep
+/// exchange). At one shard each set holds the stored catalog snapshot
+/// itself.
+struct ResidentShards {
   ShardingSpec spec;
   PartitionSet vertex;
   PartitionSet edge;
-  std::vector<TablePtr> message;
-  std::vector<TablePtr> edge_join_side;  // join-input path only
-  /// Per-shard CSR edge indexes the union-path workers read edges through.
-  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;  // union path only
+  PartitionSet message;
+  /// Per-shard edge structures, built on first use inside a superstep's
+  /// shard task and kept for the rest of the run: the (esrc, edst, eweight,
+  /// edge_seq) join side on the join-input path, the per-source-vertex CSR
+  /// slice index on the union-input path.
+  std::vector<std::shared_ptr<const Table>> edge_join_side;
+  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;
 };
+
+/// Writes the resident shards back to the catalog — run end and
+/// checkpoints. One shard is published as it is: the tables the superstep
+/// stored. More shards are concatenated, re-sorted (vertex by id, messages
+/// by receiver; stable, so values are unchanged) and re-encoded, so the
+/// stored tables carry the same sorted invariants a one-shard run keeps.
+Status PublishShards(const ResidentShards& shards, Catalog* catalog,
+                     const GraphTableNames& names) {
+  if (shards.spec.num_shards == 1) {
+    VX_RETURN_NOT_OK(
+        catalog->ReplaceTable(names.vertex, shards.vertex.shard(0)));
+    return catalog->ReplaceTable(names.message, shards.message.shard(0));
+  }
+  Table vertex(shards.vertex.shard(0)->schema());
+  Table message(shards.message.shard(0)->schema());
+  for (int s = 0; s < shards.spec.num_shards; ++s) {
+    VX_RETURN_NOT_OK(vertex.Append(*shards.vertex.shard(s)));
+    VX_RETURN_NOT_OK(message.Append(*shards.message.shard(s)));
+  }
+  // Hash blocks interleave keys, so the concatenations are not ordered.
+  vertex = SortTable(vertex, {{shards.vertex.key_column(), true}});
+  message = SortTable(message, {{shards.message.key_column(), true}});
+  const EncodingMode mode = AmbientEncodingMode();
+  if (mode != EncodingMode::kOff) {
+    vertex.EncodeColumns(mode);
+    message.EncodeColumns(mode);
+  }
+  // Post-flush audit: the concatenated, re-sorted, re-encoded tables are
+  // what catalog readers will trust from here on.
+  VX_DCHECK_OK(vertex.CheckInvariants());
+  VX_DCHECK_OK(message.CheckInvariants());
+  VX_RETURN_NOT_OK(catalog->ReplaceTable(names.vertex, std::move(vertex)));
+  return catalog->ReplaceTable(names.message, std::move(message));
+}
+
+}  // namespace
 
 Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
                          VertexicaOptions options, GraphTableNames names)
@@ -263,15 +296,13 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
       options_(options),
       names_(std::move(names)) {}
 
-Coordinator::~Coordinator() = default;
-
 Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
     const TablePtr& edge) const {
   // The edge side is identical every superstep (the coordinator never
   // rewrites the edge table): project/number/declare it once per run and
-  // reuse the shared snapshot. The esrc key column is re-encoded RLE —
-  // one run per source vertex on the (src, dst)-sorted layout — so the
-  // merge join matches whole runs without decoding it.
+  // shard and reuse the shared snapshot. The esrc key column is re-encoded
+  // RLE — one run per source vertex on the (src, dst)-sorted layout — so
+  // the merge join matches whole runs without decoding it.
   VX_ASSIGN_OR_RETURN(Table edges,
                       ParallelProject(edge, {{"esrc", Col("src")},
                                              {"edst", Col("dst")},
@@ -309,7 +340,7 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
   // Propagate the stored message table's sorted invariant onto the
   // projected side (projection and row-numbering preserve row order):
   // message is kept sorted by receiver. With the vertex table sorted by
-  // id and the cached edge side, the planner turns both left joins into
+  // id and the per-run edge side, the planner turns both left joins into
   // merge joins — zero hash builds per superstep (exec/merge_join.h).
   if (OrderedByColumn(*message, "dst")) msgs.SetSortOrder({{0, true}});
 
@@ -321,54 +352,6 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
       .Join(PlanBuilder::Scan(edge_side), {"id"}, {"esrc"},
             JoinType::kLeft)
       .Execute();
-}
-
-void Coordinator::SyncEdgeDerived(const TablePtr& edge) const {
-  if (edge_derived_.source == edge) return;
-  // A different snapshot — including an edge table replaced mid-run (the
-  // dynamic-graph path): drop every derived structure together so nothing
-  // stale can pair with the new rows.
-  edge_derived_ = EdgeDerived{};
-  edge_derived_.source = edge;
-}
-
-Result<Coordinator::TablePtr> Coordinator::EdgeJoinSideFor(
-    const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.join_side == nullptr) {
-    VX_ASSIGN_OR_RETURN(edge_derived_.join_side, BuildEdgeJoinSide(edge));
-  }
-  return edge_derived_.join_side;
-}
-
-namespace {
-
-/// The CSR index over `table`'s INT64 key column `key`; InvalidArgument
-/// when the column holds NULLs or has another type.
-Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
-                                                      const std::string& key) {
-  VX_ASSIGN_OR_RETURN(int c, table.ColumnIndex(key));
-  auto index = CsrIndex::Build(table.column(c));
-  if (index == nullptr) {
-    return Status::InvalidArgument(
-        "graph table column '" + key +
-        "' must be a non-NULL INT64 vertex id to group the worker input");
-  }
-  // The index is read across the whole superstep (and cached across
-  // supersteps for edges); prove once that it describes exactly this key
-  // column.
-  VX_DCHECK_OK(index->CheckInvariants(table.column(c)));
-  return index;
-}
-
-}  // namespace
-
-Result<const CsrIndex*> Coordinator::EdgeCsrFor(const TablePtr& edge) const {
-  SyncEdgeDerived(edge);
-  if (edge_derived_.csr == nullptr) {
-    VX_ASSIGN_OR_RETURN(edge_derived_.csr, BuildKeyIndex(*edge, "src"));
-  }
-  return edge_derived_.csr.get();
 }
 
 Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
@@ -403,8 +386,8 @@ Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
   }
 
   // §2.3 "Table Unions", read in place: the union of the three tables is
-  // logical. Edges are read through the cached per-snapshot CSR index,
-  // messages through a one-pass grouping on their receiver.
+  // logical. Edges are read through the shard's CSR index (built once per
+  // run), messages through a one-pass grouping on their receiver.
   VX_ASSIGN_OR_RETURN(in.message_index, BuildKeyIndex(*message, "dst"));
   in.view.vertex = vertex.get();
   in.view.edge = edge.get();
@@ -572,297 +555,69 @@ Status Coordinator::Run(RunStats* stats) {
     }
   }
 
-  // Persistent sharding (§2.3 vertex batching made resident): with an
-  // effective shard count > 1 the run partitions the graph tables once and
-  // loops shard-wise. The shard count is capped at the vertex-batching
-  // partition count — shards are contiguous blocks of those partitions,
-  // which is what makes the two paths bit-identical (storage/partition.h).
+  // Persistent sharding (§2.3 vertex batching made resident): every run
+  // partitions the graph tables once into S resident shards and loops
+  // shard-wise; S = 1 is one shard holding the stored tables themselves.
+  // S is capped at the vertex-batching partition count — shards are
+  // contiguous blocks of those partitions, which is what makes results
+  // bit-identical at every S (storage/partition.h).
   TransformOptions topts;
   topts.num_partitions = options_.num_partitions;
   topts.num_workers = options_.num_workers;
   const TransformParallelism par = ResolveTransformParallelism(topts);
-  const int num_shards = std::min(
-      options_.num_shards > 0 ? options_.num_shards : ExecShards(),
-      par.partitions);
-  if (num_shards > 1) {
-    return RunSharded(stats, num_shards, par, first_superstep);
-  }
+  const int num_shards = std::max(
+      1, std::min(options_.num_shards > 0 ? options_.num_shards : ExecShards(),
+                  par.partitions));
 
-  WallTimer total_timer;
-  for (int superstep = first_superstep;
-       superstep < options_.max_supersteps; ++superstep) {
-    // Superstep boundary: the natural stopping point of a cancelled or
-    // past-deadline run — the catalog still holds the last completed
-    // superstep's consistent state.
-    VX_RETURN_NOT_OK(CheckAmbientCancel());
-    VX_FAULT_POINT("coordinator.superstep");
-    WallTimer step_timer;
-    // Which physical join path this superstep's plans take (input build +
-    // replace-path rebuild), published via SuperstepStats.
-    JoinPathStats join_stats;
-    ScopedJoinStatsCollector join_collector(&join_stats);
-    VX_ASSIGN_OR_RETURN(auto vertex, catalog_->GetTable(names_.vertex));
-    VX_ASSIGN_OR_RETURN(auto edge, catalog_->GetTable(names_.edge));
-    VX_ASSIGN_OR_RETURN(auto message, catalog_->GetTable(names_.message));
-
-    // Stored-procedure loop condition: "it runs as long as there is any
-    // message for the next superstep" (plus Pregel's not-yet-halted rule).
-    if (superstep > 0 && message->num_rows() == 0 && AllHalted(*vertex)) {
-      break;
-    }
-
-    WorkerSharedState shared;
-    shared.program = program_;
-    shared.superstep = superstep;
-    shared.num_vertices = vertex->num_rows();
-    shared.prev_aggregates = &prev_aggregates_;
-    for (const auto& spec : agg_specs) {
-      shared.aggregator_kinds[spec.name] = spec.kind;
-      shared.aggregator_names.push_back(spec.name);
-    }
-
-    // ---- Worker input: frontier (sparse) or dense. ---------------------
-    // The frontier decision is part of the measured input phase — deriving
-    // the active set is a cost the sparse path pays, so input_seconds must
-    // charge for it.
-    WallTimer phase_timer;
-    Frontier frontier;
-    const bool used_frontier =
-        ComputeFrontier(*vertex, *message, AmbientFrontierMode(), superstep,
-                        options_.frontier_threshold, &frontier);
-    // The frontier bitvector gates which vertices compute this superstep;
-    // its word-tail hygiene is what the popcount/AND/OR shortcuts assume.
-    if (used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
-    const CsrIndex* edge_index = nullptr;
-    TablePtr edge_side;
-    if (options_.use_union_input) {
-      VX_ASSIGN_OR_RETURN(edge_index, EdgeCsrFor(edge));
-    } else {
-      VX_ASSIGN_OR_RETURN(edge_side, EdgeJoinSideFor(edge));
-    }
-    VX_ASSIGN_OR_RETURN(
-        WorkerInput input,
-        BuildWorkerInput(vertex, edge, edge_index, edge_side, message,
-                         used_frontier ? &frontier.bits : nullptr));
-    const double input_seconds = phase_timer.ElapsedSeconds();
-
-    // Vertex batching (§2.3): the workers run in parallel over the
-    // hash partitions on vertex id.
-    phase_timer.Restart();
-    VX_ASSIGN_OR_RETURN(WorkerOutput out,
-                        options_.use_union_input
-                            ? RunUnionWorkers(shared, input.view, par)
-                            : RunJoinWorkers(shared, input.join, par));
-    const double worker_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-
-    Table updates = std::move(out.updates);
-    const int64_t active = out.active;
-    std::map<std::string, double> new_aggregates;
-    for (const auto& spec : agg_specs) {
-      new_aggregates[spec.name] = AggregatorIdentity(spec.kind);
-    }
-    MergeAggregateRows(agg_specs, out.aggregate_rows, &new_aggregates);
-
-    // ---- Messages: gathered, or combined per receiver. -----------------
-    VX_ASSIGN_OR_RETURN(Table new_messages,
-                        CollectMessages(std::move(out.message_sinks), ma,
-                                        ActiveCombiner()));
-
-    // ---- Sorted-message invariant (order-aware joins). ----------------
-    // Keep the stored message table sorted by receiver so the next
-    // superstep's vertex ⟕ message join merges instead of hashing. The
-    // sort is stable, so each receiver's messages keep their arrival
-    // order — worker-visible message streams (and results) are unchanged.
-    // Only the join-input path benefits, so only it pays; not gated on
-    // the merge knob (see the bit-identity note at the top of Run).
-    if (!options_.use_union_input) {
-      VX_ASSIGN_OR_RETURN(int dst_c, new_messages.ColumnIndex("dst"));
-      if (new_messages.num_rows() > 0 &&
-          !OrderedByColumn(new_messages, "dst")) {
-        new_messages = SortTable(new_messages, {{dst_c, true}});
-      } else if (new_messages.sort_order().empty()) {
-        new_messages.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
-      }
-    }
-
-    const double split_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Restart();
-
-    // ---- Update vs. replace (§2.3). -----------------------------------
-    // Both stored tables are (re-)encoded before the swap so they stay
-    // compressed between supersteps (storage/encoding.h); the next
-    // superstep's scans and projections decode lazily, and whole-table
-    // passes like AllHalted read runs directly. Value-neutral: results are
-    // bit-identical with the encoding knob off.
-    const EncodingMode enc_mode = AmbientEncodingMode();
-    int64_t encoded_bytes = 0;
-    int64_t decoded_bytes = 0;
-    bool used_replace = false;
-    if (updates.num_rows() > 0) {
-      Table new_vertex;
-      const double frac = static_cast<double>(updates.num_rows()) /
-                          static_cast<double>(std::max<int64_t>(
-                              1, vertex->num_rows()));
-      if (frac < options_.update_threshold) {
-        VX_ASSIGN_OR_RETURN(new_vertex,
-                            UpdateVerticesInPlace(*vertex, updates));
-      } else {
-        used_replace = true;
-        VX_ASSIGN_OR_RETURN(new_vertex, RebuildVertices(*vertex, updates));
-        // The anti-join ∪ union rebuild breaks the sorted-by-id invariant
-        // (updated rows land at the tail); restore it on both input paths —
-        // the join path's merge joins and the frontier's receiver binary
-        // search both key on it. Stable and id-keyed, so results are
-        // unchanged: every id owns exactly one vertex row and the workers
-        // visit each partition's vertices in id order, so vertex-table row
-        // order never reaches a per-vertex stream. Not gated on the
-        // merge or frontier knobs (see the bit-identity note at the top
-        // of Run).
-        if (!OrderedByColumn(new_vertex, "id")) {
-          VX_ASSIGN_OR_RETURN(int id_c, new_vertex.ColumnIndex("id"));
-          new_vertex = SortTable(new_vertex, {{id_c, true}});
-        }
-      }
-      if (enc_mode != EncodingMode::kOff) new_vertex.EncodeColumns(enc_mode);
-      // Post-apply audit: the table about to be published must honor every
-      // structural claim it carries (sorted-by-id declaration, encodings,
-      // zone maps) — downstream supersteps trust them blindly.
-      VX_DCHECK_OK(new_vertex.CheckInvariants());
-      AccountTableBytes(new_vertex, &encoded_bytes, &decoded_bytes);
-      VX_RETURN_NOT_OK(
-          catalog_->ReplaceTable(names_.vertex, std::move(new_vertex)));
-    } else {
-      AccountTableBytes(*vertex, &encoded_bytes, &decoded_bytes);
-    }
-
-    if (enc_mode != EncodingMode::kOff) new_messages.EncodeColumns(enc_mode);
-    VX_DCHECK_OK(new_messages.CheckInvariants());
-    const int64_t messages_sent = new_messages.num_rows();
-    AccountTableBytes(new_messages, &encoded_bytes, &decoded_bytes);
-    VX_RETURN_NOT_OK(
-        catalog_->ReplaceTable(names_.message, std::move(new_messages)));
-    prev_aggregates_ = std::move(new_aggregates);
-
-    if (stats != nullptr) {
-      SuperstepStats s;
-      s.superstep = superstep;
-      s.input_rows = input.rows;
-      s.active_vertices = active;
-      s.vertex_updates = updates.num_rows();
-      s.messages_sent = messages_sent;
-      s.seconds = step_timer.ElapsedSeconds();
-      s.used_replace = used_replace;
-      s.input_seconds = input_seconds;
-      s.worker_seconds = worker_seconds;
-      s.split_seconds = split_seconds;
-      s.apply_seconds = phase_timer.ElapsedSeconds();
-      s.encoded_bytes = encoded_bytes;
-      s.decoded_bytes = decoded_bytes;
-      s.used_frontier = used_frontier;
-      s.frontier_vertices = used_frontier ? frontier.active : 0;
-      s.merge_joins = join_stats.merge_joins;
-      s.hash_joins = join_stats.hash_joins;
-      s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
-      s.join_seconds = join_stats.merge_seconds + join_stats.hash_seconds;
-      stats->supersteps.push_back(s);
-      stats->total_messages += messages_sent;
-      ++(used_frontier ? stats->frontier_supersteps
-                       : stats->dense_supersteps);
-    }
-
-    if (options_.checkpoint_every > 0 &&
-        (superstep + 1) % options_.checkpoint_every == 0) {
-      Table marker(Schema({{"next_superstep", DataType::kInt64}}));
-      VX_RETURN_NOT_OK(
-          marker.AppendRow({Value(static_cast<int64_t>(superstep + 1))}));
-      VX_RETURN_NOT_OK(
-          catalog_->ReplaceTable(MarkerName(names_), std::move(marker)));
-      VX_RETURN_NOT_OK(SaveCatalog(*catalog_, options_.checkpoint_dir));
-    }
-
-    if (active == 0 && messages_sent == 0) break;
-  }
-  if (stats != nullptr) stats->total_seconds = total_timer.ElapsedSeconds();
-  return Status::OK();
-}
-
-Status Coordinator::RunSharded(RunStats* stats, int num_shards,
-                               const TransformParallelism& par,
-                               int first_superstep) {
-  const auto agg_specs = program_->aggregators();
-
-  // Timer starts before the sharding setup: the once-per-run partitioning
-  // below is this path's analogue of the per-superstep partitioning the
-  // unsharded loop pays inside its measured loop, so total_seconds must
-  // include it for the two paths to be comparable.
   WallTimer total_timer;
 
   // ---- Shard the graph tables, once per run. --------------------------
   // Vertex shards by id, edge shards by src, message shards by dst: every
   // worker-input tuple's batching key is its owning vertex, so each shard's
   // input hashes into exactly that shard's block of the vertex-batching
-  // partitions. PartitionSet::Build retains sort-order declarations and
-  // (ambient-mode permitting) encodings + zone maps per shard, so the
-  // per-shard join path sees the same physical design the unsharded path
-  // maintains on the whole tables.
+  // partitions. With S > 1, PartitionSet::Build retains sort-order
+  // declarations and (ambient-mode permitting) encodings + zone maps per
+  // shard, so the per-shard join path sees the physical design a one-shard
+  // run keeps on the whole tables.
+  ResidentShards shards;
+  shards.spec.num_shards = num_shards;
+  shards.spec.base_partitions = par.partitions;
   {
     VX_ASSIGN_OR_RETURN(auto vertex0, catalog_->GetTable(names_.vertex));
     VX_ASSIGN_OR_RETURN(auto edge0, catalog_->GetTable(names_.edge));
     VX_ASSIGN_OR_RETURN(auto message0, catalog_->GetTable(names_.message));
-
-    sharded_ = std::make_unique<ShardedState>();
-    sharded_->spec.num_shards = num_shards;
-    sharded_->spec.base_partitions = par.partitions;
     VX_ASSIGN_OR_RETURN(int vid_c, vertex0->ColumnIndex("id"));
     VX_ASSIGN_OR_RETURN(int esrc_c, edge0->ColumnIndex("src"));
     VX_ASSIGN_OR_RETURN(int mdst_c, message0->ColumnIndex("dst"));
-    VX_ASSIGN_OR_RETURN(sharded_->vertex,
-                        PartitionSet::Build(*vertex0, vid_c, sharded_->spec));
-    VX_ASSIGN_OR_RETURN(sharded_->edge,
-                        PartitionSet::Build(*edge0, esrc_c, sharded_->spec));
-    VX_ASSIGN_OR_RETURN(std::vector<Table> msg_shards,
-                        ShardScatter(*message0, mdst_c, sharded_->spec));
-    for (Table& t : msg_shards) {
-      sharded_->message.push_back(
-          std::make_shared<const Table>(std::move(t)));
-    }
-    for (int s = 0; s < num_shards; ++s) {
-      const TablePtr& es = sharded_->edge.shard(s);
-      if (options_.use_union_input) {
-        VX_ASSIGN_OR_RETURN(auto index, BuildKeyIndex(*es, "src"));
-        sharded_->edge_csr.push_back(std::move(index));
-      } else {
-        VX_ASSIGN_OR_RETURN(auto side, BuildEdgeJoinSide(es));
-        sharded_->edge_join_side.push_back(std::move(side));
-      }
-    }
-    // Post-scatter audit: the vertex/edge PartitionSets self-audited inside
-    // Build; the message shards scattered here carry the same obligations
-    // (structure + every row owned by its shard).
-    for (int s = 0; s < num_shards; ++s) {
-      const auto& ms = sharded_->message[static_cast<size_t>(s)];
-      VX_DCHECK_OK(ms->CheckInvariants());
-      VX_DCHECK_OK(AuditShardPlacement(*ms, mdst_c, sharded_->spec, s));
-    }
+    VX_ASSIGN_OR_RETURN(shards.vertex, PartitionSet::Build(std::move(vertex0),
+                                                           vid_c, shards.spec));
+    VX_ASSIGN_OR_RETURN(shards.edge, PartitionSet::Build(std::move(edge0),
+                                                         esrc_c, shards.spec));
+    VX_ASSIGN_OR_RETURN(shards.message,
+                        PartitionSet::Build(std::move(message0), mdst_c,
+                                            shards.spec));
   }
-  const int64_t total_vertices = sharded_->vertex.total_rows();
+  shards.edge_join_side.resize(static_cast<size_t>(num_shards));
+  shards.edge_csr.resize(static_cast<size_t>(num_shards));
+  // Per-run constants: the vertex count programs read (PageRank's N) and
+  // the update-fraction denominator are the vertex rows at run start.
+  const int64_t total_vertices = shards.vertex.total_rows();
 
   for (int superstep = first_superstep;
        superstep < options_.max_supersteps; ++superstep) {
-    // Superstep boundary: see the unsharded loop — the resident shards
-    // hold the last completed superstep's consistent state.
+    // Superstep boundary: the natural stopping point of a cancelled or
+    // past-deadline run. The catalog holds the run's starting tables (or
+    // the last checkpoint) until the run completes.
     VX_RETURN_NOT_OK(CheckAmbientCancel());
     VX_FAULT_POINT("coordinator.superstep");
     WallTimer step_timer;
 
-    // Stored-procedure loop condition, over the resident shards.
-    int64_t message_rows = 0;
-    for (const auto& m : sharded_->message) message_rows += m->num_rows();
-    if (superstep > 0 && message_rows == 0) {
+    // Stored-procedure loop condition: "it runs as long as there is any
+    // message for the next superstep" (plus Pregel's not-yet-halted rule).
+    if (superstep > 0 && shards.message.total_rows() == 0) {
       bool all_halted = true;
       for (int s = 0; s < num_shards && all_halted; ++s) {
-        all_halted = AllHalted(*sharded_->vertex.shard(s));
+        all_halted = AllHalted(*shards.vertex.shard(s));
       }
       if (all_halted) break;
     }
@@ -870,7 +625,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // Vertex batching within each shard uses the *global* partition count
     // (`par`): a shard's rows only hash into its own contiguous partition
     // block, so the per-shard batches, their order, and therefore every
-    // per-vertex stream are exactly those of an unsharded pass.
+    // per-vertex stream are the same at every shard count.
     WorkerSharedState shared;
     shared.program = program_;
     shared.superstep = superstep;
@@ -884,6 +639,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // ---- Per-shard dataflow: input → worker, shard-parallel. ----------
     struct ShardStep {
       int64_t input_rows = 0;
+      double input_seconds = 0.0;
       bool used_frontier = false;
       int64_t frontier_vertices = 0;
       WorkerOutput out;
@@ -898,40 +654,53 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
         0, static_cast<size_t>(num_shards), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
           // Pool threads don't inherit the caller's thread-local knobs;
-          // reinstall them so the per-shard plans behave exactly like the
-          // unsharded loop's, and give each shard its own join-path
-          // collector (the ambient one is thread-local too).
+          // reinstall them so every shard's plans run under the run's
+          // knobs, and give each shard its own join-path collector (the
+          // ambient one is thread-local too).
           ScopedExecKnobs scoped_knobs(knobs);
           for (size_t s = begin; s < end; ++s) {
             ShardStep& st = step[s];
             ScopedJoinStatsCollector collector(&st.join_stats);
-            const auto& vs = sharded_->vertex.shard(static_cast<int>(s));
-            const auto& es = sharded_->edge.shard(static_cast<int>(s));
-            const auto& ms = sharded_->message[s];
+            const auto& vs = shards.vertex.shard(static_cast<int>(s));
+            const auto& es = shards.edge.shard(static_cast<int>(s));
+            const auto& ms = shards.message.shard(static_cast<int>(s));
+            // The input build is timed apart from Compute. It includes the
+            // frontier decision — deriving the active set is a cost the
+            // sparse path pays — and, on first use, the shard's edge
+            // structure.
+            WallTimer input_timer;
             // Frontier decision per shard: a shard's active fraction is
             // its own (one dense hub shard doesn't force the whole
-            // superstep dense). Value-neutral either way — the per-shard
-            // frontier build is the unsharded construction applied to the
-            // shard's slice of the partition blocks.
+            // superstep dense). Value-neutral either way.
             Frontier frontier;
-            const bool frontier_shard = ComputeFrontier(
-                *vs, *ms, knobs.frontier, superstep,
-                options_.frontier_threshold, &frontier);
-            if (frontier_shard) {
+            st.used_frontier =
+                ComputeFrontier(*vs, *ms, knobs.frontier, superstep,
+                                options_.frontier_threshold, &frontier);
+            // The frontier bitvector gates which vertices compute; its
+            // word-tail hygiene is what the popcount/AND/OR shortcuts
+            // assume.
+            if (st.used_frontier) {
               VX_DCHECK_OK(frontier.bits.CheckInvariants());
+              st.frontier_vertices = frontier.active;
+            }
+            if (options_.use_union_input) {
+              if (shards.edge_csr[s] == nullptr) {
+                VX_ASSIGN_OR_RETURN(shards.edge_csr[s],
+                                    BuildKeyIndex(*es, "src"));
+              }
+            } else if (shards.edge_join_side[s] == nullptr) {
+              VX_ASSIGN_OR_RETURN(shards.edge_join_side[s],
+                                  BuildEdgeJoinSide(es));
             }
             VX_ASSIGN_OR_RETURN(
                 WorkerInput input,
-                BuildWorkerInput(
-                    vs, es,
-                    options_.use_union_input ? sharded_->edge_csr[s].get()
-                                             : nullptr,
-                    options_.use_union_input ? nullptr
-                                             : sharded_->edge_join_side[s],
-                    ms, frontier_shard ? &frontier.bits : nullptr));
-            st.used_frontier = frontier_shard;
-            st.frontier_vertices = frontier_shard ? frontier.active : 0;
+                BuildWorkerInput(vs, es, shards.edge_csr[s].get(),
+                                 shards.edge_join_side[s], ms,
+                                 st.used_frontier ? &frontier.bits : nullptr));
             st.input_rows = input.rows;
+            st.input_seconds = input_timer.ElapsedSeconds();
+            // Vertex batching (§2.3): the workers run in parallel over the
+            // shard's hash partitions on vertex id.
             VX_ASSIGN_OR_RETURN(
                 st.out, options_.use_union_input
                             ? RunUnionWorkers(shared, input.view, par)
@@ -940,13 +709,19 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
           return Status::OK();
         },
         knobs.threads));
-    const double worker_seconds = phase_timer.ElapsedSeconds();
+    // The slowest shard's input build, and the rest of the phase's wall
+    // time as Compute — at one shard exactly the two sequential steps.
+    double input_seconds = 0.0;
+    for (const ShardStep& st : step) {
+      input_seconds = std::max(input_seconds, st.input_seconds);
+    }
+    const double worker_seconds = phase_timer.ElapsedSeconds() - input_seconds;
     phase_timer.Restart();
 
     // ---- Merge shard results in shard order. ---------------------------
     // Shards are contiguous partition blocks, so concatenation in shard
-    // order *is* the unsharded worker-output row order — the aggregate
-    // fold below replays exactly the unsharded merge sequence.
+    // order *is* the global worker-output row order — the aggregate fold
+    // below replays the same merge sequence at every shard count.
     int64_t input_rows = 0;
     int64_t active = 0;
     int64_t total_updates = 0;
@@ -966,68 +741,66 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
     // deployment (ROADMAP #1), so the exchange carries a fault site.
     VX_FAULT_POINT("coordinator.exchange");
     // Collect every shard's sinks in shard order (again the global row
-    // order) — concatenated, or combined globally with the unsharded fold
-    // over identical input — then scatter on receiver back to the shards.
-    // The scatter preserves per-receiver order, and a per-shard stable sort
-    // by dst equals the global sort restricted to the shard, so next
-    // superstep's message streams are bit-identical to the unsharded path's.
+    // order) — concatenated, or combined per receiver by the one fold
+    // (vertexica/worker_driver.h) — then scatter on receiver back to the
+    // shards. The scatter preserves per-receiver order, and a per-shard
+    // stable sort by dst equals the global sort restricted to the shard,
+    // so next superstep's message streams are the same at every S. One
+    // shard needs no routing: the collected table is its inbound table.
     int64_t cross_shard = 0;
     std::vector<WorkerSink> sinks;
     for (int s = 0; s < num_shards; ++s) {
       for (WorkerSink& sink : step[static_cast<size_t>(s)].out.message_sinks) {
-        if (stats != nullptr) {
+        if (stats != nullptr && num_shards > 1) {
           // Boundary-crossing counter over the produced (pre-combine)
           // messages: one hash per message, skipped entirely when nobody
-          // collects stats.
+          // collects stats or nothing can cross.
           for (const int64_t dst : sink.message_dst) {
-            if (sharded_->spec.ShardOfKey(dst) != s) ++cross_shard;
+            if (shards.spec.ShardOfKey(dst) != s) ++cross_shard;
           }
         }
         sinks.push_back(std::move(sink));
       }
     }
     VX_ASSIGN_OR_RETURN(
-        Table global_messages,
-        CollectMessages(std::move(sinks), program_->message_arity(),
-                        ActiveCombiner()));
-    const int64_t messages_sent = global_messages.num_rows();
-    VX_ASSIGN_OR_RETURN(int dst_c, global_messages.ColumnIndex("dst"));
-    VX_ASSIGN_OR_RETURN(
-        std::vector<Table> routed,
-        ShardScatter(global_messages, dst_c, sharded_->spec));
-    std::vector<int64_t> shard_message_rows(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      Table inbound = std::move(routed[static_cast<size_t>(s)]);
-      // Sorted-message invariant (order-aware joins), per shard; mirrors
-      // the unsharded loop and is likewise not gated on the merge knob.
-      if (!options_.use_union_input) {
-        VX_ASSIGN_OR_RETURN(int dc, inbound.ColumnIndex("dst"));
-        if (inbound.num_rows() > 0 && !OrderedByColumn(inbound, "dst")) {
-          inbound = SortTable(inbound, {{dc, true}});
-        } else if (inbound.sort_order().empty()) {
-          inbound.SetSortOrder({{dc, true}});
+        Table messages,
+        CollectMessages(std::move(sinks), ma, ActiveCombiner()));
+    const int64_t messages_sent = messages.num_rows();
+    VX_ASSIGN_OR_RETURN(int dst_c, messages.ColumnIndex("dst"));
+    std::vector<Table> inbound;
+    if (num_shards == 1) {
+      inbound.push_back(std::move(messages));
+    } else {
+      VX_ASSIGN_OR_RETURN(inbound,
+                          ShardScatter(messages, dst_c, shards.spec));
+    }
+    // Sorted-message invariant (order-aware joins): keep each shard's
+    // message table sorted by receiver so the next superstep's
+    // vertex ⟕ message join merges instead of hashing. The sort is stable,
+    // so each receiver's messages keep their arrival order — worker-visible
+    // message streams (and results) are unchanged. Only the join-input
+    // path benefits, so only it pays; not gated on the merge knob (see the
+    // bit-identity note at the top of Run).
+    if (!options_.use_union_input) {
+      for (Table& in : inbound) {
+        if (in.num_rows() > 0 && !OrderedByColumn(in, "dst")) {
+          in = SortTable(in, {{dst_c, true}});
+        } else if (in.sort_order().empty()) {
+          in.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
         }
       }
-      if (knobs.encoding != EncodingMode::kOff) {
-        inbound.EncodeColumns(knobs.encoding);
-      }
-      shard_message_rows[static_cast<size_t>(s)] = inbound.num_rows();
-      sharded_->message[static_cast<size_t>(s)] =
-          std::make_shared<const Table>(std::move(inbound));
-      // Post-exchange audit: each shard's inbound message table must honor
-      // its structural claims (the declared dst order feeds next
-      // superstep's merge joins) and hold only messages routed to it.
-      const auto& routed_in = sharded_->message[static_cast<size_t>(s)];
-      VX_DCHECK_OK(routed_in->CheckInvariants());
-      VX_DCHECK_OK(AuditShardPlacement(*routed_in, dst_c, sharded_->spec, s));
     }
     const double split_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
     // ---- Update vs. replace (§2.3), per shard. -------------------------
-    // One global decision from the global update fraction (matching the
-    // unsharded path), applied shard-locally — worker updates only ever
-    // target vertices of their own shard.
+    // One global decision from the global update fraction, applied
+    // shard-locally — worker updates only ever target vertices of their
+    // own shard. Both stored tables are (re-)encoded before the swap so
+    // they stay compressed between supersteps (storage/encoding.h); the
+    // next superstep's scans and projections decode lazily, and whole-table
+    // passes like AllHalted read runs directly. Value-neutral: results are
+    // bit-identical with the encoding knob off.
     bool used_replace = false;
     if (total_updates > 0) {
       const double frac =
@@ -1044,7 +817,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               // The replace-path rebuild joins report into the shard's
               // collector, like the input-build joins above.
               ScopedJoinStatsCollector collector(&step[s].join_stats);
-              const auto& vs = sharded_->vertex.shard(static_cast<int>(s));
+              const auto& vs = shards.vertex.shard(static_cast<int>(s));
               Table new_vertex;
               if (!used_replace) {
                 VX_ASSIGN_OR_RETURN(new_vertex,
@@ -1052,8 +825,14 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               } else {
                 VX_ASSIGN_OR_RETURN(new_vertex,
                                     RebuildVertices(*vs, updates));
-                // Both input paths, like the unsharded loop: the sorted
-                // invariant feeds the merge joins and the frontier.
+                // The anti-join ∪ union rebuild breaks the sorted-by-id
+                // invariant (updated rows land at the tail); restore it on
+                // both input paths — the join path's merge joins and the
+                // frontier's receiver binary search both key on it.
+                // Stable and id-keyed, so results are unchanged: the
+                // workers visit each partition's vertices in id order, so
+                // vertex-table row order never reaches a per-vertex
+                // stream. Not gated on the merge or frontier knobs.
                 if (!OrderedByColumn(new_vertex, "id")) {
                   VX_ASSIGN_OR_RETURN(int id_c,
                                       new_vertex.ColumnIndex("id"));
@@ -1063,25 +842,39 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
               if (knobs.encoding != EncodingMode::kOff) {
                 new_vertex.EncodeColumns(knobs.encoding);
               }
-              sharded_->vertex.ReplaceShard(static_cast<int>(s),
-                                            std::move(new_vertex));
+              shards.vertex.ReplaceShard(static_cast<int>(s),
+                                         std::move(new_vertex));
             }
             return Status::OK();
           },
           knobs.threads));
-      // Post-apply audit: ReplaceShard trusts callers to keep every row in
-      // its owning shard; re-prove it (plus per-shard structure) over the
-      // whole set before the next superstep reads it.
-      VX_DCHECK_OK(sharded_->vertex.CheckInvariants());
+      // Post-apply audit: every shard about to be read must honor its
+      // structural claims (sorted-by-id declaration, encodings, zone maps)
+      // and hold only rows it owns — downstream supersteps trust them.
+      VX_DCHECK_OK(shards.vertex.CheckInvariants());
     }
+
+    std::vector<int64_t> shard_messages(static_cast<size_t>(num_shards));
+    for (int s = 0; s < num_shards; ++s) {
+      Table& in = inbound[static_cast<size_t>(s)];
+      if (knobs.encoding != EncodingMode::kOff) {
+        in.EncodeColumns(knobs.encoding);
+      }
+      shard_messages[static_cast<size_t>(s)] = in.num_rows();
+      shards.message.ReplaceShard(s, std::move(in));
+    }
+    // Post-exchange audit: each shard's inbound message table must honor
+    // its structural claims (the declared dst order feeds next superstep's
+    // merge joins) and hold only messages routed to it.
+    VX_DCHECK_OK(shards.message.CheckInvariants());
 
     int64_t encoded_bytes = 0;
     int64_t decoded_bytes = 0;
     for (int s = 0; s < num_shards; ++s) {
-      AccountTableBytes(*sharded_->vertex.shard(s), &encoded_bytes,
+      AccountTableBytes(*shards.vertex.shard(s), &encoded_bytes,
                         &decoded_bytes);
-      AccountTableBytes(*sharded_->message[static_cast<size_t>(s)],
-                        &encoded_bytes, &decoded_bytes);
+      AccountTableBytes(*shards.message.shard(s), &encoded_bytes,
+                        &decoded_bytes);
     }
     prev_aggregates_ = std::move(new_aggregates);
 
@@ -1094,8 +887,9 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
       s.messages_sent = messages_sent;
       s.seconds = step_timer.ElapsedSeconds();
       s.used_replace = used_replace;
-      s.worker_seconds = worker_seconds;  // fused input build + compute
-      s.split_seconds = split_seconds;    // split + message exchange
+      s.input_seconds = input_seconds;
+      s.worker_seconds = worker_seconds;
+      s.split_seconds = split_seconds;
       s.apply_seconds = phase_timer.ElapsedSeconds();
       s.encoded_bytes = encoded_bytes;
       s.decoded_bytes = decoded_bytes;
@@ -1113,7 +907,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
         join_stats.merge_seconds += st.join_stats.merge_seconds;
         join_stats.hash_seconds += st.join_stats.hash_seconds;
       }
-      s.shard_messages = shard_message_rows;
+      s.shard_messages = std::move(shard_messages);
       s.merge_joins = join_stats.merge_joins;
       s.hash_joins = join_stats.hash_joins;
       s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
@@ -1126,7 +920,7 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
 
     if (options_.checkpoint_every > 0 &&
         (superstep + 1) % options_.checkpoint_every == 0) {
-      VX_RETURN_NOT_OK(FlushShardsToCatalog());
+      VX_RETURN_NOT_OK(PublishShards(shards, catalog_, names_));
       Table marker(Schema({{"next_superstep", DataType::kInt64}}));
       VX_RETURN_NOT_OK(
           marker.AppendRow({Value(static_cast<int64_t>(superstep + 1))}));
@@ -1137,41 +931,11 @@ Status Coordinator::RunSharded(RunStats* stats, int num_shards,
 
     if (active == 0 && messages_sent == 0) break;
   }
-  // Publish the final shard state so catalog readers (ReadVertexValues,
-  // follow-up SQL) see the finished run like an unsharded one.
-  VX_RETURN_NOT_OK(FlushShardsToCatalog());
+  // Publish the final state so catalog readers (ReadVertexValues,
+  // follow-up SQL) see the finished run.
+  VX_RETURN_NOT_OK(PublishShards(shards, catalog_, names_));
   if (stats != nullptr) stats->total_seconds = total_timer.ElapsedSeconds();
   return Status::OK();
-}
-
-Status Coordinator::FlushShardsToCatalog() const {
-  if (sharded_ == nullptr) return Status::OK();
-  Table vertex(sharded_->vertex.shard(0)->schema());
-  for (int s = 0; s < sharded_->vertex.num_shards(); ++s) {
-    VX_RETURN_NOT_OK(vertex.Append(*sharded_->vertex.shard(s)));
-  }
-  // Hash blocks interleave ids, so the concatenation is not id-ordered;
-  // re-sort (stable, id-keyed — values unchanged) so the stored table
-  // carries the same sorted invariant the unsharded path maintains.
-  VX_ASSIGN_OR_RETURN(int id_c, vertex.ColumnIndex("id"));
-  vertex = SortTable(vertex, {{id_c, true}});
-  Table message(sharded_->message[0]->schema());
-  for (const auto& m : sharded_->message) {
-    VX_RETURN_NOT_OK(message.Append(*m));
-  }
-  VX_ASSIGN_OR_RETURN(int dst_c, message.ColumnIndex("dst"));
-  message = SortTable(message, {{dst_c, true}});
-  const EncodingMode mode = AmbientEncodingMode();
-  if (mode != EncodingMode::kOff) {
-    vertex.EncodeColumns(mode);
-    message.EncodeColumns(mode);
-  }
-  // Post-flush audit: the concatenated, re-sorted, re-encoded tables are
-  // what catalog readers will trust from here on.
-  VX_DCHECK_OK(vertex.CheckInvariants());
-  VX_DCHECK_OK(message.CheckInvariants());
-  VX_RETURN_NOT_OK(catalog_->ReplaceTable(names_.vertex, std::move(vertex)));
-  return catalog_->ReplaceTable(names_.message, std::move(message));
 }
 
 Status RunVertexProgram(Catalog* catalog, const Graph& graph,

@@ -3,7 +3,9 @@
 /// supersteps — "it runs as long as there is any message for the next
 /// superstep".
 ///
-/// Each superstep the coordinator
+/// A run partitions the vertex, edge and message tables once into resident
+/// shards on vertex id (one shard by default: the stored tables
+/// themselves). Each superstep the coordinator, shard by shard,
 ///  1. assembles the worker input from the vertex/edge/message tables —
 ///     either as the §2.3 table union, read in place (no union table is
 ///     built; see vertexica/worker_driver.h), or as the traditional 3-way
@@ -11,13 +13,14 @@
 ///  2. runs the worker UDFs in parallel over the vertex-batching partitions
 ///     (§2.3), each writing typed updates, messages and aggregator partials
 ///     into its partition's sink,
-///  3. builds the next message table from the sinks: concatenated, or —
-///     with a combiner — folded per receiver straight out of the sinks, so
-///     the uncombined messages are never materialized as a table (fold
-///     order: vertexica/worker_driver.h),
+///  3. builds the next message table from every shard's sinks:
+///     concatenated, or — with a combiner — folded per receiver straight
+///     out of the sinks, so the uncombined messages are never materialized
+///     as a table (fold order: vertexica/worker_driver.h) — and routes it
+///     back to the shards on receiver (the exchange),
 ///  4. applies vertex updates in place or by table replacement depending on
 ///     the update fraction (update vs. replace), and swaps in the new
-///     message table.
+///     message tables.
 
 #ifndef VERTEXICA_VERTEXICA_COORDINATOR_H_
 #define VERTEXICA_VERTEXICA_COORDINATOR_H_
@@ -54,11 +57,15 @@ struct SuperstepStats {
   bool used_replace = false;     ///< update-vs-replace decision taken
 
   /// \name Phase breakdown (sums to ≈ seconds)
+  /// Shards build their input and run Compute in parallel, each timing its
+  /// input build apart: `input_seconds` is the slowest shard's input build,
+  /// `worker_seconds` the rest of that phase's wall time.
   /// @{
   double input_seconds = 0.0;    ///< message grouping / join assembly
   double worker_seconds = 0.0;   ///< vertex batching + Compute
-  /// Aggregator fold and message collection: the combiner fold over the
-  /// worker sinks, or their concatenation without a combiner.
+  /// Aggregator fold, message collection and exchange: the combiner fold
+  /// over the worker sinks, or their concatenation without a combiner,
+  /// routed back to the shards.
   double split_seconds = 0.0;
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
@@ -74,14 +81,10 @@ struct SuperstepStats {
   /// @}
 
   /// \name Sharded-dataflow accounting (storage/partition.h)
-  /// Filled when the coordinator runs the persistent-sharding path
-  /// (shards > 1): per-shard worker-input and stored-message row counts
-  /// (indexed by shard id), and how many produced messages had to cross a
-  /// shard boundary in the between-superstep exchange. Unsharded runs
-  /// report shards = 1 with empty vectors. On sharded runs the phase
-  /// breakdown attributes the fused per-shard input build + worker compute
-  /// to `worker_seconds` (input_seconds stays 0) and the message exchange
-  /// to `split_seconds`.
+  /// The run's shard count, per-shard worker-input and stored-message row
+  /// counts (indexed by shard id; one element at one shard), and how many
+  /// produced messages had to cross a shard boundary in the
+  /// between-superstep exchange (always 0 at one shard).
   /// @{
   int shards = 1;
   std::vector<int64_t> shard_input_rows;
@@ -93,7 +96,7 @@ struct SuperstepStats {
   /// Whether this superstep's worker input was built from the sparse
   /// active-vertex frontier instead of the full tables, and how many
   /// vertices the frontier contained (the active-set popcount; 0 on dense
-  /// supersteps). On sharded runs the decision is per shard:
+  /// supersteps). The decision is per shard:
   /// `used_frontier` is true when any shard took the frontier path and
   /// `frontier_vertices` sums the frontier shards' active counts.
   /// @{
@@ -156,18 +159,25 @@ class Coordinator {
  public:
   Coordinator(Catalog* catalog, VertexProgram* program,
               VertexicaOptions options = {}, GraphTableNames names = {});
-  ~Coordinator();
 
   /// \brief Runs supersteps until no messages remain and all vertices have
   /// voted to halt (or max_supersteps is reached).
   ///
-  /// With an effective shard count > 1 (VertexicaOptions::num_shards, else
-  /// the ambient ExecShards() knob) the run takes the persistent-sharding
-  /// path: vertex and edge tables are partitioned on vertex id once, kept
-  /// resident across supersteps, and each superstep runs the per-shard
-  /// dataflow shard-wise in parallel, exchanging only cross-shard messages
-  /// in between. Results are bit-identical to the unsharded path at any
-  /// shard count.
+  /// The run resolves its shard count S (VertexicaOptions::num_shards, else
+  /// the ambient ExecShards() knob; at least 1, at most the vertex-batching
+  /// partition count), partitions the vertex, edge and message tables on
+  /// vertex id once, keeps them resident across supersteps, and runs each
+  /// superstep shard-wise in parallel, exchanging messages in between. At
+  /// S = 1 the one shard is the stored snapshot itself and the exchange
+  /// routes nothing. Results are bit-identical at every S. Per-run
+  /// constants — the vertex count programs read and the update-fraction
+  /// denominator — are the vertex rows at run start.
+  ///
+  /// The catalog is written at checkpoints and when the run completes. A
+  /// run that fails or is cancelled returns its error and leaves the
+  /// catalog holding the run's starting tables, or the last checkpoint's.
+  /// A coordinator may run again, e.g. after the graph tables were
+  /// replaced: each run re-reads and re-partitions them.
   Status Run(RunStats* stats = nullptr);
 
   /// \brief Global aggregator values from the final superstep.
@@ -188,13 +198,14 @@ class Coordinator {
     Table join;                                     ///< join input path
     int64_t rows = 0;  ///< SuperstepStats::input_rows
   };
-  /// Assembles the worker input over one vertex/edge/message (shard)
+  /// Assembles the worker input over one vertex/edge/message shard
   /// triple. Union path: groups the messages on `dst` (one pass) next to
-  /// the cached `edge_index`; join path: runs the 3-way join against the
-  /// cached `edge_join_side`. A non-null `frontier` restricts the input to
-  /// the active vertex rows — a row filter on the union path, a restricted
-  /// probe side on the join path — with every output bit-identical to the
-  /// dense input (inactive vertices produce no output).
+  /// the shard's `edge_index`; join path: runs the 3-way join against the
+  /// shard's `edge_join_side` (both built once per run). A non-null
+  /// `frontier` restricts the input to the active vertex rows — a row
+  /// filter on the union path, a restricted probe side on the join path —
+  /// with every output bit-identical to the dense input (inactive vertices
+  /// produce no output).
   Result<WorkerInput> BuildWorkerInput(const TablePtr& vertex,
                                        const TablePtr& edge,
                                        const CsrIndex* edge_index,
@@ -203,8 +214,8 @@ class Coordinator {
                                        const Bitvector* frontier) const;
 
   /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
-  /// side of an edge table — the per-run cacheable half of the join input;
-  /// the sharded path builds one per edge shard.
+  /// side of an edge shard — the half of the join input that is the same
+  /// every superstep, so a run builds it once per shard.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,
@@ -229,51 +240,11 @@ class Coordinator {
   Status RestoreSortedInvariant(const std::string& table_name,
                                 const std::vector<std::string>& keys) const;
 
-  /// The persistent-sharding superstep loop (see Run). `num_shards` > 1,
-  /// already clamped to the vertex-batching partition count.
-  Status RunSharded(RunStats* stats, int num_shards,
-                    const TransformParallelism& par, int first_superstep);
-
-  /// Writes the resident shards back to the catalog (vertex re-sorted by
-  /// id, messages re-sorted by receiver) — run end and checkpoints.
-  Status FlushShardsToCatalog() const;
-
   Catalog* catalog_;
   VertexProgram* program_;
   VertexicaOptions options_;
   GraphTableNames names_;
   std::map<std::string, double> prev_aggregates_;
-
-  /// Structures derived from one edge-table snapshot, cached together and
-  /// invalidated together by snapshot identity — the coordinator re-fetches
-  /// the stored edge table every superstep, so replacing it (the
-  /// dynamic-graph path) changes `source` and rebuilds both members on
-  /// first use. `join_side` is the (esrc, edst, eweight, edge_seq)
-  /// projection with the esrc column kept RLE-encoded so the merge join
-  /// matches whole runs; `csr` is the per-source-vertex slice index the
-  /// union-path workers read each vertex's edges through. The
-  /// message/vertex sides change every superstep and are not cacheable.
-  struct EdgeDerived {
-    TablePtr source;
-    TablePtr join_side;                   ///< lazy; join-input path
-    std::shared_ptr<const CsrIndex> csr;  ///< lazy; union-input path
-  };
-  /// Drops the cache when `edge` is a different snapshot than the one the
-  /// cached structures were derived from.
-  void SyncEdgeDerived(const TablePtr& edge) const;
-  /// The cached join side for `edge`, building it on first use.
-  Result<TablePtr> EdgeJoinSideFor(const TablePtr& edge) const;
-  /// The cached CSR index for `edge`, building it on first use;
-  /// InvalidArgument when the src column holds NULLs or is not INT64.
-  Result<const CsrIndex*> EdgeCsrFor(const TablePtr& edge) const;
-
-  mutable EdgeDerived edge_derived_;
-
-  /// Resident shard state of the persistent-sharding path (vertex/edge
-  /// PartitionSets, per-shard message tables and cached edge join sides);
-  /// null on unsharded runs. Defined in coordinator.cc.
-  struct ShardedState;
-  std::unique_ptr<ShardedState> sharded_;
 };
 
 /// \brief Convenience entry point: loads `graph` into `catalog` (vertex,

@@ -28,14 +28,14 @@ struct VertexicaOptions {
   int num_partitions = 0;
 
   /// Persistent vertex-id sharding of the superstep dataflow
-  /// (storage/partition.h): partition the vertex and edge tables into this
-  /// many resident shards once per run, run the per-shard
-  /// input→worker→split dataflow shard-wise in parallel every superstep,
-  /// and exchange only cross-shard messages (shuffled on receiver) between
-  /// supersteps. Shards are contiguous blocks of the vertex-batching
-  /// partitions, so results are bit-identical at any shard count.
+  /// (storage/partition.h): partition the vertex, edge and message tables
+  /// into this many resident shards once per run, run the per-shard
+  /// input→worker dataflow shard-wise in parallel every superstep, and
+  /// exchange messages (shuffled on receiver) between supersteps. Shards
+  /// are contiguous blocks of the vertex-batching partitions, so results
+  /// are bit-identical at any shard count.
   /// 0 = the ambient ExecShards() (RunRequest::shards / VERTEXICA_SHARDS,
-  /// default 1); 1 = the unsharded per-superstep partitioning path.
+  /// default 1); 1 = one shard: the stored tables themselves.
   int num_shards = 0;
 
   /// §2.3 "Table Unions": feed workers the union of the vertex, edge, and

@@ -412,7 +412,8 @@ TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
   ASSERT_FALSE(stats.supersteps.empty());
   EXPECT_GE(stats.supersteps.front().superstep, 4);
   for (const SuperstepStats& s : stats.supersteps) {
-    EXPECT_EQ(s.merge_joins, 2) << "superstep " << s.superstep;
+    // Two input-build joins per shard (VERTEXICA_SHARDS may shard the run).
+    EXPECT_EQ(s.merge_joins, 2 * s.shards) << "superstep " << s.superstep;
     EXPECT_EQ(s.hash_joins, 0) << "superstep " << s.superstep;
   }
 }
@@ -778,7 +779,7 @@ TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdentical) {
 TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdenticalSharded) {
   VertexicaOptions opts;
   opts.num_workers = 2;
-  opts.num_shards = 4;  // > 1 engages RunSharded's checkpoint/resume path
+  opts.num_shards = 4;  // checkpoints publish four shards
   opts.num_partitions = 16;
   opts.use_union_input = false;
   RunCheckpointFaultResumeCase("vx_fault_resume_sharded", opts);
@@ -824,7 +825,7 @@ TEST(CoordinatorFaultTest, SuperstepFaultAbortsAndCleanRerunIsBitIdentical) {
 TEST(CoordinatorFaultTest, ExchangeFaultAbortsShardedRun) {
   Graph g = GenerateRmat(50, 250, 98);
   VertexicaOptions opts;
-  opts.num_shards = 4;  // > 1 engages RunSharded and its exchange phase
+  opts.num_shards = 4;  // four shards: the exchange routes across shards
   opts.num_partitions = 8;
   opts.use_union_input = false;
 
@@ -905,11 +906,11 @@ TEST(FaultEnvTest, CheckpointFaultArmedViaEnvironmentFires) {
 
 TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   // One coordinator, two runs, the edge table replaced in between (the
-  // dynamic-graph pattern): the per-snapshot edge-derived caches — the
-  // join side and the frontier's CSR index — must be invalidated by
-  // snapshot identity and rebuilt, or run 2 computes distances over the
-  // stale edge set. Exercised on both input paths with the frontier
-  // forced on so the CSR cache is actually consulted.
+  // dynamic-graph pattern): each run re-partitions the graph tables and
+  // rebuilds the per-shard edge structures — the join side and the CSR
+  // index — or run 2 computes distances over the stale edge set.
+  // Exercised on both input paths and at one and four resident shards,
+  // with the frontier forced on so the CSR index is actually consulted.
   const int64_t n = 20;
   Graph chain;
   chain.num_vertices = n;
@@ -918,38 +919,43 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   shortcut.AddEdge(0, n / 2, 0.5);  // new shortest path to the back half
 
   ScopedFrontierMode on(FrontierMode::kOn);
-  for (const bool union_input : {true, false}) {
-    VertexicaOptions opts;
-    opts.use_union_input = union_input;
-    ShortestPathProgram program(0);
-    Catalog cat;
-    ASSERT_TRUE(LoadGraphTables(&cat, chain, program).ok());
-    Coordinator coordinator(&cat, &program, opts);
-    ASSERT_TRUE(coordinator.Run().ok());
-    auto before = ReadVertexValues(cat, {});
-    ASSERT_TRUE(before.ok());
-    EXPECT_DOUBLE_EQ((*before)[static_cast<size_t>(n / 2)],
-                     static_cast<double>(n / 2));
+  for (const int shards : {1, 4}) {
+    for (const bool union_input : {true, false}) {
+      const std::string where =
+          std::string(union_input ? "union" : "join") + " input, shards " +
+          std::to_string(shards);
+      VertexicaOptions opts;
+      opts.use_union_input = union_input;
+      opts.num_shards = shards;
+      ShortestPathProgram program(0);
+      Catalog cat;
+      ASSERT_TRUE(LoadGraphTables(&cat, chain, program).ok());
+      Coordinator coordinator(&cat, &program, opts);
+      ASSERT_TRUE(coordinator.Run().ok()) << where;
+      auto before = ReadVertexValues(cat, {});
+      ASSERT_TRUE(before.ok());
+      EXPECT_DOUBLE_EQ((*before)[static_cast<size_t>(n / 2)],
+                       static_cast<double>(n / 2))
+          << where;
 
-    // Replace the graph tables (same coordinator!) and rerun. A fresh
-    // coordinator over the same catalog is the trusted reference.
-    ASSERT_TRUE(LoadGraphTables(&cat, shortcut, program).ok());
-    ASSERT_TRUE(coordinator.Run().ok());
-    auto after = ReadVertexValues(cat, {});
-    ASSERT_TRUE(after.ok());
+      // Replace the graph tables (same coordinator!) and rerun. A fresh
+      // coordinator over the same catalog is the trusted reference.
+      ASSERT_TRUE(LoadGraphTables(&cat, shortcut, program).ok());
+      ASSERT_TRUE(coordinator.Run().ok()) << where;
+      auto after = ReadVertexValues(cat, {});
+      ASSERT_TRUE(after.ok());
 
-    Catalog fresh_cat;
-    ShortestPathProgram fresh_program(0);
-    auto expect = RunShortestPaths(&fresh_cat, shortcut, 0, opts);
-    ASSERT_TRUE(expect.ok());
-    ASSERT_EQ(after->size(), expect->size());
-    for (size_t v = 0; v < expect->size(); ++v) {
-      EXPECT_EQ((*after)[v], (*expect)[v])
-          << (union_input ? "union" : "join") << " input, vertex " << v;
+      Catalog fresh_cat;
+      auto expect = RunShortestPaths(&fresh_cat, shortcut, 0, opts);
+      ASSERT_TRUE(expect.ok());
+      ASSERT_EQ(after->size(), expect->size());
+      for (size_t v = 0; v < expect->size(); ++v) {
+        EXPECT_EQ((*after)[v], (*expect)[v]) << where << ", vertex " << v;
+      }
+      // The shortcut must actually be visible: distance to the back half
+      // drops, which a stale edge structure cannot produce.
+      EXPECT_DOUBLE_EQ((*after)[static_cast<size_t>(n / 2)], 0.5) << where;
     }
-    // The shortcut must actually be visible: distance to the back half
-    // drops, which a stale edge cache cannot produce.
-    EXPECT_DOUBLE_EQ((*after)[static_cast<size_t>(n / 2)], 0.5);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -858,7 +859,8 @@ TEST(ShardingTest, ShardCountDeterminism) {
   for (int num_shards : {1, 2, 8}) {
     ShardingSpec spec;
     spec.num_shards = num_shards;
-    auto set = PartitionSet::Build(t, 0, spec);
+    auto set =
+        PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
     ASSERT_TRUE(set.ok()) << set.status().ToString();
     ASSERT_EQ(set->num_shards(), num_shards);
     EXPECT_EQ(set->total_rows(), t.num_rows());
@@ -884,7 +886,7 @@ TEST(ShardingTest, NullKeysOwnShardZero) {
   ShardingSpec spec;
   spec.num_shards = 4;
   EXPECT_EQ(spec.ShardOfNull(), 0);
-  auto set = PartitionSet::Build(t, 0, spec);
+  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
   ASSERT_TRUE(set.ok());
   for (int s = 1; s < set->num_shards(); ++s) {
     EXPECT_EQ(set->shard(s)->column(0).null_count(), 0);
@@ -907,7 +909,7 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
   ScopedEncodingMode scoped(EncodingMode::kForce);
   ShardingSpec spec;
   spec.num_shards = 3;
-  auto set = PartitionSet::Build(t, 0, spec);
+  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
   ASSERT_TRUE(set.ok());
   for (int s = 0; s < set->num_shards(); ++s) {
     const Table& shard = *set->shard(s);
@@ -919,7 +921,8 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
 }
 
 TEST(ShardingTest, MalformedSpecFails) {
-  const Table t = KeyedTable(10, /*with_nulls=*/false);
+  const auto t =
+      std::make_shared<const Table>(KeyedTable(10, /*with_nulls=*/false));
   ShardingSpec spec;
   spec.num_shards = 128;
   spec.base_partitions = 64;  // more shards than base partitions
@@ -928,11 +931,28 @@ TEST(ShardingTest, MalformedSpecFails) {
   EXPECT_FALSE(PartitionSet::Build(t, 0, spec).ok());
 }
 
+TEST(ShardingTest, OneShardSetIsTheSnapshotItself) {
+  // One shard owns every key, so the set holds the input snapshot as its
+  // shard: no scatter, no copy, no re-encode.
+  ScopedEncodingMode scoped(EncodingMode::kForce);
+  const auto t =
+      std::make_shared<const Table>(KeyedTable(100, /*with_nulls=*/true));
+  ShardingSpec spec;  // one shard by default
+  auto set = PartitionSet::Build(t, 0, spec);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_EQ(set->num_shards(), 1);
+  EXPECT_EQ(set->shard(0).get(), t.get());
+  EXPECT_TRUE(set->CheckInvariants().ok());
+
+  // The key column is still validated.
+  EXPECT_FALSE(PartitionSet::Build(t, 5, spec).ok());
+}
+
 TEST(ShardingTest, ReplaceShardSwapsTable) {
   const Table t = KeyedTable(100, /*with_nulls=*/false);
   ShardingSpec spec;
   spec.num_shards = 2;
-  auto set = PartitionSet::Build(t, 0, spec);
+  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
   ASSERT_TRUE(set.ok());
   const int64_t other_rows = set->shard(1)->num_rows();
   Table empty(t.schema());
@@ -1325,7 +1345,7 @@ TEST(InvariantAuditTest, MisplacedShardRowIsReported) {
   ShardingSpec spec;
   spec.num_shards = 2;
   spec.base_partitions = 64;
-  auto built = PartitionSet::Build(t, 0, spec);
+  auto built = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   PartitionSet set = *built;
   EXPECT_TRUE(set.CheckInvariants().ok());

@@ -127,15 +127,24 @@ TEST(PageRankVertexCentricTest, StatsRecordSupersteps) {
 
 TEST(PageRankVertexCentricTest, PhaseBreakdownSumsToStepTime) {
   Graph g = GenerateRmat(128, 900, 18);
-  Catalog cat;
-  RunStats stats;
-  ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, {}, &stats).ok());
-  for (const auto& s : stats.supersteps) {
-    const double phases = s.input_seconds + s.worker_seconds +
-                          s.split_seconds + s.apply_seconds;
-    EXPECT_GT(phases, 0.0);
-    EXPECT_LE(phases, s.seconds * 1.05 + 1e-3);
-    EXPECT_GT(s.input_rows, 0);
+  for (const int shards : {1, 4}) {
+    VertexicaOptions opts;
+    opts.num_shards = shards;
+    Catalog cat;
+    RunStats stats;
+    ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, opts, &stats).ok());
+    ASSERT_FALSE(stats.supersteps.empty());
+    for (const auto& s : stats.supersteps) {
+      const double phases = s.input_seconds + s.worker_seconds +
+                            s.split_seconds + s.apply_seconds;
+      EXPECT_GT(phases, 0.0) << "shards=" << shards;
+      EXPECT_LE(phases, s.seconds * 1.05 + 1e-3) << "shards=" << shards;
+      // Every shard count times its input build apart from Compute.
+      EXPECT_GT(s.input_seconds, 0.0)
+          << "shards=" << shards << ", superstep " << s.superstep;
+      EXPECT_GE(s.worker_seconds, 0.0) << "shards=" << shards;
+      EXPECT_GT(s.input_rows, 0);
+    }
   }
 }
 
@@ -605,14 +614,19 @@ TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
     EXPECT_EQ(stats.supersteps[0].shards, 3);
   }
   {
-    // Unsharded runs report shards = 1 with empty per-shard vectors.
-    ScopedExecShards unsharded(1);  // pin against a VERTEXICA_SHARDS env
+    // One-shard runs report shards = 1 with one-element per-shard vectors.
+    ScopedExecShards one_shard(1);  // pin against a VERTEXICA_SHARDS env
     Catalog cat;
     RunStats stats;
     ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, {}, &stats).ok());
     ASSERT_FALSE(stats.supersteps.empty());
-    EXPECT_EQ(stats.supersteps[0].shards, 1);
-    EXPECT_TRUE(stats.supersteps[0].shard_input_rows.empty());
+    const SuperstepStats& s0 = stats.supersteps[0];
+    EXPECT_EQ(s0.shards, 1);
+    ASSERT_EQ(s0.shard_input_rows.size(), 1u);
+    EXPECT_EQ(s0.shard_input_rows[0], s0.input_rows);
+    ASSERT_EQ(s0.shard_messages.size(), 1u);
+    EXPECT_EQ(s0.shard_messages[0], s0.messages_sent);
+    EXPECT_EQ(s0.cross_shard_messages, 0);
   }
 }
 
@@ -1253,7 +1267,36 @@ class AddOneProgram : public VertexProgram {
   }
 };
 
+/// Loads `g` for `program`, then stores a vertex table with id 3 twice
+/// (21 rows, sorted by id; row values from `value_of`), runs and reads the
+/// values back.
+Result<std::vector<double>> RunWithDuplicatedId3(
+    VertexProgram* program, const Graph& g,
+    const std::function<double(int64_t)>& value_of, VertexicaOptions opts) {
+  Catalog cat;
+  VX_RETURN_NOT_OK(LoadGraphTables(&cat, g, *program));
+  Table vertex(MakeVertexSchema(1));
+  for (int64_t id = 0; id < g.num_vertices; ++id) {
+    for (int copy = 0; copy < (id == 3 ? 2 : 1); ++copy) {
+      VX_RETURN_NOT_OK(
+          vertex.AppendRow({Value(id), Value(false), Value(value_of(id))}));
+    }
+  }
+  vertex.SetSortOrder({{0, true}});
+  VX_RETURN_NOT_OK(cat.ReplaceTable("vertex", std::move(vertex)));
+  opts.max_supersteps = 20;
+  Coordinator coord(&cat, program, opts);
+  VX_RETURN_NOT_OK(coord.Run());
+  return ReadVertexValues(cat, {});
+}
+
 TEST(CoordinatorTest, DuplicatedIdGetsTheSameValueOnBothUpdatePaths) {
+  // PageRank reads num_vertices every superstep. It is the vertex rows at
+  // run start (21) on every path, also after a replace has dropped the
+  // duplicate, so all eight cells below agree bit for bit.
+  Graph ring = ChainGraph(20);
+  ring.AddEdge(19, 0, 1.0);
+  std::vector<double> pagerank_first;
   for (const int shards : {1, 4}) {
     for (const bool union_input : {true, false}) {
       std::vector<std::vector<double>> results;
@@ -1262,34 +1305,36 @@ TEST(CoordinatorTest, DuplicatedIdGetsTheSameValueOnBothUpdatePaths) {
         const std::string where =
             StringFormat("shards=%d, %s input, update_threshold=%g", shards,
                          union_input ? "union" : "join", threshold);
-        AddOneProgram program;
-        Catalog cat;
-        ASSERT_TRUE(LoadGraphTables(&cat, ChainGraph(20), program).ok());
-        // 21 rows, sorted by id: id 3 twice, both rows with value 100.
-        Table vertex(MakeVertexSchema(1));
-        for (int64_t id = 0; id < 20; ++id) {
-          for (int copy = 0; copy < (id == 3 ? 2 : 1); ++copy) {
-            const double v = id == 3 ? 100.0 : static_cast<double>(id);
-            ASSERT_TRUE(
-                vertex.AppendRow({Value(id), Value(false), Value(v)}).ok());
-          }
-        }
-        vertex.SetSortOrder({{0, true}});
-        ASSERT_TRUE(cat.ReplaceTable("vertex", std::move(vertex)).ok());
         VertexicaOptions opts;
         opts.num_shards = shards;
         opts.use_union_input = union_input;
         opts.update_threshold = threshold;
-        opts.max_supersteps = 20;
-        Coordinator coord(&cat, &program, opts);
-        const Status st = coord.Run();
-        ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
-        auto values = ReadVertexValues(cat, {});
-        ASSERT_TRUE(values.ok()) << where;
+        // Both rows of id 3 start at 100.
+        AddOneProgram program;
+        auto values = RunWithDuplicatedId3(
+            &program, ChainGraph(20),
+            [](int64_t id) {
+              return id == 3 ? 100.0 : static_cast<double>(id);
+            },
+            opts);
+        ASSERT_TRUE(values.ok())
+            << where << ": " << values.status().ToString();
         ASSERT_EQ(values->size(), 20u) << where;
         EXPECT_EQ((*values)[3], 103.0) << where;
         EXPECT_EQ((*values)[4], 7.0) << where;
         results.push_back(*std::move(values));
+
+        PageRankProgram pagerank(5);
+        auto ranks = RunWithDuplicatedId3(
+            &pagerank, ring, [](int64_t) { return 1.0 / 20; }, opts);
+        ASSERT_TRUE(ranks.ok())
+            << where << ": " << ranks.status().ToString();
+        ASSERT_EQ(ranks->size(), 20u) << where;
+        if (pagerank_first.empty()) {
+          pagerank_first = *std::move(ranks);
+        } else {
+          EXPECT_EQ(*ranks, pagerank_first) << where;
+        }
       }
       EXPECT_EQ(results[0], results[1])
           << "shards=" << shards << (union_input ? " union" : " join");
