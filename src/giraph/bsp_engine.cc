@@ -13,10 +13,12 @@ namespace vertexica {
 
 namespace {
 
-/// Per-worker outbox of one superstep.
+/// Per-worker outbox of one superstep; Compute's sends append to
+/// `messages` (no sender column: delivery never reads it).
 struct Outbox {
-  std::vector<int64_t> dst;
-  std::vector<double> payload;  // dst.size() * msg_arity
+  explicit Outbox(int msg_arity) : messages(msg_arity) {}
+
+  MessageColumns messages;
   std::map<std::string, double> aggregates;
 };
 
@@ -103,7 +105,8 @@ Status BspEngine::Run(GiraphStats* stats) {
     }
 
     // ---- Compute phase: range-partitioned parallel workers. -----------
-    std::vector<Outbox> outboxes(static_cast<size_t>(workers));
+    std::vector<Outbox> outboxes(static_cast<size_t>(workers),
+                                 Outbox(msg_arity_));
     std::atomic<int64_t> active{0};
     const int64_t chunk = (n + workers - 1) / workers;
     pool.ParallelFor(static_cast<size_t>(workers), [&](size_t w) {
@@ -120,6 +123,8 @@ Status BspEngine::Run(GiraphStats* stats) {
       ctx.prev_aggregates_ = &prev_aggregates_;
       ctx.local_aggregates_ = &local_aggs;
       ctx.aggregator_kinds_ = &agg_kinds;
+      ctx.out_ = &outbox.messages;
+      ctx.write_src_ = false;
 
       int64_t local_active = 0;
       for (int64_t v = begin; v < end; ++v) {
@@ -137,12 +142,10 @@ Status BspEngine::Run(GiraphStats* stats) {
         std::copy(values_.begin() + sv * value_arity_,
                   values_.begin() + (sv + 1) * value_arity_,
                   ctx.value_.begin());
-        ctx.edge_dst_.clear();
-        ctx.edge_weight_.clear();
-        for (int64_t e = csr_.offsets[sv]; e < csr_.offsets[sv + 1]; ++e) {
-          ctx.edge_dst_.push_back(csr_.neighbors[static_cast<size_t>(e)]);
-          ctx.edge_weight_.push_back(csr_.weights[static_cast<size_t>(e)]);
-        }
+        const auto first = static_cast<size_t>(csr_.offsets[sv]);
+        ctx.edge_dst_ = csr_.neighbors.data() + first;
+        ctx.edge_weight_ = csr_.weights.data() + first;
+        ctx.num_edges_ = csr_.degree(v);
         ctx.msg_data_.clear();
         ctx.num_messages_ = msgs;
         if (msgs > 0) {
@@ -158,8 +161,6 @@ Status BspEngine::Run(GiraphStats* stats) {
                     static_cast<size_t>(inbox.offsets[sv + 1]) * msg_arity_);
           }
         }
-        ctx.out_msg_dst_.clear();
-        ctx.out_msg_data_.clear();
 
         program_->Compute(&ctx);
 
@@ -167,10 +168,6 @@ Status BspEngine::Run(GiraphStats* stats) {
         std::copy(ctx.value_.begin(), ctx.value_.end(),
                   values_.begin() + sv * value_arity_);
         halted_[sv] = ctx.halted_ ? 1 : 0;
-        outbox.dst.insert(outbox.dst.end(), ctx.out_msg_dst_.begin(),
-                          ctx.out_msg_dst_.end());
-        outbox.payload.insert(outbox.payload.end(), ctx.out_msg_data_.begin(),
-                              ctx.out_msg_data_.end());
       }
       outbox.aggregates = std::move(local_aggs);
       active.fetch_add(local_active, std::memory_order_relaxed);
@@ -193,31 +190,36 @@ Status BspEngine::Run(GiraphStats* stats) {
 
     int64_t sent = 0;
     for (const auto& outbox : outboxes) {
-      sent += static_cast<int64_t>(outbox.dst.size());
+      sent += static_cast<int64_t>(outbox.messages.dst.size());
     }
     total_messages += sent;
 
+    // A message to a vertex outside [0, n) has no receiver and is dropped,
+    // as Vertexica drops it (its dst matches no vertex row).
+    const auto delivered = [n](int64_t d) { return d >= 0 && d < n; };
     if (combine) {
       std::fill(inbox.has_message.begin(), inbox.has_message.end(), 0);
       for (const auto& outbox : outboxes) {
-        for (size_t m = 0; m < outbox.dst.size(); ++m) {
-          const auto d = static_cast<size_t>(outbox.dst[m]);
-          const double* p = outbox.payload.data() + m * msg_arity_;
+        const MessageColumns& out = outbox.messages;
+        for (size_t m = 0; m < out.dst.size(); ++m) {
+          if (!delivered(out.dst[m])) continue;
+          const auto d = static_cast<size_t>(out.dst[m]);
           double* slot = inbox.combined.data() + d * msg_arity_;
           if (inbox.has_message[d] == 0) {
-            std::copy(p, p + msg_arity_, slot);
+            for (int c = 0; c < msg_arity_; ++c) slot[c] = out.values[c][m];
             inbox.has_message[d] = 1;
           } else {
             for (int c = 0; c < msg_arity_; ++c) {
+              const double p = out.values[c][m];
               switch (combiner) {
                 case MessageCombiner::kSum:
-                  slot[c] += p[c];
+                  slot[c] += p;
                   break;
                 case MessageCombiner::kMin:
-                  slot[c] = std::min(slot[c], p[c]);
+                  slot[c] = std::min(slot[c], p);
                   break;
                 case MessageCombiner::kMax:
-                  slot[c] = std::max(slot[c], p[c]);
+                  slot[c] = std::max(slot[c], p);
                   break;
                 case MessageCombiner::kNone:
                   break;
@@ -226,29 +228,31 @@ Status BspEngine::Run(GiraphStats* stats) {
           }
         }
       }
-      inbox.total_messages = sent;
     } else {
       // Counting-sort delivery into a bucketed inbox.
       std::vector<int64_t> counts(static_cast<size_t>(n) + 1, 0);
       for (const auto& outbox : outboxes) {
-        for (int64_t d : outbox.dst) counts[static_cast<size_t>(d) + 1]++;
+        for (int64_t d : outbox.messages.dst) {
+          if (delivered(d)) counts[static_cast<size_t>(d) + 1]++;
+        }
       }
       for (size_t v = 1; v < counts.size(); ++v) counts[v] += counts[v - 1];
       inbox.offsets = counts;
-      inbox.data.assign(static_cast<size_t>(sent) * msg_arity_, 0.0);
+      inbox.data.assign(static_cast<size_t>(counts.back()) * msg_arity_, 0.0);
       std::vector<int64_t> cursor(inbox.offsets.begin(),
                                   inbox.offsets.end() - 1);
       for (const auto& outbox : outboxes) {
-        for (size_t m = 0; m < outbox.dst.size(); ++m) {
-          const auto d = static_cast<size_t>(outbox.dst[m]);
-          const auto pos = static_cast<size_t>(cursor[d]++);
-          std::copy(outbox.payload.data() + m * msg_arity_,
-                    outbox.payload.data() + (m + 1) * msg_arity_,
-                    inbox.data.data() + pos * msg_arity_);
+        const MessageColumns& out = outbox.messages;
+        for (size_t m = 0; m < out.dst.size(); ++m) {
+          if (!delivered(out.dst[m])) continue;
+          const auto d = static_cast<size_t>(out.dst[m]);
+          double* slot =
+              inbox.data.data() + static_cast<size_t>(cursor[d]++) * msg_arity_;
+          for (int c = 0; c < msg_arity_; ++c) slot[c] = out.values[c][m];
         }
       }
-      inbox.total_messages = sent;
     }
+    inbox.total_messages = sent;
 
     if (active.load() == 0 && sent == 0) {
       ++superstep;

@@ -62,6 +62,10 @@ class CsrIndex {
     return order_.empty() ? pos : order_[static_cast<size_t>(pos)];
   }
 
+  /// \brief True when Row(p) == p: the keys are nondecreasing, so a key's
+  /// slice is also its contiguous run of table rows.
+  bool identity_order() const { return order_.empty(); }
+
   int64_t num_keys() const { return num_keys_; }
   int64_t num_rows() const { return num_rows_; }
 

@@ -631,6 +631,7 @@ Status Coordinator::Run(RunStats* stats) {
     shared.superstep = superstep;
     shared.num_vertices = total_vertices;  // global count, not per shard
     shared.prev_aggregates = &prev_aggregates_;
+    shared.write_message_src = ActiveCombiner() == MessageCombiner::kNone;
     for (const auto& spec : agg_specs) {
       shared.aggregator_kinds[spec.name] = spec.kind;
       shared.aggregator_names.push_back(spec.name);
@@ -755,7 +756,7 @@ Status Coordinator::Run(RunStats* stats) {
           // Boundary-crossing counter over the produced (pre-combine)
           // messages: one hash per message, skipped entirely when nobody
           // collects stats or nothing can cross.
-          for (const int64_t dst : sink.message_dst) {
+          for (const int64_t dst : sink.messages.dst) {
             if (shards.spec.ShardOfKey(dst) != s) ++cross_shard;
           }
         }

@@ -38,11 +38,23 @@ struct AggregatorSpec {
 
 class VertexRunner;
 
+/// \brief Outgoing message columns a worker appends to, in send order:
+/// (src = sender, dst = receiver, m0..).
+struct MessageColumns {
+  explicit MessageColumns(int arity) : values(static_cast<size_t>(arity)) {}
+
+  /// Empty when the sender is not recorded (see VertexContext::SendMessage).
+  std::vector<int64_t> src;
+  std::vector<int64_t> dst;
+  std::vector<std::vector<double>> values;  ///< one per message column
+};
+
 /// \brief Per-vertex view handed to `VertexProgram::Compute`.
 ///
-/// The context is owned by the worker UDF; all reads are O(1) into the
-/// worker's parsed partition and all writes are buffered into the worker's
-/// output table.
+/// The context is owned by the worker UDF. Reads are views: the out-edges
+/// point into the worker's edge columns (or its gathered copy of them), the
+/// value and messages into its per-vertex copies. Sends append straight to
+/// the message columns of the worker's sink.
 class VertexContext {
  public:
   /// \name Topology and progress
@@ -78,15 +90,9 @@ class VertexContext {
 
   /// \name Outgoing edges (getOutEdges)
   /// @{
-  int64_t num_out_edges() const {
-    return static_cast<int64_t>(edge_dst_.size());
-  }
-  int64_t OutEdgeTarget(int64_t i) const {
-    return edge_dst_[static_cast<size_t>(i)];
-  }
-  double OutEdgeWeight(int64_t i) const {
-    return edge_weight_[static_cast<size_t>(i)];
-  }
+  int64_t num_out_edges() const { return num_edges_; }
+  int64_t OutEdgeTarget(int64_t i) const { return edge_dst_[i]; }
+  double OutEdgeWeight(int64_t i) const { return edge_weight_[i]; }
   /// @}
 
   /// \name Messaging (sendMessage)
@@ -131,15 +137,18 @@ class VertexContext {
   bool halted_ = false;
   bool modified_ = false;
   std::vector<double> value_;
-  std::vector<int64_t> edge_dst_;
-  std::vector<double> edge_weight_;
+  // The out-edge span: num_edges_ (dst, weight) pairs owned by the worker.
+  const int64_t* edge_dst_ = nullptr;
+  const double* edge_weight_ = nullptr;
+  int64_t num_edges_ = 0;
   std::vector<double> msg_data_;
   int64_t num_messages_ = 0;
   int msg_arity_ = 1;
 
-  // Output buffers (flushed by the worker).
-  std::vector<int64_t> out_msg_dst_;
-  std::vector<double> out_msg_data_;
+  // Where sends go; the sender id is appended to out_->src only when
+  // write_src_ is set.
+  MessageColumns* out_ = nullptr;
+  bool write_src_ = true;
 
   const std::map<std::string, double>* prev_aggregates_ = nullptr;
   std::map<std::string, double>* local_aggregates_ = nullptr;
@@ -198,12 +207,21 @@ inline double MergeAggregate(AggregatorKind kind, double a, double b) {
 }
 
 inline void VertexContext::SendMessage(int64_t dst, const double* payload) {
-  out_msg_dst_.push_back(dst);
-  out_msg_data_.insert(out_msg_data_.end(), payload, payload + msg_arity_);
+  if (write_src_) out_->src.push_back(vertex_id_);
+  out_->dst.push_back(dst);
+  for (size_t c = 0; c < out_->values.size(); ++c) {
+    out_->values[c].push_back(payload[c]);
+  }
 }
 
 inline void VertexContext::SendMessageToAllNeighbors(const double* payload) {
-  for (int64_t dst : edge_dst_) SendMessage(dst, payload);
+  // The same rows as one SendMessage per edge, appended column-wise.
+  const auto n = static_cast<size_t>(num_edges_);
+  if (write_src_) out_->src.insert(out_->src.end(), n, vertex_id_);
+  out_->dst.insert(out_->dst.end(), edge_dst_, edge_dst_ + n);
+  for (size_t c = 0; c < out_->values.size(); ++c) {
+    out_->values[c].insert(out_->values[c].end(), n, payload[c]);
+  }
 }
 
 inline double VertexContext::GetAggregate(const std::string& name) const {
@@ -224,8 +242,11 @@ inline void VertexContext::Aggregate(const std::string& name, double v) {
   if (aggregator_kinds_ == nullptr || local_aggregates_ == nullptr) return;
   auto kind_it = aggregator_kinds_->find(name);
   if (kind_it == aggregator_kinds_->end()) return;
-  auto [it, inserted] = local_aggregates_->emplace(name, v);
-  if (!inserted) {
+  // Look up first: emplace would build (and allocate) a node on every call.
+  auto it = local_aggregates_->find(name);
+  if (it == local_aggregates_->end()) {
+    local_aggregates_->emplace(name, v);
+  } else {
     it->second = MergeAggregate(kind_it->second, it->second, v);
   }
 }

@@ -10,25 +10,25 @@ VertexRunner::VertexRunner(const WorkerSharedState* shared) : shared_(shared) {
   ctx_.prev_aggregates_ = shared_->prev_aggregates;
   ctx_.local_aggregates_ = &local_aggregates_;
   ctx_.aggregator_kinds_ = &shared_->aggregator_kinds;
+  ctx_.write_src_ = shared_->write_message_src;
 }
 
 void VertexRunner::BeginVertex(int64_t id, bool halted, const double* value) {
   ctx_.vertex_id_ = id;
   old_halted_ = halted;
   std::copy(value, value + ctx_.value_.size(), ctx_.value_.begin());
-  ctx_.edge_dst_.clear();
-  ctx_.edge_weight_.clear();
+  ctx_.num_edges_ = 0;
   ctx_.msg_data_.clear();
   ctx_.num_messages_ = 0;
-  ctx_.out_msg_dst_.clear();
-  ctx_.out_msg_data_.clear();
   ctx_.modified_ = false;
   ctx_.halted_ = false;
 }
 
-void VertexRunner::AddEdge(int64_t dst, double weight) {
-  ctx_.edge_dst_.push_back(dst);
-  ctx_.edge_weight_.push_back(weight);
+void VertexRunner::SetEdges(const int64_t* dst, const double* weight,
+                            int64_t n) {
+  ctx_.edge_dst_ = dst;
+  ctx_.edge_weight_ = weight;
+  ctx_.num_edges_ = n;
 }
 
 void VertexRunner::AddMessage(const double* payload) {
@@ -45,6 +45,7 @@ bool VertexRunner::FinishVertex(WorkerSink* out) {
                       ctx_.num_messages_ > 0;
   if (!active) return false;
 
+  ctx_.out_ = &out->messages;
   shared_->program->Compute(&ctx_);
   ++out->active;
 
@@ -55,15 +56,6 @@ bool VertexRunner::FinishVertex(WorkerSink* out) {
     out->update_halted.push_back(ctx_.halted_ ? 1 : 0);
     for (size_t c = 0; c < out->update_values.size(); ++c) {
       out->update_values[c].push_back(ctx_.value_[c]);
-    }
-  }
-
-  const size_t ma = out->message_values.size();
-  for (size_t m = 0; m < ctx_.out_msg_dst_.size(); ++m) {
-    out->message_src.push_back(ctx_.vertex_id_);
-    out->message_dst.push_back(ctx_.out_msg_dst_[m]);
-    for (size_t c = 0; c < ma; ++c) {
-      out->message_values[c].push_back(ctx_.out_msg_data_[m * ma + c]);
     }
   }
   return true;

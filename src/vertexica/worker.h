@@ -3,13 +3,13 @@
 ///
 /// A worker owns one vertex-batching partition (§2.3): it visits the
 /// partition's vertices in ascending id, hands each vertex's row, edges and
-/// messages to the user's Compute, and writes what Compute produced into a
+/// messages to the user's Compute, and records what Compute produced in a
 /// typed per-partition sink — changed-vertex updates (id, halted, v*),
-/// outgoing messages (src, dst, m*), aggregator partials and the count of
-/// vertices computed. How the per-vertex streams are read (in place from
-/// the graph tables, or from the 3-way join input) is the worker driver's
-/// business (vertexica/worker_driver.h); this header is the part both
-/// inputs share.
+/// outgoing messages (src, dst, m*; Compute's sends append to them
+/// directly), aggregator partials and the count of vertices computed. How
+/// the per-vertex streams are read (in place from the graph tables, or from
+/// the 3-way join input) is the worker driver's business
+/// (vertexica/worker_driver.h); this header is the part both inputs share.
 
 #ifndef VERTEXICA_VERTEXICA_WORKER_H_
 #define VERTEXICA_VERTEXICA_WORKER_H_
@@ -34,22 +34,26 @@ struct WorkerSharedState {
   std::map<std::string, AggregatorKind> aggregator_kinds;
   /// Ordered aggregator names; WorkerSink::aggregate_rows index into it.
   std::vector<std::string> aggregator_names;
+  /// Whether sends record their sender in WorkerSink::messages.src. A run
+  /// that combines folds the senders away (the combined rows carry
+  /// src = −1), so the coordinator clears this for it.
+  bool write_message_src = true;
 };
 
 /// \brief Typed output of one worker partition, in emission order.
 struct WorkerSink {
   WorkerSink(int value_arity, int message_arity)
       : update_values(static_cast<size_t>(value_arity)),
-        message_values(static_cast<size_t>(message_arity)) {}
+        messages(message_arity) {}
 
   /// Vertices whose state changed: (id, halted, v0..).
   std::vector<int64_t> update_id;
   std::vector<uint8_t> update_halted;
   std::vector<std::vector<double>> update_values;  ///< one per value column
-  /// Outgoing messages: (src = sender, dst = receiver, m0..).
-  std::vector<int64_t> message_src;
-  std::vector<int64_t> message_dst;
-  std::vector<std::vector<double>> message_values;  ///< one per msg column
+  /// Outgoing messages (src = sender, dst = receiver, m0..), appended by
+  /// Compute's sends in call order. `src` stays empty when the run combines
+  /// (WorkerSharedState::write_message_src is false).
+  MessageColumns messages;
   /// Aggregator partials as (index into aggregator_names, partial).
   std::vector<std::pair<int64_t, double>> aggregate_rows;
   /// Vertices whose Compute ran.
@@ -64,13 +68,17 @@ class VertexRunner {
  public:
   explicit VertexRunner(const WorkerSharedState* shared);
 
-  /// Begins a vertex. `value` must hold value_arity doubles.
+  /// Begins a vertex with no out-edges and no messages. `value` must hold
+  /// value_arity doubles.
   void BeginVertex(int64_t id, bool halted, const double* value);
-  void AddEdge(int64_t dst, double weight);
+  /// Points the vertex's out-edges at `n` (dst[i], weight[i]) pairs, read
+  /// in place; they must stay valid until FinishVertex returns.
+  void SetEdges(const int64_t* dst, const double* weight, int64_t n);
   void AddMessage(const double* payload);
 
   /// Runs Compute if the vertex is active (superstep 0, not halted, or has
-  /// messages) and records its outputs in `out`. Returns true if computed.
+  /// messages); its sends append to `out->messages` and a state change
+  /// becomes an update. Returns true if computed.
   bool FinishVertex(WorkerSink* out);
 
   /// Records the partition's aggregator partials (call once per partition).

@@ -152,7 +152,7 @@ Result<std::vector<Column>> CombineSinks(const std::vector<WorkerSink>& sinks,
   // offset[k]: global row of sink k's first message.
   std::vector<size_t> offset(sinks.size() + 1, 0);
   for (size_t k = 0; k < sinks.size(); ++k) {
-    offset[k + 1] = offset[k] + sinks[k].message_dst.size();
+    offset[k + 1] = offset[k] + sinks[k].messages.dst.size();
   }
   const std::vector<FoldSpec> specs(static_cast<size_t>(arity),
                                     FoldSpec{op, DataType::kDouble});
@@ -171,9 +171,9 @@ Result<std::vector<Column>> CombineSinks(const std::vector<WorkerSink>& sinks,
               const size_t i = row - offset[k];
               const size_t last = std::min(offset[k + 1], stop) - offset[k];
               for (size_t c = 0; c < inputs.size(); ++c) {
-                inputs[c].doubles = s.message_values[c].data() + i;
+                inputs[c].doubles = s.messages.values[c].data() + i;
               }
-              body(s.message_dst.data() + i, inputs.data(), last - i);
+              body(s.messages.dst.data() + i, inputs.data(), last - i);
               row = offset[k] + last;
             }
           }));
@@ -184,9 +184,9 @@ Result<std::vector<Column>> CombineSinks(const std::vector<WorkerSink>& sinks,
 }
 
 /// The message table's columns: folded per receiver, or concatenated.
-Result<std::vector<Column>> MessageColumns(std::vector<WorkerSink>& sinks,
-                                           int message_arity,
-                                           MessageCombiner combiner) {
+Result<std::vector<Column>> MessageTableColumns(
+    std::vector<WorkerSink>& sinks, int message_arity,
+    MessageCombiner combiner) {
   switch (combiner) {
     case MessageCombiner::kSum:
       return CombineSinks(sinks, message_arity, AggOp::kSum);
@@ -199,13 +199,13 @@ Result<std::vector<Column>> MessageColumns(std::vector<WorkerSink>& sinks,
   }
   std::vector<Column> cols;
   cols.push_back(Column::FromInts(
-      Gather(sinks, [](WorkerSink& s) -> auto& { return s.message_src; })));
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.messages.src; })));
   cols.push_back(Column::FromInts(
-      Gather(sinks, [](WorkerSink& s) -> auto& { return s.message_dst; })));
+      Gather(sinks, [](WorkerSink& s) -> auto& { return s.messages.dst; })));
   for (int c = 0; c < message_arity; ++c) {
     cols.push_back(
         Column::FromDoubles(Gather(sinks, [c](WorkerSink& s) -> auto& {
-          return s.message_values[static_cast<size_t>(c)];
+          return s.messages.values[static_cast<size_t>(c)];
         })));
   }
   return cols;
@@ -259,10 +259,15 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
   const Batches batches =
       BatchRows(std::move(candidates), ids, par.partitions);
 
+  // Edges sorted by src (a loader-built table, or a shard of one) are read
+  // in place; in any other row order each vertex's slice is gathered.
+  const bool edges_in_place = in.edge_index->identity_order();
   return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
     VertexRunner runner(&shared);
     std::vector<double> value(static_cast<size_t>(va));
     std::vector<double> msg(static_cast<size_t>(ma));
+    std::vector<int64_t> edge_dst;
+    std::vector<double> edge_weight;
     const size_t end = batches.begin[p + 1];
     for (size_t i = batches.begin[p]; i < end; ++i) {
       // A duplicated id is one vertex: its last row (stable order) wins.
@@ -275,9 +280,19 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
       for (size_t c = 0; c < value.size(); ++c) value[c] = (*vcols[c])[row];
       runner.BeginVertex(id, halted[row] != 0, value.data());
       const CsrIndex::Slice es = in.edge_index->NeighborSlice(id);
-      for (int64_t e = es.begin; e < es.end; ++e) {
-        const auto er = static_cast<size_t>(in.edge_index->Row(e));
-        runner.AddEdge(edst[er], weight[er]);
+      if (edges_in_place) {
+        const auto first = static_cast<size_t>(es.begin);
+        runner.SetEdges(edst.data() + first, weight.data() + first,
+                        es.length());
+      } else {
+        edge_dst.clear();
+        edge_weight.clear();
+        for (int64_t e = es.begin; e < es.end; ++e) {
+          const auto er = static_cast<size_t>(in.edge_index->Row(e));
+          edge_dst.push_back(edst[er]);
+          edge_weight.push_back(weight[er]);
+        }
+        runner.SetEdges(edge_dst.data(), edge_weight.data(), es.length());
       }
       const CsrIndex::Slice ms = in.message_index->NeighborSlice(id);
       for (int64_t m = ms.begin; m < ms.end; ++m) {
@@ -339,6 +354,8 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
     // row group); rows stream through in partition order.
     std::unordered_set<int64_t> seen_msgs;
     std::unordered_set<int64_t> seen_edges;
+    std::vector<int64_t> edge_dst;
+    std::vector<double> edge_weight;
     const size_t end = batches.begin[p + 1];
     size_t i = batches.begin[p];
     while (i < end) {
@@ -358,6 +375,8 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
       runner.BeginVertex(vid, halted.GetBool(last), value.data());
       seen_msgs.clear();
       seen_edges.clear();
+      edge_dst.clear();
+      edge_weight.clear();
       for (; i < group_end; ++i) {
         const int64_t r = batches.rows[i];
         if (!msg_seq.IsNull(r) &&
@@ -369,9 +388,12 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
         }
         if (!edge_seq.IsNull(r) &&
             seen_edges.insert(edge_seq.GetInt64(r)).second) {
-          runner.AddEdge(edst.GetInt64(r), eweight.GetDouble(r));
+          edge_dst.push_back(edst.GetInt64(r));
+          edge_weight.push_back(eweight.GetDouble(r));
         }
       }
+      runner.SetEdges(edge_dst.data(), edge_weight.data(),
+                      static_cast<int64_t>(edge_dst.size()));
       runner.FinishVertex(sink);
     }
     runner.EmitAggregates(sink);
@@ -381,7 +403,7 @@ Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
 Result<Table> CollectMessages(std::vector<WorkerSink> sinks, int message_arity,
                               MessageCombiner combiner) {
   VX_ASSIGN_OR_RETURN(std::vector<Column> cols,
-                      MessageColumns(sinks, message_arity, combiner));
+                      MessageTableColumns(sinks, message_arity, combiner));
   // materialize-ok: the next superstep's message table.
   VX_ASSIGN_OR_RETURN(
       Table messages,

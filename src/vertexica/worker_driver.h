@@ -15,7 +15,10 @@
 /// edge-table order, its messages in message-table order, the last row
 /// winning for a duplicated vertex id, partitions in order and ids
 /// ascending within each. On frontier supersteps the frontier is a row
-/// filter: only vertices with an active row are visited.
+/// filter: only vertices with an active row are visited. When the edge
+/// index is the identity order (a loader-built edge table, or a shard of
+/// one) a vertex's edge slice is a contiguous run of the edge columns and
+/// Compute reads it in place; otherwise the slice is gathered into scratch.
 ///
 /// Join input — §2.3's 3-way-join strawman. The wide
 /// vertex ⟕ message ⟕ edge rows are grouped per partition by row index

@@ -169,5 +169,52 @@ TEST(BspEngineTest, MaxSuperstepsBounds) {
   EXPECT_EQ(stats.supersteps, 4);
 }
 
+/// Sends each vertex one self-message plus messages to ids outside
+/// [0, n); the summed payload it receives must be its own message only.
+class OrphanSumProgram : public VertexProgram {
+ public:
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 1; }
+  void InitValue(int64_t, int64_t, double* v) const override { v[0] = 0; }
+  void Compute(VertexContext* ctx) override {
+    if (ctx->superstep() == 0) {
+      ctx->SendMessage(999999, 1.0);  // past the last vertex
+      ctx->SendMessage(ctx->vertex_id(), 1.0);
+      ctx->SendMessage(-1, 1.0);  // below the first
+      ctx->SendMessage(ctx->num_vertices(), 1.0);
+    } else {
+      double sum = 0.0;
+      for (int64_t i = 0; i < ctx->num_messages(); ++i) {
+        sum += ctx->GetMessage(i)[0];
+      }
+      ctx->ModifyVertexValue(sum);
+    }
+    if (ctx->superstep() >= 1) ctx->VoteToHalt();
+  }
+  MessageCombiner combiner() const override { return MessageCombiner::kSum; }
+};
+
+TEST(GiraphTest, OrphanMessagesAreDropped) {
+  // As on Vertexica (CoordinatorEdgeCaseTest.OrphanMessagesAreDropped), a
+  // message to a missing vertex is dropped at delivery — combined and
+  // bucketed alike.
+  Graph g;
+  g.num_vertices = 3;
+  g.AddEdge(0, 1);
+  for (const bool use_combiner : {true, false}) {
+    OrphanSumProgram program;
+    GiraphOptions opts;
+    opts.use_combiner = use_combiner;
+    BspEngine engine(g, &program, opts);
+    GiraphStats stats;
+    ASSERT_TRUE(engine.Run(&stats).ok());
+    for (int64_t v = 0; v < g.num_vertices; ++v) {
+      EXPECT_DOUBLE_EQ(engine.value(v), 1.0)
+          << "vertex " << v << ", combiner " << use_combiner;
+    }
+    EXPECT_EQ(stats.total_messages, 4 * g.num_vertices);
+  }
+}
+
 }  // namespace
 }  // namespace vertexica

@@ -9,18 +9,22 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <numeric>
+#include <set>
 
 #include "algorithms/collaborative_filtering.h"
 #include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/frontier.h"
 #include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
+#include "storage/csr_index.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "vertexica/coordinator.h"
@@ -360,7 +364,7 @@ TEST(WorkerTest, RunnerSkipsInactiveVertex) {
   EXPECT_FALSE(runner.FinishVertex(&out));
   EXPECT_EQ(out.active, 0);
   EXPECT_TRUE(out.update_id.empty());
-  EXPECT_TRUE(out.message_dst.empty());
+  EXPECT_TRUE(out.messages.dst.empty());
 }
 
 TEST(WorkerTest, RunnerReactivatesOnMessage) {
@@ -376,7 +380,9 @@ TEST(WorkerTest, RunnerReactivatesOnMessage) {
   WorkerSink out(1, 1);
   const double inf = std::numeric_limits<double>::infinity();
   runner.BeginVertex(5, /*halted=*/true, &inf);
-  runner.AddEdge(6, 1.0);
+  const int64_t edge_dst = 6;
+  const double edge_weight = 1.0;
+  runner.SetEdges(&edge_dst, &edge_weight, 1);
   const double msg = 3.0;
   runner.AddMessage(&msg);
   EXPECT_TRUE(runner.FinishVertex(&out));
@@ -385,10 +391,199 @@ TEST(WorkerTest, RunnerReactivatesOnMessage) {
   ASSERT_EQ(out.update_id.size(), 1u);
   EXPECT_EQ(out.update_id[0], 5);
   EXPECT_DOUBLE_EQ(out.update_values[0][0], 3.0);
-  ASSERT_EQ(out.message_dst.size(), 1u);
-  EXPECT_EQ(out.message_src[0], 5);
-  EXPECT_EQ(out.message_dst[0], 6);
-  EXPECT_DOUBLE_EQ(out.message_values[0][0], 4.0);
+  ASSERT_EQ(out.messages.dst.size(), 1u);
+  EXPECT_EQ(out.messages.src[0], 5);
+  EXPECT_EQ(out.messages.dst[0], 6);
+  EXPECT_DOUBLE_EQ(out.messages.values[0][0], 4.0);
+}
+
+/// Arity-2 program whose sends mix SendMessage and
+/// SendMessageToAllNeighbors, each with distinct payloads.
+class TwoColumnSendProgram : public VertexProgram {
+ public:
+  int value_arity() const override { return 1; }
+  int message_arity() const override { return 2; }
+  void InitValue(int64_t, int64_t, double* v) const override { v[0] = 0; }
+  void Compute(VertexContext* ctx) override {
+    const double first[2] = {1.0, -1.0};
+    ctx->SendMessage(100, first);
+    const double all[2] = {2.0, -2.0};
+    ctx->SendMessageToAllNeighbors(all);
+    const double last[2] = {3.0, ctx->OutEdgeWeight(1)};
+    ctx->SendMessage(ctx->OutEdgeTarget(0), last);
+  }
+};
+
+TEST(WorkerTest, SendsLandInTheSinkInCallOrder) {
+  TwoColumnSendProgram program;
+  const std::vector<int64_t> edge_dst = {7, 8, 9};
+  const std::vector<double> edge_weight = {0.5, 0.25, 0.125};
+  for (const bool write_src : {true, false}) {
+    WorkerSharedState shared;
+    shared.program = &program;
+    shared.num_vertices = 10;
+    std::map<std::string, double> prev;
+    shared.prev_aggregates = &prev;
+    // The default records senders; a combining run turns it off.
+    if (!write_src) shared.write_message_src = false;
+
+    VertexRunner runner(&shared);
+    WorkerSink out(1, 2);
+    const double value = 0.0;
+    runner.BeginVertex(4, /*halted=*/false, &value);
+    runner.SetEdges(edge_dst.data(), edge_weight.data(), 3);
+    ASSERT_TRUE(runner.FinishVertex(&out));
+    // A second vertex's sends append after the first one's.
+    const std::vector<int64_t> two = {9, 2};
+    const std::vector<double> two_w = {0.125, 4.0};
+    runner.BeginVertex(5, /*halted=*/false, &value);
+    runner.SetEdges(two.data(), two_w.data(), 2);
+    ASSERT_TRUE(runner.FinishVertex(&out));
+    EXPECT_EQ(out.active, 2);
+
+    EXPECT_EQ(out.messages.dst,
+              (std::vector<int64_t>{100, 7, 8, 9, 7, 100, 9, 2, 9}));
+    ASSERT_EQ(out.messages.values.size(), 2u);
+    EXPECT_EQ(out.messages.values[0],
+              (std::vector<double>{1, 2, 2, 2, 3, 1, 2, 2, 3}));
+    EXPECT_EQ(out.messages.values[1],
+              (std::vector<double>{-1, -2, -2, -2, 0.25, -1, -2, -2, 4.0}));
+    if (write_src) {
+      EXPECT_EQ(out.messages.src,
+                (std::vector<int64_t>{4, 4, 4, 4, 4, 5, 5, 5, 5}));
+    } else {
+      EXPECT_TRUE(out.messages.src.empty());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge spans: a loader-built edge table is sorted by src, so Compute reads
+// each vertex's out-edges in place; any other row order makes the union
+// worker gather them. Both must give the reference answers.
+// ---------------------------------------------------------------------------
+
+/// Replaces the stored edge table with a seeded shuffle of its rows. The
+/// edge CsrIndex is then a permutation, so the union worker gathers every
+/// vertex's out-edges into scratch (at every shard count: shards are stable
+/// subsequences of the stored table).
+void ShuffleEdgeRows(Catalog* cat, uint64_t seed) {
+  auto edge = cat->GetTable("edge");
+  ASSERT_TRUE(edge.ok());
+  std::vector<int64_t> rows(static_cast<size_t>((*edge)->num_rows()));
+  std::iota(rows.begin(), rows.end(), int64_t{0});
+  Rng rng(seed);
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.Uniform(i)]);
+  }
+  Table shuffled = (*edge)->Take(rows);
+  const auto index = CsrIndex::Build(*shuffled.ColumnByName("src"));
+  ASSERT_NE(index, nullptr);
+  ASSERT_FALSE(index->identity_order());
+  ASSERT_TRUE(cat->ReplaceTable("edge", std::move(shuffled)).ok());
+}
+
+TEST(EdgeSpanTest, GatheredEdgesGiveDijkstraDistances) {
+  Graph g = GenerateRmat(300, 2400, 71);
+  AssignRandomWeights(&g, 1.0, 9.0, 72);
+  const std::vector<double> expect = DijkstraReference(g, 0);
+  for (const int threads : {1, 4}) {
+    for (const int shards : {1, 4}) {
+      ScopedExecThreads scoped(threads);
+      ShortestPathProgram program(0);
+      Catalog cat;
+      ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+      ShuffleEdgeRows(&cat, 73);
+      VertexicaOptions opts;
+      opts.num_shards = shards;
+      Coordinator coord(&cat, &program, opts);
+      ASSERT_TRUE(coord.Run().ok());
+      auto dist = ReadVertexValues(cat, {});
+      ASSERT_TRUE(dist.ok());
+      EXPECT_EQ(*dist, expect) << "threads " << threads << ", shards "
+                               << shards;
+    }
+  }
+}
+
+TEST(EdgeSpanTest, GatheredEdgesAreBitIdenticalAcrossShardsAndThreads) {
+  // Collaborative filtering sends (k + 1)-column messages and sums them,
+  // so any change in a vertex's edge order or send order shows in the bits.
+  const Graph ratings = GenerateBipartite(30, 20, 300, 74).WithReverseEdges();
+  const int k = 3;
+  std::vector<std::vector<double>> first;
+  for (const int threads : {1, 4}) {
+    for (const int shards : {1, 4}) {
+      ScopedExecThreads scoped(threads);
+      CollaborativeFilteringProgram program(k, 6);
+      Catalog cat;
+      ASSERT_TRUE(LoadGraphTables(&cat, ratings, program).ok());
+      ShuffleEdgeRows(&cat, 75);
+      VertexicaOptions opts;
+      opts.num_shards = shards;
+      Coordinator coord(&cat, &program, opts);
+      ASSERT_TRUE(coord.Run().ok());
+      std::vector<std::vector<double>> factors;
+      for (int c = 0; c < k; ++c) {
+        auto values = ReadVertexValues(cat, {}, c);
+        ASSERT_TRUE(values.ok());
+        factors.push_back(std::move(*values));
+      }
+      if (first.empty()) {
+        first = factors;
+        continue;
+      }
+      for (int c = 0; c < k; ++c) {
+        const auto& a = first[static_cast<size_t>(c)];
+        const auto& b = factors[static_cast<size_t>(c)];
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+            << "factor " << c << ", threads " << threads << ", shards "
+            << shards;
+      }
+    }
+  }
+}
+
+TEST(EdgeSpanTest, StoredMessageSrcIsTheSenderOnlyWithoutCombiner) {
+  // One PageRank superstep leaves one message per edge in the stored
+  // message table. Uncombined, its (src, dst) pairs are exactly the edges;
+  // combined, the senders are folded away and every src is -1.
+  const Graph g = GenerateRmat(100, 600, 76);
+  std::multiset<std::pair<int64_t, int64_t>> edges;
+  for (size_t e = 0; e < g.src.size(); ++e) edges.emplace(g.src[e], g.dst[e]);
+  for (const bool use_combiner : {false, true}) {
+    for (const int shards : {1, 4}) {
+      PageRankProgram program(5);
+      Catalog cat;
+      ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+      VertexicaOptions opts;
+      opts.use_combiner = use_combiner;
+      opts.num_shards = shards;
+      opts.max_supersteps = 1;
+      Coordinator coord(&cat, &program, opts);
+      ASSERT_TRUE(coord.Run().ok());
+      auto message = cat.GetTable("message");
+      ASSERT_TRUE(message.ok());
+      const std::vector<int64_t>& src = (*message)->ColumnByName("src")->ints();
+      const std::vector<int64_t>& dst = (*message)->ColumnByName("dst")->ints();
+      ASSERT_EQ(src.size(), dst.size());
+      const std::string where = StringFormat(
+          "combiner %d, shards %d", use_combiner ? 1 : 0, shards);
+      if (use_combiner) {
+        EXPECT_TRUE(std::all_of(src.begin(), src.end(),
+                                [](int64_t s) { return s == -1; }))
+            << where;
+        EXPECT_EQ(std::set<int64_t>(dst.begin(), dst.end()).size(),
+                  dst.size())
+            << where;
+      } else {
+        std::multiset<std::pair<int64_t, int64_t>> sent;
+        for (size_t m = 0; m < src.size(); ++m) sent.emplace(src[m], dst[m]);
+        EXPECT_EQ(sent, edges) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -821,7 +1016,7 @@ TEST(WorkerTest, RunnerRecordsOnlyRealStateChanges) {
   EXPECT_TRUE(runner.FinishVertex(&out));
   EXPECT_EQ(out.active, 1);
   EXPECT_TRUE(out.update_id.empty());
-  EXPECT_TRUE(out.message_dst.empty());
+  EXPECT_TRUE(out.messages.dst.empty());
 }
 
 TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
