@@ -351,66 +351,6 @@ struct JoinBuildIndex {
   std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> partitions;
 };
 
-/// The build side of a join on one NULL-free INT64 key: each key's build
-/// rows as a contiguous slice, in ascending row order (the serial join's
-/// match order). Keys spanning fewer than twice as many values as there
-/// are rows get a direct-address layout — per-key offsets into one
-/// counting-sorted row list; any other span gets a CsrIndex
-/// (storage/csr_index.h), the same count-plus-slices layout behind a hash
-/// lookup.
-class Int64JoinIndex {
- public:
-  explicit Int64JoinIndex(const Column& keys) {
-    const std::vector<int64_t>& k = keys.ints();
-    if (k.empty()) return;
-    const auto [min, max] = std::minmax_element(k.begin(), k.end());
-    lo_ = *min;
-    hi_ = *max;
-    const uint64_t span =
-        static_cast<uint64_t>(hi_) - static_cast<uint64_t>(lo_);
-    if (span >= 2 * static_cast<uint64_t>(k.size())) {
-      csr_ = CsrIndex::Build(keys);
-      return;
-    }
-    offsets_.assign(static_cast<size_t>(span) + 2, 0);
-    for (const int64_t v : k) ++offsets_[Slot(v) + 1];
-    for (size_t s = 1; s < offsets_.size(); ++s) {
-      offsets_[s] += offsets_[s - 1];
-    }
-    std::vector<int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    rows_.resize(k.size());
-    for (size_t i = 0; i < k.size(); ++i) {
-      rows_[static_cast<size_t>(cursor[Slot(k[i])]++)] =
-          static_cast<int64_t>(i);
-    }
-  }
-
-  /// The index positions of `key`'s build rows (empty when absent).
-  CsrIndex::Slice Find(int64_t key) const {
-    if (csr_ != nullptr) return csr_->NeighborSlice(key);
-    if (offsets_.empty() || key < lo_ || key > hi_) return {};
-    const size_t s = Slot(key);
-    return {offsets_[s], offsets_[s + 1]};
-  }
-
-  /// The build row at index position `pos`.
-  int64_t Row(int64_t pos) const {
-    return csr_ != nullptr ? csr_->Row(pos) : rows_[static_cast<size_t>(pos)];
-  }
-
- private:
-  size_t Slot(int64_t key) const {
-    return static_cast<size_t>(static_cast<uint64_t>(key) -
-                               static_cast<uint64_t>(lo_));
-  }
-
-  int64_t lo_ = 0;
-  int64_t hi_ = 0;
-  std::vector<int64_t> offsets_;  ///< direct layout: slot → first position
-  std::vector<int64_t> rows_;     ///< direct layout: position → build row
-  std::shared_ptr<const CsrIndex> csr_;
-};
-
 /// Output rows of a probe row that has `matches` build matches.
 int64_t JoinOutputRows(JoinType type, int64_t matches) {
   switch (type) {
@@ -426,15 +366,21 @@ int64_t JoinOutputRows(JoinType type, int64_t matches) {
   return 0;
 }
 
-/// The join on one NULL-free INT64 key: a flat build index, then two
-/// passes over the probe morsels — count each morsel's output rows, then
-/// write every (probe row, build row) pair straight to its morsel's offset
-/// — and one typed gather per output column. Same rows, order and NULL
-/// padding as the generic kernel below.
+/// The join on one NULL-free INT64 key: the build side's CsrIndex
+/// (storage/csr_index.h; each key's build rows as one slice, in ascending
+/// row order — the serial join's match order), then two passes over the
+/// probe morsels — count each morsel's output rows, then write every
+/// (probe row, build row) pair straight to its morsel's offset — and one
+/// typed gather per output column. Same rows, order and NULL padding as
+/// the generic kernel below.
 Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
                            int probe_col, int build_col, JoinType type,
                            const Schema& schema, int threads, int64_t grain) {
-  const Int64JoinIndex index(build.column(build_col));
+  const auto built = CsrIndex::Build(build.column(build_col));
+  if (built == nullptr) {
+    return Status::Internal("Int64KeyJoin: build key is not NULL-free INT64");
+  }
+  const CsrIndex& index = *built;
   const int64_t* keys = probe.column(probe_col).ints().data();
   const int64_t probe_rows = probe.num_rows();
   const size_t chunks =
@@ -445,7 +391,7 @@ Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
     const auto first = static_cast<int64_t>(j) * grain;
     const int64_t end = std::min(probe_rows, first + grain);
     for (int64_t i = first; i < end; ++i) {
-      emit(i, index.Find(keys[i]));
+      emit(i, index.NeighborSlice(keys[i]));
     }
   };
 

@@ -5,7 +5,7 @@
 #include "common/logging.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
-#include "exec/parallel.h"
+#include "exec/exec_knobs.h"
 
 namespace vertexica {
 
@@ -53,7 +53,11 @@ Result<Table> Pipeline::Run(int node_id) {
   }
 
   // Evaluate in waves of ready nodes; each wave fans out on the pool.
-  const int threads = ExecThreads();
+  // Pool threads do not inherit the caller's thread-local knobs, cancel
+  // token or kernel-counter block; each wave task reinstalls them so nodes
+  // run exactly as they would on the calling thread.
+  const ExecKnobs knobs = ExecKnobs::Capture();
+  const int threads = knobs.threads;
   while (!nodes_[static_cast<size_t>(node_id)].computed) {
     std::vector<int> ready;
     for (size_t id = 0; id < nodes_.size(); ++id) {
@@ -75,9 +79,7 @@ Result<Table> Pipeline::Run(int node_id) {
       VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
           0, ready.size(), /*grain=*/1,
           [&](size_t begin, size_t end) -> Status {
-            // Propagate the caller's thread budget into the pool task so
-            // nodes keep using the morsel-parallel kernels underneath.
-            ScopedExecThreads scoped(threads);
+            ScopedExecKnobs scoped(knobs);
             for (size_t i = begin; i < end; ++i) {
               VX_RETURN_NOT_OK(ComputeNode(ready[i]));
             }

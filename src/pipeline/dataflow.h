@@ -51,9 +51,11 @@ class Pipeline {
   /// Independent nodes run concurrently: evaluation proceeds in waves of
   /// ready nodes (all inputs computed), and each wave fans out on the
   /// shared ThreadPool up to the ambient ExecThreads() budget — so a
-  /// diamond of two branches costs one branch's wall clock. Node evaluation
-  /// order within a wave is unspecified, but outputs (and the set of nodes
-  /// run) are identical to serial execution.
+  /// diamond of two branches costs one branch's wall clock. A node run on a
+  /// pool worker sees the caller's knobs, cancel token and kernel-counter
+  /// block (ExecKnobs). Node evaluation order within a wave is unspecified,
+  /// but outputs (and the set of nodes run) are identical to serial
+  /// execution.
   Result<Table> Run(int node_id);
 
   /// \brief Clears memoized results and timings (e.g. after the source

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/exec_knobs.h"
 #include "exec/parallel.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
@@ -40,13 +41,14 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
 
   std::vector<Table> outputs(parts.size(), Table(out_schema));
 
-  // Propagate the caller's ambient thread budget into the pool tasks so a
-  // UDF body that runs exec kernels keeps honouring RunRequest::threads.
-  const int ambient_threads = ExecThreads();
+  // Propagate the caller's knobs, cancel token and kernel-counter block
+  // into the pool tasks so a UDF body that runs exec kernels runs exactly
+  // as it would on the calling thread.
+  const ExecKnobs knobs = ExecKnobs::Capture();
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, parts.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {
-        ScopedExecThreads scoped(ambient_threads);
+        ScopedExecKnobs scoped(knobs);
         for (size_t p = begin; p < end; ++p) {
           Table partition =
               keys.empty() ? std::move(parts[p]) : SortTable(parts[p], keys);

@@ -91,6 +91,8 @@ TransformParallelism ResolveTransformParallelism(const TransformOptions& opts);
 /// (an INT64 column index), returning the concatenated outputs.
 ///
 /// Equivalent SQL: `SELECT udf(...) OVER (PARTITION BY key ORDER BY ...)`.
+/// Partition bodies run on pool workers under the caller's knobs, cancel
+/// token and kernel-counter block (ExecKnobs).
 Result<Table> ApplyTransform(const Table& input, int partition_column,
                              const TransformUdfFactory& factory,
                              const TransformOptions& options = {});

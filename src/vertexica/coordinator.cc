@@ -9,7 +9,6 @@
 #include "catalog/catalog_io.h"
 #include "common/cancel.h"
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
@@ -218,8 +217,9 @@ void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
   }
 }
 
-/// The CSR index over `table`'s INT64 key column `key`; InvalidArgument
-/// when the column holds NULLs or has another type.
+/// The CSR index over `table`'s INT64 key column `key` (edge src, message
+/// dst, vertex id); InvalidArgument when the column holds NULLs or has
+/// another type.
 Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
                                                       const std::string& key) {
   VX_ASSIGN_OR_RETURN(int c, table.ColumnIndex(key));
@@ -227,7 +227,7 @@ Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
   if (index == nullptr) {
     return Status::InvalidArgument(
         "graph table column '" + key +
-        "' must be a non-NULL INT64 vertex id to group the worker input");
+        "' must be a non-NULL INT64 vertex id");
   }
   // The index is read across the whole superstep (and kept across the run
   // for edges); prove once that it describes exactly this key column.
@@ -423,13 +423,10 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
   // other columns are exactly the ones being rewritten.)
   const bool ordered_by_id = OrderedByColumn(out, "id");
 
-  // A duplicated id maps to its last row: the row the workers read ("last
-  // row wins", vertexica/worker_driver.h) and ReadVertexValues reports.
-  Int64HashMap<int64_t> row_of(static_cast<size_t>(out.num_rows()));
-  const auto& ids = out.column(id_c).ints();
-  for (int64_t r = 0; r < out.num_rows(); ++r) {
-    row_of.GetOrInsert(ids[static_cast<size_t>(r)]) = r;
-  }
+  // id → rows. A duplicated id maps to its last row: the row the workers
+  // read ("last row wins", vertexica/worker_driver.h) and ReadVertexValues
+  // reports.
+  VX_ASSIGN_OR_RETURN(const auto rows_of, BuildKeyIndex(out, "id"));
 
   auto& halted = *out.mutable_column(halted_c)->mutable_bools();
   std::vector<std::vector<double>*> vcols(static_cast<size_t>(va));
@@ -457,9 +454,9 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
       static_cast<size_t>(kDefaultMorselRows),
       [&](size_t begin, size_t end) {
         for (size_t su = begin; su < end; ++su) {
-          const int64_t* row = row_of.Find(uids[su]);
-          if (row == nullptr) continue;
-          const auto sr = static_cast<size_t>(*row);
+          const CsrIndex::Slice rows = rows_of->NeighborSlice(uids[su]);
+          if (rows.length() == 0) continue;
+          const auto sr = static_cast<size_t>(rows_of->Row(rows.end - 1));
           halted[sr] = uhalted[su];
           for (int i = 0; i < va; ++i) {
             (*vcols[static_cast<size_t>(i)])[sr] =

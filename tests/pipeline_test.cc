@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
+#include "exec/exec_knobs.h"
 #include "graphgen/generators.h"
 #include "graphgen/metadata.h"
 #include "pipeline/dataflow.h"
@@ -198,6 +202,57 @@ TEST(PipelineTest, BadInputArityFails) {
 TEST(PipelineTest, UnknownNodeIdFails) {
   Pipeline p;
   EXPECT_TRUE(p.Run(3).status().IsInvalidArgument());
+}
+
+TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
+  // Every knob away from its default, plus a live cancel token and a
+  // kernel-counter block: a pool task that installs only the thread count
+  // (or nothing) captures something else.
+  KernelStats stats;
+  ExecKnobs caller;
+  caller.threads = 4;
+  caller.shards = 3;
+  caller.encoding = EncodingMode::kOff;
+  caller.merge_join = false;
+  caller.frontier = FrontierMode::kOff;
+  caller.vectorized = false;
+  caller.cancel = CancelToken::Make();
+  caller.kernel_stats = &stats;
+  ScopedExecKnobs scoped(caller);
+  ASSERT_TRUE(ExecKnobs::Capture() == caller);
+
+  // Two independent probes form one wave, which fans out on the pool. Each
+  // waits (up to two seconds) for the other to start, so the two run at
+  // once and at least one of them runs on a pool worker.
+  std::atomic<int> started{0};
+  std::vector<ExecKnobs> seen(2);
+  Pipeline p;
+  std::vector<int> probes;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    probes.push_back(p.AddNode(MakeFunctionNode(
+        "probe", [&, i](const std::vector<Table>&) -> Result<Table> {
+          started.fetch_add(1);
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (started.load() < 2 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          seen[i] = ExecKnobs::Capture();
+          return Table(Schema({{"x", DataType::kInt64}}));
+        })));
+  }
+  const int sink = p.AddNode(
+      MakeFunctionNode("sink",
+                       [](const std::vector<Table>& in) -> Result<Table> {
+                         return in[0];
+                       }),
+      probes);
+  auto out = p.Run(sink);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i] == caller) << "probe " << i;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "exec/filter.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
@@ -20,6 +21,7 @@
 #include "storage/bitvector.h"
 #include "storage/compression.h"
 #include "storage/csr_index.h"
+#include "storage/encoding.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
 #include "storage/table.h"
@@ -1099,6 +1101,166 @@ TEST(CsrIndexTest, UngroupedKeysGroupStably) {
   EXPECT_TRUE(rle->CheckInvariants(runs).ok());
 }
 
+// ---- CsrIndex layouts: direct address and hash give the same slices. ---
+
+/// The row order a key column arrives in: sorted or not, plain or RLE.
+enum class KeyOrder { kSorted, kUnsorted, kSortedRle, kUnsortedRle };
+
+const char* KeyOrderName(KeyOrder order) {
+  switch (order) {
+    case KeyOrder::kSorted:
+      return "sorted";
+    case KeyOrder::kUnsorted:
+      return "unsorted";
+    case KeyOrder::kSortedRle:
+      return "sorted-rle";
+    case KeyOrder::kUnsortedRle:
+      return "unsorted-rle";
+  }
+  return "?";
+}
+
+/// `values` as a key column in `order` (RLE columns come from their runs).
+Column KeysInOrder(std::vector<int64_t> values, KeyOrder order) {
+  if (order == KeyOrder::kSorted || order == KeyOrder::kSortedRle) {
+    std::sort(values.begin(), values.end());
+  }
+  if (order == KeyOrder::kSorted || order == KeyOrder::kUnsorted) {
+    return Column::FromInts(values);
+  }
+  return Column::FromRleRuns(RleEncode(values));
+}
+
+/// Every index position's row, in position order.
+std::vector<int64_t> IndexRows(const CsrIndex& csr) {
+  std::vector<int64_t> rows(static_cast<size_t>(csr.num_rows()));
+  for (int64_t p = 0; p < csr.num_rows(); ++p) {
+    rows[static_cast<size_t>(p)] = csr.Row(p);
+  }
+  return rows;
+}
+
+TEST(CsrIndexLayoutTest, DenseAndSparsePlacementsGiveTheSameSlices) {
+  // One key multiset placed densely (span under 2 x rows: the
+  // direct-address layout) and at a stride of 2^40 (the hash layout). The
+  // stride keeps the key order, so both must list the same rows per key.
+  for (uint64_t seed = 0; seed < 96; ++seed) {
+    Rng rng(seed + 7000);
+    const auto order = static_cast<KeyOrder>(seed % 4);
+    const int64_t n = seed % 17 == 0 ? 0 : rng.UniformRange(1, 300);
+    const int64_t width = rng.UniformRange(1, std::max<int64_t>(1, 2 * n));
+    const int64_t lo = rng.UniformRange(-1000, 1000);  // negatives too
+    const int64_t c = rng.UniformRange(-(int64_t{1} << 50), int64_t{1} << 50);
+    const auto sparse_key = [lo, c](int64_t key) {
+      return (key - lo) * (int64_t{1} << 40) + c;
+    };
+    std::vector<int64_t> dense_values;
+    for (int64_t i = 0; i < n; ++i) {
+      // Repeat the previous key now and then, so RLE columns get runs.
+      dense_values.push_back(i > 0 && rng.Bernoulli(0.3)
+                                 ? dense_values.back()
+                                 : lo + rng.UniformRange(0, width - 1));
+    }
+    std::vector<int64_t> sparse_values;
+    for (const int64_t v : dense_values) sparse_values.push_back(sparse_key(v));
+    const Column dense_keys = KeysInOrder(dense_values, order);
+    const Column sparse_keys = KeysInOrder(sparse_values, order);
+    SCOPED_TRACE(StringFormat(
+        "replay: CsrIndexLayoutTest.DenseAndSparsePlacementsGiveTheSameSlices "
+        "seed=%llu order=%s rows=%lld",
+        static_cast<unsigned long long>(seed), KeyOrderName(order),
+        static_cast<long long>(n)));
+    const auto dense = CsrIndex::Build(dense_keys);
+    const auto sparse = CsrIndex::Build(sparse_keys);
+    ASSERT_NE(dense, nullptr);
+    ASSERT_NE(sparse, nullptr);
+    EXPECT_TRUE(dense->CheckInvariants(dense_keys).ok());
+    EXPECT_TRUE(sparse->CheckInvariants(sparse_keys).ok());
+    const auto [min, max] =
+        std::minmax_element(dense_values.begin(), dense_values.end());
+    EXPECT_EQ(dense->direct_address(), n > 0);
+    if (n > 0 && *min != *max) {
+      EXPECT_FALSE(sparse->direct_address());
+    }
+
+    EXPECT_EQ(IndexRows(*dense), IndexRows(*sparse));
+    EXPECT_EQ(dense->identity_order(), sparse->identity_order());
+    EXPECT_EQ(dense->num_rows(), n);
+    EXPECT_EQ(sparse->num_rows(), n);
+    EXPECT_EQ(dense->num_keys(), sparse->num_keys());
+    int64_t covered = 0;
+    for (int64_t key = lo - 2; key <= lo + width + 1; ++key) {
+      const CsrIndex::Slice d = dense->NeighborSlice(key);
+      const CsrIndex::Slice h = sparse->NeighborSlice(sparse_key(key));
+      const auto rows = std::count(dense_values.begin(), dense_values.end(),
+                                   key);
+      EXPECT_EQ(d.length(), rows) << "key " << key;
+      EXPECT_EQ(h.length(), rows) << "key " << key;
+      if (rows > 0) {  // an absent key's empty slice may sit anywhere
+        EXPECT_EQ(d.begin, h.begin) << "key " << key;
+      }
+      covered += d.length();
+      // Between two stride points no key lives.
+      EXPECT_EQ(sparse->NeighborSlice(sparse_key(key) + 1).length(), 0);
+    }
+    EXPECT_EQ(covered, n);
+    // Absent keys below lo, above hi and at the far ends of the int64 range
+    // give zero-length slices in either layout.
+    for (const int64_t key :
+         {std::numeric_limits<int64_t>::min(), lo - 1, lo + width,
+          std::numeric_limits<int64_t>::max()}) {
+      EXPECT_EQ(dense->NeighborSlice(key).length(), 0) << "key " << key;
+      EXPECT_EQ(sparse->NeighborSlice(key).length(), 0) << "key " << key;
+    }
+  }
+}
+
+TEST(CsrIndexLayoutTest, ExtremeKeysGroupWithoutOverflow) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    std::vector<int64_t> keys;
+    bool direct_address;
+  };
+  // The full int64 span overflows a signed subtraction: hash layout. Two
+  // adjacent keys at either end are dense: direct address, probed from the
+  // other end of the range.
+  const std::vector<Case> cases = {
+      {{kMin, kMax}, false},
+      {{kMax, 0, kMin, 0, kMax}, false},
+      {{kMax, kMax - 1, kMax}, true},
+      {{kMin + 1, kMin, kMin}, true},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    for (const KeyOrder order :
+         {KeyOrder::kUnsorted, KeyOrder::kSorted, KeyOrder::kUnsortedRle,
+          KeyOrder::kSortedRle}) {
+      const Case& c = cases[i];
+      SCOPED_TRACE(StringFormat(
+          "replay: CsrIndexLayoutTest.ExtremeKeysGroupWithoutOverflow "
+          "case=%zu order=%s",
+          i, KeyOrderName(order)));
+      const Column keys = KeysInOrder(c.keys, order);
+      const auto csr = CsrIndex::Build(keys);
+      ASSERT_NE(csr, nullptr);
+      EXPECT_EQ(csr->direct_address(), c.direct_address);
+      EXPECT_TRUE(csr->CheckInvariants(keys).ok());
+      // Positions list the rows by key, ties in row order.
+      const std::vector<int64_t>& values = keys.ints();
+      std::vector<int64_t> want(values.size());
+      std::iota(want.begin(), want.end(), int64_t{0});
+      std::stable_sort(want.begin(), want.end(), [&](int64_t a, int64_t b) {
+        return values[static_cast<size_t>(a)] < values[static_cast<size_t>(b)];
+      });
+      EXPECT_EQ(IndexRows(*csr), want);
+      for (const int64_t key : {kMin, kMin + 1, int64_t{0}, kMax - 1, kMax}) {
+        const auto rows = std::count(c.keys.begin(), c.keys.end(), key);
+        EXPECT_EQ(csr->NeighborSlice(key).length(), rows) << "key " << key;
+      }
+    }
+  }
+}
+
 TEST(CsrIndexTest, NullOrNonIntegerKeysFailTheBuild) {
   Column with_null(DataType::kInt64);
   with_null.AppendInt64(1);
@@ -1319,6 +1481,37 @@ TEST(InvariantAuditTest, StaleCsrIndexIsReported) {
   EXPECT_TRUE(Mentions(
       st4, "position 0 holds row 1 but the stable grouping puts row 2 there"))
       << st4.ToString();
+}
+
+TEST(InvariantAuditTest, StaleDirectAddressCsrIndexIsReported) {
+  const Column keys = Column::FromInts({3, 4, 4, 6});  // span 3 < 2 x 4
+  auto csr = CsrIndex::Build(keys);
+  ASSERT_NE(csr, nullptr);
+  ASSERT_TRUE(csr->direct_address());
+  EXPECT_TRUE(csr->CheckInvariants(keys).ok());
+
+  // Same length and span, different grouping: stale by slice shape.
+  const Status st = csr->CheckInvariants(Column::FromInts({3, 4, 6, 6}));
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(Mentions(
+      st, "key 4 maps to slice [1, 3) but its rows span [1, 2)"))
+      << st.ToString();
+
+  // Same length, shifted keys: stale by the offsets' base.
+  const Status st2 = csr->CheckInvariants(Column::FromInts({13, 14, 14, 16}));
+  ASSERT_FALSE(st2.ok());
+  EXPECT_TRUE(Mentions(st2,
+                       "direct-address layout starts at 3 with 5 offsets but "
+                       "the keys span [13, 16] (stale index?)"))
+      << st2.ToString();
+
+  // Same length, a span wide enough for the hash layout: stale by layout.
+  const Status st3 = csr->CheckInvariants(Column::FromInts({3, 4, 4, 600}));
+  ASSERT_FALSE(st3.ok());
+  EXPECT_TRUE(Mentions(st3,
+                       "keys span [3, 600] over 4 rows, which selects the "
+                       "hash layout, but the index uses the other one"))
+      << st3.ToString();
 }
 
 TEST(InvariantAuditTest, MalformedShardingSpecIsReported) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <thread>
 
+#include "exec/exec_knobs.h"
 #include "udf/stored_procedure.h"
 #include "udf/transform.h"
 
@@ -139,6 +143,71 @@ TEST(TransformTest, OneInstancePerNonEmptyPartition) {
     total += result->column(0).GetInt64(i);
   }
   EXPECT_EQ(total, 64);
+}
+
+/// UDF that records the knobs its partition body sees. Each body waits (up
+/// to two seconds) until a second one has started, so partitions run at
+/// once and some run on pool workers.
+class KnobProbeUdf : public TransformUdf {
+ public:
+  KnobProbeUdf(std::atomic<int>* started, std::mutex* mu,
+               std::vector<ExecKnobs>* seen)
+      : started_(started), mu_(mu), seen_(seen) {}
+  const Schema& output_schema() const override {
+    static const Schema kSchema({{"n", DataType::kInt64}});
+    return kSchema;
+  }
+  Status ProcessPartition(const Table&,
+                          const std::function<Status(Table)>&) override {
+    started_->fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (started_->load() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    const ExecKnobs knobs = ExecKnobs::Capture();
+    std::lock_guard<std::mutex> lock(*mu_);
+    seen_->push_back(knobs);
+    return Status::OK();
+  }
+
+ private:
+  std::atomic<int>* started_;
+  std::mutex* mu_;
+  std::vector<ExecKnobs>* seen_;
+};
+
+TEST(TransformTest, PoolTasksSeeTheCallersKnobs) {
+  // Every knob away from its default, plus a live cancel token and a
+  // kernel-counter block.
+  KernelStats stats;
+  ExecKnobs caller;
+  caller.threads = 4;
+  caller.shards = 3;
+  caller.encoding = EncodingMode::kOff;
+  caller.merge_join = false;
+  caller.frontier = FrontierMode::kOff;
+  caller.vectorized = false;
+  caller.cancel = CancelToken::Make();
+  caller.kernel_stats = &stats;
+  ScopedExecKnobs scoped(caller);
+  ASSERT_TRUE(ExecKnobs::Capture() == caller);
+
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::vector<ExecKnobs> seen;
+  TransformOptions opts;
+  opts.num_partitions = 8;
+  opts.num_workers = 4;
+  auto result = ApplyTransform(
+      KeyValueTable(64, 1), 0,
+      [&] { return std::make_unique<KnobProbeUdf>(&started, &mu, &seen); },
+      opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(seen.size(), 2u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i] == caller) << "partition body " << i;
+  }
 }
 
 /// UDF returning an error: must propagate.
