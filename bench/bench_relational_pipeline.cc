@@ -275,28 +275,22 @@ BENCHMARK(BM_FusedFilterProject)
     ->Args({1, 0})->Args({1, 1})->Args({0, 0})->Args({0, 1})
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// ---- Order-aware superstep joins (exec/merge_join.h) -------------------
+// ---- Superstep joins of the 3-way-join input (exec/parallel.h) ---------
 //
-// The §2.3 3-way-join input build, merge vs hash: with the sorted
-// invariants (vertex by id, message by dst, edges by (src, dst)) the
-// vertex ⟕ message ⟕ edge joins read the sorted/RLE representation
-// directly — zero hash builds per superstep. Rows are bit-identical
-// either way; the reported time is the join-kernel time summed over the
-// run (SuperstepStats::join_seconds), so the cell is exactly the
-// superstep join cost the path removes.
+// The §2.3 3-way-join input build: the vertex ⟕ message ⟕ edge hash
+// joins. The reported time is the join-kernel time summed over the run
+// (SuperstepStats::join_seconds), so the cell is exactly the superstep
+// join cost of the join-input path.
 
 void BM_SuperstepJoinPath(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool merge = state.range(1) != 0;
   const Graph& g = GetDataset(DatasetId::kTwitter);
   VertexicaOptions opts;
   opts.use_union_input = false;
-  opts.use_merge_join = merge;
   // Always update in place so the only joins counted are the two input
-  // builds per superstep (the replace-path rebuild adds an anti join with
-  // an unsorted build side, which hashes by design).
+  // builds per superstep (the replace-path rebuild adds an anti join).
   opts.update_threshold = 2.0;
-  static int64_t expected_join_rows = -1;  // parity across all four cells
+  static int64_t expected_join_rows = -1;  // parity across both cells
   double seconds = 0;
   for (auto _ : state) {
     ScopedExecThreads scoped(threads);
@@ -306,30 +300,26 @@ void BM_SuperstepJoinPath(benchmark::State& state) {
     VX_CHECK(ranks.ok()) << ranks.status().ToString();
     double join_seconds = 0;
     int64_t join_rows = 0;
-    int64_t merge_joins = 0;
     int64_t hash_joins = 0;
     for (const auto& s : stats.supersteps) {
       join_seconds += s.join_seconds;
       join_rows += s.join_rows;
-      merge_joins += s.merge_joins;
       hash_joins += s.hash_joins;
     }
-    // Path + parity sanity (this is what the CI bench smoke job trips
-    // on): the requested path actually ran, and both paths join the same
-    // number of rows at any thread count.
-    VX_CHECK(merge ? (merge_joins > 0 && hash_joins == 0)
-                   : (hash_joins > 0 && merge_joins == 0));
+    // Parity sanity (this is what the CI bench smoke job trips on): the
+    // joins ran, and they join the same number of rows at any thread
+    // count.
+    VX_CHECK(hash_joins > 0);
     if (expected_join_rows < 0) expected_join_rows = join_rows;
     VX_CHECK(join_rows == expected_join_rows)
         << join_rows << " vs " << expected_join_rows;
     seconds = join_seconds;
     state.SetIterationTime(seconds);
   }
-  Table34().Record(merge ? "StepJoin merge" : "StepJoin hash",
-                   ThreadsColumn(threads), seconds);
+  Table34().Record("StepJoin hash", ThreadsColumn(threads), seconds);
 }
 BENCHMARK(BM_SuperstepJoinPath)
-    ->Args({1, 0})->Args({1, 1})->Args({0, 0})->Args({0, 1})
+    ->Arg(1)->Arg(0)
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // ---- Persistent sharding (storage/partition.h) -------------------------
@@ -469,17 +459,6 @@ void PrintSpeedups() {
       std::printf(
           "Fused sigma->pi speedup vs interpreter (T%d): %.2fx\n", threads,
           interp / fused);
-    }
-  }
-  for (int threads : {1, 0}) {
-    const double hash = Table34().Lookup("StepJoin hash",
-                                         ThreadsColumn(threads));
-    const double merge = Table34().Lookup("StepJoin merge",
-                                          ThreadsColumn(threads));
-    if (hash > 0 && merge > 0) {
-      std::printf(
-          "Superstep join speedup, merge vs hash (T%d): %.2fx\n", threads,
-          hash / merge);
     }
   }
   for (int threads : {1, 0}) {

@@ -43,16 +43,9 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test' \
     --output-on-failure -j "$(nproc)")
 
-# The exec/vertexica suites once more with the merge-join knob forced off:
-# the order-aware join path must be a pure physical-plan swap — results
-# bit-identical with it disabled (docs/EXECUTOR.md).
-(cd "$BUILD_DIR" && VERTEXICA_MERGE_JOIN=off \
-    ctest -R 'exec_test|vertexica_test|api_test' --output-on-failure \
-    -j "$(nproc)")
-
-# Same contract for the fused selection-vector σ/π core: pinning the
-# interpreter path must leave every expectation bit-identical
-# (docs/EXECUTOR.md, "Selection-vector batches").
+# The exec/vertexica suites once more with the fused selection-vector σ/π
+# core off: pinning the interpreter path must leave every expectation
+# bit-identical (docs/EXECUTOR.md, "Selection-vector batches").
 (cd "$BUILD_DIR" && VERTEXICA_VECTORIZED=off \
     ctest -R 'exec_test|vertexica_test|api_test' --output-on-failure \
     -j "$(nproc)")

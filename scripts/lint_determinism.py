@@ -19,7 +19,7 @@ model) sneak in:
       generators so every run is reproducible from its seed.
 
   R3  A ParallelFor(...) call whose body reads an ambient knob resolver
-      (ExecThreads, ExecShards, AmbientEncodingMode, MergeJoinEnabled,
+      (ExecThreads, ExecShards, AmbientEncodingMode, VectorizedEnabled,
       AmbientFrontierMode, ExecKnobs::Capture) must install captured knobs
       via ScopedExecKnobs inside that body — pool threads do not inherit
       the submitter's thread-local overrides, so a bare read silently
@@ -71,7 +71,7 @@ RANDOM_RE = re.compile(
     r"\bstd::random_device\b|(?<![\w.:>])s?rand\s*\(|(?<![\w.:>])time\s*\(")
 AMBIENT_RE = re.compile(
     r"\bExecThreads\s*\(|\bExecShards\s*\(|\bAmbientEncodingMode\s*\(|"
-    r"\bMergeJoinEnabled\s*\(|\bAmbientFrontierMode\s*\(|"
+    r"\bVectorizedEnabled\s*\(|\bAmbientFrontierMode\s*\(|"
     r"\bExecKnobs::Capture\s*\(")
 PARALLEL_FOR_RE = re.compile(r"\bParallelFor\s*\(")
 VX_CHECK_RE = re.compile(r"\bVX_CHECK(?:_OK)?\b")

@@ -36,12 +36,12 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
       AlgorithmRegistry::Factory factory,
       AlgorithmRegistry::Global()->Find(request.algorithm, id_));
   // Resolve the request's knob overrides (threads, shards, encoding,
-  // merge-join, vectorized) against the ambient defaults into one explicit
+  // frontier, vectorized) against the ambient defaults into one explicit
   // context, then install it around the dispatch so every layer that
   // resolves a knob (exec kernels, the graph-table loader, the superstep
   // coordinator, BSP compute threads) inherits this request's
   // configuration. Backends that never consult a knob simply ignore it.
-  ExecContext ctx = ExecContext::FromRequest(request);
+  VX_ASSIGN_OR_RETURN(ExecContext ctx, ExecContext::FromRequest(request));
   // Per-run counter blocks (not process-wide atomics): concurrent runs on
   // one server never interleave their counters. The KernelStats block is
   // relaxed atomics and rides ExecKnobs into every pool task; the
@@ -68,11 +68,9 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
     result.backend_metrics["batch_hash_rows"] =
         static_cast<double>(kernels.batch_hash_rows);
   }
-  if (join_stats.hash_joins > 0 || join_stats.merge_joins > 0) {
+  if (join_stats.hash_joins > 0) {
     result.backend_metrics["hash_joins"] =
         static_cast<double>(join_stats.hash_joins);
-    result.backend_metrics["merge_joins"] =
-        static_cast<double>(join_stats.merge_joins);
   }
   return result;
 }

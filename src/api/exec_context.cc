@@ -1,30 +1,39 @@
 #include "api/exec_context.h"
 
+#include "common/env_knob.h"
+
 namespace vertexica {
 
-ExecContext ExecContext::FromRequest(const RunRequest& request) {
+namespace {
+
+/// Parses one knob string with the knob's own parser (the vocabulary its
+/// environment variable uses); an unknown token names the field.
+template <typename T>
+Status ParseField(const char* field, const std::string& text,
+                  std::optional<T> (*parse)(const std::string&), T* out) {
+  if (text.empty()) return Status::OK();
+  const std::optional<T> parsed = parse(text);
+  if (!parsed.has_value()) {
+    return Status::InvalidArgument(std::string("RunRequest::") + field +
+                                   ": unknown value '" + text + "'");
+  }
+  *out = *parsed;
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<ExecContext> ExecContext::FromRequest(const RunRequest& request) {
   ExecContext ctx;
   ctx.knobs = ExecKnobs::Capture();
   if (request.threads > 0) ctx.knobs.threads = request.threads;
   if (request.shards > 0) ctx.knobs.shards = request.shards;
-  if (!request.encoding.empty()) {
-    ctx.knobs.encoding = ParseEncodingMode(request.encoding);
-  }
-  if (!request.merge_join.empty()) {
-    // Same off-vocabulary as the VERTEXICA_MERGE_JOIN env knob.
-    ctx.knobs.merge_join =
-        request.merge_join != "0" && request.merge_join != "off" &&
-        request.merge_join != "OFF" && request.merge_join != "false";
-  }
-  if (!request.frontier.empty()) {
-    ctx.knobs.frontier = ParseFrontierMode(request.frontier);
-  }
-  if (!request.vectorized.empty()) {
-    // Same off-vocabulary as the VERTEXICA_VECTORIZED env knob.
-    ctx.knobs.vectorized =
-        request.vectorized != "0" && request.vectorized != "off" &&
-        request.vectorized != "OFF" && request.vectorized != "false";
-  }
+  VX_RETURN_NOT_OK(ParseField("encoding", request.encoding,
+                              &ParseEncodingMode, &ctx.knobs.encoding));
+  VX_RETURN_NOT_OK(ParseField("frontier", request.frontier,
+                              &ParseFrontierMode, &ctx.knobs.frontier));
+  VX_RETURN_NOT_OK(ParseField("vectorized", request.vectorized, &ParseOnOff,
+                              &ctx.knobs.vectorized));
   if (request.deadline_ms > 0) {
     // Derive rather than replace: the child token enforces the request
     // deadline while still observing an ambient (e.g. session-level)

@@ -16,6 +16,7 @@
 #define VERTEXICA_API_EXEC_CONTEXT_H_
 
 #include "api/run_types.h"
+#include "common/result.h"
 #include "exec/exec_knobs.h"
 
 namespace vertexica {
@@ -25,10 +26,12 @@ struct ExecContext {
   ExecKnobs knobs;
 
   /// \brief Resolves `request`'s explicit overrides (threads/shards > 0,
-  /// non-empty encoding/merge_join/frontier/vectorized) against the calling thread's
-  /// ambient defaults. The result is self-contained: installing it on any thread
-  /// reproduces the configuration the request would have seen here.
-  static ExecContext FromRequest(const RunRequest& request);
+  /// non-empty encoding/frontier/vectorized) against the calling thread's
+  /// ambient defaults. The result is self-contained: installing it on any
+  /// thread reproduces the configuration the request would have seen here.
+  /// A knob string outside its vocabulary (the same one its VERTEXICA_*
+  /// environment variable accepts) is InvalidArgument naming the field.
+  static Result<ExecContext> FromRequest(const RunRequest& request);
 
   /// \brief Worker threads this run will occupy at peak — what admission
   /// control charges against the global pool budget. The coordinator caps

@@ -98,15 +98,12 @@ struct RunRequest {
   /// bit-identical across settings on every backend — only the physical
   /// representation (and SuperstepStats encoded/decoded byte counters)
   /// changes.
+  ///
+  /// `encoding`, `vectorized` and `frontier` take their environment
+  /// variable's vocabulary, case-insensitively (ParseEncodingMode,
+  /// ParseOnOff, ParseFrontierMode); any other value fails the run with
+  /// InvalidArgument before it is admitted.
   std::string encoding;
-
-  /// Join-operator policy for the relational executor (see docs/EXECUTOR.md):
-  /// "" keeps the ambient setting (VERTEXICA_MERGE_JOIN env var, else on);
-  /// "off" pins hash joins; "on" allows order-aware merge joins where the
-  /// inputs are sorted. Installed as a scoped override around the backend
-  /// dispatch, like `threads`. Value-neutral: the physical join operator
-  /// never changes results.
-  std::string merge_join;
 
   /// Execution-path policy for the relational σ/π kernels (see
   /// docs/EXECUTOR.md): "" keeps the ambient setting (VERTEXICA_VECTORIZED

@@ -11,12 +11,23 @@ thread_local CancelToken t_ambient_token;
 }  // namespace
 
 CancelToken CancelToken::WithDeadlineAfter(double seconds) const {
+  using Clock = std::chrono::steady_clock;
   auto state = std::make_shared<cancel_internal::CancelState>();
-  state->has_deadline = true;
-  state->deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
+  const Clock::time_point now = Clock::now();
+  // A deadline the clock cannot represent from now (or NaN) means no
+  // deadline: converting it to ticks would overflow, which is UB. The one
+  // second of margin covers the rounding of the range to double.
+  const std::chrono::duration<double> room =
+      std::chrono::duration<double>(Clock::time_point::max() - now) -
+      std::chrono::seconds(1);
+  if (seconds <= 0) {
+    state->has_deadline = true;
+    state->deadline = now;
+  } else if (std::chrono::duration<double>(seconds) < room) {
+    state->has_deadline = true;
+    state->deadline = now + std::chrono::duration_cast<Clock::duration>(
+                                std::chrono::duration<double>(seconds));
+  }
   state->parent = state_;
   return CancelToken(std::move(state));
 }

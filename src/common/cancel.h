@@ -58,6 +58,8 @@ class CancelToken {
   /// \brief Derives a child enforcing `seconds` from now in addition to
   /// this token's (and its ancestors') cancellation and deadlines. Works
   /// on a null token too — the child then only carries the deadline.
+  /// `seconds` <= 0 is already expired; a deadline beyond the clock's
+  /// range (+inf, NaN) adds none.
   CancelToken WithDeadlineAfter(double seconds) const;
 
   /// \brief Requests cancellation; every copy and child observes it.

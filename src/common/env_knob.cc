@@ -23,14 +23,6 @@ bool FirstWarningFor(const std::string& name) {
   return warned->insert(name).second;
 }
 
-std::string ToLower(const char* text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
 bool IsBlank(const char* text) {
   for (const char* p = text; *p != '\0'; ++p) {
     if (!std::isspace(static_cast<unsigned char>(*p))) return false;
@@ -39,6 +31,14 @@ bool IsBlank(const char* text) {
 }
 
 }  // namespace
+
+std::string ToLowerAscii(const std::string& text) {
+  std::string out(text);
+  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return out;
+}
 
 std::optional<long> ParseKnobInt(const char* text, long min_value,
                                  long max_value, bool* clamped) {
@@ -80,25 +80,17 @@ long EnvIntKnob(const char* name, long min_value, long max_value,
   return *parsed;
 }
 
-std::string EnvTokenKnob(const char* name,
-                         std::initializer_list<const char*> allowed,
-                         const char* fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  const std::string lower = ToLower(value);
-  for (const char* token : allowed) {
-    if (lower == token) return lower;
+void WarnUnknownKnobToken(const char* name, const char* value,
+                          const std::vector<const char*>& tokens,
+                          const char* fallback_token) {
+  if (!FirstWarningFor(name)) return;
+  std::string list;
+  for (const char* token : tokens) {
+    if (!list.empty()) list += "|";
+    list += token;
   }
-  if (FirstWarningFor(name)) {
-    std::string list;
-    for (const char* token : allowed) {
-      if (!list.empty()) list += "|";
-      list += token;
-    }
-    VX_LOG(kWarn) << name << "='" << value << "' not one of {" << list
-                  << "}; using default '" << fallback << "'";
-  }
-  return fallback;
+  VX_LOG(kWarn) << name << "='" << value << "' not one of {" << list
+                << "}; using default '" << fallback_token << "'";
 }
 
 }  // namespace vertexica

@@ -20,10 +20,6 @@ class DistinctOp : public Operator {
   const Schema& output_schema() const override {
     return input_->output_schema();
   }
-  // First occurrences are emitted in input order.
-  std::vector<OrderKey> output_order() const override {
-    return input_->output_order();
-  }
   Result<std::optional<Table>> Next() override;
 
   std::string label() const override {

@@ -7,7 +7,6 @@ ExecKnobs ExecKnobs::Capture() {
   knobs.threads = ExecThreads();
   knobs.shards = ExecShards();
   knobs.encoding = AmbientEncodingMode();
-  knobs.merge_join = MergeJoinEnabled();
   knobs.frontier = AmbientFrontierMode();
   knobs.vectorized = VectorizedEnabled();
   knobs.cancel = AmbientCancelToken();

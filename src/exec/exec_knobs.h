@@ -2,11 +2,12 @@
 /// \brief Capture/install of the ambient execution knobs as one value.
 ///
 /// The executor's tuning state (thread count, shard count, encoding mode,
-/// merge-join and vectorized toggles) lives in per-knob thread-locals so it can be scoped
-/// per request. That design has one sharp edge: a task handed to a
-/// ThreadPool worker runs on a thread whose locals are all unset, so every
-/// fan-out site has to re-install each knob by hand — PR 5's coordinator
-/// did this in two places, and the serving layer would have added more.
+/// frontier mode and vectorized toggle) lives in per-knob thread-locals so
+/// it can be scoped per request. That design has one sharp edge: a task
+/// handed to a ThreadPool worker runs on a thread whose locals are all
+/// unset, so every fan-out site has to re-install each knob by hand — the
+/// coordinator once did this in two places, and the serving layer would
+/// have added more.
 /// ExecKnobs packages the capture (on the submitting thread) and the
 /// install (inside the pool task) so a knob added later has exactly one
 /// place to be threaded through.
@@ -18,7 +19,6 @@
 #include "common/logging.h"
 #include "exec/frontier.h"
 #include "exec/kernel_stats.h"
-#include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "exec/vectorized.h"
 #include "storage/encoding.h"
@@ -37,7 +37,6 @@ struct ExecKnobs {
   int threads = 1;
   int shards = 1;
   EncodingMode encoding = EncodingMode::kAuto;
-  bool merge_join = true;
   FrontierMode frontier = FrontierMode::kAuto;
   bool vectorized = true;
   /// The run's cancellation/deadline token (common/cancel.h). Not a tuning
@@ -58,8 +57,8 @@ struct ExecKnobs {
 
   bool operator==(const ExecKnobs& other) const {
     return threads == other.threads && shards == other.shards &&
-           encoding == other.encoding && merge_join == other.merge_join &&
-           frontier == other.frontier && vectorized == other.vectorized &&
+           encoding == other.encoding && frontier == other.frontier &&
+           vectorized == other.vectorized &&
            cancel == other.cancel && kernel_stats == other.kernel_stats;
   }
   bool operator!=(const ExecKnobs& other) const { return !(*this == other); }
@@ -79,7 +78,6 @@ class ScopedExecKnobs {
       : threads_(knobs.threads),
         shards_(knobs.shards),
         encoding_(knobs.encoding),
-        merge_join_(knobs.merge_join),
         frontier_(knobs.frontier),
         vectorized_(knobs.vectorized),
         cancel_(knobs.cancel),
@@ -96,7 +94,6 @@ class ScopedExecKnobs {
   ScopedExecThreads threads_;
   ScopedExecShards shards_;
   ScopedEncodingMode encoding_;
-  ScopedMergeJoin merge_join_;
   ScopedFrontierMode frontier_;
   ScopedVectorized vectorized_;
   ScopedCancelToken cancel_;

@@ -81,11 +81,6 @@ class FilterOp : public Operator {
   }
   Result<std::optional<Table>> Next() override;
 
-  // Selection keeps surviving rows in input order.
-  std::vector<OrderKey> output_order() const override {
-    return input_->output_order();
-  }
-
   std::string label() const override {
     return "Filter(" + predicate_->ToString() + ")";
   }

@@ -1,7 +1,6 @@
 #include "exec/frontier.h"
 
 #include <atomic>
-#include <cctype>
 
 #include "common/env_knob.h"
 
@@ -19,25 +18,14 @@ const char* FrontierModeName(FrontierMode m) {
   return "?";
 }
 
-FrontierMode ParseFrontierMode(const std::string& text) {
-  std::string lower;
-  lower.reserve(text.size());
-  for (char c : text) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "off" || lower == "0" || lower == "false" || lower == "none") {
-    return FrontierMode::kOff;
-  }
-  if (lower == "on" || lower == "1" || lower == "true" ||
-      lower == "force") {
-    return FrontierMode::kOn;
-  }
-  // "auto" and anything unrecognized.
-  return FrontierMode::kAuto;
-}
-
 namespace {
+
+constexpr KnobToken<FrontierMode> kFrontierTokens[] = {
+    {"off", FrontierMode::kOff},   {"0", FrontierMode::kOff},
+    {"false", FrontierMode::kOff}, {"none", FrontierMode::kOff},
+    {"auto", FrontierMode::kAuto}, {"on", FrontierMode::kOn},
+    {"1", FrontierMode::kOn},      {"true", FrontierMode::kOn},
+    {"force", FrontierMode::kOn}};
 
 // -1 = unset (resolve from env); otherwise a cast FrontierMode.
 std::atomic<int> g_default_frontier{-1};
@@ -45,15 +33,17 @@ thread_local bool tl_frontier_active = false;
 thread_local FrontierMode tl_frontier_override = FrontierMode::kAuto;
 
 FrontierMode EnvFrontierMode() {
-  // Validated through the shared env-knob helper so a typoed value warns
-  // once instead of silently resolving to kAuto inside ParseFrontierMode.
-  static const FrontierMode env = ParseFrontierMode(EnvTokenKnob(
-      "VERTEXICA_FRONTIER",
-      {"off", "0", "false", "auto", "on", "1", "true", "force"}, "auto"));
+  // A typoed value warns once and keeps the default (auto).
+  static const FrontierMode env =
+      EnvTokenKnob("VERTEXICA_FRONTIER", kFrontierTokens, FrontierMode::kAuto);
   return env;
 }
 
 }  // namespace
+
+std::optional<FrontierMode> ParseFrontierMode(const std::string& text) {
+  return ParseKnobToken(text, kFrontierTokens);
+}
 
 FrontierMode AmbientFrontierMode() {
   if (tl_frontier_active) return tl_frontier_override;

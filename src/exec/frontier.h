@@ -6,7 +6,7 @@
 /// each superstep's worker input to the active vertices — non-halted ones
 /// plus message receivers — gathered via a bitvector and CSR edge slices
 /// instead of scanning the full tables. It is bit-identical to the dense
-/// path by construction, so like the merge-join toggle it is a pure
+/// path by construction, so like the vectorized toggle it is a pure
 /// physical-plan knob: thread-local ScopedFrontierMode override, else the
 /// process default (SetDefaultFrontierMode), else the VERTEXICA_FRONTIER
 /// environment variable, else auto.
@@ -22,6 +22,7 @@
 #ifndef VERTEXICA_EXEC_FRONTIER_H_
 #define VERTEXICA_EXEC_FRONTIER_H_
 
+#include <optional>
 #include <string>
 
 namespace vertexica {
@@ -59,9 +60,11 @@ class ScopedFrontierMode {
   bool prev_active_;
 };
 
-/// \brief Parses "auto"/"on"/"1"/"off"/"0" (case-insensitive); defaults to
-/// kAuto for anything unrecognized — same tolerance as ParseEncodingMode.
-FrontierMode ParseFrontierMode(const std::string& text);
+/// \brief Parses a frontier mode, case-insensitively: "off"/"0"/"false"/
+/// "none", "auto", or "on"/"1"/"true"/"force". nullopt for any other
+/// token. The one vocabulary of VERTEXICA_FRONTIER and
+/// RunRequest::frontier.
+std::optional<FrontierMode> ParseFrontierMode(const std::string& text);
 
 }  // namespace vertexica
 

@@ -59,8 +59,8 @@ KernelStatsSnapshot Snapshot(const KernelStats& stats);
 
 /// \brief The innermost collector installed on this thread; nullptr when
 /// none (counting is then skipped entirely — one thread-local read per
-/// batch). Unlike JoinPathStats, the block is safe to install on many
-/// threads at once.
+/// batch). Unlike JoinPathStats (exec/parallel.h), the block is safe to
+/// install on many threads at once.
 KernelStats* AmbientKernelStats();
 
 /// \brief RAII installation of a collector for the current thread.

@@ -17,10 +17,6 @@ class LimitOp : public Operator {
   const Schema& output_schema() const override {
     return input_->output_schema();
   }
-  // A prefix of an ordered stream is ordered.
-  std::vector<OrderKey> output_order() const override {
-    return input_->output_order();
-  }
   Result<std::optional<Table>> Next() override;
 
   std::string label() const override {

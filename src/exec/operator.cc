@@ -23,7 +23,7 @@ std::string ExplainPlan(const Operator& root) {
 Result<Table> Collect(Operator* op) {
   // Blocking operators (joins, aggregates, sorts) emit exactly one
   // materialized batch: return it as-is — no re-copy, and table metadata
-  // (the declared sort order) survives, which keeps join chains merging.
+  // (the declared sort order) survives.
   VX_ASSIGN_OR_RETURN(auto first, op->Next());
   if (!first.has_value()) return Table(op->output_schema());
   VX_ASSIGN_OR_RETURN(auto second, op->Next());

@@ -23,15 +23,6 @@ namespace vertexica {
 /// \brief Default number of rows per batch produced by scans.
 inline constexpr int64_t kDefaultBatchSize = 16 * 1024;
 
-/// \brief One key of an operator's declared output order: column name +
-/// direction. A non-empty Operator::output_order() promises rows
-/// lexicographically nondecreasing by these keys under the
-/// Column::CompareRows total order (NULLs first, NaN last).
-struct OrderKey {
-  std::string column;
-  bool ascending = true;
-};
-
 /// \brief Base class of all physical operators.
 class Operator {
  public:
@@ -39,12 +30,6 @@ class Operator {
 
   /// \brief Schema of the batches this operator produces.
   virtual const Schema& output_schema() const = 0;
-
-  /// \brief Declared sort order of the produced rows; empty = unknown.
-  /// Planner metadata (PlanBuilder::Join uses it to pick the merge join);
-  /// the merge join re-establishes order on its materialized inputs, so a
-  /// wrong claim here costs a fallback, never correctness.
-  virtual std::vector<OrderKey> output_order() const { return {}; }
 
   /// \brief Produces the next batch, or nullopt at end of stream.
   virtual Result<std::optional<Table>> Next() = 0;

@@ -11,7 +11,6 @@
 #include "exec/batch.h"
 #include "exec/filter.h"
 #include "exec/kernel_stats.h"
-#include "exec/merge_join.h"
 #include "exec/scan.h"
 #include "exec/vectorized.h"
 #include "storage/csr_index.h"
@@ -27,7 +26,20 @@ int HardwareThreads() {
 std::atomic<int> g_default_threads{0};
 thread_local int tl_thread_override = 0;
 
+thread_local JoinPathStats* tl_join_stats = nullptr;
+
 }  // namespace
+
+JoinPathStats* AmbientJoinStats() { return tl_join_stats; }
+
+ScopedJoinStatsCollector::ScopedJoinStatsCollector(JoinPathStats* stats)
+    : prev_(tl_join_stats) {
+  tl_join_stats = stats;
+}
+
+ScopedJoinStatsCollector::~ScopedJoinStatsCollector() {
+  tl_join_stats = prev_;
+}
 
 int ExecThreads() {
   if (tl_thread_override > 0) return tl_thread_override;
@@ -466,9 +478,8 @@ Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
             columns[c] = col.Take(probe_idx);
             continue;
           }
-          // The plain, flag-free column Take would produce.
+          // The plain column Take would produce.
           columns[c] = col.Slice(0, probe_rows);
-          columns[c].set_sorted_ascending(false);
         }
         return Status::OK();
       },

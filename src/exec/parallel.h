@@ -154,6 +154,38 @@ Result<Table> ParallelFilterProject(std::shared_ptr<const Table> input,
                                     const ParallelOptions& options = {});
 /// @}
 
+/// \name Join accounting
+///
+/// Thread-local collector ParallelHashJoin reports into: joins run, rows
+/// emitted and wall-clock inside the kernel. The coordinator installs one
+/// per shard and superstep and publishes the counters via SuperstepStats;
+/// the Vertexica backend installs one per run (api/backends.cc).
+/// @{
+struct JoinPathStats {
+  int64_t hash_joins = 0;      ///< hash-join kernel invocations
+  int64_t hash_rows = 0;       ///< rows emitted by hash joins
+  double hash_seconds = 0.0;   ///< wall-clock inside hash kernels
+};
+
+/// \brief The innermost collector installed on this thread; nullptr when
+/// none. Kernels add to it from the thread that drains the operator (the
+/// per-morsel fan-out happens inside the kernel, so no locking is needed).
+JoinPathStats* AmbientJoinStats();
+
+/// \brief RAII installation of a collector for the current thread.
+class ScopedJoinStatsCollector {
+ public:
+  explicit ScopedJoinStatsCollector(JoinPathStats* stats);
+  ~ScopedJoinStatsCollector();
+  ScopedJoinStatsCollector(const ScopedJoinStatsCollector&) = delete;
+  ScopedJoinStatsCollector& operator=(const ScopedJoinStatsCollector&) =
+      delete;
+
+ private:
+  JoinPathStats* prev_;
+};
+/// @}
+
 /// \brief Parallel hash join over materialized sides. One NULL-free INT64
 /// key on each side takes the typed join (flat build index, two-pass
 /// morsel probe into precomputed offsets, one gather per output column);
@@ -193,11 +225,6 @@ class ParallelHashJoinOp : public Operator {
   const Schema& output_schema() const override { return schema_; }
   Result<std::optional<Table>> Next() override;
 
-  // Probe-row-major output: the probe side's declared order survives.
-  std::vector<OrderKey> output_order() const override {
-    return probe_->output_order();
-  }
-
   std::string label() const override;
   std::vector<const Operator*> children() const override {
     return {probe_.get(), build_.get()};
@@ -224,20 +251,6 @@ class ParallelAggregateOp : public Operator {
 
   const Schema& output_schema() const override { return schema_; }
   Result<std::optional<Table>> Next() override;
-
-  // Groups are emitted in first-appearance order, so when the input is
-  // already sorted by the group-by prefix, first appearance *is* sorted —
-  // the combiner's group-by-dst output inherits the message order.
-  std::vector<OrderKey> output_order() const override {
-    const std::vector<OrderKey> in = input_->output_order();
-    if (group_by_.empty() || group_by_.size() > in.size()) return {};
-    for (size_t i = 0; i < group_by_.size(); ++i) {
-      if (in[i].column != group_by_[i] || !in[i].ascending) return {};
-    }
-    std::vector<OrderKey> order;
-    for (const auto& g : group_by_) order.push_back({g, true});
-    return order;
-  }
 
   std::string label() const override;
   std::vector<const Operator*> children() const override {

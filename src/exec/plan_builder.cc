@@ -1,6 +1,5 @@
 #include "exec/plan_builder.h"
 
-#include "exec/merge_join.h"
 #include "exec/parallel.h"
 
 namespace vertexica {
@@ -19,17 +18,6 @@ class RenameOp : public Operator {
     VX_ASSIGN_OR_RETURN(auto batch, input_->Next());
     if (!batch.has_value()) return std::optional<Table>{};
     return std::optional<Table>(batch->RenameColumns(names_));
-  }
-  // Positional rename of the input's declared order.
-  std::vector<OrderKey> output_order() const override {
-    std::vector<OrderKey> order = input_->output_order();
-    const Schema& in = input_->output_schema();
-    for (OrderKey& k : order) {
-      const int idx = in.FieldIndex(k.column);
-      if (idx < 0) return {};
-      k.column = names_[static_cast<size_t>(idx)];
-    }
-    return order;
   }
   std::string label() const override { return "Rename"; }
   std::vector<const Operator*> children() const override {
@@ -88,20 +76,6 @@ PlanBuilder PlanBuilder::Join(PlanBuilder build,
                               std::vector<std::string> probe_keys,
                               std::vector<std::string> build_keys,
                               JoinType type) && {
-  // Order-aware physical selection: when both children declare output
-  // orders covering their join keys, build the sort-merge join — it reads
-  // the sorted (and RLE) representation directly instead of building hash
-  // tables, re-establishes the order on its materialized inputs, and
-  // falls back to the hash join if the claim does not hold at runtime.
-  // Either operator produces the same probe-row-major rows, bit-identical
-  // at any thread count (exec/merge_join.h).
-  if (MergeJoinEnabled() &&
-      OrderPrefixCovers(op_->output_order(), probe_keys) &&
-      OrderPrefixCovers(build.op_->output_order(), build_keys)) {
-    return PlanBuilder(std::make_unique<ParallelMergeJoinOp>(
-        std::move(op_), std::move(build.op_), std::move(probe_keys),
-        std::move(build_keys), type));
-  }
   // Morsel-parallel hash join (exec/parallel.h); resolves its thread
   // budget at execution time and produces serial-identical row order.
   return PlanBuilder(std::make_unique<ParallelHashJoinOp>(

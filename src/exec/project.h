@@ -30,26 +30,6 @@ class ProjectOp : public Operator {
   const Schema& output_schema() const override { return schema_; }
   Result<std::optional<Table>> Next() override;
 
-  // Projection never reorders rows, so the input order survives for as
-  // long as its key columns are passed through verbatim (a plain column
-  // reference); the first key that is dropped or computed ends the claim.
-  std::vector<OrderKey> output_order() const override {
-    std::vector<OrderKey> order;
-    for (const OrderKey& k : input_->output_order()) {
-      const ProjectionSpec* hit = nullptr;
-      for (const auto& spec : outputs_) {
-        const auto* ref = dynamic_cast<const ColumnRefExpr*>(spec.expr.get());
-        if (ref != nullptr && ref->name() == k.column) {
-          hit = &spec;
-          break;
-        }
-      }
-      if (hit == nullptr) break;
-      order.push_back({hit->name, k.ascending});
-    }
-    return order;
-  }
-
   std::string label() const override {
     std::string out = "Project(";
     for (size_t i = 0; i < outputs_.size(); ++i) {

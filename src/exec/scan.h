@@ -73,20 +73,10 @@ class TableScan : public Operator {
 
   const Schema& output_schema() const override { return table_->schema(); }
 
-  /// The snapshot's declared sort order (Table::sort_order), by name. A
-  /// range-restricted scan of a sorted table is still sorted.
-  std::vector<OrderKey> output_order() const override {
-    std::vector<OrderKey> order;
-    for (const SortKey& k : table_->sort_order()) {
-      order.push_back({table_->schema().field(k.column).name, k.ascending});
-    }
-    return order;
-  }
-
   /// \brief The underlying snapshot when this scan covers the whole table
   /// and has not started emitting; nullptr otherwise. Lets blocking
-  /// operators (joins) reuse the shared snapshot — with its sort-order
-  /// metadata — instead of re-materializing it batch by batch.
+  /// operators (joins) reuse the shared snapshot — with its metadata —
+  /// instead of re-materializing it batch by batch.
   std::shared_ptr<const Table> shared_table_if_whole() const {
     return offset_ == first_row_ && first_row_ == 0 &&
                    limit_ == table_->num_rows() && pushed_.empty()

@@ -26,13 +26,6 @@ class SortOp : public Operator {
     return input_->output_schema();
   }
 
-  // The sort is what establishes the order.
-  std::vector<OrderKey> output_order() const override {
-    std::vector<OrderKey> order;
-    for (const OrderBySpec& k : keys_) order.push_back({k.column, k.ascending});
-    return order;
-  }
-
   Result<std::optional<Table>> Next() override;
 
   std::string label() const override {

@@ -25,12 +25,6 @@ class TopNOp : public Operator {
   const Schema& output_schema() const override {
     return input_->output_schema();
   }
-  // Emits the k best rows already sorted by the keys.
-  std::vector<OrderKey> output_order() const override {
-    std::vector<OrderKey> order;
-    for (const OrderBySpec& k : keys_) order.push_back({k.column, k.ascending});
-    return order;
-  }
   Result<std::optional<Table>> Next() override;
 
   std::string label() const override {

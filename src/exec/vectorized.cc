@@ -15,12 +15,9 @@ std::atomic<int> g_default_vectorized{-1};  // -1 = automatic (env, else on)
 thread_local int tl_vectorized_override = -1;  // -1 unset, 0 off, 1 on
 
 bool EnvVectorizedEnabled() {
-  // Validated through the shared env-knob helper: a typo like
-  // VERTEXICA_VECTORIZED=offf warns once and keeps the default (on).
-  const std::string token = EnvTokenKnob(
-      "VERTEXICA_VECTORIZED",
-      {"0", "off", "false", "no", "1", "on", "true", "yes"}, "on");
-  return token != "0" && token != "off" && token != "false" && token != "no";
+  // A typo like VERTEXICA_VECTORIZED=offf warns once and keeps the
+  // default (on).
+  return EnvTokenKnob("VERTEXICA_VECTORIZED", kOnOffTokens, true);
 }
 
 }  // namespace

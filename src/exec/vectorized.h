@@ -48,7 +48,7 @@ namespace vertexica {
 
 /// \name The `vectorized` knob
 ///
-/// Ambient on/off switch mirroring the merge-join knob: innermost
+/// Ambient on/off switch mirroring the frontier-mode knob: innermost
 /// ScopedVectorized override, else the process default
 /// (SetDefaultVectorized, else VERTEXICA_VECTORIZED env — "0"/"off"
 /// disables — else on). The morsel drivers (exec/parallel.cc) consult it,

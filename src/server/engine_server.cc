@@ -139,7 +139,8 @@ Result<RunResult> EngineServer::RunOnEngine(
   // button) is what admission sheds on. The token covers queue wait plus
   // execution: time spent queued is time the run no longer has.
   const ScopedCancelToken session_scope(session_cancel);
-  const ExecContext ctx = ExecContext::FromRequest(request);
+  // A malformed knob string is rejected here, before admission.
+  VX_ASSIGN_OR_RETURN(const ExecContext ctx, ExecContext::FromRequest(request));
 
   VX_ASSIGN_OR_RETURN(
       AdmissionController::Ticket ticket,

@@ -152,7 +152,6 @@ const std::vector<std::string>& Column::DecodedStrings() const {
 void Column::PrepareMutation() {
   if (segment_ != nullptr) Decode();
   zone_map_.reset();
-  sorted_ascending_ = false;
 }
 
 bool Column::Encode(EncodingMode mode) {
@@ -544,7 +543,6 @@ Column Column::Slice(int64_t offset, int64_t count) const {
     }
   }
   out.length_ = count;
-  out.sorted_ascending_ = sorted_ascending_;  // a range of sorted is sorted
   if (!validity_.empty()) {
     out.validity_.assign(validity_.begin() + b, validity_.begin() + e);
     out.null_count_ =
@@ -746,17 +744,6 @@ Status Column::CheckInvariants() const {
           }
         }
         break;
-      }
-    }
-  }
-
-  // --- Declared sort order (CompareRows total order, NULLs first). -----
-  if (sorted_ascending_) {
-    for (int64_t i = 1; i < length_; ++i) {
-      if (CompareRows(i - 1, *this, i) > 0) {
-        return AuditError(StringFormat(
-            "declared sorted_ascending but row %lld > row %lld",
-            static_cast<long long>(i - 1), static_cast<long long>(i)));
       }
     }
   }

@@ -89,7 +89,7 @@ class Column {
 
   /// \name Append
   /// Appending to an encoded column first reverts it to plain (and drops
-  /// the now-stale zone map and sorted-ascending flag).
+  /// the now-stale zone map).
   /// @{
   void AppendInt64(int64_t v) {
     VX_DCHECK(type_ == DataType::kInt64);
@@ -253,18 +253,6 @@ class Column {
   }
   /// @}
 
-  /// \name Sort-order property (order-aware execution)
-  ///
-  /// Declares that values are nondecreasing under the CompareRows total
-  /// order (NULLs first, NaN last). Set by producers that guarantee it —
-  /// Table::SetSortOrder marks its leading ascending key — and dropped on
-  /// any mutation together with the zone map (PrepareMutation), so the
-  /// flag can never go stale. Slices inherit it; gathers do not.
-  /// @{
-  bool sorted_ascending() const { return sorted_ascending_; }
-  void set_sorted_ascending(bool sorted) { sorted_ascending_ = sorted; }
-  /// @}
-
   /// \brief Gather: column of `indices.size()` rows taken at the indices.
   Column Take(const std::vector<int64_t>& indices) const;
 
@@ -296,9 +284,8 @@ class Column {
   /// VX_DCHECK tier; see docs/DEVELOPING.md). Verifies size/validity/
   /// null-count consistency, that the encoded segment reproduces exactly
   /// `length()` rows (RLE runs positive and summing to the length with
-  /// correct run_starts, dict codes in range), that a declared
-  /// `sorted_ascending()` actually holds under the CompareRows total order,
-  /// and that a cached zone map soundly bounds the data it describes.
+  /// correct run_starts, dict codes in range), and that a cached zone map
+  /// soundly bounds the data it describes.
   /// O(length); call behind VX_DCHECK_OK, not on hot paths.
   Status CheckInvariants() const;
 
@@ -311,14 +298,13 @@ class Column {
     if (!validity_.empty()) validity_.push_back(1);
   }
   void EnsureValidity();
-  /// True when some cached derived state (encoded segment, zone map,
-  /// sorted flag) must be invalidated before mutating.
+  /// True when some cached derived state (encoded segment, zone map) must
+  /// be invalidated before mutating.
   bool MutationInvalidatesState() const {
-    return segment_ != nullptr || zone_map_ != nullptr || sorted_ascending_;
+    return segment_ != nullptr || zone_map_ != nullptr;
   }
-  /// Reverts to plain representation and drops the zone map and the
-  /// sorted-ascending flag before any mutation (all would silently go
-  /// stale otherwise).
+  /// Reverts to plain representation and drops the zone map before any
+  /// mutation (both would silently go stale otherwise).
   void PrepareMutation();
 
   const std::vector<int64_t>& DecodedInts() const;
@@ -337,8 +323,6 @@ class Column {
   /// and reads go through the segment (lazily decoded).
   std::shared_ptr<const EncodedSegment> segment_;
   std::shared_ptr<const ZoneMapIndex> zone_map_;
-  /// Declared nondecreasing under CompareRows; dropped on mutation.
-  bool sorted_ascending_ = false;
 };
 
 }  // namespace vertexica

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <unordered_map>
@@ -91,22 +90,14 @@ const char* EncodingModeName(EncodingMode m) {
   return "?";
 }
 
-EncodingMode ParseEncodingMode(const std::string& text) {
-  std::string lower;
-  lower.reserve(text.size());
-  for (char c : text) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "off" || lower == "0" || lower == "false" || lower == "none") {
-    return EncodingMode::kOff;
-  }
-  if (lower == "force") return EncodingMode::kForce;
-  // "auto", "on", "1", "true" and anything unrecognized.
-  return EncodingMode::kAuto;
-}
-
 namespace {
+
+constexpr KnobToken<EncodingMode> kEncodingTokens[] = {
+    {"off", EncodingMode::kOff},    {"0", EncodingMode::kOff},
+    {"false", EncodingMode::kOff},  {"none", EncodingMode::kOff},
+    {"auto", EncodingMode::kAuto},  {"on", EncodingMode::kAuto},
+    {"1", EncodingMode::kAuto},     {"true", EncodingMode::kAuto},
+    {"force", EncodingMode::kForce}};
 
 // -1 = unset (resolve from env); otherwise a cast EncodingMode.
 std::atomic<int> g_default_mode{-1};
@@ -114,15 +105,17 @@ thread_local bool tl_mode_active = false;
 thread_local EncodingMode tl_mode_override = EncodingMode::kAuto;
 
 EncodingMode EnvEncodingMode() {
-  // Validated through the shared env-knob helper so a typoed value warns
-  // once instead of silently resolving to kAuto inside ParseEncodingMode.
-  static const EncodingMode env = ParseEncodingMode(
-      EnvTokenKnob("VERTEXICA_ENCODING",
-                   {"off", "auto", "on", "1", "true", "force"}, "auto"));
+  // A typoed value warns once and keeps the default (auto).
+  static const EncodingMode env =
+      EnvTokenKnob("VERTEXICA_ENCODING", kEncodingTokens, EncodingMode::kAuto);
   return env;
 }
 
 }  // namespace
+
+std::optional<EncodingMode> ParseEncodingMode(const std::string& text) {
+  return ParseKnobToken(text, kEncodingTokens);
+}
 
 EncodingMode AmbientEncodingMode() {
   if (tl_mode_active) return tl_mode_override;

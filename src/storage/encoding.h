@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,9 +105,10 @@ class ScopedEncodingMode {
   bool prev_active_;
 };
 
-/// \brief Parses "off"/"auto"/"on"/"force" (case-insensitive); defaults to
-/// kAuto for anything unrecognized.
-EncodingMode ParseEncodingMode(const std::string& text);
+/// \brief Parses an encoding mode, case-insensitively: "off"/"0"/"false"/
+/// "none", "auto"/"on"/"1"/"true" or "force". nullopt for any other token.
+/// The one vocabulary of VERTEXICA_ENCODING and RunRequest::encoding.
+std::optional<EncodingMode> ParseEncodingMode(const std::string& text);
 /// @}
 
 /// \name Zone maps

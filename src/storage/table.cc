@@ -148,21 +148,6 @@ void Table::SetSortOrder(std::vector<SortKey> keys) {
         << schema_.ToString();
   }
   sort_order_ = std::move(keys);
-  if (!sort_order_.empty() && sort_order_[0].ascending) {
-    // The leading ascending key's column is itself globally nondecreasing.
-    columns_[static_cast<size_t>(sort_order_[0].column)].set_sorted_ascending(
-        true);
-  }
-}
-
-bool Table::OrderCoversKeys(const std::vector<int>& key_cols) const {
-  if (key_cols.empty() || key_cols.size() > sort_order_.size()) return false;
-  for (size_t i = 0; i < key_cols.size(); ++i) {
-    if (sort_order_[i].column != key_cols[i] || !sort_order_[i].ascending) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<Value> Table::GetRow(int64_t i) const {

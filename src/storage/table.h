@@ -89,27 +89,22 @@ class Table {
   void BuildZoneMaps();
   /// @}
 
-  /// \name Sort-order property (order-aware execution)
+  /// \name Sort-order property
   ///
   /// A non-empty order declares that rows are lexicographically
   /// nondecreasing by `keys[0]`, then `keys[1]`, ... under the
   /// Column::CompareRows total order (NULLs first, NaN last). Producers
-  /// that guarantee the order declare it (SortTable, the sorted edge
-  /// loader, merge-join outputs); any mutation drops it conservatively,
-  /// exactly like the zone map. Consumers (the order-aware join path,
-  /// exec/merge_join.h) treat the declaration as trusted physical-design
-  /// metadata — the same contract as zone maps — so a false declaration
-  /// is a producer bug, not a consumer hazard.
+  /// that guarantee the order declare it (SortTable, the sorted graph
+  /// loader); any mutation drops it conservatively, exactly like the zone
+  /// map. Consumers (the coordinator's vertex-by-id frontier and in-place
+  /// apply) treat the declaration as trusted physical-design metadata —
+  /// the same contract as zone maps — so a false declaration is a producer
+  /// bug, not a consumer hazard.
   /// @{
   const std::vector<SortKey>& sort_order() const { return sort_order_; }
-  /// \brief Declares the order. Also marks the leading key's column
-  /// sorted-ascending (Column::sorted_ascending) when applicable.
-  /// Key indices must be valid for this schema.
+  /// \brief Declares the order. Key indices must be valid for this schema.
   void SetSortOrder(std::vector<SortKey> keys);
   void ClearSortOrder() { sort_order_.clear(); }
-  /// \brief True when sort_order() covers `key_cols`, in sequence and all
-  /// ascending — the precondition for merge-joining on those columns.
-  bool OrderCoversKeys(const std::vector<int>& key_cols) const;
   /// @}
 
   /// \brief One row as Values.
@@ -130,7 +125,7 @@ class Table {
   /// itself passes Column::CheckInvariants, that every declared sort key
   /// names a valid column, and that the declared lexicographic order
   /// actually holds row-by-row under the Column::CompareRows total order —
-  /// the "trusted physical-design metadata" contract that merge joins and
+  /// the "trusted physical-design metadata" contract that the frontier and
   /// zone-map pruning lean on. O(rows × columns); call behind VX_DCHECK_OK.
   Status CheckInvariants() const;
 

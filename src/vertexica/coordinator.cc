@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -14,7 +13,6 @@
 #include "common/timer.h"
 #include "exec/exec_knobs.h"
 #include "exec/frontier.h"
-#include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
 #include "storage/compression.h"
@@ -101,8 +99,8 @@ std::string MarkerName(const GraphTableNames& names) {
 }
 
 /// True when `t`'s declared sort order starts with the column named
-/// `name`, ascending — the check behind propagating the stored tables'
-/// sorted invariants into the superstep join inputs.
+/// `name`, ascending — the check behind the vertex table's sorted-by-id
+/// invariant.
 bool OrderedByColumn(const Table& t, const std::string& name) {
   if (t.sort_order().empty()) return false;
   const SortKey& k = t.sort_order()[0];
@@ -173,8 +171,7 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
   // Destinations outside the vertex table (orphan messages) set no bit;
   // the full message table is passed through either way and the worker
   // skips those groups identically on both paths. One search per RLE run
-  // when the dst column is encoded; consecutive-duplicate skip otherwise
-  // (the join path keeps messages sorted by receiver).
+  // when the dst column is encoded; consecutive-duplicate skip otherwise.
   const Column* dst = message.ColumnByName("dst");
   if (dst != nullptr && message.num_rows() > 0) {
     const auto& ids = vertex.ColumnByName("id")->ints();
@@ -257,7 +254,8 @@ struct ResidentShards {
 /// checkpoints. One shard is published as it is: the tables the superstep
 /// stored. More shards are concatenated, re-sorted (vertex by id, messages
 /// by receiver; stable, so values are unchanged) and re-encoded, so the
-/// stored tables carry the same sorted invariants a one-shard run keeps.
+/// stored vertex table carries the sorted-by-id invariant a one-shard run
+/// keeps.
 Status PublishShards(const ResidentShards& shards, Catalog* catalog,
                      const GraphTableNames& names) {
   if (shards.spec.num_shards == 1) {
@@ -299,24 +297,13 @@ Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
 Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
     const TablePtr& edge) const {
   // The edge side is identical every superstep (the coordinator never
-  // rewrites the edge table): project/number/declare it once per run and
-  // shard and reuse the shared snapshot. The esrc key column is re-encoded
-  // RLE — one run per source vertex on the (src, dst)-sorted layout — so
-  // the merge join matches whole runs without decoding it.
+  // rewrites the edge table): project and number it once per run and
+  // shard and reuse the shared snapshot.
   VX_ASSIGN_OR_RETURN(Table edges,
                       ParallelProject(edge, {{"esrc", Col("src")},
                                              {"edst", Col("dst")},
                                              {"eweight", Col("weight")}}));
-  edges = WithRowNumbers(edges, "edge_seq");
-  if (AmbientEncodingMode() != EncodingMode::kOff) {
-    edges.mutable_column(0)->Encode(AmbientEncodingMode());
-  }
-  if (edge->OrderCoversKeys({0, 1})) {
-    edges.SetSortOrder({{0, true}, {1, true}});
-  } else if (OrderedByColumn(*edge, "src")) {
-    edges.SetSortOrder({{0, true}});
-  }
-  return std::make_shared<const Table>(std::move(edges));
+  return std::make_shared<const Table>(WithRowNumbers(edges, "edge_seq"));
 }
 
 Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
@@ -337,13 +324,9 @@ Result<Table> Coordinator::BuildJoinInputWithEdgeSide(
   VX_ASSIGN_OR_RETURN(Table msgs, ParallelProject(message, mproj));
   msgs = WithRowNumbers(msgs, "msg_seq");
 
-  // Propagate the stored message table's sorted invariant onto the
-  // projected side (projection and row-numbering preserve row order):
-  // message is kept sorted by receiver. With the vertex table sorted by
-  // id and the per-run edge side, the planner turns both left joins into
-  // merge joins — zero hash builds per superstep (exec/merge_join.h).
-  if (OrderedByColumn(*message, "dst")) msgs.SetSortOrder({{0, true}});
-
+  // The hash joins are probe-row-major with build matches in build-row
+  // order, so each vertex's messages arrive in message-table order.
+  //
   // vertex columns: id, halted, v0..v{va-1}; the JoinWorker resolves them
   // by name.
   return PlanBuilder::Scan(vertex)
@@ -371,13 +354,8 @@ Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
       // Each active id group's last row — the row the workers read, as on
       // the union path.
       VX_ASSIGN_OR_RETURN(int id_c, vertex->ColumnIndex("id"));
-      Table active = vertex->Take(
-          FrontierVertexRows(vertex->column(id_c).ints(), *frontier));
-      // Take conservatively drops the declared order, but the gather
-      // indices are ascending over an id-sorted table (a frontier
-      // precondition) — re-declare it so the superstep joins keep merging.
-      active.SetSortOrder({{id_c, true}});
-      probe = std::make_shared<const Table>(std::move(active));
+      probe = std::make_shared<const Table>(vertex->Take(
+          FrontierVertexRows(vertex->column(id_c).ints(), *frontier)));
     }
     VX_ASSIGN_OR_RETURN(
         in.join, BuildJoinInputWithEdgeSide(probe, edge_join_side, message));
@@ -485,27 +463,23 @@ Result<Table> Coordinator::RebuildVertices(const Table& vertex,
       .Execute();
 }
 
-Status Coordinator::RestoreSortedInvariant(
-    const std::string& table_name, const std::vector<std::string>& keys) const {
-  if (!catalog_->HasTable(table_name)) return Status::OK();
-  VX_ASSIGN_OR_RETURN(auto table, catalog_->GetTable(table_name));
-  std::vector<SortKey> order;
-  std::vector<int> cols;
-  for (const std::string& k : keys) {
-    VX_ASSIGN_OR_RETURN(int c, table->ColumnIndex(k));
-    cols.push_back(c);
-    order.push_back({c, true});
+Status Coordinator::RestoreSortedInvariant() const {
+  if (!catalog_->HasTable(names_.vertex)) return Status::OK();
+  VX_ASSIGN_OR_RETURN(auto table, catalog_->GetTable(names_.vertex));
+  if (OrderedByColumn(*table, "id")) return Status::OK();  // already declared
+  VX_ASSIGN_OR_RETURN(int id_c, table->ColumnIndex("id"));
+  const Column& id = table->column(id_c);
+  // Not sorted: leave it — the replace path re-sorts by id.
+  if (id.null_count() != 0 ||
+      !std::is_sorted(id.ints().begin(), id.ints().end())) {
+    return Status::OK();
   }
-  if (table->OrderCoversKeys(cols)) return Status::OK();  // already declared
-  // Not verifiably sorted (e.g. restored from a union-path checkpoint):
-  // leave it — the per-superstep maintenance re-sorts what it needs.
-  if (!TableSortedOnKeys(*table, cols)) return Status::OK();
   // ReplaceTable needs a value, so attaching the declaration costs one
   // table copy — paid once per run, and only when the declaration is
   // missing (i.e. a checkpoint-restored catalog), never on a fresh load.
   Table declared = *table;
-  declared.SetSortOrder(std::move(order));
-  return catalog_->ReplaceTable(table_name, std::move(declared));
+  declared.SetSortOrder({{id_c, true}});
+  return catalog_->ReplaceTable(names_.vertex, std::move(declared));
 }
 
 Status Coordinator::Run(RunStats* stats) {
@@ -518,28 +492,11 @@ Status Coordinator::Run(RunStats* stats) {
   const auto agg_specs = program_->aggregators();
   prev_aggregates_.clear();
 
-  // The ablation switch: use_merge_join=false pins the hash joins for the
-  // whole run (and skips the sorted-invariant maintenance below); when
-  // true, the ambient knob (VERTEXICA_MERGE_JOIN / ScopedMergeJoin)
-  // still governs, like the encoding mode.
-  std::optional<ScopedMergeJoin> scoped_merge;
-  if (!options_.use_merge_join) scoped_merge.emplace(false);
-
-  // The sorted-invariant maintenance below is gated on the join-input
-  // path only — NOT on the merge-join knob — so toggling use_merge_join
-  // (or VERTEXICA_MERGE_JOIN) swaps exactly one thing: the physical join
-  // operator. Table row orders, worker inputs, and therefore results are
-  // bit-identical by construction between the two paths.
-
   // A restored checkpoint carries the rows but not the sort-order
-  // declarations (catalog_io persists none); re-establish them up front
-  // (one verification pass per table) so a resumed run merges like a
-  // fresh one instead of silently hashing to the end.
-  if (!options_.use_union_input) {
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.vertex, {"id"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.edge, {"src", "dst"}));
-    VX_RETURN_NOT_OK(RestoreSortedInvariant(names_.message, {"dst"}));
-  }
+  // declaration (catalog_io persists none); re-establish the vertex
+  // table's up front (one pass over the ids) so a resumed run can take
+  // the frontier path like a fresh one.
+  VX_RETURN_NOT_OK(RestoreSortedInvariant());
 
   // §1 durability: resume from a checkpoint marker restored by LoadCatalog.
   int first_superstep = 0;
@@ -741,10 +698,9 @@ Status Coordinator::Run(RunStats* stats) {
     // Collect every shard's sinks in shard order (again the global row
     // order) — concatenated, or combined per receiver by the one fold
     // (vertexica/worker_driver.h) — then scatter on receiver back to the
-    // shards. The scatter preserves per-receiver order, and a per-shard
-    // stable sort by dst equals the global sort restricted to the shard,
-    // so next superstep's message streams are the same at every S. One
-    // shard needs no routing: the collected table is its inbound table.
+    // shards. The scatter preserves per-receiver order, so next
+    // superstep's message streams are the same at every S. One shard
+    // needs no routing: the collected table is its inbound table.
     int64_t cross_shard = 0;
     std::vector<WorkerSink> sinks;
     for (int s = 0; s < num_shards; ++s) {
@@ -771,22 +727,6 @@ Status Coordinator::Run(RunStats* stats) {
     } else {
       VX_ASSIGN_OR_RETURN(inbound,
                           ShardScatter(messages, dst_c, shards.spec));
-    }
-    // Sorted-message invariant (order-aware joins): keep each shard's
-    // message table sorted by receiver so the next superstep's
-    // vertex ⟕ message join merges instead of hashing. The sort is stable,
-    // so each receiver's messages keep their arrival order — worker-visible
-    // message streams (and results) are unchanged. Only the join-input
-    // path benefits, so only it pays; not gated on the merge knob (see the
-    // bit-identity note at the top of Run).
-    if (!options_.use_union_input) {
-      for (Table& in : inbound) {
-        if (in.num_rows() > 0 && !OrderedByColumn(in, "dst")) {
-          in = SortTable(in, {{dst_c, true}});
-        } else if (in.sort_order().empty()) {
-          in.SetSortOrder({{dst_c, true}});  // 0 rows: vacuously so
-        }
-      }
     }
     const double split_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
@@ -825,12 +765,12 @@ Status Coordinator::Run(RunStats* stats) {
                                     RebuildVertices(*vs, updates));
                 // The anti-join ∪ union rebuild breaks the sorted-by-id
                 // invariant (updated rows land at the tail); restore it on
-                // both input paths — the join path's merge joins and the
-                // frontier's receiver binary search both key on it.
-                // Stable and id-keyed, so results are unchanged: the
-                // workers visit each partition's vertices in id order, so
-                // vertex-table row order never reaches a per-vertex
-                // stream. Not gated on the merge or frontier knobs.
+                // both input paths — the frontier's receiver binary search
+                // and the in-place apply key on it. Stable and id-keyed,
+                // so results are unchanged: the workers visit each
+                // partition's vertices in id order, so vertex-table row
+                // order never reaches a per-vertex stream. Not gated on
+                // the frontier knob.
                 if (!OrderedByColumn(new_vertex, "id")) {
                   VX_ASSIGN_OR_RETURN(int id_c,
                                       new_vertex.ColumnIndex("id"));
@@ -862,8 +802,7 @@ Status Coordinator::Run(RunStats* stats) {
       shards.message.ReplaceShard(s, std::move(in));
     }
     // Post-exchange audit: each shard's inbound message table must honor
-    // its structural claims (the declared dst order feeds next superstep's
-    // merge joins) and hold only messages routed to it.
+    // its structural claims and hold only messages routed to it.
     VX_DCHECK_OK(shards.message.CheckInvariants());
 
     int64_t encoded_bytes = 0;
@@ -893,23 +832,15 @@ Status Coordinator::Run(RunStats* stats) {
       s.decoded_bytes = decoded_bytes;
       s.shards = num_shards;
       s.cross_shard_messages = cross_shard;
-      JoinPathStats join_stats;
       for (const ShardStep& st : step) {
         s.shard_input_rows.push_back(st.input_rows);
         s.used_frontier = s.used_frontier || st.used_frontier;
         s.frontier_vertices += st.frontier_vertices;
-        join_stats.merge_joins += st.join_stats.merge_joins;
-        join_stats.hash_joins += st.join_stats.hash_joins;
-        join_stats.merge_rows += st.join_stats.merge_rows;
-        join_stats.hash_rows += st.join_stats.hash_rows;
-        join_stats.merge_seconds += st.join_stats.merge_seconds;
-        join_stats.hash_seconds += st.join_stats.hash_seconds;
+        s.hash_joins += st.join_stats.hash_joins;
+        s.join_rows += st.join_stats.hash_rows;
+        s.join_seconds += st.join_stats.hash_seconds;
       }
       s.shard_messages = std::move(shard_messages);
-      s.merge_joins = join_stats.merge_joins;
-      s.hash_joins = join_stats.hash_joins;
-      s.join_rows = join_stats.merge_rows + join_stats.hash_rows;
-      s.join_seconds = join_stats.merge_seconds + join_stats.hash_seconds;
       stats->supersteps.push_back(s);
       stats->total_messages += messages_sent;
       ++(s.used_frontier ? stats->frontier_supersteps

@@ -104,14 +104,12 @@ struct SuperstepStats {
   int64_t frontier_vertices = 0;
   /// @}
 
-  /// \name Join-path accounting (exec/merge_join.h)
-  /// Joins executed by this superstep's relational plans — the 3-way
-  /// input build and the replace-path vertex rebuild — split by physical
-  /// path: order-aware merge joins vs hash joins. `join_rows` is rows
+  /// \name Join accounting (exec/parallel.h, JoinPathStats)
+  /// Hash joins executed by this superstep's relational plans — the 3-way
+  /// input build and the replace-path vertex rebuild. `join_rows` is rows
   /// emitted, `join_seconds` wall-clock inside the join kernels (part of
-  /// input_seconds/apply_seconds, not in addition to them). With
-  /// use_merge_join and the join input path, both superstep joins run as
-  /// merge joins: zero hash builds per superstep.
+  /// input_seconds/apply_seconds, not in addition to them). `merge_joins`
+  /// is always 0: it stays for readers of the older stats layout.
   /// @{
   int64_t merge_joins = 0;
   int64_t hash_joins = 0;
@@ -213,8 +211,8 @@ class Coordinator {
                                        const TablePtr& message,
                                        const Bitvector* frontier) const;
 
-  /// Projects/numbers/re-encodes the (esrc, edst, eweight, edge_seq) join
-  /// side of an edge shard — the half of the join input that is the same
+  /// Projects/numbers the (esrc, edst, eweight, edge_seq) join side of an
+  /// edge shard — the half of the join input that is the same
   /// every superstep, so a run builds it once per shard.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
@@ -232,13 +230,12 @@ class Coordinator {
   Result<Table> RebuildVertices(const Table& vertex,
                                 const Table& updates) const;
 
-  /// Re-declares `keys` (ascending) on a stored table when the rows are
-  /// verifiably in that order but the declaration is missing — checkpoint
-  /// restore (catalog_io) persists no sort-order metadata, and without
-  /// this a resumed run would silently pin every superstep join to the
-  /// hash path.
-  Status RestoreSortedInvariant(const std::string& table_name,
-                                const std::vector<std::string>& keys) const;
+  /// Re-declares the stored vertex table sorted by id when its ids are
+  /// nondecreasing but the declaration is missing — checkpoint restore
+  /// (catalog_io) persists no sort-order metadata, and without it a
+  /// resumed run would silently run every superstep dense (the frontier
+  /// requires the declaration) on either input path.
+  Status RestoreSortedInvariant() const;
 
   Catalog* catalog_;
   VertexProgram* program_;

@@ -125,16 +125,14 @@ Status LoadProgramTables(Catalog* catalog, const Graph& graph,
       t.EncodeColumns(AmbientEncodingMode());
     }
     // Ids were written 0..V-1: declare the sorted-by-id invariant the
-    // coordinator maintains, so the superstep vertex joins can merge.
+    // coordinator maintains (the frontier and the in-place apply key on it).
     t.SetSortOrder({{0, true}});
     VX_RETURN_NOT_OK(catalog->ReplaceTable(names.vertex, std::move(t)));
   }
 
-  // Message table (empty — and vacuously sorted by receiver, the invariant
-  // the coordinator maintains superstep to superstep).
-  Table messages(MakeMessageSchema(program.message_arity()));
-  messages.SetSortOrder({{1, true}});
-  VX_RETURN_NOT_OK(catalog->ReplaceTable(names.message, std::move(messages)));
+  // Message table (empty).
+  VX_RETURN_NOT_OK(catalog->ReplaceTable(
+      names.message, Table(MakeMessageSchema(program.message_arity()))));
   return Status::OK();
 }
 

@@ -47,16 +47,6 @@ struct VertexicaOptions {
   /// aggregation over the message table between supersteps.
   bool use_combiner = true;
 
-  /// Order-aware superstep joins (exec/merge_join.h): with the join-input
-  /// plan, the maintained sorted invariants — vertex table sorted by id,
-  /// message table sorted by dst — let the vertex ⟕ message ⟕ edge joins
-  /// run as merge joins with zero hash builds. When false, the
-  /// coordinator pins the hash joins regardless of the ambient merge-join
-  /// knob — the ablation switch. The invariant maintenance itself is not
-  /// gated on this flag, so toggling it swaps exactly the physical join
-  /// operator and results are bit-identical by construction.
-  bool use_merge_join = true;
-
   /// §2.3 "Update Vs Replace": if the fraction of updated vertices is below
   /// this threshold, update the existing vertex table in place; otherwise
   /// rebuild it via left join + table replace.

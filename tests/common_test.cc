@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <set>
 #include <string_view>
 #include <thread>
@@ -346,6 +347,21 @@ TEST(CancelTokenTest, DeadlineExpires) {
 
   CancelToken far = CancelToken().WithDeadlineAfter(3600.0);
   EXPECT_TRUE(far.Check().ok());
+}
+
+TEST(CancelTokenTest, HugeDeadlineNeverExpires) {
+  // Past the clock's range the seconds → ticks conversion would overflow;
+  // such a deadline means none, not one already in the past.
+  for (const double seconds :
+       {1e10, 1e297, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    const CancelToken token = CancelToken().WithDeadlineAfter(seconds);
+    EXPECT_FALSE(token.ShouldStop()) << seconds;
+    EXPECT_TRUE(token.Check().ok()) << seconds;
+  }
+  // A huge child deadline leaves the parent's deadline in charge.
+  const CancelToken near = CancelToken().WithDeadlineAfter(0.0);
+  EXPECT_TRUE(near.WithDeadlineAfter(1e297).Check().IsDeadlineExceeded());
 }
 
 TEST(CancelTokenTest, ChildObservesAncestorCancellation) {

@@ -15,7 +15,6 @@
 #include "common/threadpool.h"
 #include "exec/exec_knobs.h"
 #include "exec/kernel_stats.h"
-#include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
 #include "exec/vectorized.h"
@@ -848,235 +847,6 @@ TEST(ParallelForTest, ExceptionsBecomeStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Sort-merge join (exec/merge_join.h): bit-identical to the hash joins on
-// sorted inputs — duplicates, NULL keys, NaN keys, every join type, any
-// thread count / morsel size, encoding off and forced — plus planner
-// selection and the runtime hash fallback.
-// ---------------------------------------------------------------------------
-
-/// Random table with a dup-heavy INT64 key (~10% NULL), a low-cardinality
-/// DOUBLE key (with NaN and NULL), and an INT64 payload.
-Table MergeKeyedTable(uint64_t seed, int64_t rows, int64_t key_range) {
-  Rng rng(seed);
-  Table t(Schema({{"k", DataType::kInt64},
-                  {"dk", DataType::kDouble},
-                  {"v", DataType::kInt64}}));
-  for (int64_t r = 0; r < rows; ++r) {
-    const Value k = rng.Bernoulli(0.1)
-                        ? Value::Null()
-                        : Value(static_cast<int64_t>(
-                              rng.Uniform(static_cast<uint64_t>(key_range))));
-    Value dk;
-    if (rng.Bernoulli(0.05)) {
-      dk = Value::Null();
-    } else if (rng.Bernoulli(0.1)) {
-      dk = Value(std::numeric_limits<double>::quiet_NaN());
-    } else {
-      dk = Value(static_cast<double>(rng.Uniform(6)) / 2.0);
-    }
-    VX_CHECK_OK(t.AppendRow({k, dk, Value(rng.UniformRange(-100, 100))}));
-  }
-  return t;
-}
-
-const JoinType kAllJoinTypes[] = {JoinType::kInner, JoinType::kLeft,
-                                  JoinType::kSemi, JoinType::kAnti};
-
-TEST(MergeJoinTest, ParityWithHashJoinOnInt64Key) {
-  const Table probe = SortTable(MergeKeyedTable(41, 700, 25), {{0, true}});
-  const Table build = SortTable(MergeKeyedTable(42, 300, 25), {{0, true}});
-  for (JoinType type : kAllJoinTypes) {
-    auto expected = ParallelHashJoin(probe, build, {"k"}, {"k"}, type);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (int threads : kThreadSweep) {
-      for (int64_t morsel : kMorselSweep) {
-        ParallelOptions opts;
-        opts.num_threads = threads;
-        opts.morsel_rows = morsel;
-        auto got = ParallelMergeJoin(probe, build, {"k"}, {"k"}, type, opts);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_TRUE(got->Equals(*expected))
-            << JoinTypeName(type) << " threads=" << threads
-            << " morsel=" << morsel;
-      }
-    }
-  }
-}
-
-TEST(MergeJoinTest, ParityOnDoubleKeyWithNaN) {
-  // NaN keys: equal to themselves under the CompareRows total order on
-  // both paths (hash compares via CompareRows too), NULLs never match.
-  const Table probe = SortTable(MergeKeyedTable(43, 400, 10), {{1, true}});
-  const Table build = SortTable(MergeKeyedTable(44, 200, 10), {{1, true}});
-  for (JoinType type : kAllJoinTypes) {
-    auto expected = ParallelHashJoin(probe, build, {"dk"}, {"dk"}, type);
-    ASSERT_TRUE(expected.ok());
-    ParallelOptions opts;
-    opts.num_threads = 8;
-    opts.morsel_rows = 17;
-    auto got = ParallelMergeJoin(probe, build, {"dk"}, {"dk"}, type, opts);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->Equals(*expected)) << JoinTypeName(type);
-  }
-}
-
-TEST(MergeJoinTest, ParityOnMultiColumnKey) {
-  const Table probe =
-      SortTable(MergeKeyedTable(45, 500, 6), {{0, true}, {2, true}});
-  const Table build =
-      SortTable(MergeKeyedTable(46, 250, 6), {{0, true}, {2, true}});
-  for (JoinType type : kAllJoinTypes) {
-    auto expected =
-        ParallelHashJoin(probe, build, {"k", "v"}, {"k", "v"}, type);
-    ASSERT_TRUE(expected.ok());
-    ParallelOptions opts;
-    opts.num_threads = 8;
-    opts.morsel_rows = 13;
-    auto got =
-        ParallelMergeJoin(probe, build, {"k", "v"}, {"k", "v"}, type, opts);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->Equals(*expected)) << JoinTypeName(type);
-  }
-}
-
-TEST(MergeJoinTest, RleRunFastPathMatchesHash) {
-  // Edge-table shape: dense duplicate keys, no NULLs, build key column
-  // RLE-encoded — the run-at-a-time path joins whole runs without decode.
-  Rng rng(47);
-  Table probe(Schema({{"id", DataType::kInt64}, {"pv", DataType::kDouble}}));
-  for (int64_t r = 0; r < 300; ++r) {
-    VX_CHECK_OK(probe.AppendRow(
-        {Value(static_cast<int64_t>(rng.Uniform(40))), Value(rng.NextDouble())}));
-  }
-  probe = SortTable(probe, {{0, true}});
-  Table build(Schema({{"src", DataType::kInt64}, {"bv", DataType::kInt64}}));
-  for (int64_t r = 0; r < 600; ++r) {
-    VX_CHECK_OK(build.AppendRow(
-        {Value(static_cast<int64_t>(rng.Uniform(40))),
-         Value(rng.UniformRange(0, 9))}));
-  }
-  build = SortTable(build, {{0, true}});
-  Table encoded_build = build;
-  ASSERT_GT(encoded_build.EncodeColumns(EncodingMode::kForce), 0);
-  ASSERT_NE(encoded_build.column(0).rle_runs(), nullptr);
-  for (JoinType type : kAllJoinTypes) {
-    auto expected = ParallelHashJoin(probe, build, {"id"}, {"src"}, type);
-    ASSERT_TRUE(expected.ok());
-    for (int threads : kThreadSweep) {
-      ParallelOptions opts;
-      opts.num_threads = threads;
-      opts.morsel_rows = 19;
-      auto got =
-          ParallelMergeJoin(probe, encoded_build, {"id"}, {"src"}, type, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_TRUE(got->Equals(*expected))
-          << JoinTypeName(type) << " threads=" << threads;
-    }
-  }
-}
-
-TEST(MergeJoinTest, EmptyInputs) {
-  const Table some = SortTable(MergeKeyedTable(48, 50, 5), {{0, true}});
-  Table empty(some.schema());
-  for (JoinType type : kAllJoinTypes) {
-    auto a = ParallelMergeJoin(empty, some, {"k"}, {"k"}, type);
-    ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a->num_rows(), 0);
-    auto b = ParallelMergeJoin(some, empty, {"k"}, {"k"}, type);
-    auto expected = ParallelHashJoin(some, empty, {"k"}, {"k"}, type);
-    ASSERT_TRUE(b.ok());
-    ASSERT_TRUE(expected.ok());
-    EXPECT_TRUE(b->Equals(*expected)) << JoinTypeName(type);
-  }
-}
-
-TEST(MergeJoinTest, PlannerPicksMergeOnlyWhenBothSidesSorted) {
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
-  const Table sorted_a = SortTable(MergeKeyedTable(49, 100, 8), {{0, true}});
-  const Table sorted_b = SortTable(MergeKeyedTable(50, 80, 8), {{0, true}});
-  const Table unsorted = MergeKeyedTable(51, 80, 8);
-  {
-    auto plan = PlanBuilder::Scan(sorted_a)
-                    .Join(PlanBuilder::Scan(sorted_b), {"k"}, {"k"});
-    EXPECT_NE(plan.Explain().find("MergeJoin"), std::string::npos)
-        << plan.Explain();
-  }
-  {
-    auto plan = PlanBuilder::Scan(sorted_a)
-                    .Join(PlanBuilder::Scan(unsorted), {"k"}, {"k"});
-    EXPECT_EQ(plan.Explain().find("MergeJoin"), std::string::npos)
-        << plan.Explain();
-    EXPECT_NE(plan.Explain().find("HashJoin"), std::string::npos);
-  }
-  {
-    // The ambient knob turns selection off wholesale.
-    ScopedMergeJoin off(false);
-    auto plan = PlanBuilder::Scan(sorted_a)
-                    .Join(PlanBuilder::Scan(sorted_b), {"k"}, {"k"});
-    EXPECT_EQ(plan.Explain().find("MergeJoin"), std::string::npos);
-  }
-  // Filter/Project/Rename propagate the order claim through the plan.
-  {
-    auto plan = PlanBuilder::Scan(sorted_a)
-                    .Filter(Gt(Col("v"), Lit(int64_t{0})))
-                    .Project({{"k", Col("k")}, {"v", Col("v")}})
-                    .Join(PlanBuilder::Scan(sorted_b), {"k"}, {"k"});
-    EXPECT_NE(plan.Explain().find("MergeJoin"), std::string::npos)
-        << plan.Explain();
-  }
-}
-
-TEST(MergeJoinTest, RuntimeFallsBackToHashWhenUnsorted) {
-  // An op constructed directly over unsorted inputs (no metadata, data
-  // out of order) must take the hash path and still return hash results.
-  const Table probe = MergeKeyedTable(52, 200, 10);
-  const Table build = MergeKeyedTable(53, 100, 10);
-  auto expected = ParallelHashJoin(probe, build, {"k"}, {"k"}, JoinType::kLeft);
-  ASSERT_TRUE(expected.ok());
-  JoinPathStats stats;
-  {
-    ScopedJoinStatsCollector collector(&stats);
-    ParallelMergeJoinOp op(std::make_unique<TableScan>(probe),
-                           std::make_unique<TableScan>(build), {"k"}, {"k"},
-                           JoinType::kLeft);
-    auto got = Collect(&op);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->Equals(*expected));
-  }
-  EXPECT_EQ(stats.merge_joins, 0);
-  EXPECT_EQ(stats.hash_joins, 1);
-  EXPECT_EQ(stats.hash_rows, expected->num_rows());
-}
-
-TEST(MergeJoinTest, StatsCollectorCountsMergePath) {
-  const Table probe = SortTable(MergeKeyedTable(54, 200, 10), {{0, true}});
-  const Table build = SortTable(MergeKeyedTable(55, 100, 10), {{0, true}});
-  JoinPathStats stats;
-  {
-    ScopedJoinStatsCollector collector(&stats);
-    auto got = ParallelMergeJoin(probe, build, {"k"}, {"k"}, JoinType::kInner);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(stats.merge_rows, got->num_rows());
-  }
-  EXPECT_EQ(stats.merge_joins, 1);
-  EXPECT_EQ(stats.hash_joins, 0);
-  EXPECT_EQ(AmbientJoinStats(), nullptr);  // scope restored
-}
-
-TEST(MergeJoinTest, OutputCarriesProbeOrder) {
-  // The join's output declares the probe order, so a second join can
-  // merge again — the superstep triple-join chain.
-  const Table probe = SortTable(MergeKeyedTable(56, 200, 10), {{0, true}});
-  const Table build = SortTable(MergeKeyedTable(57, 100, 10), {{0, true}});
-  auto out = ParallelMergeJoin(probe, build, {"k"}, {"k"}, JoinType::kLeft);
-  ASSERT_TRUE(out.ok());
-  ASSERT_FALSE(out->sort_order().empty());
-  EXPECT_EQ(out->sort_order()[0].column, 0);
-  EXPECT_TRUE(out->sort_order()[0].ascending);
-  ASSERT_TRUE(TableSortedOnKeys(*out, {0}));
-}
-
-// ---------------------------------------------------------------------------
 // Fused selection-vector path (exec/vectorized.h): the `vectorized` knob is
 // a pure physical-plan swap, so every random σ/π/join/agg plan — NULLs,
 // NaN, strings, encoded columns — must produce *byte-identical* tables with
@@ -1262,7 +1032,7 @@ TEST(VectorizedTest, JoinAndAggregatePlansBitIdenticalOnVsOff) {
 }
 
 TEST(VectorizedTest, KnobResolutionOrder) {
-  // Same contract as the merge-join knob: scoped override beats the
+  // Same contract as the frontier-mode knob: scoped override beats the
   // process default; -1 restores automatic resolution.
   const bool ambient = VectorizedEnabled();
   SetDefaultVectorized(0);

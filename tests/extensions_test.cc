@@ -19,7 +19,6 @@
 #include "catalog/catalog_io.h"
 #include "common/fault_injection.h"
 #include "exec/frontier.h"
-#include "exec/merge_join.h"
 #include "giraph/bsp_engine.h"
 #include "sqlgraph/sql_common.h"
 #include "storage/compression.h"
@@ -380,10 +379,9 @@ TEST(CheckpointTest, ResumedRunMatchesUninterrupted) {
   }
 }
 
-TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
+TEST(CheckpointTest, ResumedJoinPathMatchesUninterrupted) {
   Graph g = GenerateRmat(60, 300, 93);
-  const std::string dir = testing::TempDir() + "/vx_ckpt_merge";
+  const std::string dir = testing::TempDir() + "/vx_ckpt_join";
   PageRankProgram program(8);
   Catalog cat;
   ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
@@ -396,9 +394,14 @@ TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
   Coordinator interrupted(&cat, &program, opts);
   ASSERT_TRUE(interrupted.Run().ok());
 
-  // The restored tables carry rows but no sort-order declarations
-  // (catalog_io persists none); the coordinator re-establishes the
-  // invariants at run start, so a resumed run merges like a fresh one.
+  // Uninterrupted join-path baseline.
+  Catalog full;
+  VertexicaOptions full_opts;
+  full_opts.use_union_input = false;
+  full_opts.update_threshold = 2.0;
+  auto expect = RunPageRank(&full, g, 8, 0.85, full_opts);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+
   Catalog recovered;
   ASSERT_TRUE(LoadCatalog(dir, &recovered).ok());
   VertexicaOptions resume = opts;
@@ -413,8 +416,13 @@ TEST(CheckpointTest, ResumedJoinPathKeepsMergeJoins) {
   EXPECT_GE(stats.supersteps.front().superstep, 4);
   for (const SuperstepStats& s : stats.supersteps) {
     // Two input-build joins per shard (VERTEXICA_SHARDS may shard the run).
-    EXPECT_EQ(s.merge_joins, 2 * s.shards) << "superstep " << s.superstep;
-    EXPECT_EQ(s.hash_joins, 0) << "superstep " << s.superstep;
+    EXPECT_EQ(s.hash_joins, 2 * s.shards) << "superstep " << s.superstep;
+  }
+  auto ranks = ReadVertexValues(recovered, {});
+  ASSERT_TRUE(ranks.ok());
+  ASSERT_EQ(ranks->size(), expect->size());
+  for (size_t v = 0; v < expect->size(); ++v) {
+    EXPECT_EQ((*ranks)[v], (*expect)[v]) << "vertex " << v;
   }
 }
 
@@ -458,40 +466,46 @@ TEST(CheckpointTest, ResumedFrontierRunMatchesDenseBaseline) {
   // Frontier run, checkpointed and "crashed" after superstep 1, then
   // resumed with the frontier still forced on: the resumed coordinator
   // must re-derive the active set from the restored tables (RLE halted
-  // column, restored-by-verification sort orders) and still land on the
-  // dense answer bit for bit.
+  // column, the vertex table's restored-by-verification id order), take
+  // the frontier path on every resumed superstep and still land on the
+  // dense answer bit for bit — on both input paths.
   ScopedFrontierMode on(FrontierMode::kOn);
-  const std::string dir = testing::TempDir() + "/vx_ckpt_frontier";
-  ShortestPathProgram program(0);
-  Catalog cat;
-  ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
-  VertexicaOptions opts;
-  opts.use_union_input = false;
-  opts.max_supersteps = 2;
-  opts.checkpoint_every = 1;
-  opts.checkpoint_dir = dir;
-  Coordinator interrupted(&cat, &program, opts);
-  ASSERT_TRUE(interrupted.Run().ok());
+  for (const bool union_input : {false, true}) {
+    SCOPED_TRACE(union_input ? "union input" : "join input");
+    const std::string dir = testing::TempDir() + "/vx_ckpt_frontier" +
+                            (union_input ? "_union" : "_join");
+    ShortestPathProgram program(0);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    VertexicaOptions opts;
+    opts.use_union_input = union_input;
+    opts.max_supersteps = 2;
+    opts.checkpoint_every = 1;
+    opts.checkpoint_dir = dir;
+    Coordinator interrupted(&cat, &program, opts);
+    ASSERT_TRUE(interrupted.Run().ok());
 
-  Catalog recovered;
-  ASSERT_TRUE(LoadCatalog(dir, &recovered).ok());
-  VertexicaOptions resume = opts;
-  resume.max_supersteps = 500;
-  resume.checkpoint_every = 0;
-  resume.resume_from_checkpoint = true;
-  ShortestPathProgram program2(0);
-  Coordinator resumed(&recovered, &program2, resume);
-  RunStats stats;
-  ASSERT_TRUE(resumed.Run(&stats).ok());
-  ASSERT_FALSE(stats.supersteps.empty());
-  EXPECT_GE(stats.supersteps.front().superstep, 2);
-  EXPECT_GT(stats.frontier_supersteps, 0);
+    Catalog recovered;
+    ASSERT_TRUE(LoadCatalog(dir, &recovered).ok());
+    VertexicaOptions resume = opts;
+    resume.max_supersteps = 500;
+    resume.checkpoint_every = 0;
+    resume.resume_from_checkpoint = true;
+    ShortestPathProgram program2(0);
+    Coordinator resumed(&recovered, &program2, resume);
+    RunStats stats;
+    ASSERT_TRUE(resumed.Run(&stats).ok());
+    ASSERT_FALSE(stats.supersteps.empty());
+    EXPECT_GE(stats.supersteps.front().superstep, 2);
+    EXPECT_GT(stats.frontier_supersteps, 0);
+    EXPECT_EQ(stats.dense_supersteps, 0);
 
-  auto dists = ReadVertexValues(recovered, {});
-  ASSERT_TRUE(dists.ok());
-  ASSERT_EQ(dists->size(), dense.size());
-  for (size_t v = 0; v < dense.size(); ++v) {
-    EXPECT_EQ((*dists)[v], dense[v]) << "vertex " << v;
+    auto dists = ReadVertexValues(recovered, {});
+    ASSERT_TRUE(dists.ok());
+    ASSERT_EQ(dists->size(), dense.size());
+    for (size_t v = 0; v < dense.size(); ++v) {
+      EXPECT_EQ((*dists)[v], dense[v]) << "vertex " << v;
+    }
   }
 }
 

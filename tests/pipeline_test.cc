@@ -213,7 +213,6 @@ TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
   caller.threads = 4;
   caller.shards = 3;
   caller.encoding = EncodingMode::kOff;
-  caller.merge_join = false;
   caller.frontier = FrontierMode::kOff;
   caller.vectorized = false;
   caller.cancel = CancelToken::Make();

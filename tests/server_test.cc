@@ -8,7 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/exec_context.h"
@@ -87,14 +90,11 @@ TEST(EnvKnobTest, EnvIntKnobFallsBackAndClamps) {
 }
 
 TEST(EnvKnobTest, EnvTokenKnobMatchesCaseInsensitively) {
+  constexpr KnobToken<int> kTokens[] = {{"off", 0}, {"auto", 1}, {"force", 2}};
   ::setenv("VERTEXICA_TEST_TOKEN", "FORCE", 1);
-  EXPECT_EQ(EnvTokenKnob("VERTEXICA_TEST_TOKEN", {"off", "auto", "force"},
-                         "auto"),
-            "force");
+  EXPECT_EQ(EnvTokenKnob("VERTEXICA_TEST_TOKEN", kTokens, 1), 2);
   ::setenv("VERTEXICA_TEST_TOKEN", "bogus", 1);
-  EXPECT_EQ(EnvTokenKnob("VERTEXICA_TEST_TOKEN", {"off", "auto", "force"},
-                         "auto"),
-            "auto");
+  EXPECT_EQ(EnvTokenKnob("VERTEXICA_TEST_TOKEN", kTokens, 1), 1);
   ::unsetenv("VERTEXICA_TEST_TOKEN");
 }
 
@@ -104,35 +104,35 @@ TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
   ScopedExecThreads threads(3);
   ScopedExecShards shards(2);
   ScopedEncodingMode encoding(EncodingMode::kForce);
-  ScopedMergeJoin merge(false);
+  ScopedVectorized vectorized(false);
   ScopedFrontierMode frontier(FrontierMode::kOn);
 
   const ExecKnobs knobs = ExecKnobs::Capture();
   EXPECT_EQ(knobs.threads, 3);
   EXPECT_EQ(knobs.shards, 2);
   EXPECT_EQ(knobs.encoding, EncodingMode::kForce);
-  EXPECT_FALSE(knobs.merge_join);
+  EXPECT_FALSE(knobs.vectorized);
   EXPECT_EQ(knobs.frontier, FrontierMode::kOn);
 
   // A fresh thread has none of the thread-local overrides; installing the
   // captured knobs must reproduce the caller's configuration exactly.
   int seen_threads = 0, seen_shards = 0;
   EncodingMode seen_encoding = EncodingMode::kAuto;
-  bool seen_merge = true;
+  bool seen_vectorized = true;
   FrontierMode seen_frontier = FrontierMode::kOff;
   std::thread worker([&]() {
     ScopedExecKnobs install(knobs);
     seen_threads = ExecThreads();
     seen_shards = ExecShards();
     seen_encoding = AmbientEncodingMode();
-    seen_merge = MergeJoinEnabled();
+    seen_vectorized = VectorizedEnabled();
     seen_frontier = AmbientFrontierMode();
   });
   worker.join();
   EXPECT_EQ(seen_threads, 3);
   EXPECT_EQ(seen_shards, 2);
   EXPECT_EQ(seen_encoding, EncodingMode::kForce);
-  EXPECT_FALSE(seen_merge);
+  EXPECT_FALSE(seen_vectorized);
   EXPECT_EQ(seen_frontier, FrontierMode::kOn);
 }
 
@@ -141,13 +141,13 @@ TEST(ExecContextTest, FromRequestResolvesOverrides) {
   request.threads = 5;
   request.shards = 3;
   request.encoding = "force";
-  request.merge_join = "off";
+  request.vectorized = "off";
   request.frontier = "on";
-  const ExecContext ctx = ExecContext::FromRequest(request);
+  const ExecContext ctx = *ExecContext::FromRequest(request);
   EXPECT_EQ(ctx.knobs.threads, 5);
   EXPECT_EQ(ctx.knobs.shards, 3);
   EXPECT_EQ(ctx.knobs.encoding, EncodingMode::kForce);
-  EXPECT_FALSE(ctx.knobs.merge_join);
+  EXPECT_FALSE(ctx.knobs.vectorized);
   EXPECT_EQ(ctx.knobs.frontier, FrontierMode::kOn);
   EXPECT_EQ(ctx.DemandThreads(), 5);
 
@@ -155,15 +155,15 @@ TEST(ExecContextTest, FromRequestResolvesOverrides) {
   ScopedExecThreads threads(2);
   ScopedFrontierMode off(FrontierMode::kOff);
   RunRequest ambient;
-  const ExecContext inherited = ExecContext::FromRequest(ambient);
+  const ExecContext inherited = *ExecContext::FromRequest(ambient);
   EXPECT_EQ(inherited.knobs.threads, 2);
-  EXPECT_TRUE(inherited.knobs.merge_join);
+  EXPECT_EQ(inherited.knobs.vectorized, VectorizedEnabled());
   EXPECT_EQ(inherited.knobs.frontier, FrontierMode::kOff);
 
   // An explicit request field beats the ambient scope, like threads.
   RunRequest explicit_frontier;
   explicit_frontier.frontier = "auto";
-  const ExecContext resolved = ExecContext::FromRequest(explicit_frontier);
+  const ExecContext resolved = *ExecContext::FromRequest(explicit_frontier);
   EXPECT_EQ(resolved.knobs.frontier, FrontierMode::kAuto);
 }
 
@@ -190,11 +190,11 @@ TEST(ExecKnobsTest, CancelTokenRidesTheKnobPlumbing) {
 
 TEST(ExecContextTest, FromRequestResolvesDeadline) {
   RunRequest no_deadline;
-  EXPECT_TRUE(ExecContext::FromRequest(no_deadline).knobs.cancel.null());
+  EXPECT_TRUE(ExecContext::FromRequest(no_deadline)->knobs.cancel.null());
 
   RunRequest with_deadline;
   with_deadline.deadline_ms = 3600 * 1e3;  // one hour: resolves, never fires
-  const ExecContext ctx = ExecContext::FromRequest(with_deadline);
+  const ExecContext ctx = *ExecContext::FromRequest(with_deadline);
   ASSERT_FALSE(ctx.knobs.cancel.null());
   std::chrono::steady_clock::time_point deadline;
   EXPECT_TRUE(ctx.knobs.cancel.deadline(&deadline));
@@ -203,8 +203,101 @@ TEST(ExecContextTest, FromRequestResolvesDeadline) {
   RunRequest expired;
   expired.deadline_ms = 1e-9;  // resolved against arrival: already past
   EXPECT_TRUE(ExecContext::FromRequest(expired)
-                  .knobs.cancel.Check()
+                  ->knobs.cancel.Check()
                   .IsDeadlineExceeded());
+}
+
+TEST(ExecContextTest, InfiniteDeadlineRunsToCompletion) {
+  // deadline_ms past the clock's range (1e13 ms ≈ 317 years, +inf) means
+  // no deadline: the run completes instead of failing at once.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraph(ParityGraph()).ok());
+  for (const double deadline_ms :
+       {1e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    RunRequest request;
+    request.algorithm = kPageRank;
+    request.backend = kVertexicaBackendId;
+    request.deadline_ms = deadline_ms;
+    const auto result = engine.Run(request);
+    EXPECT_TRUE(result.ok()) << deadline_ms << ": "
+                             << result.status().ToString();
+  }
+}
+
+TEST(ExecContextTest, KnobStringsTakeTheEnvVocabulary) {
+  // Every spelling the environment variables accept, in any case, means
+  // the same in a request.
+  const struct {
+    const char* text;
+    EncodingMode mode;
+  } encodings[] = {
+      {"Off", EncodingMode::kOff},   {"none", EncodingMode::kOff},
+      {"FALSE", EncodingMode::kOff}, {"0", EncodingMode::kOff},
+      {"Auto", EncodingMode::kAuto}, {"on", EncodingMode::kAuto},
+      {"True", EncodingMode::kAuto}, {"FORCE", EncodingMode::kForce}};
+  for (const auto& e : encodings) {
+    RunRequest request;
+    request.encoding = e.text;
+    const auto ctx = ExecContext::FromRequest(request);
+    ASSERT_TRUE(ctx.ok()) << e.text << ": " << ctx.status().ToString();
+    EXPECT_EQ(ctx->knobs.encoding, e.mode) << e.text;
+  }
+  for (const char* off : {"Off", "no", "NO", "false", "0"}) {
+    RunRequest request;
+    request.vectorized = off;
+    const auto ctx = ExecContext::FromRequest(request);
+    ASSERT_TRUE(ctx.ok()) << off << ": " << ctx.status().ToString();
+    EXPECT_FALSE(ctx->knobs.vectorized) << off;
+  }
+  for (const char* on : {"On", "yes", "TRUE", "1"}) {
+    ScopedVectorized ambient_off(false);
+    RunRequest request;
+    request.vectorized = on;
+    const auto ctx = ExecContext::FromRequest(request);
+    ASSERT_TRUE(ctx.ok()) << on << ": " << ctx.status().ToString();
+    EXPECT_TRUE(ctx->knobs.vectorized) << on;
+  }
+  const struct {
+    const char* text;
+    FrontierMode mode;
+  } frontiers[] = {{"OFF", FrontierMode::kOff}, {"None", FrontierMode::kOff},
+                   {"AUTO", FrontierMode::kAuto}, {"Force", FrontierMode::kOn},
+                   {"1", FrontierMode::kOn}};
+  for (const auto& f : frontiers) {
+    RunRequest request;
+    request.frontier = f.text;
+    const auto ctx = ExecContext::FromRequest(request);
+    ASSERT_TRUE(ctx.ok()) << f.text << ": " << ctx.status().ToString();
+    EXPECT_EQ(ctx->knobs.frontier, f.mode) << f.text;
+  }
+  // The environment side parses through the same vocabulary.
+  EXPECT_EQ(ParseEncodingMode("NONE"), EncodingMode::kOff);
+  EXPECT_EQ(ParseFrontierMode("None"), FrontierMode::kOff);
+  EXPECT_EQ(ParseOnOff("No"), false);
+}
+
+TEST(ExecContextTest, UnknownKnobStringIsRejected) {
+  RunRequest bad_encoding;
+  bad_encoding.encoding = "offf";
+  RunRequest bad_frontier;
+  bad_frontier.frontier = "banana";
+  RunRequest bad_vectorized;
+  bad_vectorized.vectorized = "maybe";
+  for (const auto& [request, field, value] :
+       {std::make_tuple(bad_encoding, "encoding", "offf"),
+        std::make_tuple(bad_frontier, "frontier", "banana"),
+        std::make_tuple(bad_vectorized, "vectorized", "maybe")}) {
+    const auto ctx = ExecContext::FromRequest(request);
+    ASSERT_FALSE(ctx.ok()) << field;
+    EXPECT_TRUE(ctx.status().IsInvalidArgument()) << ctx.status().ToString();
+    EXPECT_NE(ctx.status().message().find(field), std::string::npos)
+        << ctx.status().ToString();
+    EXPECT_NE(ctx.status().message().find(value), std::string::npos)
+        << ctx.status().ToString();
+  }
+  EXPECT_FALSE(ParseEncodingMode("offf").has_value());
+  EXPECT_FALSE(ParseFrontierMode("banana").has_value());
+  EXPECT_FALSE(ParseOnOff("maybe").has_value());
 }
 
 // --------------------------------------------------------- admission
@@ -448,6 +541,20 @@ TEST(EngineServerTest, RunReportsServingMetrics) {
   EXPECT_EQ(server.admission_stats().admitted, 1u);
 }
 
+TEST(EngineServerTest, MalformedKnobIsRejectedBeforeAdmission) {
+  EngineServer server;
+  ASSERT_TRUE(server.CreateGraph("g", ParityGraph()).ok());
+  RunRequest request;
+  request.algorithm = kPageRank;
+  request.backend = kVertexicaBackendId;
+  request.frontier = "banana";
+  const auto result = server.Run("g", request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_EQ(server.admission_stats().admitted, 0u);
+}
+
 // The tentpole acceptance test: concurrent mixed requests with differing
 // knobs on ONE shared EngineServer are bit-identical to the same requests
 // run serially — all four backends, pagerank + sssp.
@@ -469,7 +576,7 @@ TEST(EngineServerTest, ConcurrentMixedClientsBitIdenticalToSerial) {
         request.threads = 1 + variant * 2;        // 1 or 3
         request.shards = 1 + variant * 3;         // 1 or 4
         request.encoding = variant == 0 ? "off" : "force";
-        request.merge_join = variant == 0 ? "off" : "on";
+        request.vectorized = variant == 0 ? "off" : "on";
         requests.push_back(request);
       }
     }

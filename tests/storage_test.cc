@@ -400,18 +400,15 @@ Table SortOrderFixture() {
   return t;
 }
 
-TEST(SortOrderTest, SortTableDeclaresOrderAndColumnFlag) {
+TEST(SortOrderTest, SortTableDeclaresOrder) {
   Table sorted = SortOrderFixture();
   EXPECT_TRUE(sorted.sort_order().empty());  // raw appends declare nothing
   sorted = SortTable(sorted, {{0, true}, {1, true}});
   ASSERT_EQ(sorted.sort_order().size(), 2u);
   EXPECT_EQ(sorted.sort_order()[0].column, 0);
   EXPECT_TRUE(sorted.sort_order()[0].ascending);
-  EXPECT_TRUE(sorted.column(0).sorted_ascending());
-  EXPECT_FALSE(sorted.column(1).sorted_ascending());  // only key 0 is global
-  EXPECT_TRUE(sorted.OrderCoversKeys({0}));
-  EXPECT_TRUE(sorted.OrderCoversKeys({0, 1}));
-  EXPECT_FALSE(sorted.OrderCoversKeys({1}));
+  EXPECT_EQ(sorted.sort_order()[1].column, 1);
+  EXPECT_TRUE(sorted.sort_order()[1].ascending);
 }
 
 TEST(SortOrderTest, DroppedOnMutationLikeZoneMap) {
@@ -420,14 +417,11 @@ TEST(SortOrderTest, DroppedOnMutationLikeZoneMap) {
   ASSERT_NE(sorted.column(0).zone_map(), nullptr);
   // mutable_column already drops the table-level declaration...
   EXPECT_TRUE(sorted.sort_order().empty());
-  // ...and a row append drops the column-level flag together with the
-  // zone map (same PrepareMutation path).
+  // ...and so does a row append.
   Table sorted2 = SortTable(SortOrderFixture(), {{0, true}});
-  ASSERT_TRUE(sorted2.column(0).sorted_ascending());
   VX_CHECK_OK(sorted2.AppendRow({Value(int64_t{0}), Value(int64_t{0}),
                                  Value(0.0)}));
   EXPECT_TRUE(sorted2.sort_order().empty());
-  EXPECT_FALSE(sorted2.column(0).sorted_ascending());
   EXPECT_EQ(sorted2.column(0).zone_map(), nullptr);
 }
 
@@ -444,10 +438,8 @@ TEST(SortOrderTest, SlicePreservesTakeDrops) {
   Table sorted = SortTable(SortOrderFixture(), {{0, true}});
   Table slice = sorted.Slice(1, 2);
   ASSERT_EQ(slice.sort_order().size(), 1u);
-  EXPECT_TRUE(slice.column(0).sorted_ascending());
   Table taken = sorted.Take({2, 0, 1});
   EXPECT_TRUE(taken.sort_order().empty());
-  EXPECT_FALSE(taken.column(0).sorted_ascending());
 }
 
 TEST(SortOrderTest, SelectColumnsRemapsPrefix) {
@@ -467,15 +459,13 @@ TEST(SortOrderTest, SelectColumnsRemapsPrefix) {
 }
 
 TEST(SortOrderTest, EncodeIsValueNeutralForTheDeclaration) {
-  // Encoding is a physical-representation switch; the declaration (and
-  // the column flag) survive, like the zone map does across Decode.
+  // Encoding is a physical-representation switch; the declaration
+  // survives, like the zone map does across Decode.
   Table sorted = SortTable(SortOrderFixture(), {{0, true}});
   sorted.EncodeColumns(EncodingMode::kForce);
   EXPECT_FALSE(sorted.sort_order().empty());
-  EXPECT_TRUE(sorted.column(0).sorted_ascending());
   sorted.DecodeColumns();
   EXPECT_FALSE(sorted.sort_order().empty());
-  EXPECT_TRUE(sorted.column(0).sorted_ascending());
 }
 
 // --------------------------------------------------- Segment encodings
@@ -906,7 +896,7 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
     VX_CHECK_OK(t.AppendRow({Value(i / 32), Value(i)}));
   }
   t = SortTable(t, {{0, true}, {1, true}});
-  ASSERT_TRUE(t.OrderCoversKeys({0, 1}));
+  ASSERT_EQ(t.sort_order().size(), 2u);
 
   ScopedEncodingMode scoped(EncodingMode::kForce);
   ShardingSpec spec;
@@ -915,7 +905,9 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
   ASSERT_TRUE(set.ok());
   for (int s = 0; s < set->num_shards(); ++s) {
     const Table& shard = *set->shard(s);
-    EXPECT_TRUE(shard.OrderCoversKeys({0, 1})) << "shard " << s;
+    ASSERT_EQ(shard.sort_order().size(), 2u) << "shard " << s;
+    EXPECT_EQ(shard.sort_order()[0].column, 0) << "shard " << s;
+    EXPECT_EQ(shard.sort_order()[1].column, 1) << "shard " << s;
     if (shard.num_rows() > 0) {
       EXPECT_EQ(shard.column(0).encoding(), ColumnEncoding::kRle);
     }
@@ -1320,18 +1312,9 @@ TEST(InvariantAuditTest, HealthyStructuresPass) {
   EXPECT_TRUE(t.CheckInvariants().ok());
 }
 
-TEST(InvariantAuditTest, LyingColumnSortFlagIsReported) {
-  Column c = Column::FromInts({3, 1, 2});
-  c.set_sorted_ascending(true);  // public API, false claim
-  const Status st = c.CheckInvariants();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(Mentions(st, "declared sorted_ascending but row 0 > row 1"))
-      << st.ToString();
-}
-
 TEST(InvariantAuditTest, LyingTableSortOrderIsReported) {
-  // The leading key really is nondecreasing (so the column-level flag
-  // audit passes); the declared tiebreaker is the lie.
+  // The leading key really is nondecreasing; the declared tiebreaker is
+  // the lie.
   auto made = Table::Make(
       Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}),
       {Column::FromInts({1, 1, 2}), Column::FromInts({5, 3, 9})});

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "exec/exec_knobs.h"
-#include "udf/stored_procedure.h"
 #include "udf/transform.h"
 
 namespace vertexica {
@@ -185,7 +184,6 @@ TEST(TransformTest, PoolTasksSeeTheCallersKnobs) {
   caller.threads = 4;
   caller.shards = 3;
   caller.encoding = EncodingMode::kOff;
-  caller.merge_join = false;
   caller.frontier = FrontierMode::kOff;
   caller.vectorized = false;
   caller.cancel = CancelToken::Make();
@@ -228,46 +226,6 @@ TEST(TransformTest, UdfErrorPropagates) {
   auto result = ApplyTransform(
       in, 0, [] { return std::make_unique<FailingUdf>(); }, {});
   EXPECT_TRUE(result.status().IsInternal());
-}
-
-TEST(ProcedureTest, RegisterAndCall) {
-  ProcedureRegistry registry;
-  Catalog catalog;
-  VX_CHECK_OK(catalog.CreateTable(
-      "counter", Table(Schema({{"v", DataType::kInt64}}))));
-
-  VX_CHECK_OK(registry.Register(
-      "bump", [](Catalog* cat, const std::vector<Value>& params) -> Status {
-        VX_ASSIGN_OR_RETURN(auto t, cat->GetTable("counter"));
-        Table next = *t;
-        VX_RETURN_NOT_OK(next.AppendRow({params.at(0)}));
-        return cat->ReplaceTable("counter", std::move(next));
-      }));
-
-  EXPECT_TRUE(registry.Has("bump"));
-  VX_CHECK_OK(registry.Call("bump", &catalog, {Value(int64_t{7})}));
-  VX_CHECK_OK(registry.Call("bump", &catalog, {Value(int64_t{8})}));
-  auto t = *catalog.GetTable("counter");
-  ASSERT_EQ(t->num_rows(), 2);
-  EXPECT_EQ(t->column(0).GetInt64(1), 8);
-}
-
-TEST(ProcedureTest, DuplicateRegistrationFails) {
-  ProcedureRegistry registry;
-  VX_CHECK_OK(registry.Register("p", [](Catalog*, const std::vector<Value>&) {
-    return Status::OK();
-  }));
-  EXPECT_TRUE(registry
-                  .Register("p", [](Catalog*, const std::vector<Value>&) {
-                    return Status::OK();
-                  })
-                  .IsAlreadyExists());
-}
-
-TEST(ProcedureTest, UnknownProcedureFails) {
-  ProcedureRegistry registry;
-  Catalog catalog;
-  EXPECT_TRUE(registry.Call("nope", &catalog).IsNotFound());
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/frontier.h"
-#include "exec/merge_join.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "storage/csr_index.h"
@@ -587,14 +586,11 @@ TEST(EdgeSpanTest, StoredMessageSrcIsTheSenderOnlyWithoutCombiner) {
 }
 
 // ---------------------------------------------------------------------------
-// Order-aware superstep joins (exec/merge_join.h): with the join-input
-// path, the sorted invariants (vertex by id, message by dst, edges by
-// (src, dst)) turn both superstep joins into merge joins — zero hash
-// builds — with results bit-identical to the hash path.
+// Join-input superstep joins: the vertex ⟕ message ⟕ edge plan runs as two
+// hash joins per shard and superstep.
 // ---------------------------------------------------------------------------
 
-TEST(OptimizationTest, JoinInputRunsMergeJoinsOnly) {
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
+TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerShard) {
   ScopedExecShards unsharded(1);  // exact per-step counters assume 1 shard
   Graph g = GenerateRmat(128, 800, 11);
   VertexicaOptions opts;
@@ -606,52 +602,17 @@ TEST(OptimizationTest, JoinInputRunsMergeJoinsOnly) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_GT(stats.supersteps.size(), 1u);
   for (const SuperstepStats& s : stats.supersteps) {
-    // BuildJoinInput's vertex ⟕ message and ⟕ edge joins, merged.
-    EXPECT_EQ(s.merge_joins, 2) << "superstep " << s.superstep;
-    EXPECT_EQ(s.hash_joins, 0) << "superstep " << s.superstep;
+    // BuildJoinInput's vertex ⟕ message and ⟕ edge joins.
+    EXPECT_EQ(s.hash_joins, 2 * s.shards) << "superstep " << s.superstep;
+    EXPECT_EQ(s.merge_joins, 0) << "superstep " << s.superstep;
     EXPECT_GT(s.join_rows, 0) << "superstep " << s.superstep;
   }
 }
 
-TEST(OptimizationTest, MergeJoinOnOffSameResult) {
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
-  Graph g = GenerateRmat(128, 800, 12);
-  VertexicaOptions merge_opts;
-  merge_opts.use_union_input = false;
-  VertexicaOptions hash_opts;
-  hash_opts.use_union_input = false;
-  hash_opts.use_merge_join = false;
-  Catalog cat1;
-  RunStats s1;
-  auto r1 = RunPageRank(&cat1, g, 5, 0.85, merge_opts, &s1);
-  Catalog cat2;
-  RunStats s2;
-  auto r2 = RunPageRank(&cat2, g, 5, 0.85, hash_opts, &s2);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ASSERT_EQ(r1->size(), r2->size());
-  for (size_t v = 0; v < r1->size(); ++v) {
-    // Bit-identical, not just close: the merge join reproduces the hash
-    // join's probe-row-major match order exactly.
-    EXPECT_EQ((*r1)[v], (*r2)[v]) << "vertex " << v;
-  }
-  ASSERT_EQ(s1.supersteps.size(), s2.supersteps.size());
-  int64_t merged = 0;
-  int64_t hashed = 0;
-  for (const SuperstepStats& s : s1.supersteps) merged += s.merge_joins;
-  for (const SuperstepStats& s : s2.supersteps) {
-    hashed += s.hash_joins;
-    EXPECT_EQ(s.merge_joins, 0);  // the ablation switch pins the hash path
-  }
-  EXPECT_GT(merged, 0);
-  EXPECT_GT(hashed, 0);
-}
-
-TEST(OptimizationTest, MergeJoinSurvivesReplacePath) {
+TEST(OptimizationTest, JoinInputReplacePathMatchesInPlace) {
   // update_threshold = 0 forces the rebuild path every superstep; the
-  // coordinator re-sorts the rebuilt vertex table, so merge joins keep
-  // running and results still match the in-place path.
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
+  // coordinator re-sorts the rebuilt vertex table by id, and results
+  // still match the in-place path.
   ScopedExecShards unsharded(1);  // exact per-step counters assume 1 shard
   Graph g = GenerateRmat(64, 400, 13);
   VertexicaOptions replace_opts;
@@ -671,29 +632,9 @@ TEST(OptimizationTest, MergeJoinSurvivesReplacePath) {
     EXPECT_EQ((*r1)[v], (*r2)[v]) << "vertex " << v;
   }
   for (const SuperstepStats& s : s1.supersteps) {
-    EXPECT_EQ(s.merge_joins, 2) << "superstep " << s.superstep;
-    // The rebuild's anti join (unsorted build side) may hash; the two
-    // superstep input joins must not.
-    EXPECT_LE(s.hash_joins, 1) << "superstep " << s.superstep;
-  }
-}
-
-TEST(OptimizationTest, MergeJoinSameResultForSssp) {
-  Graph g = GenerateRmat(128, 800, 14);
-  AssignRandomWeights(&g, 1.0, 5.0, 15);
-  VertexicaOptions merge_opts;
-  merge_opts.use_union_input = false;
-  VertexicaOptions hash_opts;
-  hash_opts.use_union_input = false;
-  hash_opts.use_merge_join = false;
-  Catalog cat1;
-  auto d1 = RunShortestPaths(&cat1, g, 0, merge_opts);
-  Catalog cat2;
-  auto d2 = RunShortestPaths(&cat2, g, 0, hash_opts);
-  ASSERT_TRUE(d1.ok());
-  ASSERT_TRUE(d2.ok());
-  for (size_t v = 0; v < d1->size(); ++v) {
-    EXPECT_EQ((*d1)[v], (*d2)[v]) << "vertex " << v;
+    // The two input joins, plus the rebuild's anti join when it ran.
+    EXPECT_EQ(s.hash_joins, 2 + (s.used_replace ? 1 : 0))
+        << "superstep " << s.superstep;
   }
 }
 
@@ -825,8 +766,7 @@ TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
   }
 }
 
-TEST(ShardingTest, ShardedMergeJoinStillMergesOnly) {
-  ScopedMergeJoin on(true);  // pin against a VERTEXICA_MERGE_JOIN=off env
+TEST(ShardingTest, ShardedJoinInputRunsTwoHashJoinsPerShard) {
   Graph g = GenerateRmat(128, 800, 25);
   VertexicaOptions opts;
   opts.use_union_input = false;
@@ -837,11 +777,9 @@ TEST(ShardingTest, ShardedMergeJoinStillMergesOnly) {
   auto r = RunPageRank(&cat, g, 5, 0.85, opts, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   for (const SuperstepStats& s : stats.supersteps) {
-    // Two input-build joins per shard, all merged: the per-shard tables
-    // keep the sorted invariants (vertex by id, message by dst, edges by
-    // (src, dst)) the planner needs.
-    EXPECT_EQ(s.merge_joins, 2 * 4) << "superstep " << s.superstep;
-    EXPECT_EQ(s.hash_joins, 0) << "superstep " << s.superstep;
+    // Two input-build joins per shard.
+    EXPECT_EQ(s.shards, 4) << "superstep " << s.superstep;
+    EXPECT_EQ(s.hash_joins, 2 * 4) << "superstep " << s.superstep;
   }
 }
 
@@ -1046,7 +984,7 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
 // seeded graphs, over both worker inputs and both frontier modes. The
 // expected digests were recorded from the partition-and-sort worker
 // dataflow the in-place driver replaced; every physical path (threads,
-// shards, encoding, merge joins, vectorized) must reproduce them bit for
+// shards, encoding, vectorized) must reproduce them bit for
 // bit, so this is the one check of bit-identity against that earlier code
 // rather than against itself.
 // ---------------------------------------------------------------------------
@@ -1739,7 +1677,8 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
   }
   auto reference = Table::Make(MakeMessageSchema(2), std::move(cols));
   ASSERT_TRUE(reference.ok()) << what;
-  // Sharded runs and the join input store the table sorted by receiver.
+  // Sharded runs publish the table sorted by receiver; one shard stores it
+  // in worker-output order on either input path.
   const Table reference_by_dst = SortTable(*reference, {{1, true}});
 
   for (const int threads : {1, 8}) {
@@ -1750,7 +1689,7 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
         opts.num_shards = shards;
         opts.use_union_input = union_input;
         const Table combined = OneSuperstepMessages(g, &program, opts);
-        const bool by_dst = shards > 1 || !union_input;
+        const bool by_dst = shards > 1;
         EXPECT_EQ(DiffMessageTables(
                       combined, by_dst ? reference_by_dst : *reference),
                   "")
