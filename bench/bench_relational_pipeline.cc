@@ -5,7 +5,7 @@
 /// from raw data and right up to deriving meaningful insights").
 ///
 /// Every case sweeps the executor `threads` knob (1 vs. hardware) through
-/// ScopedExecThreads, so the §2.3 "parallel workers" claim is exercised on
+/// an installed ExecKnobs, so the §2.3 "parallel workers" claim is exercised on
 /// the relational operator pipelines themselves: joins, aggregates, and
 /// filters here run on the morsel-parallel executor (exec/parallel.h), and
 /// independent pipeline nodes run as parallel DAG waves.
@@ -17,9 +17,9 @@
 
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
+#include "common/exec_knobs.h"
 #include "common/random.h"
 #include "common/timer.h"
-#include "exec/frontier.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/scan.h"
@@ -46,6 +46,14 @@ std::string ThreadsColumn(int threads) {
   return "T" + std::to_string(threads);
 }
 
+/// The current context with `threads`; 0 keeps the current thread count
+/// (VERTEXICA_THREADS, else hardware cores).
+ExecKnobs KnobsWithThreads(int threads) {
+  ExecKnobs knobs = ExecKnobs::Current();
+  if (threads > 0) knobs.threads = threads;
+  return knobs;
+}
+
 const Table& TwitterEdgesWithMetadata() {
   static const Table edges =
       GenerateEdgeMetadata(GetDataset(DatasetId::kTwitter), 4242);
@@ -59,7 +67,8 @@ void RunPipelineCase(benchmark::State& state, const std::string& row,
   const int threads = static_cast<int>(state.range(0));
   double seconds = 0;
   for (auto _ : state) {
-    ScopedExecThreads scoped(threads);
+    const ExecKnobs knobs = KnobsWithThreads(threads);
+    ScopedExecKnobs scoped(knobs);
     WallTimer timer;
     Pipeline p;
     const int target = build(&p);
@@ -178,7 +187,8 @@ void BM_ZoneMapPrunedScan(benchmark::State& state) {
   ResetScanPruneStats();
   for (auto _ : state) {
     WallTimer timer;
-    ScopedExecThreads scoped(threads);
+    const ExecKnobs knobs = KnobsWithThreads(threads);
+    ScopedExecKnobs scoped(knobs);
     auto out = ParallelFilter(table, pred);
     VX_CHECK(out.ok()) << out.status().ToString();
     rows = out->num_rows();
@@ -247,9 +257,10 @@ void BM_FusedFilterProject(benchmark::State& state) {
   double seconds = 0;
   KernelStats stats;
   for (auto _ : state) {
-    ScopedExecThreads scoped(threads);
-    ScopedVectorized vec(fused);
-    ScopedKernelStats stats_scope(&stats);
+    ExecKnobs knobs = KnobsWithThreads(threads);
+    knobs.vectorized = fused;
+    knobs.kernel_stats = &stats;
+    ScopedExecKnobs scoped(knobs);
     WallTimer timer;
     auto out = ParallelFilterProject(table, pred, proj);
     VX_CHECK(out.ok()) << out.status().ToString();
@@ -293,7 +304,8 @@ void BM_SuperstepJoinPath(benchmark::State& state) {
   static int64_t expected_join_rows = -1;  // parity across both cells
   double seconds = 0;
   for (auto _ : state) {
-    ScopedExecThreads scoped(threads);
+    const ExecKnobs knobs = KnobsWithThreads(threads);
+    ScopedExecKnobs scoped(knobs);
     Catalog catalog;
     RunStats stats;
     auto ranks = RunPageRank(&catalog, g, 5, 0.85, opts, &stats);
@@ -343,7 +355,8 @@ void BM_ShardedSuperstep(benchmark::State& state) {
   static std::vector<double> expected;  // parity across all cells
   double seconds = 0;
   for (auto _ : state) {
-    ScopedExecThreads scoped(threads);
+    const ExecKnobs knobs = KnobsWithThreads(threads);
+    ScopedExecKnobs scoped(knobs);
     Catalog catalog;
     RunStats stats;
     auto ranks = RunPageRank(&catalog, g, 5, 0.85, opts, &stats);
@@ -363,7 +376,7 @@ BENCHMARK(BM_ShardedSuperstep)
     ->Args({1, 1})->Args({1, 4})->Args({0, 1})->Args({0, 4})
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// ---- Active-vertex frontier supersteps (exec/frontier.h) ---------------
+// ---- Active-vertex frontier supersteps (common/exec_knobs.h) -----------
 //
 // SSSP on a long-tail graph: an RMAT core with a long chain hanging off
 // the source's component. Once the core converges the distance wave crawls
@@ -405,8 +418,9 @@ void BM_FrontierSuperstep(benchmark::State& state) {
   static std::vector<double> expected;  // parity across all four cells
   double seconds = 0;
   for (auto _ : state) {
-    ScopedExecThreads scoped(threads);
-    ScopedFrontierMode mode(frontier ? FrontierMode::kOn : FrontierMode::kOff);
+    ExecKnobs knobs = KnobsWithThreads(threads);
+    knobs.frontier = frontier ? FrontierMode::kOn : FrontierMode::kOff;
+    ScopedExecKnobs scoped(knobs);
     Catalog catalog;
     RunStats stats;
     auto dist = RunShortestPaths(&catalog, g, 0, opts, &stats);

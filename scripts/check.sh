@@ -8,8 +8,8 @@ BUILD_DIR="${1:-build}"
 
 # Static tier first — cheapest signal, no build needed. The determinism
 # lint guards the bit-identical-results contract (unordered iteration,
-# unseeded randomness, bare ambient-knob reads in pool tasks, aborts on
-# user-input paths); the format check covers files changed vs origin/main
+# unseeded randomness, aborts on user-input paths, unexercised fault
+# points, raw materialization in fused stages); the format check covers files changed vs origin/main
 # and skips gracefully where clang-format isn't installed.
 python3 scripts/lint_determinism.py
 ./scripts/format.sh --check
@@ -104,11 +104,10 @@ VERTEXICA_FAULTS="checkpoint.after_manifest=1:error" \
 
 # Invariant-audit pass (docs/DEVELOPING.md): a Debug build with
 # VERTEXICA_DCHECK=ON compiles in the deep structural validators
-# (Column/Table/Bitvector/CsrIndex/PartitionSet CheckInvariants, the knob
-# round-trip audit) at every dataflow phase boundary, then runs the full
-# suite plus the knob-forcing env passes — any table, shard, index, or
-# knob scope that lies about its structure aborts with a precise message
-# instead of surfacing as a wrong answer. Tests only: the audit tier is
+# (Column/Table/Bitvector/CsrIndex/PartitionSet CheckInvariants) at every
+# dataflow phase boundary, then runs the full suite plus the knob-forcing
+# env passes — any table, shard or index that lies about its structure
+# aborts with a precise message instead of surfacing as a wrong answer. Tests only: the audit tier is
 # about correctness claims, not bench numbers.
 DCHECK_DIR="${BUILD_DIR}-dcheck"
 cmake -B "$DCHECK_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DVERTEXICA_DCHECK=ON \

@@ -3,8 +3,8 @@
 
 The engine's central claim (docs/API.md) is bit-identical results across
 every execution configuration — thread count, shard count, encoding mode,
-join path, frontier path. That claim dies quietly: an unordered-container
-iteration here, an ambient knob read on a bare pool thread there. This lint
+frontier path, vectorized path. That claim dies quietly: an
+unordered-container iteration here, an unseeded random draw there. This lint
 mechanically rejects the known ways nondeterminism (and the wrong error
 model) sneak in:
 
@@ -17,15 +17,6 @@ model) sneak in:
   R2  No rand()/srand()/time()/std::random_device outside src/common/
       random.* — all randomness flows through the seeded SplitMix/Xoshiro
       generators so every run is reproducible from its seed.
-
-  R3  A ParallelFor(...) call whose body reads an ambient knob resolver
-      (ExecThreads, ExecShards, AmbientEncodingMode, VectorizedEnabled,
-      AmbientFrontierMode, ExecKnobs::Capture) must install captured knobs
-      via ScopedExecKnobs inside that body — pool threads do not inherit
-      the submitter's thread-local overrides, so a bare read silently
-      resolves process/env defaults instead of the request's knobs.
-      Escape hatch for bodies that are knob-free by design: `ambient-ok:`
-      with a reason.
 
   R4  src/server/, src/api/, src/catalog/ are user-input layers: VX_CHECK /
       VX_CHECK_OK there abort the process on conditions a caller can
@@ -69,11 +60,6 @@ JUSTIFY_WINDOW = 3  # lines above a flagged line searched for a justification
 UNORDERED_RE = re.compile(r"\bstd::unordered_(?:map|set)\b")
 RANDOM_RE = re.compile(
     r"\bstd::random_device\b|(?<![\w.:>])s?rand\s*\(|(?<![\w.:>])time\s*\(")
-AMBIENT_RE = re.compile(
-    r"\bExecThreads\s*\(|\bExecShards\s*\(|\bAmbientEncodingMode\s*\(|"
-    r"\bVectorizedEnabled\s*\(|\bAmbientFrontierMode\s*\(|"
-    r"\bExecKnobs::Capture\s*\(")
-PARALLEL_FOR_RE = re.compile(r"\bParallelFor\s*\(")
 VX_CHECK_RE = re.compile(r"\bVX_CHECK(?:_OK)?\b")
 FAULT_SITE_RE = re.compile(
     r"\b(?:VX_FAULT_POINT|FaultPointHit)\s*\(\s*\"([^\"]+)\"")
@@ -89,26 +75,6 @@ def has_justification(lines, idx, marker):
     """True when `marker` appears on lines[idx] or the few lines above it."""
     lo = max(0, idx - JUSTIFY_WINDOW)
     return any(marker in lines[j] for j in range(lo, idx + 1))
-
-
-def parallel_for_span(lines, start):
-    """Line span (inclusive) of the ParallelFor(...) call opening at
-    lines[start], by parenthesis counting from its opening paren."""
-    depth = 0
-    seen_open = False
-    for i in range(start, len(lines)):
-        text = lines[i]
-        if i == start:
-            text = text[PARALLEL_FOR_RE.search(text).end() - 1:]
-        for ch in text:
-            if ch == "(":
-                depth += 1
-                seen_open = True
-            elif ch == ")":
-                depth -= 1
-                if seen_open and depth == 0:
-                    return start, i
-    return start, len(lines) - 1
 
 
 def lint_file(path, violations):
@@ -151,23 +117,6 @@ def lint_file(path, violations):
                 f"fused-pipeline stage or the in-place worker driver — "
                 f"these materialize only their outputs; justify a "
                 f"legitimate copy with 'materialize-ok:'")
-
-    # R3 needs call-spanning context rather than single lines.
-    for idx, line in enumerate(lines):
-        if not PARALLEL_FOR_RE.search(line.split("//")[0]):
-            continue
-        lo, hi = parallel_for_span(lines, idx)
-        body = "\n".join(lines[lo:hi + 1])
-        preamble = "\n".join(lines[max(0, lo - JUSTIFY_WINDOW):lo])
-        if (AMBIENT_RE.search(body) and "ScopedExecKnobs" not in body
-                and "ambient-ok:" not in body
-                and "ambient-ok:" not in preamble):
-            violations.append(
-                f"{rel}:{idx + 1}: [R3] ParallelFor body reads an ambient "
-                f"knob without installing ScopedExecKnobs (pool threads "
-                f"don't inherit the submitter's thread-locals); capture "
-                f"with ExecKnobs::Capture() outside and install inside, or "
-                f"justify with 'ambient-ok:'")
 
 
 def lint_fault_sites(violations):

@@ -12,6 +12,7 @@
 #include "algorithms/triangle_program.h"
 #include "api/exec_context.h"
 #include "common/timer.h"
+#include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "giraph/bsp_engine.h"
 #include "graphdb/gdb_algorithms.h"
@@ -36,21 +37,21 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
       AlgorithmRegistry::Factory factory,
       AlgorithmRegistry::Global()->Find(request.algorithm, id_));
   // Resolve the request's knob overrides (threads, shards, encoding,
-  // frontier, vectorized) against the ambient defaults into one explicit
-  // context, then install it around the dispatch so every layer that
-  // resolves a knob (exec kernels, the graph-table loader, the superstep
-  // coordinator, BSP compute threads) inherits this request's
-  // configuration. Backends that never consult a knob simply ignore it.
-  VX_ASSIGN_OR_RETURN(ExecContext ctx, ExecContext::FromRequest(request));
+  // frontier, vectorized) against the current context into one explicit
+  // context, then install it around the dispatch: every layer that reads
+  // a knob (exec kernels, the graph-table loader, the superstep
+  // coordinator, BSP compute threads) and every pool task they submit
+  // runs under this request's configuration.
+  VX_ASSIGN_OR_RETURN(ExecKnobs knobs, ExecKnobsFromRequest(request));
   // Per-run counter blocks (not process-wide atomics): concurrent runs on
   // one server never interleave their counters. The KernelStats block is
-  // relaxed atomics and rides ExecKnobs into every pool task; the
+  // relaxed atomics and rides the context into every pool task; the
   // JoinPathStats block has plain fields, so it is installed on this
-  // dispatching thread only (the coordinator layers its own per-superstep
-  // collectors innermost).
+  // dispatching thread only (the coordinator layers its own per-shard
+  // collectors innermost and adds them to this one).
   KernelStats kernel_stats;
-  ctx.knobs.kernel_stats = &kernel_stats;
-  ExecContext::Scope scoped_knobs(ctx.knobs);
+  knobs.kernel_stats = &kernel_stats;
+  const ScopedExecKnobs scoped_knobs(knobs);
   JoinPathStats join_stats;
   ScopedJoinStatsCollector join_scope(&join_stats);
   VX_ASSIGN_OR_RETURN(RunResult result, factory(this, request));

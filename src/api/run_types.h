@@ -65,8 +65,9 @@ struct RunRequest {
   /// fans out — the morsel-parallel relational executor (scans, joins,
   /// aggregates; see exec/parallel.h), Vertexica worker-UDF instances, and
   /// Giraph BSP compute threads. 0 keeps the ambient default
-  /// (VERTEXICA_THREADS env var, else hardware cores). Backend-specific
-  /// knobs left at 0 inherit this value; explicitly set ones
+  /// (VERTEXICA_THREADS env var, else hardware cores); a negative value
+  /// fails the run with InvalidArgument. Backend-specific knobs left at 0
+  /// inherit this value; explicitly set ones
   /// (e.g. `vertexica.num_workers`) win. The graphdb backend is
   /// single-threaded by design and ignores it. On the relational backends
   /// (vertexica, sqlgraph) results are bit-identical across `threads`
@@ -81,21 +82,22 @@ struct RunRequest {
   /// hash-partitioned on vertex id into this many resident shards once per
   /// run, the per-shard dataflow runs shard-wise in parallel, and only
   /// cross-shard messages are exchanged between supersteps. 0 keeps the
-  /// ambient setting (VERTEXICA_SHARDS env var, else 1 shard).
-  /// Installed as a scoped override around the backend dispatch, like
-  /// `threads`; backends without a superstep loop ignore it. Value-neutral
-  /// on every backend: shards are contiguous blocks of the vertex-batching
-  /// partitions, so results are bit-identical at any shard count (the
-  /// SuperstepStats per-shard counters are the only thing that changes).
+  /// ambient setting (VERTEXICA_SHARDS env var, else 1 shard); a negative
+  /// value fails the run with InvalidArgument. Installed in the request
+  /// context around the backend dispatch, like `threads`; backends without
+  /// a superstep loop ignore it. Value-neutral on every backend: shards
+  /// are contiguous blocks of the vertex-batching partitions, so results
+  /// are bit-identical at any shard count (the SuperstepStats per-shard
+  /// counters are the only thing that changes).
   int shards = 0;
 
   /// Storage-encoding policy for the engine-owned tables (see
   /// docs/STORAGE.md): "" keeps the ambient setting (VERTEXICA_ENCODING
   /// env var, else auto); "off" stores everything plain; "auto"/"on"
   /// encodes a column when the encoded footprint is smaller; "force"
-  /// encodes every eligible column. Installed as a scoped override around
-  /// the backend dispatch, like `threads`. Value-neutral: results are
-  /// bit-identical across settings on every backend — only the physical
+  /// encodes every eligible column. Installed in the request context
+  /// around the backend dispatch, like `threads`. Value-neutral: results
+  /// are bit-identical across settings on every backend — only the physical
   /// representation (and SuperstepStats encoded/decoded byte counters)
   /// changes.
   ///
@@ -109,7 +111,7 @@ struct RunRequest {
   /// docs/EXECUTOR.md): "" keeps the ambient setting (VERTEXICA_VECTORIZED
   /// env var, else on); "off" pins the table-at-a-time interpreter; "on"
   /// allows the fused selection-vector path for eligible pipelines.
-  /// Installed as a scoped override around the backend dispatch, like
+  /// Installed in the request context around the backend dispatch, like
   /// `threads`. Value-neutral: the fused path is bit-identical to the
   /// interpreter (only the KernelStats counters change).
   std::string vectorized;
@@ -119,18 +121,19 @@ struct RunRequest {
   /// env var, else auto); "auto" takes the sparse active-vertex path when
   /// the active fraction drops below the coordinator's threshold; "on"
   /// forces it whenever structurally possible; "off" always runs the dense
-  /// path. Installed as a scoped override around the backend dispatch,
+  /// path. Installed in the request context around the backend dispatch,
   /// like `threads`; backends without a superstep loop ignore it.
   /// Value-neutral: the frontier path is bit-identical to the dense path
   /// (only SuperstepStats frontier counters change).
   std::string frontier;
 
-  /// End-to-end deadline for this run, in milliseconds; 0 means none.
+  /// End-to-end deadline for this run, in milliseconds; 0 and +inf mean
+  /// none, and a negative or NaN value fails the run with InvalidArgument.
   /// The budget covers admission queue wait plus execution: a request
   /// still queued when it expires is shed with `DeadlineExceeded`, and a
   /// running one stops cooperatively (ParallelFor grain boundaries,
   /// coordinator superstep boundaries) with the same status. Resolved into
-  /// the run's CancelToken by ExecContext::FromRequest; see
+  /// the run's CancelToken by ExecKnobsFromRequest; see
   /// docs/DEVELOPING.md ("Fault injection & recovery") for the semantics.
   double deadline_ms = 0;
 

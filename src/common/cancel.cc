@@ -4,12 +4,6 @@
 
 namespace vertexica {
 
-namespace {
-
-thread_local CancelToken t_ambient_token;
-
-}  // namespace
-
 CancelToken CancelToken::WithDeadlineAfter(double seconds) const {
   using Clock = std::chrono::steady_clock;
   auto state = std::make_shared<cancel_internal::CancelState>();
@@ -59,14 +53,5 @@ bool CancelToken::deadline(
   }
   return found;
 }
-
-CancelToken AmbientCancelToken() { return t_ambient_token; }
-
-ScopedCancelToken::ScopedCancelToken(CancelToken token)
-    : previous_(t_ambient_token) {
-  t_ambient_token = std::move(token);
-}
-
-ScopedCancelToken::~ScopedCancelToken() { t_ambient_token = previous_; }
 
 }  // namespace vertexica

@@ -14,11 +14,10 @@
 /// cancellation, so a session-wide Cancel() reaches a run whose token was
 /// narrowed with a per-request deadline.
 ///
-/// Like the execution knobs, the active token travels ambiently
-/// (thread-local, RAII-scoped via `ScopedCancelToken`) and is captured
-/// into `ExecKnobs` so pool tasks reinstall it — a checkpoint of the knob
-/// plumbing described in exec/exec_knobs.h. Checks are wait-free loads;
-/// a default (null) token never cancels and never expires.
+/// A run's token travels in its request context (`ExecKnobs::cancel`,
+/// common/exec_knobs.h), which the thread pool installs in every task.
+/// Checks are wait-free loads; a default (null) token never cancels and
+/// never expires.
 
 #ifndef VERTEXICA_COMMON_CANCEL_H_
 #define VERTEXICA_COMMON_CANCEL_H_
@@ -98,29 +97,6 @@ class CancelToken {
       : state_(std::move(state)) {}
 
   std::shared_ptr<cancel_internal::CancelState> state_;
-};
-
-/// \brief The calling thread's ambient token (thread-local override, else
-/// a null token). Pool threads resolve null unless a ScopedCancelToken /
-/// ScopedExecKnobs reinstalled the submitter's token.
-CancelToken AmbientCancelToken();
-
-/// \brief Convenience for work-loop boundaries: Check() on the ambient
-/// token.
-inline Status CheckAmbientCancel() { return AmbientCancelToken().Check(); }
-
-/// \brief RAII: installs `token` as the current thread's ambient token for
-/// the lifetime of the scope, restoring the previous one after.
-class ScopedCancelToken {
- public:
-  explicit ScopedCancelToken(CancelToken token);
-  ~ScopedCancelToken();
-
-  ScopedCancelToken(const ScopedCancelToken&) = delete;
-  ScopedCancelToken& operator=(const ScopedCancelToken&) = delete;
-
- private:
-  CancelToken previous_;
 };
 
 }  // namespace vertexica

@@ -7,8 +7,8 @@
 #include <memory>
 #include <string>
 
-#include "common/cancel.h"
 #include "common/env_knob.h"
+#include "common/exec_knobs.h"
 #include "common/logging.h"
 
 namespace vertexica {
@@ -68,7 +68,9 @@ void ThreadPool::ParallelFor(std::size_t n,
   // flattened into a Status. This entry point has no error channel, so it
   // is also not cancellable — a null token is installed for the loop's
   // duration lest an ambient cancellation turn into the VX_CHECK below.
-  ScopedCancelToken no_cancel{CancelToken()};
+  ExecKnobs no_cancel = ExecKnobs::Current();
+  no_cancel.cancel = CancelToken();
+  const ScopedExecKnobs scope(no_cancel);
   std::mutex eptr_mutex;
   std::exception_ptr first_exception;
   const Status status =
@@ -96,10 +98,10 @@ struct ParallelForState {
   std::size_t end = 0;
   std::size_t grain = 1;
   std::size_t total_chunks = 0;
-  // Captured from the submitting thread's ambient state: cooperative
-  // cancellation is checked at every grain boundary, so a cancelled or
+  // The submitter's request context, installed in every helper task.
+  // Its token is checked at every grain boundary, so a cancelled or
   // past-deadline run stops scheduling work instead of finishing the loop.
-  CancelToken cancel;
+  ExecKnobs knobs;
 
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> done_chunks{0};
@@ -117,7 +119,7 @@ struct ParallelForState {
       if (c >= total_chunks) return;
       Status status;
       if (!failed.load(std::memory_order_acquire)) {
-        status = cancel.Check();
+        status = knobs.cancel.Check();
       }
       if (status.ok() && !failed.load(std::memory_order_acquire)) {
         const std::size_t b = begin + c * grain;
@@ -149,8 +151,8 @@ Status ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
                                std::size_t grain, const ChunkFn& fn,
                                int max_threads) {
   if (begin >= end) return Status::OK();
-  CancelToken cancel = AmbientCancelToken();
-  VX_RETURN_NOT_OK(cancel.Check());
+  const ExecKnobs& knobs = ExecKnobs::Current();
+  VX_RETURN_NOT_OK(knobs.cancel.Check());
   grain = std::max<std::size_t>(1, grain);
   const std::size_t total = (end - begin + grain - 1) / grain;
   if (total == 1) {
@@ -170,14 +172,17 @@ Status ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
   state->end = end;
   state->grain = grain;
   state->total_chunks = total;
-  state->cancel = std::move(cancel);
+  state->knobs = knobs;
 
   std::size_t helpers = std::min(total - 1, num_threads());
   if (max_threads > 0) {
     helpers = std::min(helpers, static_cast<std::size_t>(max_threads) - 1);
   }
   for (std::size_t h = 0; h < helpers; ++h) {
-    Submit([state]() { state->Drain(); });
+    Submit([state]() {
+      const ScopedExecKnobs scope(state->knobs);
+      state->Drain();
+    });
   }
   state->Drain();
 

@@ -69,10 +69,14 @@ class ThreadPool {
   /// chunk-deterministic callers produce identical results at any
   /// parallelism. The calling thread participates in draining chunks, which
   /// makes nested ParallelFor calls (a pool task that itself fans out on the
-  /// same pool) deadlock-free. Error handling: the first non-OK Status (or
-  /// thrown exception, converted to Status::Internal) wins and the remaining
-  /// unstarted chunks are skipped. `max_threads` caps the helper parallelism
-  /// for this call (0 = use every pool worker).
+  /// same pool) deadlock-free. Every helper task runs under the caller's
+  /// request context (`ExecKnobs::Current()`, common/exec_knobs.h), so
+  /// `fn` sees the same knobs, cancel token and counter block on every
+  /// thread, and the token is checked at every chunk boundary. Error
+  /// handling: the first non-OK Status (or thrown exception, converted to
+  /// Status::Internal) wins and the remaining unstarted chunks are skipped.
+  /// `max_threads` caps the helper parallelism for this call (0 = use
+  /// every pool worker).
   Status ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                      const ChunkFn& fn, int max_threads = 0);
 

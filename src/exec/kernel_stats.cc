@@ -1,14 +1,9 @@
 #include "exec/kernel_stats.h"
 
+#include "common/exec_knobs.h"
 #include "storage/table.h"
 
 namespace vertexica {
-
-namespace {
-
-thread_local KernelStats* tl_kernel_stats = nullptr;
-
-}  // namespace
 
 KernelStatsSnapshot Snapshot(const KernelStats& stats) {
   KernelStatsSnapshot out;
@@ -19,15 +14,6 @@ KernelStatsSnapshot Snapshot(const KernelStats& stats) {
   out.batch_hash_rows = stats.batch_hash_rows.load(std::memory_order_relaxed);
   return out;
 }
-
-KernelStats* AmbientKernelStats() { return tl_kernel_stats; }
-
-ScopedKernelStats::ScopedKernelStats(KernelStats* stats)
-    : prev_(tl_kernel_stats) {
-  tl_kernel_stats = stats;
-}
-
-ScopedKernelStats::~ScopedKernelStats() { tl_kernel_stats = prev_; }
 
 int64_t MaterializedByteSize(const Column& col) {
   int64_t bytes = col.ValidityByteSize();
@@ -61,7 +47,7 @@ int64_t MaterializedByteSize(const Column& col) {
 }
 
 void NoteMaterialized(const Table& table) {
-  KernelStats* stats = tl_kernel_stats;
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
   if (stats == nullptr) return;
   int64_t bytes = 0;
   for (int c = 0; c < table.num_columns(); ++c) {
@@ -71,26 +57,26 @@ void NoteMaterialized(const Table& table) {
 }
 
 void NoteMaterialized(const Column& column) {
-  KernelStats* stats = tl_kernel_stats;
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
   if (stats == nullptr) return;
   stats->bytes_materialized.fetch_add(MaterializedByteSize(column),
                                       std::memory_order_relaxed);
 }
 
 void NoteFusedBatch() {
-  KernelStats* stats = tl_kernel_stats;
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
   if (stats == nullptr) return;
   stats->fused_batches.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NoteLegacyBatch() {
-  KernelStats* stats = tl_kernel_stats;
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
   if (stats == nullptr) return;
   stats->legacy_batches.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NoteBatchHashRows(int64_t rows) {
-  KernelStats* stats = tl_kernel_stats;
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
   if (stats == nullptr) return;
   stats->batch_hash_rows.fetch_add(rows, std::memory_order_relaxed);
 }

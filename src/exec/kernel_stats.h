@@ -6,9 +6,10 @@
 /// single-run bench, but under the concurrent server (docs/SERVER.md)
 /// process-wide counters interleave across requests and can only be reset
 /// by everyone at once. KernelStats is the per-run form: the API layer
-/// allocates one per request (api/backends.cc), installs it as the ambient
-/// collector on the dispatching thread, and the pointer rides ExecKnobs
-/// into every pool task, so morsel workers report into *their* run's block.
+/// allocates one per request (api/backends.cc) and puts it in the request
+/// context (`ExecKnobs::kernel_stats`, common/exec_knobs.h), which the
+/// thread pool installs in every task, so morsel workers report into
+/// *their* run's block.
 /// All fields are relaxed atomics precisely because many pool threads of
 /// one run increment them concurrently; blocks of different runs never
 /// alias.
@@ -57,32 +58,13 @@ struct KernelStatsSnapshot {
 
 KernelStatsSnapshot Snapshot(const KernelStats& stats);
 
-/// \brief The innermost collector installed on this thread; nullptr when
-/// none (counting is then skipped entirely — one thread-local read per
-/// batch). Unlike JoinPathStats (exec/parallel.h), the block is safe to
-/// install on many threads at once.
-KernelStats* AmbientKernelStats();
-
-/// \brief RAII installation of a collector for the current thread.
-/// nullptr installs "no collector" (used by pool tasks to mirror the
-/// submitting thread exactly).
-class ScopedKernelStats {
- public:
-  explicit ScopedKernelStats(KernelStats* stats);
-  ~ScopedKernelStats();
-  ScopedKernelStats(const ScopedKernelStats&) = delete;
-  ScopedKernelStats& operator=(const ScopedKernelStats&) = delete;
-
- private:
-  KernelStats* prev_;
-};
-
 /// \brief Physical byte footprint of `col` as materialized — respects the
 /// current representation (RLE runs, dict codes, validity) and never
 /// forces a decode.
 int64_t MaterializedByteSize(const Column& col);
 
-/// \name Reporting hooks (no-ops when no collector is installed)
+/// \name Reporting hooks into `ExecKnobs::Current().kernel_stats` (no-ops
+/// when it is nullptr)
 /// @{
 void NoteMaterialized(const Table& table);
 void NoteMaterialized(const Column& column);

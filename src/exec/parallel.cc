@@ -1,8 +1,6 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <unordered_map>
 
 #include "common/cache_sizing.h"
@@ -19,13 +17,6 @@ namespace vertexica {
 
 namespace {
 
-int HardwareThreads() {
-  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-std::atomic<int> g_default_threads{0};
-thread_local int tl_thread_override = 0;
-
 thread_local JoinPathStats* tl_join_stats = nullptr;
 
 }  // namespace
@@ -40,26 +31,6 @@ ScopedJoinStatsCollector::ScopedJoinStatsCollector(JoinPathStats* stats)
 ScopedJoinStatsCollector::~ScopedJoinStatsCollector() {
   tl_join_stats = prev_;
 }
-
-int ExecThreads() {
-  if (tl_thread_override > 0) return tl_thread_override;
-  const int configured = g_default_threads.load(std::memory_order_relaxed);
-  if (configured > 0) return configured;
-  static const int env = static_cast<int>(EnvThreadCount());
-  if (env > 0) return env;
-  static const int hardware = HardwareThreads();
-  return hardware;
-}
-
-void SetDefaultExecThreads(int n) {
-  g_default_threads.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
-ScopedExecThreads::ScopedExecThreads(int n) : prev_(tl_thread_override) {
-  if (n > 0) tl_thread_override = n;
-}
-
-ScopedExecThreads::~ScopedExecThreads() { tl_thread_override = prev_; }
 
 MorselPruneFn MakeZonePrune(std::shared_ptr<const Table> table,
                             std::vector<ColumnPredicate> preds) {
@@ -110,14 +81,9 @@ Result<Table> ParallelCollect(std::shared_ptr<const Table> input,
 
   const auto num_morsels = static_cast<size_t>((rows + grain - 1) / grain);
   std::vector<Table> outputs(num_morsels);
-  // Captured on the submitting thread: pool workers have no ambient
-  // collector of their own, and counters must not depend on whether a
-  // morsel ran inline (threads=1 fast path above) or on the pool.
-  KernelStats* const kernel_stats = AmbientKernelStats();
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, static_cast<size_t>(rows), static_cast<size_t>(grain),
       [&](size_t begin, size_t end) -> Status {
-        ScopedKernelStats stats_scope(kernel_stats);
         if (prune != nullptr && prune(static_cast<int64_t>(begin),
                                       static_cast<int64_t>(end))) {
           outputs[begin / static_cast<size_t>(grain)] = Table(out_schema);
@@ -182,11 +148,9 @@ Result<Table> RunFusedPipeline(const std::shared_ptr<const Table>& input,
 
   const auto num_morsels = static_cast<size_t>((rows + grain - 1) / grain);
   std::vector<Table> outputs(num_morsels);
-  KernelStats* const kernel_stats = AmbientKernelStats();
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, static_cast<size_t>(rows), static_cast<size_t>(grain),
       [&](size_t begin, size_t end) -> Status {
-        ScopedKernelStats stats_scope(kernel_stats);
         VX_ASSIGN_OR_RETURN(Table out,
                             run_morsel(static_cast<int64_t>(begin),
                                        static_cast<int64_t>(end)));
@@ -230,7 +194,7 @@ Result<Table> ParallelFilter(std::shared_ptr<const Table> input,
   // into pushable conjuncts evaluates conjunct-at-a-time into a selection
   // vector (encoded-aware first pass, tight typed refinement passes) and
   // gathers survivors once — no mask column, no per-operator tables.
-  if (VectorizedEnabled() && input->num_columns() > 0) {
+  if (ExecKnobs::Current().vectorized && input->num_columns() > 0) {
     PredicateConjuncts split =
         SplitPredicateConjuncts(predicate, input->schema());
     if (split.residual.empty() && !split.pushable.empty()) {
@@ -254,11 +218,9 @@ Result<Table> ParallelFilter(std::shared_ptr<const Table> input,
         rows == 0 ? size_t{0}
                   : static_cast<size_t>((rows + grain - 1) / grain);
     std::vector<Table> outputs(num_morsels);
-    KernelStats* const kernel_stats = AmbientKernelStats();
     VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
         0, static_cast<size_t>(rows), static_cast<size_t>(grain),
         [&](size_t begin, size_t end) -> Status {
-          ScopedKernelStats stats_scope(kernel_stats);
           std::vector<int64_t> selected;
           if (prune == nullptr || !prune(static_cast<int64_t>(begin),
                                          static_cast<int64_t>(end))) {
@@ -295,7 +257,7 @@ Result<Table> ParallelProject(std::shared_ptr<const Table> input,
   // Pure column-ref/literal projections slice (dense morsels never gather)
   // straight off the source — the interpreter would copy each column per
   // batch through Evaluate.
-  if (VectorizedEnabled()) {
+  if (ExecKnobs::Current().vectorized) {
     if (auto plan = CompileFusedPipeline(*input, nullptr, outputs)) {
       return RunFusedPipeline(input, *plan, nullptr, options);
     }
@@ -318,7 +280,7 @@ Result<Table> ParallelFilterProject(std::shared_ptr<const Table> input,
   // The tentpole shape: σ→π fused over selection vectors, one
   // materialization per morsel at the pipeline's end instead of a scan
   // slice + mask + filter output + projection output.
-  if (VectorizedEnabled()) {
+  if (ExecKnobs::Current().vectorized) {
     if (auto plan = CompileFusedPipeline(*input, predicate, outputs)) {
       return RunFusedPipeline(input, *plan, prune, options);
     }
@@ -503,14 +465,10 @@ Result<Table> GenericHashJoin(const Table& probe, const Table& build,
                       : static_cast<size_t>((build_rows + grain - 1) / grain);
   std::vector<std::vector<std::vector<std::pair<uint64_t, int64_t>>>> scatter(
       build_chunks);
-  // Captured outside the fan-out: the knob and collector are thread-local
-  // on the submitting thread, not on pool workers.
-  const bool vectorized = VectorizedEnabled();
-  KernelStats* const kernel_stats = AmbientKernelStats();
+  const bool vectorized = ExecKnobs::Current().vectorized;
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, static_cast<size_t>(build_rows), static_cast<size_t>(grain),
       [&](size_t begin, size_t end) {
-        ScopedKernelStats stats_scope(kernel_stats);
         auto& buckets = scatter[begin / static_cast<size_t>(grain)];
         buckets.resize(partitions);
         std::vector<uint64_t> hashes;
@@ -560,7 +518,6 @@ Result<Table> GenericHashJoin(const Table& probe, const Table& build,
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, static_cast<size_t>(probe_rows), static_cast<size_t>(grain),
       [&](size_t begin, size_t end) -> Status {
-        ScopedKernelStats stats_scope(kernel_stats);
         std::vector<int64_t> probe_idx;
         std::vector<int64_t> build_idx;
         std::vector<uint64_t> hashes;

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exec_knobs.h"
 #include "exec/aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
@@ -34,38 +35,6 @@
 #include "expr/expression.h"
 
 namespace vertexica {
-
-/// \name The end-to-end `threads` knob
-///
-/// One integer controls engine parallelism: RunRequest::threads installs a
-/// scoped override around the backend dispatch, and every layer that fans
-/// out (exec kernels, worker UDFs, BSP compute threads, pipeline DAG waves)
-/// resolves its default thread count through ExecThreads().
-/// @{
-
-/// \brief Effective parallelism for the calling thread: the innermost
-/// ScopedExecThreads override, else the process default
-/// (SetDefaultExecThreads, else VERTEXICA_THREADS, else hardware cores).
-/// Always >= 1.
-int ExecThreads();
-
-/// \brief Sets the process-wide default parallelism; 0 restores automatic
-/// resolution (VERTEXICA_THREADS env, else hardware concurrency).
-void SetDefaultExecThreads(int n);
-
-/// \brief RAII thread-count override for the current thread (how
-/// RunRequest::threads reaches the kernels). n <= 0 is a no-op scope.
-class ScopedExecThreads {
- public:
-  explicit ScopedExecThreads(int n);
-  ~ScopedExecThreads();
-  ScopedExecThreads(const ScopedExecThreads&) = delete;
-  ScopedExecThreads& operator=(const ScopedExecThreads&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
 
 /// \brief Default rows per morsel. Fixed (not derived from the thread
 /// count) so results are reproducible across parallelism settings.
@@ -157,9 +126,10 @@ Result<Table> ParallelFilterProject(std::shared_ptr<const Table> input,
 /// \name Join accounting
 ///
 /// Thread-local collector ParallelHashJoin reports into: joins run, rows
-/// emitted and wall-clock inside the kernel. The coordinator installs one
-/// per shard and superstep and publishes the counters via SuperstepStats;
-/// the Vertexica backend installs one per run (api/backends.cc).
+/// emitted and wall-clock inside the kernel. The API layer installs one
+/// per run on the dispatching thread (api/backends.cc); the coordinator
+/// installs one per shard and superstep, publishes the counters via
+/// SuperstepStats and adds them to its own thread's collector.
 /// @{
 struct JoinPathStats {
   int64_t hash_joins = 0;      ///< hash-join kernel invocations

@@ -128,8 +128,6 @@ Result<TypedFold> ParallelTypedFold(const std::vector<FoldSpec>& specs,
                                     const ForEachSlice& for_each_slice) {
   const size_t num_chunks = (rows + grain - 1) / grain;
   std::vector<std::optional<TypedFold>> partials(num_chunks);
-  // ambient-ok: the body reads its input slices only; the thread count is
-  // resolved by the caller on the submitting thread.
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, num_chunks, /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {

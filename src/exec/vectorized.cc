@@ -1,46 +1,8 @@
 #include "exec/vectorized.h"
 
-#include <atomic>
-
-#include "common/env_knob.h"
 #include "exec/kernel_stats.h"
 
 namespace vertexica {
-
-// --------------------------------------------------------------- the knob
-
-namespace {
-
-std::atomic<int> g_default_vectorized{-1};  // -1 = automatic (env, else on)
-thread_local int tl_vectorized_override = -1;  // -1 unset, 0 off, 1 on
-
-bool EnvVectorizedEnabled() {
-  // A typo like VERTEXICA_VECTORIZED=offf warns once and keeps the
-  // default (on).
-  return EnvTokenKnob("VERTEXICA_VECTORIZED", kOnOffTokens, true);
-}
-
-}  // namespace
-
-bool VectorizedEnabled() {
-  if (tl_vectorized_override >= 0) return tl_vectorized_override != 0;
-  const int configured = g_default_vectorized.load(std::memory_order_relaxed);
-  if (configured >= 0) return configured != 0;
-  static const bool env = EnvVectorizedEnabled();
-  return env;
-}
-
-void SetDefaultVectorized(int enabled) {
-  g_default_vectorized.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                             std::memory_order_relaxed);
-}
-
-ScopedVectorized::ScopedVectorized(bool enabled)
-    : prev_(tl_vectorized_override) {
-  tl_vectorized_override = enabled ? 1 : 0;
-}
-
-ScopedVectorized::~ScopedVectorized() { tl_vectorized_override = prev_; }
 
 // ------------------------------------------------------------ compilation
 

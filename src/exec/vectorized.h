@@ -29,8 +29,9 @@
 /// conjunct non-TRUE in both worlds), and gathers/replications reproduce
 /// the interpreter's output values byte-for-byte. The fused path is
 /// therefore a pure physical-plan swap, toggled by the `vectorized` knob
-/// below and verified row-for-row by the exec_test property suite at
-/// every knob combination.
+/// (`ExecKnobs::vectorized`, common/exec_knobs.h, read by the morsel
+/// drivers in exec/parallel.cc) and verified row-for-row by the exec_test
+/// property suite at every knob combination.
 
 #ifndef VERTEXICA_EXEC_VECTORIZED_H_
 #define VERTEXICA_EXEC_VECTORIZED_H_
@@ -45,32 +46,6 @@
 #include "expr/expression.h"
 
 namespace vertexica {
-
-/// \name The `vectorized` knob
-///
-/// Ambient on/off switch mirroring the frontier-mode knob: innermost
-/// ScopedVectorized override, else the process default
-/// (SetDefaultVectorized, else VERTEXICA_VECTORIZED env — "0"/"off"
-/// disables — else on). The morsel drivers (exec/parallel.cc) consult it,
-/// so one scope pins the interpreter path for an entire run (ablation
-/// benches, the VERTEXICA_VECTORIZED=off CI pass).
-/// @{
-bool VectorizedEnabled();
-/// \brief Sets the process default: 1 = on, 0 = off, -1 = automatic
-/// (env, else on).
-void SetDefaultVectorized(int enabled);
-/// \brief RAII override for the current thread.
-class ScopedVectorized {
- public:
-  explicit ScopedVectorized(bool enabled);
-  ~ScopedVectorized();
-  ScopedVectorized(const ScopedVectorized&) = delete;
-  ScopedVectorized& operator=(const ScopedVectorized&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
 
 /// \brief A compiled fused σ→π pipeline: the predicate as conjuncts, the
 /// projections resolved to source column indices or literals, and the

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
+#include "common/exec_knobs.h"
 #include "common/logging.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
-#include "exec/exec_knobs.h"
 
 namespace vertexica {
 
@@ -52,12 +52,9 @@ Result<Table> Pipeline::Run(int node_id) {
     for (int in : nodes_[static_cast<size_t>(id)].inputs) stack.push_back(in);
   }
 
-  // Evaluate in waves of ready nodes; each wave fans out on the pool.
-  // Pool threads do not inherit the caller's thread-local knobs, cancel
-  // token or kernel-counter block; each wave task reinstalls them so nodes
-  // run exactly as they would on the calling thread.
-  const ExecKnobs knobs = ExecKnobs::Capture();
-  const int threads = knobs.threads;
+  // Evaluate in waves of ready nodes; each wave fans out on the pool,
+  // whose tasks run under the caller's request context.
+  const int threads = ExecThreads();
   while (!nodes_[static_cast<size_t>(node_id)].computed) {
     std::vector<int> ready;
     for (size_t id = 0; id < nodes_.size(); ++id) {
@@ -79,7 +76,6 @@ Result<Table> Pipeline::Run(int node_id) {
       VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
           0, ready.size(), /*grain=*/1,
           [&](size_t begin, size_t end) -> Status {
-            ScopedExecKnobs scoped(knobs);
             for (size_t i = begin; i < end; ++i) {
               VX_RETURN_NOT_OK(ComputeNode(ready[i]));
             }

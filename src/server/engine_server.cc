@@ -138,18 +138,21 @@ Result<RunResult> EngineServer::RunOnEngine(
   // (resolved against arrival time, layered over the session's stop
   // button) is what admission sheds on. The token covers queue wait plus
   // execution: time spent queued is time the run no longer has.
-  const ScopedCancelToken session_scope(session_cancel);
-  // A malformed knob string is rejected here, before admission.
-  VX_ASSIGN_OR_RETURN(const ExecContext ctx, ExecContext::FromRequest(request));
+  ExecKnobs session = ExecKnobs::Current();
+  session.cancel = session_cancel;
+  const ScopedExecKnobs session_scope(session);
+  // A malformed knob string or out-of-range numeric field is rejected
+  // here, before admission. The coordinator caps shard fan-out at the
+  // thread knob, so `threads` is the run's whole demand.
+  VX_ASSIGN_OR_RETURN(const ExecKnobs knobs, ExecKnobsFromRequest(request));
 
-  VX_ASSIGN_OR_RETURN(
-      AdmissionController::Ticket ticket,
-      admission_.Admit(ctx.DemandThreads(), ctx.knobs.cancel));
+  VX_ASSIGN_OR_RETURN(AdmissionController::Ticket ticket,
+                      admission_.Admit(knobs.threads, knobs.cancel));
 
-  // The resolved token is installed ambiently for the engine dispatch, so
-  // the request copy drops deadline_ms — re-deriving it after the queue
-  // wait would silently grant a fresh budget.
-  const ScopedCancelToken run_scope(ctx.knobs.cancel);
+  // The resolved context is installed for the engine dispatch, so the
+  // request copy drops deadline_ms — re-deriving it after the queue wait
+  // would silently grant a fresh budget.
+  const ScopedExecKnobs run_scope(knobs);
   RunRequest run_request = request;
   run_request.deadline_ms = 0;
 
@@ -168,7 +171,7 @@ Result<RunResult> EngineServer::RunOnEngine(
     result = injected.ok() ? engine->Run(run_request)
                            : Result<RunResult>(injected);
     if (result.ok() || !result.status().IsAborted() ||
-        attempts >= max_attempts || ctx.knobs.cancel.ShouldStop()) {
+        attempts >= max_attempts || knobs.cancel.ShouldStop()) {
       break;
     }
     retries_.fetch_add(1, std::memory_order_acq_rel);

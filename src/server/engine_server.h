@@ -17,10 +17,10 @@
 ///  - **Sessions.** A `Session` pins one graph version at open, so a
 ///    sequence of runs sees one consistent graph even while the server
 ///    installs updates; `Refresh()` re-pins the latest.
-///  - **Admission control.** Each request's resolved thread demand (its
-///    `ExecContext`) is reserved against one global budget before the run
-///    starts (server/admission.h): concurrent requests queue in FIFO order
-///    instead of oversubscribing the shared ThreadPool.
+///  - **Admission control.** Each request's resolved thread demand (the
+///    `threads` of its ExecKnobs) is reserved against one global budget
+///    before the run starts (server/admission.h): concurrent requests
+///    queue in FIFO order instead of oversubscribing the shared ThreadPool.
 ///
 /// Per-request serving metrics are reported in-band via
 /// `RunResult::backend_metrics`: `server_queue_seconds`,

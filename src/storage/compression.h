@@ -1,9 +1,9 @@
 /// \file compression.h
 /// \brief Column footprint accounting over the segment encodings.
 ///
-/// The encodings themselves (RleRun, DictEncoded, ColumnEncoding, the
-/// ambient EncodingMode knob, zone maps) live in storage/encoding.h and are
-/// first-class column representations via `Column::Encode()`. This header
+/// The encodings themselves (RleRun, DictEncoded, ColumnEncoding, zone
+/// maps) live in storage/encoding.h and are first-class column
+/// representations via `Column::Encode()`. This header
 /// keeps the byte-accounting helpers used by the coordinator's
 /// SuperstepStats counters, benches and tests. All sizes include the
 /// validity bitmap when one is materialized and a `sizeof(std::string)`

@@ -1,12 +1,9 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <unordered_map>
-
-#include "common/env_knob.h"
 
 namespace vertexica {
 
@@ -76,76 +73,6 @@ const char* ColumnEncodingName(ColumnEncoding e) {
       return "DICT";
   }
   return "?";
-}
-
-const char* EncodingModeName(EncodingMode m) {
-  switch (m) {
-    case EncodingMode::kAuto:
-      return "auto";
-    case EncodingMode::kOff:
-      return "off";
-    case EncodingMode::kForce:
-      return "force";
-  }
-  return "?";
-}
-
-namespace {
-
-constexpr KnobToken<EncodingMode> kEncodingTokens[] = {
-    {"off", EncodingMode::kOff},    {"0", EncodingMode::kOff},
-    {"false", EncodingMode::kOff},  {"none", EncodingMode::kOff},
-    {"auto", EncodingMode::kAuto},  {"on", EncodingMode::kAuto},
-    {"1", EncodingMode::kAuto},     {"true", EncodingMode::kAuto},
-    {"force", EncodingMode::kForce}};
-
-// -1 = unset (resolve from env); otherwise a cast EncodingMode.
-std::atomic<int> g_default_mode{-1};
-thread_local bool tl_mode_active = false;
-thread_local EncodingMode tl_mode_override = EncodingMode::kAuto;
-
-EncodingMode EnvEncodingMode() {
-  // A typoed value warns once and keeps the default (auto).
-  static const EncodingMode env =
-      EnvTokenKnob("VERTEXICA_ENCODING", kEncodingTokens, EncodingMode::kAuto);
-  return env;
-}
-
-}  // namespace
-
-std::optional<EncodingMode> ParseEncodingMode(const std::string& text) {
-  return ParseKnobToken(text, kEncodingTokens);
-}
-
-EncodingMode AmbientEncodingMode() {
-  if (tl_mode_active) return tl_mode_override;
-  const int configured = g_default_mode.load(std::memory_order_relaxed);
-  if (configured >= 0) return static_cast<EncodingMode>(configured);
-  return EnvEncodingMode();
-}
-
-void SetDefaultEncodingMode(EncodingMode m) {
-  // kAuto is the unset sentinel (like 0 for SetDefaultExecThreads): it
-  // restores resolution from the VERTEXICA_ENCODING environment variable,
-  // whose own default is kAuto anyway. Use ScopedEncodingMode to pin kAuto
-  // over a non-auto environment.
-  g_default_mode.store(m == EncodingMode::kAuto ? -1 : static_cast<int>(m),
-                       std::memory_order_relaxed);
-}
-
-ScopedEncodingMode::ScopedEncodingMode(EncodingMode m)
-    : active_(true),
-      prev_(tl_mode_override),
-      prev_active_(tl_mode_active) {
-  tl_mode_override = m;
-  tl_mode_active = true;
-}
-
-ScopedEncodingMode::~ScopedEncodingMode() {
-  if (active_) {
-    tl_mode_override = prev_;
-    tl_mode_active = prev_active_;
-  }
 }
 
 const char* CompareOpName(CompareOp op) {

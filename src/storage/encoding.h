@@ -1,6 +1,6 @@
 /// \file encoding.h
-/// \brief Column segment encodings (RLE, dictionary), the ambient encoding
-/// policy knob, and per-segment zone maps.
+/// \brief Column segment encodings (RLE, dictionary) and per-segment zone
+/// maps.
 ///
 /// Vertexica "sits on top of an industry strength column-oriented database
 /// system"; RLE and dictionary encoding are the two workhorse encodings of
@@ -9,7 +9,10 @@
 /// This header holds the storage-layer primitives shared by `Column` (which
 /// stores encoded segments), `compression.{h,cc}` (footprint accounting)
 /// and the exec layer (zone-map scan pruning). It deliberately depends only
-/// on Value/DataType so Column can include it without cycles.
+/// on Value/DataType (and the EncodingMode enum of common/exec_knobs.h) so
+/// Column can include it without cycles. The encoding policy knob is
+/// `ExecKnobs::encoding`: the storage-owning layers (graph tables,
+/// coordinator) consult it before encoding.
 
 #ifndef VERTEXICA_STORAGE_ENCODING_H_
 #define VERTEXICA_STORAGE_ENCODING_H_
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exec_knobs.h"
 #include "storage/data_type.h"
 #include "storage/value.h"
 
@@ -62,54 +66,6 @@ enum class ColumnEncoding {
 };
 
 const char* ColumnEncodingName(ColumnEncoding e);
-
-/// \name The ambient encoding policy knob
-///
-/// Mirrors the `threads` knob (exec/parallel.h): a thread-local scoped
-/// override, else a process default, else the VERTEXICA_ENCODING
-/// environment variable ("off", "auto"/"on"=auto, "force"), else kAuto.
-/// The storage-owning layers (graph_tables, coordinator, Engine requests)
-/// consult it before encoding; encode/decode never changes query results,
-/// only the physical representation.
-/// @{
-
-enum class EncodingMode {
-  kAuto,   ///< encode a column only when the encoded footprint is smaller
-  kOff,    ///< never encode (columns stay plain)
-  kForce,  ///< encode every eligible column regardless of footprint
-};
-
-const char* EncodingModeName(EncodingMode m);
-
-/// \brief Effective mode for the calling thread (innermost scoped override,
-/// else process default, else VERTEXICA_ENCODING env, else kAuto).
-EncodingMode AmbientEncodingMode();
-
-/// \brief Sets the process-wide default; kAuto is the unset sentinel and
-/// restores automatic resolution from the environment (use
-/// ScopedEncodingMode to pin kAuto over a non-auto environment).
-void SetDefaultEncodingMode(EncodingMode m);
-
-/// \brief RAII thread-local override (how RunRequest::encoding reaches the
-/// storage layer).
-class ScopedEncodingMode {
- public:
-  explicit ScopedEncodingMode(EncodingMode m);
-  ~ScopedEncodingMode();
-  ScopedEncodingMode(const ScopedEncodingMode&) = delete;
-  ScopedEncodingMode& operator=(const ScopedEncodingMode&) = delete;
-
- private:
-  bool active_;
-  EncodingMode prev_;
-  bool prev_active_;
-};
-
-/// \brief Parses an encoding mode, case-insensitively: "off"/"0"/"false"/
-/// "none", "auto"/"on"/"1"/"true" or "force". nullopt for any other token.
-/// The one vocabulary of VERTEXICA_ENCODING and RunRequest::encoding.
-std::optional<EncodingMode> ParseEncodingMode(const std::string& text);
-/// @}
 
 /// \name Zone maps
 ///

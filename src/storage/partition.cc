@@ -1,10 +1,7 @@
 #include "storage/partition.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
-#include "common/env_knob.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "storage/encoding.h"
@@ -12,20 +9,6 @@
 namespace vertexica {
 
 namespace {
-
-// ------------------------------------------------------------ shards knob
-
-// 0 = unset (resolve from env); otherwise the configured default.
-std::atomic<int> g_default_shards{0};
-thread_local int tl_shards_override = 0;  // 0 = no override
-
-int EnvExecShards() {
-  // Strict parsing (rejects "8abc") and range-clamping live in the shared
-  // env-knob helper; cached once since the environment never changes.
-  static const int env =
-      static_cast<int>(EnvIntKnob("VERTEXICA_SHARDS", 1, 4096, 1));
-  return env;
-}
 
 // ------------------------------------------------------------ the scatter
 
@@ -125,23 +108,6 @@ Status ValidateKeyColumn(const Table& table, int key_column) {
 
 }  // namespace
 
-int ExecShards() {
-  if (tl_shards_override > 0) return tl_shards_override;
-  const int configured = g_default_shards.load(std::memory_order_relaxed);
-  if (configured > 0) return configured;
-  return EnvExecShards();
-}
-
-void SetDefaultExecShards(int n) {
-  g_default_shards.store(n > 0 ? n : 0, std::memory_order_relaxed);
-}
-
-ScopedExecShards::ScopedExecShards(int n) : prev_(tl_shards_override) {
-  if (n > 0) tl_shards_override = n;
-}
-
-ScopedExecShards::~ScopedExecShards() { tl_shards_override = prev_; }
-
 std::vector<Table> HashPartition(const Table& table, int key_column,
                                  int num_partitions) {
   VX_CHECK(num_partitions > 0);
@@ -198,7 +164,7 @@ Result<PartitionSet> PartitionSet::Build(TablePtr table, int key_column,
     VX_ASSIGN_OR_RETURN(std::vector<Table> shards,
                         ShardScatter(*table, key_column, spec));
     set.shards_.reserve(shards.size());
-    const EncodingMode mode = AmbientEncodingMode();
+    const EncodingMode mode = ExecKnobs::Current().encoding;
     for (Table& shard : shards) {
       // Retain the physical design per shard: the scatter already carried
       // the sort-order declaration over; encoding adds segments + zone maps

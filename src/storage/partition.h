@@ -49,36 +49,6 @@ inline int PartitionOf(int64_t key, int num_partitions) {
 std::vector<Table> HashPartition(const Table& table, int key_column,
                                  int num_partitions);
 
-/// \name The ambient `shards` knob
-///
-/// Mirrors the `threads` and `encoding` knobs (exec/parallel.h,
-/// storage/encoding.h): innermost ScopedExecShards override, else the
-/// process default (SetDefaultExecShards), else the VERTEXICA_SHARDS
-/// environment variable, else 1 (one shard). RunRequest::shards installs a
-/// scoped override around the backend dispatch; the Vertexica coordinator
-/// resolves its shard count through ExecShards().
-/// @{
-
-/// \brief Effective shard count for the calling thread. Always >= 1.
-int ExecShards();
-
-/// \brief Sets the process-wide default shard count; 0 restores automatic
-/// resolution (VERTEXICA_SHARDS env, else 1).
-void SetDefaultExecShards(int n);
-
-/// \brief RAII shard-count override for the current thread (how
-/// RunRequest::shards reaches the coordinator). n <= 0 is a no-op scope.
-class ScopedExecShards {
- public:
-  explicit ScopedExecShards(int n);
-  ~ScopedExecShards();
-  ScopedExecShards(const ScopedExecShards&) = delete;
-  ScopedExecShards& operator=(const ScopedExecShards&) = delete;
-
- private:
-  int prev_;
-};
-/// @}
 
 /// \brief How keys map to shards: keys hash into `base_partitions` buckets
 /// (PartitionOf — the same function vertex batching uses) and contiguous

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/exec_knobs.h"
 #include "exec/parallel.h"
 #include "storage/partition.h"
 #include "storage/sort.h"
@@ -41,14 +40,9 @@ Result<Table> ApplyTransform(const Table& input, int partition_column,
 
   std::vector<Table> outputs(parts.size(), Table(out_schema));
 
-  // Propagate the caller's knobs, cancel token and kernel-counter block
-  // into the pool tasks so a UDF body that runs exec kernels runs exactly
-  // as it would on the calling thread.
-  const ExecKnobs knobs = ExecKnobs::Capture();
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, parts.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {
-        ScopedExecKnobs scoped(knobs);
         for (size_t p = begin; p < end; ++p) {
           Table partition =
               keys.empty() ? std::move(parts[p]) : SortTable(parts[p], keys);

@@ -6,13 +6,11 @@
 #include <sstream>
 
 #include "catalog/catalog_io.h"
-#include "common/cancel.h"
+#include "common/exec_knobs.h"
 #include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
-#include "exec/exec_knobs.h"
-#include "exec/frontier.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
 #include "storage/compression.h"
@@ -272,7 +270,7 @@ Status PublishShards(const ResidentShards& shards, Catalog* catalog,
   // Hash blocks interleave keys, so the concatenations are not ordered.
   vertex = SortTable(vertex, {{shards.vertex.key_column(), true}});
   message = SortTable(message, {{shards.message.key_column(), true}});
-  const EncodingMode mode = AmbientEncodingMode();
+  const EncodingMode mode = ExecKnobs::Current().encoding;
   if (mode != EncodingMode::kOff) {
     vertex.EncodeColumns(mode);
     message.EncodeColumns(mode);
@@ -425,8 +423,6 @@ Result<Table> Coordinator::UpdateVerticesInPlace(const Table& vertex,
   // per vertex, so every target row is written by exactly one morsel.
   const auto& uids = updates.column(uid_c).ints();
   const auto& uhalted = updates.column(uhalted_c).bools();
-  // ambient-ok: the lambda reads no knobs; ExecThreads() below is the
-  // thread-count argument, evaluated on the submitting thread.
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, static_cast<size_t>(updates.num_rows()),
       static_cast<size_t>(kDefaultMorselRows),
@@ -520,7 +516,8 @@ Status Coordinator::Run(RunStats* stats) {
   topts.num_workers = options_.num_workers;
   const TransformParallelism par = ResolveTransformParallelism(topts);
   const int num_shards = std::max(
-      1, std::min(options_.num_shards > 0 ? options_.num_shards : ExecShards(),
+      1, std::min(options_.num_shards > 0 ? options_.num_shards
+                                          : ExecKnobs::Current().shards,
                   par.partitions));
 
   WallTimer total_timer;
@@ -562,7 +559,7 @@ Status Coordinator::Run(RunStats* stats) {
     // Superstep boundary: the natural stopping point of a cancelled or
     // past-deadline run. The catalog holds the run's starting tables (or
     // the last checkpoint) until the run completes.
-    VX_RETURN_NOT_OK(CheckAmbientCancel());
+    VX_RETURN_NOT_OK(ExecKnobs::Current().cancel.Check());
     VX_FAULT_POINT("coordinator.superstep");
     WallTimer step_timer;
 
@@ -602,17 +599,14 @@ Status Coordinator::Run(RunStats* stats) {
     };
     std::vector<ShardStep> step(static_cast<size_t>(num_shards));
 
-    const ExecKnobs knobs = ExecKnobs::Capture();
+    const ExecKnobs& knobs = ExecKnobs::Current();
 
     WallTimer phase_timer;
     VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
         0, static_cast<size_t>(num_shards), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
-          // Pool threads don't inherit the caller's thread-local knobs;
-          // reinstall them so every shard's plans run under the run's
-          // knobs, and give each shard its own join-path collector (the
-          // ambient one is thread-local too).
-          ScopedExecKnobs scoped_knobs(knobs);
+          // Each shard gets its own join-path collector: the collector
+          // has plain fields, so it must not be shared across threads.
           for (size_t s = begin; s < end; ++s) {
             ShardStep& st = step[s];
             ScopedJoinStatsCollector collector(&st.join_stats);
@@ -748,7 +742,6 @@ Status Coordinator::Run(RunStats* stats) {
       VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
           0, static_cast<size_t>(num_shards), /*grain=*/1,
           [&](size_t begin, size_t end) -> Status {
-            ScopedExecKnobs scoped_knobs(knobs);
             for (size_t s = begin; s < end; ++s) {
               const Table& updates = step[s].out.updates;
               if (updates.num_rows() == 0) continue;
@@ -814,6 +807,16 @@ Status Coordinator::Run(RunStats* stats) {
                         &decoded_bytes);
     }
     prev_aggregates_ = std::move(new_aggregates);
+
+    // The run's own collector (api/backends.cc) counts the shards' joins
+    // too, so RunResult::backend_metrics["hash_joins"] includes them.
+    if (JoinPathStats* run_joins = AmbientJoinStats()) {
+      for (const ShardStep& st : step) {
+        run_joins->hash_joins += st.join_stats.hash_joins;
+        run_joins->hash_rows += st.join_stats.hash_rows;
+        run_joins->hash_seconds += st.join_stats.hash_seconds;
+      }
+    }
 
     if (stats != nullptr) {
       SuperstepStats s;

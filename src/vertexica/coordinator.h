@@ -92,7 +92,7 @@ struct SuperstepStats {
   int64_t cross_shard_messages = 0;
   /// @}
 
-  /// \name Frontier-path accounting (exec/frontier.h)
+  /// \name Frontier-path accounting (common/exec_knobs.h)
   /// Whether this superstep's worker input was built from the sparse
   /// active-vertex frontier instead of the full tables, and how many
   /// vertices the frontier contained (the active-set popcount; 0 on dense
@@ -124,7 +124,7 @@ struct RunStats {
   double total_seconds = 0.0;
   int64_t total_messages = 0;
 
-  /// \name Frontier-vs-dense superstep counts (exec/frontier.h)
+  /// \name Frontier-vs-dense superstep counts (common/exec_knobs.h)
   /// How many supersteps took each input-build path; they sum to
   /// `supersteps.size()` when per-step stats are collected.
   /// @{
@@ -162,7 +162,7 @@ class Coordinator {
   /// voted to halt (or max_supersteps is reached).
   ///
   /// The run resolves its shard count S (VertexicaOptions::num_shards, else
-  /// the ambient ExecShards() knob; at least 1, at most the vertex-batching
+  /// ExecKnobs::shards; at least 1, at most the vertex-batching
   /// partition count), partitions the vertex, edge and message tables on
   /// vertex id once, keeps them resident across supersteps, and runs each
   /// superstep shard-wise in parallel, exchanging messages in between. At

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "common/exec_knobs.h"
 #include "common/string_util.h"
 #include "storage/sort.h"
 
@@ -73,9 +74,10 @@ Status LoadEdgeTable(Catalog* catalog, const Graph& graph,
       directed.weight.empty() ? std::vector<double>(order.size(), 1.0)
                               : gather(directed.weight)));
   VX_ASSIGN_OR_RETURN(Table t, Table::Make(MakeEdgeSchema(), std::move(cols)));
-  if (AmbientEncodingMode() != EncodingMode::kOff) {
+  const EncodingMode mode = ExecKnobs::Current().encoding;
+  if (mode != EncodingMode::kOff) {
     t.BuildZoneMaps();
-    t.mutable_column(0)->Encode(AmbientEncodingMode());
+    t.mutable_column(0)->Encode(mode);
   }
   // Declared after the encode step (mutable_column conservatively drops a
   // declaration; encoding is value-neutral, so the (src, dst) order holds).
@@ -121,9 +123,8 @@ Status LoadProgramTables(Catalog* catalog, const Graph& graph,
     // The halted column is a single all-false run — RLE collapses it to 16
     // bytes; the ascending id column stays plain under kAuto (all-distinct
     // ids don't RLE). Value-neutral either way.
-    if (AmbientEncodingMode() != EncodingMode::kOff) {
-      t.EncodeColumns(AmbientEncodingMode());
-    }
+    const EncodingMode mode = ExecKnobs::Current().encoding;
+    if (mode != EncodingMode::kOff) t.EncodeColumns(mode);
     // Ids were written 0..V-1: declare the sorted-by-id invariant the
     // coordinator maintains (the frontier and the in-place apply key on it).
     t.SetSortOrder({{0, true}});

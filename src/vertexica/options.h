@@ -34,7 +34,7 @@ struct VertexicaOptions {
   /// exchange messages (shuffled on receiver) between supersteps. Shards
   /// are contiguous blocks of the vertex-batching partitions, so results
   /// are bit-identical at any shard count.
-  /// 0 = the ambient ExecShards() (RunRequest::shards / VERTEXICA_SHARDS,
+  /// 0 = the `shards` knob (ExecKnobs: RunRequest::shards / VERTEXICA_SHARDS,
   /// default 1); 1 = one shard: the stored tables themselves.
   int num_shards = 0;
 
@@ -53,7 +53,7 @@ struct VertexicaOptions {
   double update_threshold = 0.1;
 
   /// Activation threshold of the sparse frontier superstep path
-  /// (exec/frontier.h): under the `auto` frontier mode a superstep takes
+  /// (common/exec_knobs.h): under the `auto` frontier mode a superstep takes
   /// the frontier path when its active-vertex fraction (non-halted
   /// vertices plus message receivers) is at most this value. Ignored when
   /// the ambient frontier mode is `on` (always frontier where structurally

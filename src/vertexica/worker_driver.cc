@@ -111,7 +111,6 @@ Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
   const int ma = shared.program->message_arity();
   std::vector<WorkerSink> sinks(static_cast<size_t>(par.partitions),
                                 WorkerSink(va, ma));
-  // ambient-ok: the bodies run Compute and read table columns only.
   VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
       0, sinks.size(), /*grain=*/1,
       [&](size_t begin, size_t end) -> Status {

@@ -363,6 +363,32 @@ TEST(ApiResultTest, StatsSerializeUniformly) {
       << "expected nonzero superstep count in: " << giraph_json;
 }
 
+TEST(ApiResultTest, HashJoinMetricCountsSuperstepJoins) {
+  // The join-input path runs its hash joins inside the superstep loop,
+  // each shard on its own collector; the run's metric counts every one.
+  Engine engine;
+  ASSERT_TRUE(engine.LoadGraph(ParityGraph()).ok());
+  for (const int shards : {1, 4}) {
+    RunRequest request;
+    request.algorithm = "pagerank";
+    request.iterations = 5;
+    request.shards = shards;
+    request.vertexica.use_union_input = false;
+    auto result = engine.Run(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    int64_t superstep_joins = 0;
+    for (const SuperstepStats& s : result->stats.supersteps) {
+      superstep_joins += s.hash_joins;
+    }
+    EXPECT_GT(superstep_joins, 0) << "shards=" << shards;
+    ASSERT_EQ(result->backend_metrics.count("hash_joins"), 1u)
+        << "shards=" << shards;
+    EXPECT_EQ(result->backend_metrics.at("hash_joins"),
+              static_cast<double>(superstep_joins))
+        << "shards=" << shards;
+  }
+}
+
 TEST(ApiResultTest, GiraphModeledCostsSurfaceInMetrics) {
   Engine engine;
   ASSERT_TRUE(engine.LoadGraph(ParityGraph()).ok());

@@ -13,6 +13,7 @@
 #include "common/cache_sizing.h"
 #include "common/cancel.h"
 #include "common/crc32.h"
+#include "common/exec_knobs.h"
 #include "common/fault_injection.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -387,16 +388,18 @@ TEST(CancelTokenTest, TightestDeadlineInChainWins) {
 }
 
 TEST(CancelTokenTest, AmbientScopeInstallsAndRestores) {
-  EXPECT_TRUE(AmbientCancelToken().null());
+  EXPECT_TRUE(ExecKnobs::Current().cancel.null());
   CancelToken token = CancelToken::Make();
   {
-    ScopedCancelToken scope(token);
-    EXPECT_EQ(AmbientCancelToken(), token);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.cancel = token;
+    ScopedExecKnobs scope(knobs);
+    EXPECT_EQ(ExecKnobs::Current().cancel, token);
     token.Cancel();
-    EXPECT_TRUE(CheckAmbientCancel().IsCancelled());
+    EXPECT_TRUE(ExecKnobs::Current().cancel.Check().IsCancelled());
   }
-  EXPECT_TRUE(AmbientCancelToken().null());
-  EXPECT_TRUE(CheckAmbientCancel().ok());
+  EXPECT_TRUE(ExecKnobs::Current().cancel.null());
+  EXPECT_TRUE(ExecKnobs::Current().cancel.Check().ok());
 }
 
 // -------------------------------------------------------- fault injection

@@ -3,17 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "catalog/catalog.h"
 #include "common/cancel.h"
+#include "common/exec_knobs.h"
 #include "common/random.h"
 #include "common/threadpool.h"
-#include "exec/exec_knobs.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
@@ -749,17 +751,15 @@ TEST(ParallelExecTest, PlanBuilderUsesParallelOperators) {
 }
 
 TEST(ParallelExecTest, ThreadBudgetResolutionOrder) {
-  // ExecThreads(): scoped override > process default > env/hardware.
+  // ExecThreads(): installed context > process default > env/hardware.
   const int ambient = ExecThreads();
   SetDefaultExecThreads(3);
   EXPECT_EQ(ExecThreads(), 3);
   {
-    ScopedExecThreads scoped(5);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = 5;
+    ScopedExecKnobs scoped(knobs);
     EXPECT_EQ(ExecThreads(), 5);
-    {
-      ScopedExecThreads inner(0);  // no-op scope keeps the outer override
-      EXPECT_EQ(ExecThreads(), 5);
-    }
   }
   EXPECT_EQ(ExecThreads(), 3);
   SetDefaultExecThreads(0);  // restore automatic resolution
@@ -785,7 +785,9 @@ TEST(ParallelForTest, FirstErrorWinsAndSkipsRemaining) {
 TEST(ParallelForTest, PreCancelledTokenRunsNothing) {
   CancelToken token = CancelToken::Make();
   token.Cancel();
-  ScopedCancelToken scope(token);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.cancel = token;
+  ScopedExecKnobs scope(knobs);
   std::atomic<int> executed{0};
   const Status st = ThreadPool::Default()->ParallelFor(
       0, 1000, /*grain=*/1,
@@ -800,7 +802,9 @@ TEST(ParallelForTest, PreCancelledTokenRunsNothing) {
 
 TEST(ParallelForTest, CancelMidRunStopsAtGrainBoundary) {
   CancelToken token = CancelToken::Make();
-  ScopedCancelToken scope(token);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.cancel = token;
+  ScopedExecKnobs scope(knobs);
   std::atomic<int> executed{0};
   const Status st = ThreadPool::Default()->ParallelFor(
       0, 10000, /*grain=*/1,
@@ -816,7 +820,9 @@ TEST(ParallelForTest, CancelMidRunStopsAtGrainBoundary) {
 }
 
 TEST(ParallelForTest, ExpiredDeadlineSurfacesAsDeadlineExceeded) {
-  ScopedCancelToken scope(CancelToken().WithDeadlineAfter(0.0));
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.cancel = CancelToken().WithDeadlineAfter(0.0);
+  ScopedExecKnobs scope(knobs);
   const Status st = ThreadPool::Default()->ParallelFor(
       0, 100, /*grain=*/10,
       [](std::size_t, std::size_t) -> Status { return Status::OK(); }, 2);
@@ -828,10 +834,84 @@ TEST(ParallelForTest, VoidOverloadIgnoresAmbientCancellation) {
   // cancellable: an ambient cancelled token must neither abort nor skip.
   CancelToken token = CancelToken::Make();
   token.Cancel();
-  ScopedCancelToken scope(token);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.cancel = token;
+  ScopedExecKnobs scope(knobs);
   std::atomic<int> executed{0};
   ThreadPool::Default()->ParallelFor(100, [&](std::size_t) { ++executed; });
   EXPECT_EQ(executed.load(), 100);
+}
+
+/// Blocks until `count` callers have arrived, or two seconds have passed:
+/// chunks that meet here run at once, so on distinct threads.
+void Rendezvous(std::atomic<int>* arrived, int count) {
+  arrived->fetch_add(1);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (arrived->load() < count &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ParallelForTest, PoolTasksRunUnderTheSubmittersContext) {
+  // Every field away from its default; no chunk installs anything.
+  KernelStats stats;
+  ExecKnobs submitter = ExecKnobs::Current();
+  submitter.threads = 3;
+  submitter.shards = 2;
+  submitter.encoding = EncodingMode::kForce;
+  submitter.frontier = FrontierMode::kOn;
+  submitter.vectorized = false;
+  submitter.cancel = CancelToken::Make();
+  submitter.kernel_stats = &stats;
+  ScopedExecKnobs scope(submitter);
+  const std::thread::id submitting_thread = std::this_thread::get_id();
+
+  constexpr int kChunks = 3;
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_helpers{0};
+  std::atomic<int> mismatches{0};
+  Status st = ThreadPool::Default()->ParallelFor(
+      0, kChunks, /*grain=*/1,
+      [&](std::size_t, std::size_t) -> Status {
+        Rendezvous(&arrived, kChunks);
+        if (std::this_thread::get_id() != submitting_thread) ++on_helpers;
+        if (ExecKnobs::Current() != submitter) ++mismatches;
+        // A loop nested in a pool task runs under the same context.
+        return ThreadPool::Default()->ParallelFor(
+            0, 8, /*grain=*/1,
+            [&](std::size_t, std::size_t) -> Status {
+              if (ExecKnobs::Current() != submitter) ++mismatches;
+              return Status::OK();
+            },
+            2);
+      },
+      kChunks);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GE(on_helpers.load(), 1);  // helpers really ran chunks
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Cancelling the token from a chunk stops a loop nested on a helper.
+  arrived = 0;
+  Status nested = Status::Internal("no chunk ran on a helper");
+  st = ThreadPool::Default()->ParallelFor(
+      0, 2, /*grain=*/1,
+      [&](std::size_t, std::size_t) -> Status {
+        Rendezvous(&arrived, 2);
+        if (std::this_thread::get_id() == submitting_thread) {
+          return Status::OK();
+        }
+        submitter.cancel.Cancel();
+        nested = ThreadPool::Default()->ParallelFor(
+            0, 64, /*grain=*/1,
+            [](std::size_t, std::size_t) -> Status { return Status::OK(); },
+            2);
+        return nested;
+      },
+      2);
+  EXPECT_TRUE(nested.IsCancelled()) << nested.ToString();
+  EXPECT_TRUE(st.IsCancelled()) << st.ToString();
 }
 
 TEST(ParallelForTest, ExceptionsBecomeStatus) {
@@ -931,8 +1011,10 @@ std::vector<ProjectionSpec> FuzzProjection(Rng* rng) {
 /// Runs `fn` under the given knob settings and returns its table.
 template <typename Fn>
 Table RunWithKnobs(bool vectorized, int threads, const Fn& fn) {
-  ScopedVectorized vec(vectorized);
-  ScopedExecThreads scoped_threads(threads);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.vectorized = vectorized;
+  knobs.threads = threads;
+  ScopedExecKnobs scope(knobs);
   auto result = fn();
   VX_CHECK_OK(result.status());
   return std::move(result).ValueOrDie();
@@ -1032,38 +1114,40 @@ TEST(VectorizedTest, JoinAndAggregatePlansBitIdenticalOnVsOff) {
 }
 
 TEST(VectorizedTest, KnobResolutionOrder) {
-  // Same contract as the frontier-mode knob: scoped override beats the
-  // process default; -1 restores automatic resolution.
-  const bool ambient = VectorizedEnabled();
-  SetDefaultVectorized(0);
-  EXPECT_FALSE(VectorizedEnabled());
+  // The innermost installed context wins; ending it restores the outer
+  // one, and ending that the process default.
+  const bool ambient = ExecKnobs::Current().vectorized;
+  ExecKnobs on = ExecKnobs::Current();
+  on.vectorized = true;
+  ExecKnobs off = on;
+  off.vectorized = false;
   {
-    ScopedVectorized on(true);
-    EXPECT_TRUE(VectorizedEnabled());
+    ScopedExecKnobs on_scope(on);
+    EXPECT_TRUE(ExecKnobs::Current().vectorized);
     {
-      ScopedVectorized off(false);
-      EXPECT_FALSE(VectorizedEnabled());
+      ScopedExecKnobs off_scope(off);
+      EXPECT_FALSE(ExecKnobs::Current().vectorized);
     }
-    EXPECT_TRUE(VectorizedEnabled());
+    EXPECT_TRUE(ExecKnobs::Current().vectorized);
   }
-  EXPECT_FALSE(VectorizedEnabled());
-  SetDefaultVectorized(-1);
-  EXPECT_EQ(VectorizedEnabled(), ambient);
+  EXPECT_EQ(ExecKnobs::Current().vectorized, ambient);
 }
 
-TEST(VectorizedTest, ExecKnobsCaptureAndInstallRoundTrip) {
+TEST(VectorizedTest, ExecKnobsRideIntoPoolTasks) {
+  // No install in the body: the pool runs each chunk under the
+  // submitter's context.
   KernelStats block;
-  ScopedVectorized off(false);
-  ScopedKernelStats stats(&block);
-  const ExecKnobs captured = ExecKnobs::Capture();
-  EXPECT_FALSE(captured.vectorized);
-  EXPECT_EQ(captured.kernel_stats, &block);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.vectorized = false;
+  knobs.kernel_stats = &block;
+  ScopedExecKnobs scope(knobs);
   Status st = ThreadPool::Default()->ParallelFor(
-      0, 1, 1,
+      0, 4, 1,
       [&](std::size_t, std::size_t) -> Status {
-        ScopedExecKnobs install(captured);
-        if (VectorizedEnabled()) return Status::Internal("knob not installed");
-        if (AmbientKernelStats() != &block) {
+        if (ExecKnobs::Current().vectorized) {
+          return Status::Internal("knob not installed");
+        }
+        if (ExecKnobs::Current().kernel_stats != &block) {
           return Status::Internal("collector not installed");
         }
         return Status::OK();
@@ -1082,9 +1166,11 @@ TEST(KernelStatsTest, CountersAreDeterministicAcrossThreadsAndPerScope) {
   opts.morsel_rows = 128;
   auto measure = [&](bool vectorized, int threads) {
     KernelStats block;
-    ScopedKernelStats scope(&block);
-    ScopedVectorized vec(vectorized);
-    ScopedExecThreads scoped_threads(threads);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.kernel_stats = &block;
+    knobs.vectorized = vectorized;
+    knobs.threads = threads;
+    ScopedExecKnobs scope(knobs);
     VX_CHECK_OK(ParallelFilterProject(shared, pred, proj, opts).status());
     return Snapshot(block);
   };
@@ -1107,7 +1193,7 @@ TEST(KernelStatsTest, CountersAreDeterministicAcrossThreadsAndPerScope) {
   KernelStats fresh;
   EXPECT_EQ(Snapshot(fresh).bytes_materialized, 0);
   // And with no collector installed, counting is off entirely.
-  EXPECT_EQ(AmbientKernelStats(), nullptr);
+  EXPECT_EQ(ExecKnobs::Current().kernel_stats, nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@
 #include "algorithms/reference.h"
 #include "catalog/catalog_io.h"
 #include "common/fault_injection.h"
-#include "exec/frontier.h"
+#include "common/exec_knobs.h"
 #include "giraph/bsp_engine.h"
 #include "sqlgraph/sql_common.h"
 #include "storage/compression.h"
@@ -457,7 +457,9 @@ TEST(CheckpointTest, ResumedFrontierRunMatchesDenseBaseline) {
   Catalog full;
   std::vector<double> dense;
   {
-    ScopedFrontierMode off(FrontierMode::kOff);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.frontier = FrontierMode::kOff;
+    ScopedExecKnobs off(knobs);
     auto r = RunShortestPaths(&full, g, 0);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     dense = *r;
@@ -469,7 +471,9 @@ TEST(CheckpointTest, ResumedFrontierRunMatchesDenseBaseline) {
   // column, the vertex table's restored-by-verification id order), take
   // the frontier path on every resumed superstep and still land on the
   // dense answer bit for bit — on both input paths.
-  ScopedFrontierMode on(FrontierMode::kOn);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.frontier = FrontierMode::kOn;
+  ScopedExecKnobs on(knobs);
   for (const bool union_input : {false, true}) {
     SCOPED_TRACE(union_input ? "union input" : "join input");
     const std::string dir = testing::TempDir() + "/vx_ckpt_frontier" +
@@ -932,7 +936,9 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   Graph shortcut = chain;
   shortcut.AddEdge(0, n / 2, 0.5);  // new shortest path to the back half
 
-  ScopedFrontierMode on(FrontierMode::kOn);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.frontier = FrontierMode::kOn;
+  ScopedExecKnobs on(knobs);
   for (const int shards : {1, 4}) {
     for (const bool union_input : {true, false}) {
       const std::string where =

@@ -5,15 +5,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 
-#include "exec/exec_knobs.h"
+#include "common/exec_knobs.h"
+#include "exec/kernel_stats.h"
 #include "graphgen/generators.h"
 #include "graphgen/metadata.h"
 #include "pipeline/dataflow.h"
 #include "pipeline/nodes.h"
 #include "sqlgraph/sql_common.h"
+#include "sqlgraph/sql_pagerank.h"
 
 namespace vertexica {
 namespace {
@@ -218,7 +221,7 @@ TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
   caller.cancel = CancelToken::Make();
   caller.kernel_stats = &stats;
   ScopedExecKnobs scoped(caller);
-  ASSERT_TRUE(ExecKnobs::Capture() == caller);
+  ASSERT_TRUE(ExecKnobs::Current() == caller);
 
   // Two independent probes form one wave, which fans out on the pool. Each
   // waits (up to two seconds) for the other to start, so the two run at
@@ -237,7 +240,7 @@ TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
                  std::chrono::steady_clock::now() < give_up) {
             std::this_thread::yield();
           }
-          seen[i] = ExecKnobs::Capture();
+          seen[i] = ExecKnobs::Current();
           return Table(Schema({{"x", DataType::kInt64}}));
         })));
   }
@@ -252,6 +255,84 @@ TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_TRUE(seen[i] == caller) << "probe " << i;
   }
+}
+
+/// A function node that forwards its first input.
+PipelineNodePtr ForwardNode() {
+  return MakeFunctionNode(
+      "forward", [](const std::vector<Table>& in) -> Result<Table> {
+        return in[0];
+      });
+}
+
+TEST(PipelineTest, SqlNodesOnPoolTasksHonourTheRequestContext) {
+  // Two SQL PageRank nodes form one wave, so at threads > 1 one of them
+  // runs on a pool task, and its joins and aggregates fan out again.
+  // Neither the pipeline nor the sqlgraph code installs a context.
+  const Graph g = GenerateRmat(2048, 40000, 17);
+  const Table vertices = MakeVertexListTable(g);
+  const Table edges = MakeEdgeListTable(g);
+
+  // Kernel counters are deterministic at any thread count, so at four
+  // threads they match a serial run only if every pool task counted into
+  // the request's block.
+  auto counters = [&](int threads) {
+    KernelStats stats;
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    knobs.kernel_stats = &stats;
+    ScopedExecKnobs scope(knobs);
+    Pipeline p;
+    const int src = p.AddNode(MakeSourceNode("edges", edges));
+    const int a = p.AddNode(MakePageRankNode(3), {src});
+    const int b = p.AddNode(MakePageRankNode(3), {src});
+    const auto out = p.Run(p.AddNode(ForwardNode(), {a, b}));
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return Snapshot(stats);
+  };
+  const KernelStatsSnapshot serial = counters(1);
+  const KernelStatsSnapshot parallel = counters(4);
+  EXPECT_GT(serial.bytes_materialized, 0);
+  EXPECT_EQ(parallel.bytes_materialized, serial.bytes_materialized);
+  EXPECT_EQ(parallel.fused_batches, serial.fused_batches);
+  EXPECT_EQ(parallel.legacy_batches, serial.legacy_batches);
+  EXPECT_EQ(parallel.batch_hash_rows, serial.batch_hash_rows);
+
+  // The request's deadline passes while both nodes wait; the SQL PageRank
+  // each then starts stops with DeadlineExceeded, on the pool task too.
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.threads = 4;
+  knobs.cancel = CancelToken().WithDeadlineAfter(0.3);
+  ScopedExecKnobs scope(knobs);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::vector<Status> on_pool;
+  Pipeline p;
+  std::vector<int> late;
+  for (int i = 0; i < 2; ++i) {
+    late.push_back(p.AddNode(MakeFunctionNode(
+        "late", [&](const std::vector<Table>&) -> Result<Table> {
+          started.fetch_add(1);
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (started.load() < 2 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(400));
+          Result<Table> out = SqlPageRank(vertices, edges, 3);
+          if (std::this_thread::get_id() != caller) {
+            std::lock_guard<std::mutex> lock(mu);
+            on_pool.push_back(out.status());
+          }
+          return out;
+        })));
+  }
+  const auto out = p.Run(p.AddNode(ForwardNode(), late));
+  EXPECT_TRUE(out.status().IsDeadlineExceeded()) << out.status().ToString();
+  ASSERT_EQ(on_pool.size(), 1u);
+  EXPECT_TRUE(on_pool[0].IsDeadlineExceeded()) << on_pool[0].ToString();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the serving subsystem: env-knob hardening, ExecKnobs/
-// ExecContext capture+install, admission control, catalog snapshots, and —
+// Tests for the serving subsystem: env-knob hardening, ExecKnobs
+// resolution and install, admission control, catalog snapshots, and —
 // the acceptance bar — N concurrent mixed clients on one EngineServer
 // producing bit-identical results to the same requests run serially.
 
@@ -17,10 +17,10 @@
 #include "api/exec_context.h"
 #include "catalog/catalog.h"
 #include "common/cancel.h"
+#include "common/exec_knobs.h"
 #include "common/env_knob.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "exec/exec_knobs.h"
 #include "graphgen/generators.h"
 #include "server/admission.h"
 #include "server/engine_server.h"
@@ -98,42 +98,33 @@ TEST(EnvKnobTest, EnvTokenKnobMatchesCaseInsensitively) {
   ::unsetenv("VERTEXICA_TEST_TOKEN");
 }
 
-// ------------------------------------------------- ExecKnobs / ExecContext
+// ------------------------------------------------ ExecKnobs / FromRequest
 
-TEST(ExecKnobsTest, CaptureInstallRoundTripsAcrossThreads) {
-  ScopedExecThreads threads(3);
-  ScopedExecShards shards(2);
-  ScopedEncodingMode encoding(EncodingMode::kForce);
-  ScopedVectorized vectorized(false);
-  ScopedFrontierMode frontier(FrontierMode::kOn);
+TEST(ExecKnobsTest, InstallRoundTripsAcrossThreads) {
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.threads = 3;
+  knobs.shards = 2;
+  knobs.encoding = EncodingMode::kForce;
+  knobs.vectorized = false;
+  knobs.frontier = FrontierMode::kOn;
 
-  const ExecKnobs knobs = ExecKnobs::Capture();
-  EXPECT_EQ(knobs.threads, 3);
-  EXPECT_EQ(knobs.shards, 2);
-  EXPECT_EQ(knobs.encoding, EncodingMode::kForce);
-  EXPECT_FALSE(knobs.vectorized);
-  EXPECT_EQ(knobs.frontier, FrontierMode::kOn);
-
-  // A fresh thread has none of the thread-local overrides; installing the
-  // captured knobs must reproduce the caller's configuration exactly.
-  int seen_threads = 0, seen_shards = 0;
-  EncodingMode seen_encoding = EncodingMode::kAuto;
-  bool seen_vectorized = true;
-  FrontierMode seen_frontier = FrontierMode::kOff;
+  // A fresh thread runs under the process defaults; installing the knobs
+  // there reproduces them exactly.
+  ExecKnobs fresh;
+  ExecKnobs seen;
   std::thread worker([&]() {
+    fresh = ExecKnobs::Current();
     ScopedExecKnobs install(knobs);
-    seen_threads = ExecThreads();
-    seen_shards = ExecShards();
-    seen_encoding = AmbientEncodingMode();
-    seen_vectorized = VectorizedEnabled();
-    seen_frontier = AmbientFrontierMode();
+    seen = ExecKnobs::Current();
   });
   worker.join();
-  EXPECT_EQ(seen_threads, 3);
-  EXPECT_EQ(seen_shards, 2);
-  EXPECT_EQ(seen_encoding, EncodingMode::kForce);
-  EXPECT_FALSE(seen_vectorized);
-  EXPECT_EQ(seen_frontier, FrontierMode::kOn);
+  EXPECT_TRUE(fresh != knobs);
+  EXPECT_TRUE(seen == knobs);
+  EXPECT_EQ(seen.threads, 3);
+  EXPECT_EQ(seen.shards, 2);
+  EXPECT_EQ(seen.encoding, EncodingMode::kForce);
+  EXPECT_FALSE(seen.vectorized);
+  EXPECT_EQ(seen.frontier, FrontierMode::kOn);
 }
 
 TEST(ExecContextTest, FromRequestResolvesOverrides) {
@@ -143,46 +134,89 @@ TEST(ExecContextTest, FromRequestResolvesOverrides) {
   request.encoding = "force";
   request.vectorized = "off";
   request.frontier = "on";
-  const ExecContext ctx = *ExecContext::FromRequest(request);
-  EXPECT_EQ(ctx.knobs.threads, 5);
-  EXPECT_EQ(ctx.knobs.shards, 3);
-  EXPECT_EQ(ctx.knobs.encoding, EncodingMode::kForce);
-  EXPECT_FALSE(ctx.knobs.vectorized);
-  EXPECT_EQ(ctx.knobs.frontier, FrontierMode::kOn);
-  EXPECT_EQ(ctx.DemandThreads(), 5);
+  const ExecKnobs knobs = *ExecKnobsFromRequest(request);
+  EXPECT_EQ(knobs.threads, 5);
+  EXPECT_EQ(knobs.shards, 3);
+  EXPECT_EQ(knobs.encoding, EncodingMode::kForce);
+  EXPECT_FALSE(knobs.vectorized);
+  EXPECT_EQ(knobs.frontier, FrontierMode::kOn);
 
-  // Unset fields inherit the ambient configuration.
-  ScopedExecThreads threads(2);
-  ScopedFrontierMode off(FrontierMode::kOff);
+  // Unset fields inherit the current context.
+  ExecKnobs current = ExecKnobs::Current();
+  current.threads = 2;
+  current.frontier = FrontierMode::kOff;
+  ScopedExecKnobs scope(current);
   RunRequest ambient;
-  const ExecContext inherited = *ExecContext::FromRequest(ambient);
-  EXPECT_EQ(inherited.knobs.threads, 2);
-  EXPECT_EQ(inherited.knobs.vectorized, VectorizedEnabled());
-  EXPECT_EQ(inherited.knobs.frontier, FrontierMode::kOff);
+  const ExecKnobs inherited = *ExecKnobsFromRequest(ambient);
+  EXPECT_EQ(inherited.threads, 2);
+  EXPECT_EQ(inherited.vectorized, current.vectorized);
+  EXPECT_EQ(inherited.frontier, FrontierMode::kOff);
 
-  // An explicit request field beats the ambient scope, like threads.
+  // An explicit request field beats the current context, like threads.
   RunRequest explicit_frontier;
   explicit_frontier.frontier = "auto";
-  const ExecContext resolved = *ExecContext::FromRequest(explicit_frontier);
-  EXPECT_EQ(resolved.knobs.frontier, FrontierMode::kAuto);
+  const ExecKnobs resolved = *ExecKnobsFromRequest(explicit_frontier);
+  EXPECT_EQ(resolved.frontier, FrontierMode::kAuto);
+}
+
+TEST(ExecContextTest, NumericFieldsOutOfRangeAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RunRequest negative_threads;
+  negative_threads.threads = -5;
+  RunRequest negative_shards;
+  negative_shards.shards = -2;
+  RunRequest negative_deadline;
+  negative_deadline.deadline_ms = -1;
+  RunRequest nan_deadline;
+  nan_deadline.deadline_ms = nan;
+  for (const auto& [request, field] :
+       {std::make_tuple(negative_threads, "threads"),
+        std::make_tuple(negative_shards, "shards"),
+        std::make_tuple(negative_deadline, "deadline_ms"),
+        std::make_tuple(nan_deadline, "deadline_ms")}) {
+    const auto knobs = ExecKnobsFromRequest(request);
+    ASSERT_FALSE(knobs.ok()) << field;
+    EXPECT_TRUE(knobs.status().IsInvalidArgument())
+        << knobs.status().ToString();
+    EXPECT_NE(knobs.status().message().find(field), std::string::npos)
+        << knobs.status().ToString();
+  }
+
+  // 0 keeps its meaning: the current threads and shards, no deadline.
+  const auto zero = ExecKnobsFromRequest(RunRequest());
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->threads, ExecKnobs::Current().threads);
+  EXPECT_EQ(zero->shards, ExecKnobs::Current().shards);
+  EXPECT_TRUE(zero->cancel.null());
+
+  // The server rejects them before admission, like a malformed knob
+  // string: nothing is queued or counted.
+  EngineServer server;
+  ASSERT_TRUE(server.CreateGraph("g", ParityGraph()).ok());
+  for (RunRequest request : {negative_threads, negative_deadline,
+                             nan_deadline}) {
+    request.algorithm = kPageRank;
+    request.backend = kVertexicaBackendId;
+    const auto result = server.Run("g", request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+  }
+  EXPECT_EQ(server.admission_stats().admitted, 0u);
 }
 
 TEST(ExecKnobsTest, CancelTokenRidesTheKnobPlumbing) {
   CancelToken token = CancelToken::Make();
-  ExecKnobs knobs;
-  {
-    ScopedCancelToken scope(token);
-    knobs = ExecKnobs::Capture();
-  }
-  EXPECT_EQ(knobs.cancel, token);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.cancel = token;
 
-  // Installing the captured knobs on a fresh thread reinstalls the token —
-  // a pool task polls the submitter's stop button, not a null one.
+  // Installing the knobs on a fresh thread installs the token — a pool
+  // task polls the submitter's stop button, not a null one.
   token.Cancel();
   Status seen;
   std::thread worker([&]() {
     ScopedExecKnobs install(knobs);
-    seen = CheckAmbientCancel();
+    seen = ExecKnobs::Current().cancel.Check();
   });
   worker.join();
   EXPECT_TRUE(seen.IsCancelled()) << seen.ToString();
@@ -190,20 +224,20 @@ TEST(ExecKnobsTest, CancelTokenRidesTheKnobPlumbing) {
 
 TEST(ExecContextTest, FromRequestResolvesDeadline) {
   RunRequest no_deadline;
-  EXPECT_TRUE(ExecContext::FromRequest(no_deadline)->knobs.cancel.null());
+  EXPECT_TRUE(ExecKnobsFromRequest(no_deadline)->cancel.null());
 
   RunRequest with_deadline;
   with_deadline.deadline_ms = 3600 * 1e3;  // one hour: resolves, never fires
-  const ExecContext ctx = *ExecContext::FromRequest(with_deadline);
-  ASSERT_FALSE(ctx.knobs.cancel.null());
+  const ExecKnobs ctx = *ExecKnobsFromRequest(with_deadline);
+  ASSERT_FALSE(ctx.cancel.null());
   std::chrono::steady_clock::time_point deadline;
-  EXPECT_TRUE(ctx.knobs.cancel.deadline(&deadline));
-  EXPECT_TRUE(ctx.knobs.cancel.Check().ok());
+  EXPECT_TRUE(ctx.cancel.deadline(&deadline));
+  EXPECT_TRUE(ctx.cancel.Check().ok());
 
   RunRequest expired;
   expired.deadline_ms = 1e-9;  // resolved against arrival: already past
-  EXPECT_TRUE(ExecContext::FromRequest(expired)
-                  ->knobs.cancel.Check()
+  EXPECT_TRUE(ExecKnobsFromRequest(expired)
+                  ->cancel.Check()
                   .IsDeadlineExceeded());
 }
 
@@ -238,24 +272,26 @@ TEST(ExecContextTest, KnobStringsTakeTheEnvVocabulary) {
   for (const auto& e : encodings) {
     RunRequest request;
     request.encoding = e.text;
-    const auto ctx = ExecContext::FromRequest(request);
+    const auto ctx = ExecKnobsFromRequest(request);
     ASSERT_TRUE(ctx.ok()) << e.text << ": " << ctx.status().ToString();
-    EXPECT_EQ(ctx->knobs.encoding, e.mode) << e.text;
+    EXPECT_EQ(ctx->encoding, e.mode) << e.text;
   }
   for (const char* off : {"Off", "no", "NO", "false", "0"}) {
     RunRequest request;
     request.vectorized = off;
-    const auto ctx = ExecContext::FromRequest(request);
+    const auto ctx = ExecKnobsFromRequest(request);
     ASSERT_TRUE(ctx.ok()) << off << ": " << ctx.status().ToString();
-    EXPECT_FALSE(ctx->knobs.vectorized) << off;
+    EXPECT_FALSE(ctx->vectorized) << off;
   }
   for (const char* on : {"On", "yes", "TRUE", "1"}) {
-    ScopedVectorized ambient_off(false);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.vectorized = false;
+    ScopedExecKnobs ambient_off(knobs);
     RunRequest request;
     request.vectorized = on;
-    const auto ctx = ExecContext::FromRequest(request);
+    const auto ctx = ExecKnobsFromRequest(request);
     ASSERT_TRUE(ctx.ok()) << on << ": " << ctx.status().ToString();
-    EXPECT_TRUE(ctx->knobs.vectorized) << on;
+    EXPECT_TRUE(ctx->vectorized) << on;
   }
   const struct {
     const char* text;
@@ -266,9 +302,9 @@ TEST(ExecContextTest, KnobStringsTakeTheEnvVocabulary) {
   for (const auto& f : frontiers) {
     RunRequest request;
     request.frontier = f.text;
-    const auto ctx = ExecContext::FromRequest(request);
+    const auto ctx = ExecKnobsFromRequest(request);
     ASSERT_TRUE(ctx.ok()) << f.text << ": " << ctx.status().ToString();
-    EXPECT_EQ(ctx->knobs.frontier, f.mode) << f.text;
+    EXPECT_EQ(ctx->frontier, f.mode) << f.text;
   }
   // The environment side parses through the same vocabulary.
   EXPECT_EQ(ParseEncodingMode("NONE"), EncodingMode::kOff);
@@ -287,7 +323,7 @@ TEST(ExecContextTest, UnknownKnobStringIsRejected) {
        {std::make_tuple(bad_encoding, "encoding", "offf"),
         std::make_tuple(bad_frontier, "frontier", "banana"),
         std::make_tuple(bad_vectorized, "vectorized", "maybe")}) {
-    const auto ctx = ExecContext::FromRequest(request);
+    const auto ctx = ExecKnobsFromRequest(request);
     ASSERT_FALSE(ctx.ok()) << field;
     EXPECT_TRUE(ctx.status().IsInvalidArgument()) << ctx.status().ToString();
     EXPECT_NE(ctx.status().message().find(field), std::string::npos)

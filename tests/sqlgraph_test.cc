@@ -398,8 +398,10 @@ TEST(GoldenTest, SqlBackendMatchesRecordedDigests) {
       for (const int threads : {1, 8}) {
         for (const EncodingMode enc :
              {EncodingMode::kOff, EncodingMode::kAuto, EncodingMode::kForce}) {
-          ScopedExecThreads scoped_threads(threads);
-          ScopedEncodingMode scoped_enc(enc);
+          ExecKnobs knobs = ExecKnobs::Current();
+          knobs.threads = threads;
+          knobs.encoding = enc;
+          ScopedExecKnobs scope(knobs);
           Result<Table> out = Status::Internal("unset");
           if (std::string(algo) == "pagerank") {
             out = SqlPageRank(vertices, edges, 8);

@@ -647,7 +647,9 @@ TEST(EncodingPropertyTest, ZoneMapPruningNeverChangesResults) {
     auto expect = PlanBuilder::Scan(plain).Filter(predicates[p]).Execute();
     ASSERT_TRUE(expect.ok()) << expect.status().ToString();
     for (int threads : {1, 8}) {
-      ScopedExecThreads scoped(threads);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.threads = threads;
+      ScopedExecKnobs scoped(knobs);
       auto actual = ParallelFilter(encoded_view, predicates[p]);
       ASSERT_TRUE(actual.ok())
           << "pred " << p << ": " << actual.status().ToString();
@@ -661,7 +663,9 @@ TEST(EncodingPropertyTest, ZoneMapPruningNeverChangesResults) {
   // The selective predicates really do skip ranges.
   ResetScanPruneStats();
   {
-    ScopedExecThreads scoped(8);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = 8;
+    ScopedExecKnobs scoped(knobs);
     auto out = ParallelFilter(encoded_view, Eq(Col("k"), Lit(int64_t{37})));
     ASSERT_TRUE(out.ok());
     EXPECT_GT(out->num_rows(), 0);
@@ -898,7 +902,9 @@ TEST(ShardingTest, MetadataRetainedPerShard) {
   t = SortTable(t, {{0, true}, {1, true}});
   ASSERT_EQ(t.sort_order().size(), 2u);
 
-  ScopedEncodingMode scoped(EncodingMode::kForce);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.encoding = EncodingMode::kForce;
+  ScopedExecKnobs scoped(knobs);
   ShardingSpec spec;
   spec.num_shards = 3;
   auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
@@ -928,7 +934,9 @@ TEST(ShardingTest, MalformedSpecFails) {
 TEST(ShardingTest, OneShardSetIsTheSnapshotItself) {
   // One shard owns every key, so the set holds the input snapshot as its
   // shard: no scatter, no copy, no re-encode.
-  ScopedEncodingMode scoped(EncodingMode::kForce);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.encoding = EncodingMode::kForce;
+  ScopedExecKnobs scoped(knobs);
   const auto t =
       std::make_shared<const Table>(KeyedTable(100, /*with_nulls=*/true));
   ShardingSpec spec;  // one shard by default

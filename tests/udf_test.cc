@@ -7,7 +7,8 @@
 #include <mutex>
 #include <thread>
 
-#include "exec/exec_knobs.h"
+#include "common/exec_knobs.h"
+#include "exec/kernel_stats.h"
 #include "udf/transform.h"
 
 namespace vertexica {
@@ -164,7 +165,7 @@ class KnobProbeUdf : public TransformUdf {
     while (started_->load() < 2 && std::chrono::steady_clock::now() < give_up) {
       std::this_thread::yield();
     }
-    const ExecKnobs knobs = ExecKnobs::Capture();
+    const ExecKnobs knobs = ExecKnobs::Current();
     std::lock_guard<std::mutex> lock(*mu_);
     seen_->push_back(knobs);
     return Status::OK();
@@ -189,7 +190,7 @@ TEST(TransformTest, PoolTasksSeeTheCallersKnobs) {
   caller.cancel = CancelToken::Make();
   caller.kernel_stats = &stats;
   ScopedExecKnobs scoped(caller);
-  ASSERT_TRUE(ExecKnobs::Capture() == caller);
+  ASSERT_TRUE(ExecKnobs::Current() == caller);
 
   std::atomic<int> started{0};
   std::mutex mu;

@@ -20,7 +20,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
-#include "exec/frontier.h"
+#include "common/exec_knobs.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "storage/csr_index.h"
@@ -488,7 +488,9 @@ TEST(EdgeSpanTest, GatheredEdgesGiveDijkstraDistances) {
   const std::vector<double> expect = DijkstraReference(g, 0);
   for (const int threads : {1, 4}) {
     for (const int shards : {1, 4}) {
-      ScopedExecThreads scoped(threads);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.threads = threads;
+      ScopedExecKnobs scoped(knobs);
       ShortestPathProgram program(0);
       Catalog cat;
       ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
@@ -513,7 +515,9 @@ TEST(EdgeSpanTest, GatheredEdgesAreBitIdenticalAcrossShardsAndThreads) {
   std::vector<std::vector<double>> first;
   for (const int threads : {1, 4}) {
     for (const int shards : {1, 4}) {
-      ScopedExecThreads scoped(threads);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.threads = threads;
+      ScopedExecKnobs scoped(knobs);
       CollaborativeFilteringProgram program(k, 6);
       Catalog cat;
       ASSERT_TRUE(LoadGraphTables(&cat, ratings, program).ok());
@@ -591,7 +595,9 @@ TEST(EdgeSpanTest, StoredMessageSrcIsTheSenderOnlyWithoutCombiner) {
 // ---------------------------------------------------------------------------
 
 TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerShard) {
-  ScopedExecShards unsharded(1);  // exact per-step counters assume 1 shard
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.shards = 1;  // exact per-step counters assume 1 shard
+  ScopedExecKnobs unsharded(knobs);
   Graph g = GenerateRmat(128, 800, 11);
   VertexicaOptions opts;
   opts.use_union_input = false;
@@ -613,7 +619,9 @@ TEST(OptimizationTest, JoinInputReplacePathMatchesInPlace) {
   // update_threshold = 0 forces the rebuild path every superstep; the
   // coordinator re-sorts the rebuilt vertex table by id, and results
   // still match the in-place path.
-  ScopedExecShards unsharded(1);  // exact per-step counters assume 1 shard
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.shards = 1;  // exact per-step counters assume 1 shard
+  ScopedExecKnobs unsharded(knobs);
   Graph g = GenerateRmat(64, 400, 13);
   VertexicaOptions replace_opts;
   replace_opts.use_union_input = false;
@@ -682,7 +690,9 @@ TEST(ShardingTest, ShardedSsspBitIdenticalAcrossThreadCounts) {
   auto unsharded = RunShortestPaths(&cat0, g, 0, {});
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
   for (const int threads : {1, 4}) {
-    ScopedExecThreads scoped(threads);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    ScopedExecKnobs scoped(knobs);
     VertexicaOptions opts;
     opts.num_shards = 4;
     Catalog cat;
@@ -730,7 +740,9 @@ TEST(ShardingTest, PerShardCountersReported) {
 TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
   Graph g = Diamond();
   {
-    ScopedExecShards scoped(2);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.shards = 2;
+    ScopedExecKnobs scoped(knobs);
     Catalog cat;
     RunStats stats;
     ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, {}, &stats).ok());
@@ -740,7 +752,9 @@ TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
   {
     // An explicit option wins over the ambient knob, like num_workers
     // vs. the threads knob.
-    ScopedExecShards scoped(2);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.shards = 2;
+    ScopedExecKnobs scoped(knobs);
     VertexicaOptions opts;
     opts.num_shards = 3;
     Catalog cat;
@@ -751,7 +765,9 @@ TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
   }
   {
     // One-shard runs report shards = 1 with one-element per-shard vectors.
-    ScopedExecShards one_shard(1);  // pin against a VERTEXICA_SHARDS env
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.shards = 1;  // pin against a VERTEXICA_SHARDS env
+    ScopedExecKnobs one_shard(knobs);
     Catalog cat;
     RunStats stats;
     ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, {}, &stats).ok());
@@ -784,7 +800,7 @@ TEST(ShardingTest, ShardedJoinInputRunsTwoHashJoinsPerShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Active-vertex frontier supersteps (exec/frontier.h): the worker input is
+// Active-vertex frontier supersteps (common/exec_knobs.h): the worker input is
 // gathered from a per-(shard-)table bitvector of non-halted vertices and
 // message receivers plus CSR edge slices instead of full scans. The
 // contract under test: bit-identical to the dense path at any mode × shard
@@ -811,13 +827,17 @@ TEST(FrontierTest, PageRankBitIdenticalAcrossModes) {
     Catalog cat0;
     std::vector<double> dense;
     {
-      ScopedFrontierMode off(FrontierMode::kOff);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.frontier = FrontierMode::kOff;
+      ScopedExecKnobs off(knobs);
       auto r = RunPageRank(&cat0, g, 6, 0.85, opts);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       dense = *r;
     }
     for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
-      ScopedFrontierMode scoped(mode);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.frontier = mode;
+      ScopedExecKnobs scoped(knobs);
       Catalog cat;
       RunStats stats;
       auto r = RunPageRank(&cat, g, 6, 0.85, opts, &stats);
@@ -850,14 +870,18 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
   Catalog cat0;
   std::vector<double> dense;
   {
-    ScopedFrontierMode off(FrontierMode::kOff);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.frontier = FrontierMode::kOff;
+    ScopedExecKnobs off(knobs);
     auto r = RunShortestPaths(&cat0, g, 0);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     dense = *r;
   }
   for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
     for (const int shards : {1, 2, 8}) {
-      ScopedFrontierMode scoped(mode);
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.frontier = mode;
+      ScopedExecKnobs scoped(knobs);
       VertexicaOptions opts;
       opts.num_shards = shards;
       Catalog cat;
@@ -872,8 +896,10 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     }
   }
   for (const int threads : {1, 4}) {
-    ScopedExecThreads scoped_threads(threads);
-    ScopedFrontierMode on(FrontierMode::kOn);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    knobs.frontier = FrontierMode::kOn;
+    ScopedExecKnobs scoped_threads(knobs);
     VertexicaOptions opts;
     opts.num_shards = 2;
     Catalog cat;
@@ -892,8 +918,10 @@ TEST(FrontierTest, AutoModeGoesSparseOnLongTail) {
   // the auto threshold. `auto` must take the sparse path on its own and
   // report it.
   Graph g = ChainGraph(100);
-  ScopedFrontierMode automatic(FrontierMode::kAuto);
-  ScopedExecShards unsharded(1);  // pin against a VERTEXICA_SHARDS env
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.frontier = FrontierMode::kAuto;
+  knobs.shards = 1;  // pin against a VERTEXICA_SHARDS env
+  ScopedExecKnobs automatic(knobs);
   Catalog cat;
   RunStats stats;
   auto r = RunShortestPaths(&cat, g, 0, {}, &stats);
@@ -920,7 +948,9 @@ TEST(FrontierTest, AutoModeGoesSparseOnLongTail) {
 
 TEST(FrontierTest, OffModeNeverTakesTheSparsePath) {
   Graph g = ChainGraph(50);
-  ScopedFrontierMode off(FrontierMode::kOff);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.frontier = FrontierMode::kOff;
+  ScopedExecKnobs off(knobs);
   Catalog cat;
   RunStats stats;
   auto r = RunShortestPaths(&cat, g, 0, {}, &stats);
@@ -964,7 +994,9 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
   // phase boundary, on both the unsharded and sharded dataflows.
   Graph g = GenerateRmat(120, 600, 17);
   for (int shards : {0, 3}) {
-    ScopedExecShards scoped(shards);
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.shards = shards;
+    ScopedExecKnobs scoped(knobs);
     Catalog cat;
     ASSERT_TRUE(RunPageRank(&cat, g, 6).ok());
     for (const char* const name : {"vertex", "edge", "message"}) {
@@ -999,7 +1031,9 @@ uint64_t Fnv1a(uint64_t h, const std::string& s) {
 
 std::string GoldenDigest(const Graph& g, VertexProgram* program,
                          bool union_input, FrontierMode mode) {
-  ScopedFrontierMode scoped(mode);
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.frontier = mode;
+  ScopedExecKnobs scoped(knobs);
   Catalog cat;
   VertexicaOptions opts;
   opts.use_union_input = union_input;
@@ -1345,8 +1379,10 @@ TEST(StreamContractTest, WorkersSeeTheTablesPerVertexStreams) {
         for (const FrontierMode mode :
              {FrontierMode::kOff, FrontierMode::kOn}) {
           for (const bool union_input : {true, false}) {
-            ScopedExecThreads scoped_threads(threads);
-            ScopedFrontierMode scoped_mode(mode);
+            ExecKnobs knobs = ExecKnobs::Current();
+            knobs.threads = threads;
+            knobs.frontier = mode;
+            ScopedExecKnobs scoped_threads(knobs);
             Catalog cat;
             if (hand_built) {
               LoadRecordedTables(&cat);
@@ -1684,7 +1720,9 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
   for (const int threads : {1, 8}) {
     for (const int shards : {1, 4}) {
       for (const bool union_input : {true, false}) {
-        ScopedExecThreads scoped_threads(threads);
+        ExecKnobs knobs = ExecKnobs::Current();
+        knobs.threads = threads;
+        ScopedExecKnobs scoped_threads(knobs);
         VertexicaOptions opts;
         opts.num_shards = shards;
         opts.use_union_input = union_input;
