@@ -22,7 +22,6 @@
 #include "common/timer.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
-#include "exec/scan.h"
 #include "exec/vectorized.h"
 #include "graphgen/metadata.h"
 #include "pipeline/dataflow.h"
@@ -184,10 +183,11 @@ void BM_ZoneMapPrunedScan(benchmark::State& state) {
                            Lt(Col("ts"), Lit(int64_t{2004})));
   double seconds = 0;
   int64_t rows = 0;
-  ResetScanPruneStats();
+  KernelStats counters;
   for (auto _ : state) {
     WallTimer timer;
-    const ExecKnobs knobs = KnobsWithThreads(threads);
+    ExecKnobs knobs = KnobsWithThreads(threads);
+    knobs.kernel_stats = &counters;
     ScopedExecKnobs scoped(knobs);
     auto out = ParallelFilter(table, pred);
     VX_CHECK(out.ok()) << out.status().ToString();
@@ -197,9 +197,8 @@ void BM_ZoneMapPrunedScan(benchmark::State& state) {
     state.SetIterationTime(seconds);
   }
   VX_CHECK(rows == 4000) << "selective scan returned " << rows;
-  const ScanPruneStats stats = ScanPruneStatsSnapshot();
   state.counters["rows_pruned"] =
-      static_cast<double>(stats.rows_pruned);
+      static_cast<double>(Snapshot(counters).rows_pruned);
   Table34().Record(zone_maps ? "ZoneScan on" : "ZoneScan off",
                    ThreadsColumn(threads), seconds);
 }

@@ -13,7 +13,6 @@
 #include "api/exec_context.h"
 #include "common/timer.h"
 #include "exec/kernel_stats.h"
-#include "exec/parallel.h"
 #include "giraph/bsp_engine.h"
 #include "graphdb/gdb_algorithms.h"
 #include "sqlgraph/sql_common.h"
@@ -43,35 +42,33 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
   // coordinator, BSP compute threads) and every pool task they submit
   // runs under this request's configuration.
   VX_ASSIGN_OR_RETURN(ExecKnobs knobs, ExecKnobsFromRequest(request));
-  // Per-run counter blocks (not process-wide atomics): concurrent runs on
-  // one server never interleave their counters. The KernelStats block is
-  // relaxed atomics and rides the context into every pool task; the
-  // JoinPathStats block has plain fields, so it is installed on this
-  // dispatching thread only (the coordinator layers its own per-shard
-  // collectors innermost and adds them to this one).
+  // One per-run counter block (not process-wide atomics): concurrent runs
+  // on one server never interleave their counters. It rides the context
+  // into every pool task; the coordinator's per-superstep blocks add
+  // their counts to it.
   KernelStats kernel_stats;
   knobs.kernel_stats = &kernel_stats;
   const ScopedExecKnobs scoped_knobs(knobs);
-  JoinPathStats join_stats;
-  ScopedJoinStatsCollector join_scope(&join_stats);
   VX_ASSIGN_OR_RETURN(RunResult result, factory(this, request));
   result.backend = id_;
   result.algorithm = request.algorithm;
   const KernelStatsSnapshot kernels = Snapshot(kernel_stats);
+  auto& metrics = result.backend_metrics;
   if (kernels.bytes_materialized > 0 || kernels.fused_batches > 0 ||
       kernels.legacy_batches > 0 || kernels.batch_hash_rows > 0) {
-    result.backend_metrics["bytes_materialized"] =
+    metrics["bytes_materialized"] =
         static_cast<double>(kernels.bytes_materialized);
-    result.backend_metrics["fused_batches"] =
-        static_cast<double>(kernels.fused_batches);
-    result.backend_metrics["legacy_batches"] =
-        static_cast<double>(kernels.legacy_batches);
-    result.backend_metrics["batch_hash_rows"] =
-        static_cast<double>(kernels.batch_hash_rows);
+    metrics["fused_batches"] = static_cast<double>(kernels.fused_batches);
+    metrics["legacy_batches"] = static_cast<double>(kernels.legacy_batches);
+    metrics["batch_hash_rows"] = static_cast<double>(kernels.batch_hash_rows);
   }
-  if (join_stats.hash_joins > 0) {
-    result.backend_metrics["hash_joins"] =
-        static_cast<double>(join_stats.hash_joins);
+  if (kernels.hash_joins > 0) {
+    metrics["hash_joins"] = static_cast<double>(kernels.hash_joins);
+  }
+  if (kernels.ranges_checked > 0) {
+    metrics["ranges_checked"] = static_cast<double>(kernels.ranges_checked);
+    metrics["ranges_pruned"] = static_cast<double>(kernels.ranges_pruned);
+    metrics["rows_pruned"] = static_cast<double>(kernels.rows_pruned);
   }
   return result;
 }

@@ -35,8 +35,8 @@ namespace fs = std::filesystem;
 //
 // MANIFEST first line: "VERTEXICA_CHECKPOINT 2". Table lines:
 //   file \t crc32:XXXXXXXX \t bytes:N \t table-name \t col:TYPE \t ...
-// Legacy (v1) manifests — no header, "file \t name \t col:TYPE..." lines,
-// written straight into <root> — are still read, without verification.
+// The unverified v1 layout (a bare MANIFEST straight in <root>, no header,
+// no checksums) is no longer read.
 constexpr const char* kManifestHeader = "VERTEXICA_CHECKPOINT 2";
 constexpr const char* kCurrentFile = "CURRENT";
 constexpr const char* kGenPrefix = "gen-";
@@ -130,10 +130,9 @@ struct StagedTable {
       : name(std::move(n)), table(std::move(t)) {}
 };
 
-/// Loads and verifies one generation (or legacy) directory into `staged`
-/// without touching any catalog. `verified` selects the v2 path (checksum
-/// and size verification against the manifest).
-Status LoadTablesFrom(const std::string& dir, bool verified,
+/// Loads and verifies (checksums and sizes against the manifest) one
+/// generation directory into `staged` without touching any catalog.
+Status LoadTablesFrom(const std::string& dir,
                       std::vector<StagedTable>* staged) {
   const std::string manifest_path = dir + "/MANIFEST";
   std::error_code ec;
@@ -148,44 +147,36 @@ Status LoadTablesFrom(const std::string& dir, bool verified,
 
   std::istringstream manifest(manifest_bytes);
   std::string line;
-  if (verified) {
-    std::getline(manifest, line);
-    if (Trim(line) != kManifestHeader) {
-      return Status::IoError("MANIFEST in '" + dir +
-                             "' has an unsupported format header: '" +
-                             Trim(line) + "' (expected '" + kManifestHeader +
-                             "')");
-    }
+  std::getline(manifest, line);
+  if (Trim(line) != kManifestHeader) {
+    return Status::IoError("MANIFEST in '" + dir +
+                           "' has an unsupported format header: '" +
+                           Trim(line) + "' (expected '" + kManifestHeader +
+                           "')");
   }
 
   while (std::getline(manifest, line)) {
     if (Trim(line).empty()) continue;
     const auto parts = Split(line, '\t');
-    const size_t min_fields = verified ? 4 : 2;
-    if (parts.size() < min_fields) {
+    if (parts.size() < 4) {
       return Status::IoError("bad manifest line in '" + dir + "': '" + line +
                              "'");
     }
 
     const std::string& file = parts[0];
-    uint32_t expect_crc = 0;
-    uint64_t expect_bytes = 0;
-    size_t name_idx = 1;
-    if (verified) {
-      if (parts[1].rfind("crc32:", 0) != 0 ||
-          parts[2].rfind("bytes:", 0) != 0) {
-        return Status::IoError("bad manifest line in '" + dir + "': '" +
-                               line + "' (missing crc32:/bytes: fields)");
-      }
-      expect_crc = static_cast<uint32_t>(
-          std::strtoul(parts[1].substr(6).c_str(), nullptr, 16));
-      expect_bytes = std::strtoull(parts[2].substr(6).c_str(), nullptr, 10);
-      name_idx = 3;
+    if (parts[1].rfind("crc32:", 0) != 0 ||
+        parts[2].rfind("bytes:", 0) != 0) {
+      return Status::IoError("bad manifest line in '" + dir + "': '" + line +
+                             "' (missing crc32:/bytes: fields)");
     }
-    const std::string& name = parts[name_idx];
+    const auto expect_crc = static_cast<uint32_t>(
+        std::strtoul(parts[1].substr(6).c_str(), nullptr, 16));
+    const uint64_t expect_bytes =
+        std::strtoull(parts[2].substr(6).c_str(), nullptr, 10);
+    const std::string& name = parts[3];
 
     Schema schema;
-    for (size_t i = name_idx + 1; i < parts.size(); ++i) {
+    for (size_t i = 4; i < parts.size(); ++i) {
       const auto colon = parts[i].rfind(':');
       if (colon == std::string::npos) {
         return Status::IoError("bad manifest column in '" + dir + "': '" +
@@ -202,22 +193,20 @@ Status LoadTablesFrom(const std::string& dir, bool verified,
                              "' but '" + dir + "' lacks it");
     }
     VX_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(file_path));
-    if (verified) {
-      if (bytes.size() != expect_bytes) {
-        return Status::IoError(StringFormat(
-            "table file '%s' in '%s' is torn: MANIFEST records %llu bytes, "
-            "file has %llu",
-            file.c_str(), dir.c_str(),
-            static_cast<unsigned long long>(expect_bytes),
-            static_cast<unsigned long long>(bytes.size())));
-      }
-      const uint32_t got_crc = Crc32(bytes);
-      if (got_crc != expect_crc) {
-        return Status::IoError(StringFormat(
-            "checksum mismatch for '%s' in '%s': MANIFEST records "
-            "crc32:%08x, file has crc32:%08x",
-            file.c_str(), dir.c_str(), expect_crc, got_crc));
-      }
+    if (bytes.size() != expect_bytes) {
+      return Status::IoError(StringFormat(
+          "table file '%s' in '%s' is torn: MANIFEST records %llu bytes, "
+          "file has %llu",
+          file.c_str(), dir.c_str(),
+          static_cast<unsigned long long>(expect_bytes),
+          static_cast<unsigned long long>(bytes.size())));
+    }
+    const uint32_t got_crc = Crc32(bytes);
+    if (got_crc != expect_crc) {
+      return Status::IoError(StringFormat(
+          "checksum mismatch for '%s' in '%s': MANIFEST records "
+          "crc32:%08x, file has crc32:%08x",
+          file.c_str(), dir.c_str(), expect_crc, got_crc));
     }
     VX_ASSIGN_OR_RETURN(Table table, ParseCsvWithSchema(bytes, schema));
     staged->emplace_back(name, std::move(table));
@@ -348,15 +337,8 @@ Status LoadCatalog(const std::string& directory, Catalog* catalog) {
       std::string(directory) + "/" + kCurrentFile;
 
   if (!fs::exists(current_path, ec)) {
-    // Legacy layout (pre-v2): a bare MANIFEST directly in `directory`.
-    if (fs::exists(directory + "/MANIFEST", ec)) {
-      std::vector<StagedTable> staged;
-      VX_RETURN_NOT_OK(
-          LoadTablesFrom(directory, /*verified=*/false, &staged));
-      return InstallStaged(std::move(staged), catalog);
-    }
     return Status::IoError("no checkpoint in '" + directory +
-                           "' (neither a CURRENT pointer nor a MANIFEST)");
+                           "' (no CURRENT pointer)");
   }
 
   // Candidate order: the generation CURRENT names first, then every other
@@ -384,8 +366,8 @@ Status LoadCatalog(const std::string& directory, Catalog* catalog) {
   Status first_error;
   for (size_t i = 0; i < candidates.size(); ++i) {
     std::vector<StagedTable> staged;
-    const Status st = LoadTablesFrom(directory + "/" + candidates[i],
-                                     /*verified=*/true, &staged);
+    const Status st =
+        LoadTablesFrom(directory + "/" + candidates[i], &staged);
     if (st.ok()) {
       if (i > 0) {
         VX_LOG(kWarn)

@@ -19,8 +19,8 @@
 ///  - `LoadCatalog` follows `CURRENT`, verifies every file against the
 ///    MANIFEST's checksums and sizes, rejects torn or partial generations
 ///    with precise diagnostics, and falls back to the newest older
-///    generation that verifies. Directories written by the pre-v2 format
-///    (a bare MANIFEST, no checksums) still load.
+///    generation that verifies. The unverified pre-v2 layout (a bare
+///    MANIFEST, no checksums) is rejected with `IoError`.
 ///
 /// Types come from the manifest, not from CSV inference, so restores are
 /// lossless.

@@ -5,14 +5,49 @@
 
 namespace vertexica {
 
+namespace {
+
+/// Every counter once: the block's atomic and the snapshot's plain field.
+struct CounterField {
+  std::atomic<int64_t> KernelStats::*block;
+  int64_t KernelStatsSnapshot::*plain;
+};
+
+constexpr CounterField kCounterFields[] = {
+    {&KernelStats::bytes_materialized,
+     &KernelStatsSnapshot::bytes_materialized},
+    {&KernelStats::fused_batches, &KernelStatsSnapshot::fused_batches},
+    {&KernelStats::legacy_batches, &KernelStatsSnapshot::legacy_batches},
+    {&KernelStats::batch_hash_rows, &KernelStatsSnapshot::batch_hash_rows},
+    {&KernelStats::hash_joins, &KernelStatsSnapshot::hash_joins},
+    {&KernelStats::hash_rows, &KernelStatsSnapshot::hash_rows},
+    {&KernelStats::hash_nanos, &KernelStatsSnapshot::hash_nanos},
+    {&KernelStats::ranges_checked, &KernelStatsSnapshot::ranges_checked},
+    {&KernelStats::ranges_pruned, &KernelStatsSnapshot::ranges_pruned},
+    {&KernelStats::rows_pruned, &KernelStatsSnapshot::rows_pruned},
+};
+
+/// Adds `n` to `counter` of the current context's block, if there is one.
+void Bump(std::atomic<int64_t> KernelStats::*counter, int64_t n) {
+  KernelStats* stats = ExecKnobs::Current().kernel_stats;
+  if (stats == nullptr) return;
+  (stats->*counter).fetch_add(n, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 KernelStatsSnapshot Snapshot(const KernelStats& stats) {
   KernelStatsSnapshot out;
-  out.bytes_materialized =
-      stats.bytes_materialized.load(std::memory_order_relaxed);
-  out.fused_batches = stats.fused_batches.load(std::memory_order_relaxed);
-  out.legacy_batches = stats.legacy_batches.load(std::memory_order_relaxed);
-  out.batch_hash_rows = stats.batch_hash_rows.load(std::memory_order_relaxed);
+  for (const CounterField& f : kCounterFields) {
+    out.*f.plain = (stats.*f.block).load(std::memory_order_relaxed);
+  }
   return out;
+}
+
+void AddTo(const KernelStatsSnapshot& counts, KernelStats* stats) {
+  for (const CounterField& f : kCounterFields) {
+    (stats->*f.block).fetch_add(counts.*f.plain, std::memory_order_relaxed);
+  }
 }
 
 int64_t MaterializedByteSize(const Column& col) {
@@ -63,22 +98,25 @@ void NoteMaterialized(const Column& column) {
                                       std::memory_order_relaxed);
 }
 
-void NoteFusedBatch() {
-  KernelStats* stats = ExecKnobs::Current().kernel_stats;
-  if (stats == nullptr) return;
-  stats->fused_batches.fetch_add(1, std::memory_order_relaxed);
-}
+void NoteFusedBatch() { Bump(&KernelStats::fused_batches, 1); }
 
-void NoteLegacyBatch() {
-  KernelStats* stats = ExecKnobs::Current().kernel_stats;
-  if (stats == nullptr) return;
-  stats->legacy_batches.fetch_add(1, std::memory_order_relaxed);
-}
+void NoteLegacyBatch() { Bump(&KernelStats::legacy_batches, 1); }
 
 void NoteBatchHashRows(int64_t rows) {
-  KernelStats* stats = ExecKnobs::Current().kernel_stats;
-  if (stats == nullptr) return;
-  stats->batch_hash_rows.fetch_add(rows, std::memory_order_relaxed);
+  Bump(&KernelStats::batch_hash_rows, rows);
+}
+
+void NoteHashJoin(int64_t rows, int64_t nanos) {
+  Bump(&KernelStats::hash_joins, 1);
+  Bump(&KernelStats::hash_rows, rows);
+  Bump(&KernelStats::hash_nanos, nanos);
+}
+
+void NoteRangeChecked(int64_t rows, bool pruned) {
+  Bump(&KernelStats::ranges_checked, 1);
+  if (!pruned) return;
+  Bump(&KernelStats::ranges_pruned, 1);
+  Bump(&KernelStats::rows_pruned, rows);
 }
 
 }  // namespace vertexica

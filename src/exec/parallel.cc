@@ -15,23 +15,6 @@
 
 namespace vertexica {
 
-namespace {
-
-thread_local JoinPathStats* tl_join_stats = nullptr;
-
-}  // namespace
-
-JoinPathStats* AmbientJoinStats() { return tl_join_stats; }
-
-ScopedJoinStatsCollector::ScopedJoinStatsCollector(JoinPathStats* stats)
-    : prev_(tl_join_stats) {
-  tl_join_stats = stats;
-}
-
-ScopedJoinStatsCollector::~ScopedJoinStatsCollector() {
-  tl_join_stats = prev_;
-}
-
 MorselPruneFn MakeZonePrune(std::shared_ptr<const Table> table,
                             std::vector<ColumnPredicate> preds) {
   std::vector<ColumnPredicate> active;
@@ -636,11 +619,8 @@ Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
   // Probe-row-major output: the probe side's declared order survives the
   // join (its columns keep their positions), whatever the join type.
   if (!probe.sort_order().empty()) result.SetSortOrder(probe.sort_order());
-  if (JoinPathStats* stats = AmbientJoinStats()) {
-    ++stats->hash_joins;
-    stats->hash_rows += result.num_rows();
-    stats->hash_seconds += timer.ElapsedSeconds();
-  }
+  NoteHashJoin(result.num_rows(),
+               static_cast<int64_t>(timer.ElapsedSeconds() * 1e9));
   return result;
 }
 

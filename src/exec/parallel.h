@@ -123,46 +123,14 @@ Result<Table> ParallelFilterProject(std::shared_ptr<const Table> input,
                                     const ParallelOptions& options = {});
 /// @}
 
-/// \name Join accounting
-///
-/// Thread-local collector ParallelHashJoin reports into: joins run, rows
-/// emitted and wall-clock inside the kernel. The API layer installs one
-/// per run on the dispatching thread (api/backends.cc); the coordinator
-/// installs one per shard and superstep, publishes the counters via
-/// SuperstepStats and adds them to its own thread's collector.
-/// @{
-struct JoinPathStats {
-  int64_t hash_joins = 0;      ///< hash-join kernel invocations
-  int64_t hash_rows = 0;       ///< rows emitted by hash joins
-  double hash_seconds = 0.0;   ///< wall-clock inside hash kernels
-};
-
-/// \brief The innermost collector installed on this thread; nullptr when
-/// none. Kernels add to it from the thread that drains the operator (the
-/// per-morsel fan-out happens inside the kernel, so no locking is needed).
-JoinPathStats* AmbientJoinStats();
-
-/// \brief RAII installation of a collector for the current thread.
-class ScopedJoinStatsCollector {
- public:
-  explicit ScopedJoinStatsCollector(JoinPathStats* stats);
-  ~ScopedJoinStatsCollector();
-  ScopedJoinStatsCollector(const ScopedJoinStatsCollector&) = delete;
-  ScopedJoinStatsCollector& operator=(const ScopedJoinStatsCollector&) =
-      delete;
-
- private:
-  JoinPathStats* prev_;
-};
-/// @}
-
 /// \brief Parallel hash join over materialized sides. One NULL-free INT64
 /// key on each side takes the typed join (flat build index, two-pass
 /// morsel probe into precomputed offsets, one gather per output column);
 /// any other key list a partitioned parallel build (per-chunk bucket
 /// scatter, per-partition table build) and morsel-parallel probe. Output
 /// rows are in probe-row-major order with build matches in build-row order
-/// — exactly the serial HashJoinOp order, at any thread count.
+/// — exactly the serial HashJoinOp order, at any thread count. Each call
+/// reports its rows and time to the context's KernelStats (NoteHashJoin).
 Result<Table> ParallelHashJoin(const Table& probe, const Table& build,
                                const std::vector<std::string>& probe_keys,
                                const std::vector<std::string>& build_keys,

@@ -1,25 +1,16 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "exec/kernel_stats.h"
 
 namespace vertexica {
 
-namespace {
-
-std::atomic<int64_t> g_ranges_checked{0};
-std::atomic<int64_t> g_ranges_pruned{0};
-std::atomic<int64_t> g_rows_pruned{0};
-
-}  // namespace
-
 bool MorselMayMatch(const Table& table,
                     const std::vector<ColumnPredicate>& preds,
                     int64_t row_begin, int64_t row_end) {
   if (preds.empty() || row_begin >= row_end) return true;
-  g_ranges_checked.fetch_add(1, std::memory_order_relaxed);
+  bool may_match = true;
   for (const ColumnPredicate& pred : preds) {
     const Column* col = table.ColumnByName(pred.column);
     if (col == nullptr) continue;  // stale pushdown: never prune
@@ -27,27 +18,12 @@ bool MorselMayMatch(const Table& table,
     if (zm == nullptr) continue;
     if (!zm->RangeMayMatch(pred.op, pred.literal, row_begin, row_end)) {
       // One impossible conjunct makes the whole conjunction false.
-      g_ranges_pruned.fetch_add(1, std::memory_order_relaxed);
-      g_rows_pruned.fetch_add(row_end - row_begin,
-                              std::memory_order_relaxed);
-      return false;
+      may_match = false;
+      break;
     }
   }
-  return true;
-}
-
-ScanPruneStats ScanPruneStatsSnapshot() {
-  ScanPruneStats stats;
-  stats.ranges_checked = g_ranges_checked.load(std::memory_order_relaxed);
-  stats.ranges_pruned = g_ranges_pruned.load(std::memory_order_relaxed);
-  stats.rows_pruned = g_rows_pruned.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ResetScanPruneStats() {
-  g_ranges_checked.store(0, std::memory_order_relaxed);
-  g_ranges_pruned.store(0, std::memory_order_relaxed);
-  g_rows_pruned.store(0, std::memory_order_relaxed);
+  NoteRangeChecked(row_end - row_begin, /*pruned=*/!may_match);
+  return may_match;
 }
 
 TableScan::TableScan(std::shared_ptr<const Table> table, int64_t batch_size)

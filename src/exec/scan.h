@@ -13,29 +13,16 @@
 
 namespace vertexica {
 
-/// \name Zone-map range pruning
-/// Shared by TableScan batches and the morsel driver (exec/parallel.h).
-/// @{
-
-/// \brief True when rows [row_begin, row_end) of `table` may contain a row
-/// satisfying *every* predicate in `preds`, judged by the referenced
-/// columns' zone maps. Conservative: a missing column, missing zone map or
-/// mixed-type comparison never prunes. Updates the global prune counters.
+/// \brief Zone-map range pruning, shared by TableScan batches and the
+/// morsel driver (exec/parallel.h): true when rows [row_begin, row_end) of
+/// `table` may contain a row satisfying *every* predicate in `preds`,
+/// judged by the referenced columns' zone maps. Conservative: a missing
+/// column, missing zone map or mixed-type comparison never prunes. Reports
+/// the check to the context's KernelStats (`ranges_checked`,
+/// `ranges_pruned`, `rows_pruned`).
 bool MorselMayMatch(const Table& table,
                     const std::vector<ColumnPredicate>& preds,
                     int64_t row_begin, int64_t row_end);
-
-/// \brief Process-wide pruning counters (atomic; benches snapshot them to
-/// report "bytes/rows touched" with and without zone maps).
-struct ScanPruneStats {
-  int64_t ranges_checked = 0;  ///< morsel/batch ranges tested
-  int64_t ranges_pruned = 0;   ///< ranges skipped entirely
-  int64_t rows_pruned = 0;     ///< rows in the skipped ranges
-};
-
-ScanPruneStats ScanPruneStatsSnapshot();
-void ResetScanPruneStats();
-/// @}
 
 /// \brief Emits `batch_size`-row slices of a materialized table.
 ///

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
+#include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
 #include "storage/compression.h"
@@ -41,8 +42,8 @@ bool AllHalted(const Table& vertex, int64_t* halted_count = nullptr) {
     if (halted_count != nullptr) *halted_count = 0;
     return false;
   }
-  // Stored encoded between supersteps: one comparison per run instead of
-  // per vertex (an all-halted column is a single run).
+  // Encoded at load time (and kept so until a superstep rewrites it): one
+  // comparison per run instead of per vertex.
   if (const auto* runs = halted->rle_runs()) {
     int64_t count = 0;
     for (const RleRun& run : *runs) {
@@ -230,6 +231,36 @@ Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
   return index;
 }
 
+/// One superstep's counter block. It is installed over a copy of the
+/// caller's context, so the pool carries it into every shard task of the
+/// step and the step's join counts are read straight off it. When the step
+/// ends, its counts are added to the caller's block, if there is one — a
+/// sub-block, not a before/after delta of the caller's block, because a
+/// caller may share one block across concurrent runs.
+class ScopedStepCounters {
+ public:
+  ScopedStepCounters()
+      : knobs_(WithCounters(ExecKnobs::Current(), &block_)), scope_(knobs_) {}
+  ~ScopedStepCounters() {
+    if (enclosing_ != nullptr) AddTo(Snapshot(block_), enclosing_);
+  }
+  ScopedStepCounters(const ScopedStepCounters&) = delete;
+  ScopedStepCounters& operator=(const ScopedStepCounters&) = delete;
+
+  const KernelStats& block() const { return block_; }
+
+ private:
+  static ExecKnobs WithCounters(ExecKnobs knobs, KernelStats* block) {
+    knobs.kernel_stats = block;
+    return knobs;
+  }
+
+  KernelStats block_;
+  KernelStats* const enclosing_ = ExecKnobs::Current().kernel_stats;
+  const ExecKnobs knobs_;
+  const ScopedExecKnobs scope_;
+};
+
 /// A run's resident state, built once per run: vertex shards by id
 /// (replaced shard-wise as supersteps apply updates), immutable edge shards
 /// by src, and message shards by dst (swapped by the between-superstep
@@ -250,10 +281,11 @@ struct ResidentShards {
 
 /// Writes the resident shards back to the catalog — run end and
 /// checkpoints. One shard is published as it is: the tables the superstep
-/// stored. More shards are concatenated, re-sorted (vertex by id, messages
-/// by receiver; stable, so values are unchanged) and re-encoded, so the
-/// stored vertex table carries the sorted-by-id invariant a one-shard run
-/// keeps.
+/// stored. More shards are concatenated in shard order and re-encoded;
+/// the vertex table is also re-sorted by id (stable, so values are
+/// unchanged), so it carries the sorted-by-id invariant a one-shard run
+/// keeps. Messages need no order: every reader groups them by receiver,
+/// and each receiver's messages keep their order in the concatenation.
 Status PublishShards(const ResidentShards& shards, Catalog* catalog,
                      const GraphTableNames& names) {
   if (shards.spec.num_shards == 1) {
@@ -267,16 +299,15 @@ Status PublishShards(const ResidentShards& shards, Catalog* catalog,
     VX_RETURN_NOT_OK(vertex.Append(*shards.vertex.shard(s)));
     VX_RETURN_NOT_OK(message.Append(*shards.message.shard(s)));
   }
-  // Hash blocks interleave keys, so the concatenations are not ordered.
+  // Hash blocks interleave ids, so the concatenation is not ordered.
   vertex = SortTable(vertex, {{shards.vertex.key_column(), true}});
-  message = SortTable(message, {{shards.message.key_column(), true}});
   const EncodingMode mode = ExecKnobs::Current().encoding;
   if (mode != EncodingMode::kOff) {
     vertex.EncodeColumns(mode);
     message.EncodeColumns(mode);
   }
-  // Post-flush audit: the concatenated, re-sorted, re-encoded tables are
-  // what catalog readers will trust from here on.
+  // Post-flush audit: the concatenated, re-encoded tables are what catalog
+  // readers will trust from here on.
   VX_DCHECK_OK(vertex.CheckInvariants());
   VX_DCHECK_OK(message.CheckInvariants());
   VX_RETURN_NOT_OK(catalog->ReplaceTable(names.vertex, std::move(vertex)));
@@ -562,6 +593,7 @@ Status Coordinator::Run(RunStats* stats) {
     VX_RETURN_NOT_OK(ExecKnobs::Current().cancel.Check());
     VX_FAULT_POINT("coordinator.superstep");
     WallTimer step_timer;
+    const ScopedStepCounters step_counters;
 
     // Stored-procedure loop condition: "it runs as long as there is any
     // message for the next superstep" (plus Pregel's not-yet-halted rule).
@@ -595,7 +627,6 @@ Status Coordinator::Run(RunStats* stats) {
       bool used_frontier = false;
       int64_t frontier_vertices = 0;
       WorkerOutput out;
-      JoinPathStats join_stats;
     };
     std::vector<ShardStep> step(static_cast<size_t>(num_shards));
 
@@ -605,11 +636,8 @@ Status Coordinator::Run(RunStats* stats) {
     VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
         0, static_cast<size_t>(num_shards), /*grain=*/1,
         [&](size_t begin, size_t end) -> Status {
-          // Each shard gets its own join-path collector: the collector
-          // has plain fields, so it must not be shared across threads.
           for (size_t s = begin; s < end; ++s) {
             ShardStep& st = step[s];
-            ScopedJoinStatsCollector collector(&st.join_stats);
             const auto& vs = shards.vertex.shard(static_cast<int>(s));
             const auto& es = shards.edge.shard(static_cast<int>(s));
             const auto& ms = shards.message.shard(static_cast<int>(s));
@@ -728,11 +756,11 @@ Status Coordinator::Run(RunStats* stats) {
     // ---- Update vs. replace (§2.3), per shard. -------------------------
     // One global decision from the global update fraction, applied
     // shard-locally — worker updates only ever target vertices of their
-    // own shard. Both stored tables are (re-)encoded before the swap so
-    // they stay compressed between supersteps (storage/encoding.h); the
-    // next superstep's scans and projections decode lazily, and whole-table
-    // passes like AllHalted read runs directly. Value-neutral: results are
-    // bit-identical with the encoding knob off.
+    // own shard. The rewritten vertex and message tables are stored plain:
+    // the next superstep reads every column of them, so encoding them here
+    // would only be undone by its first read. The load-time tables stay
+    // encoded (an unchanged halted column is still one RLE run for
+    // AllHalted), and so does a sharded run's published result.
     bool used_replace = false;
     if (total_updates > 0) {
       const double frac =
@@ -745,9 +773,6 @@ Status Coordinator::Run(RunStats* stats) {
             for (size_t s = begin; s < end; ++s) {
               const Table& updates = step[s].out.updates;
               if (updates.num_rows() == 0) continue;
-              // The replace-path rebuild joins report into the shard's
-              // collector, like the input-build joins above.
-              ScopedJoinStatsCollector collector(&step[s].join_stats);
               const auto& vs = shards.vertex.shard(static_cast<int>(s));
               Table new_vertex;
               if (!used_replace) {
@@ -770,9 +795,6 @@ Status Coordinator::Run(RunStats* stats) {
                   new_vertex = SortTable(new_vertex, {{id_c, true}});
                 }
               }
-              if (knobs.encoding != EncodingMode::kOff) {
-                new_vertex.EncodeColumns(knobs.encoding);
-              }
               shards.vertex.ReplaceShard(static_cast<int>(s),
                                          std::move(new_vertex));
             }
@@ -788,9 +810,6 @@ Status Coordinator::Run(RunStats* stats) {
     std::vector<int64_t> shard_messages(static_cast<size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
       Table& in = inbound[static_cast<size_t>(s)];
-      if (knobs.encoding != EncodingMode::kOff) {
-        in.EncodeColumns(knobs.encoding);
-      }
       shard_messages[static_cast<size_t>(s)] = in.num_rows();
       shards.message.ReplaceShard(s, std::move(in));
     }
@@ -807,16 +826,6 @@ Status Coordinator::Run(RunStats* stats) {
                         &decoded_bytes);
     }
     prev_aggregates_ = std::move(new_aggregates);
-
-    // The run's own collector (api/backends.cc) counts the shards' joins
-    // too, so RunResult::backend_metrics["hash_joins"] includes them.
-    if (JoinPathStats* run_joins = AmbientJoinStats()) {
-      for (const ShardStep& st : step) {
-        run_joins->hash_joins += st.join_stats.hash_joins;
-        run_joins->hash_rows += st.join_stats.hash_rows;
-        run_joins->hash_seconds += st.join_stats.hash_seconds;
-      }
-    }
 
     if (stats != nullptr) {
       SuperstepStats s;
@@ -839,10 +848,11 @@ Status Coordinator::Run(RunStats* stats) {
         s.shard_input_rows.push_back(st.input_rows);
         s.used_frontier = s.used_frontier || st.used_frontier;
         s.frontier_vertices += st.frontier_vertices;
-        s.hash_joins += st.join_stats.hash_joins;
-        s.join_rows += st.join_stats.hash_rows;
-        s.join_seconds += st.join_stats.hash_seconds;
       }
+      const KernelStatsSnapshot joins = Snapshot(step_counters.block());
+      s.hash_joins = joins.hash_joins;
+      s.join_rows = joins.hash_rows;
+      s.join_seconds = static_cast<double>(joins.hash_nanos) * 1e-9;
       s.shard_messages = std::move(shard_messages);
       stats->supersteps.push_back(s);
       stats->total_messages += messages_sent;

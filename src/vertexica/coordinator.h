@@ -73,8 +73,9 @@ struct SuperstepStats {
   /// \name Stored-table footprint (storage/encoding.h)
   /// Sizes of the vertex + message tables as stored at the end of the
   /// superstep: `encoded_bytes` is the actual (possibly compressed)
-  /// representation, `decoded_bytes` the plain equivalent; equal when the
-  /// encoding knob is off.
+  /// representation, `decoded_bytes` the plain equivalent. A table a
+  /// superstep rewrote is stored plain, so the two differ only by the
+  /// load-time encoding of tables the run has not rewritten yet.
   /// @{
   int64_t encoded_bytes = 0;
   int64_t decoded_bytes = 0;
@@ -104,12 +105,14 @@ struct SuperstepStats {
   int64_t frontier_vertices = 0;
   /// @}
 
-  /// \name Join accounting (exec/parallel.h, JoinPathStats)
+  /// \name Join accounting (exec/kernel_stats.h)
   /// Hash joins executed by this superstep's relational plans — the 3-way
-  /// input build and the replace-path vertex rebuild. `join_rows` is rows
-  /// emitted, `join_seconds` wall-clock inside the join kernels (part of
-  /// input_seconds/apply_seconds, not in addition to them). `merge_joins`
-  /// is always 0: it stays for readers of the older stats layout.
+  /// input build and the replace-path vertex rebuild — read off the
+  /// superstep's own KernelStats block, which then adds its counts to the
+  /// run's block. `join_rows` is rows emitted, `join_seconds` wall-clock
+  /// inside the join kernels (part of input_seconds/apply_seconds, not in
+  /// addition to them). `merge_joins` is always 0: it stays for readers of
+  /// the older stats layout.
   /// @{
   int64_t merge_joins = 0;
   int64_t hash_joins = 0;

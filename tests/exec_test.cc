@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "common/cancel.h"
@@ -1194,6 +1195,58 @@ TEST(KernelStatsTest, CountersAreDeterministicAcrossThreadsAndPerScope) {
   EXPECT_EQ(Snapshot(fresh).bytes_materialized, 0);
   // And with no collector installed, counting is off entirely.
   EXPECT_EQ(ExecKnobs::Current().kernel_stats, nullptr);
+}
+
+TEST(KernelStatsTest, ConcurrentFiltersCountPruningInTheirOwnBlocks) {
+  // Two zone-pruned filters of different selectivity run solo, then at
+  // once from two threads that meet at a rendezvous first. The prune
+  // counters live in the run's block, not in the process, so each
+  // concurrent block equals its filter's solo run.
+  Table t(Schema({{"k", DataType::kInt64}}));
+  for (int64_t i = 0; i < 40000; ++i) {
+    VX_CHECK_OK(t.AppendRow({Value(i / 1000)}));
+  }
+  t.BuildZoneMaps();
+  const auto table = std::make_shared<const Table>(std::move(t));
+  const ExprPtr preds[2] = {Eq(Col("k"), Lit(int64_t{7})),
+                            Lt(Col("k"), Lit(int64_t{30}))};
+  ParallelOptions opts;
+  opts.morsel_rows = 1000;
+  const auto run = [&](int which, KernelStats* block) {
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = 4;
+    knobs.kernel_stats = block;
+    ScopedExecKnobs scope(knobs);
+    VX_CHECK_OK(ParallelFilter(table, preds[which], opts).status());
+  };
+  const auto prune_counts = [](const KernelStats& block) {
+    const KernelStatsSnapshot s = Snapshot(block);
+    return std::vector<int64_t>{s.ranges_checked, s.ranges_pruned,
+                                s.rows_pruned};
+  };
+
+  KernelStats solo[2];
+  run(0, &solo[0]);
+  run(1, &solo[1]);
+  EXPECT_GT(Snapshot(solo[0]).ranges_pruned, 0);
+  EXPECT_GT(Snapshot(solo[1]).ranges_pruned, 0);
+  EXPECT_NE(prune_counts(solo[0]), prune_counts(solo[1]));
+
+  KernelStats concurrent[2];
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int which = 0; which < 2; ++which) {
+    threads.emplace_back([&, which] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      run(which, &concurrent[which]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int which = 0; which < 2; ++which) {
+    EXPECT_EQ(prune_counts(concurrent[which]), prune_counts(solo[which]))
+        << "filter " << which;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -680,14 +680,15 @@ TEST(CatalogIoV2Test, FailedLoadLeavesCatalogUntouched) {
   EXPECT_EQ(ReadTag(catalog), 7);  // nothing was partially installed
 }
 
-TEST(CatalogIoV2Test, LegacyV1LayoutStillLoads) {
+TEST(CatalogIoV2Test, LegacyV1LayoutIsRejected) {
   // Pre-v2 checkpoints: a bare MANIFEST next to the CSVs, no CURRENT, no
-  // checksums. They must keep loading (unverified).
+  // checksums. Nothing verifies them, so they are refused, and the
+  // caller's catalog keeps its state.
   const std::string dir = FreshCheckpointDir("vx_v2_legacy");
   fs::create_directories(dir);
-  Catalog catalog;
-  FillTagged(&catalog, 5);
-  auto table = catalog.GetTable("t");
+  Catalog legacy;
+  FillTagged(&legacy, 5);
+  auto table = legacy.GetTable("t");
   ASSERT_TRUE(table.ok());
   std::ofstream csv(dir + "/t0000.csv", std::ios::binary);
   csv << ToCsv(**table);
@@ -695,9 +696,11 @@ TEST(CatalogIoV2Test, LegacyV1LayoutStillLoads) {
   std::ofstream manifest(dir + "/MANIFEST");
   manifest << "t0000.csv\tt\tid:INT64\ttag:INT64\n";
   manifest.close();
-  Catalog restored;
-  ASSERT_TRUE(LoadCatalog(dir, &restored).ok());
-  EXPECT_EQ(ReadTag(restored), 5);
+  Catalog catalog;
+  FillTagged(&catalog, 7);  // pre-existing state
+  const Status st = LoadCatalog(dir, &catalog);
+  ASSERT_TRUE(st.IsIoError()) << st.ToString();
+  EXPECT_EQ(ReadTag(catalog), 7);  // nothing was installed
 }
 
 // Every fault site on the checkpoint path, error mode: SaveCatalog fails,

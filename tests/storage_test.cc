@@ -15,9 +15,9 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "exec/filter.h"
+#include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
-#include "exec/scan.h"
 #include "storage/bitvector.h"
 #include "storage/compression.h"
 #include "storage/csr_index.h"
@@ -661,16 +661,17 @@ TEST(EncodingPropertyTest, ZoneMapPruningNeverChangesResults) {
   }
 
   // The selective predicates really do skip ranges.
-  ResetScanPruneStats();
+  KernelStats counters;
   {
     ExecKnobs knobs = ExecKnobs::Current();
     knobs.threads = 8;
+    knobs.kernel_stats = &counters;
     ScopedExecKnobs scoped(knobs);
     auto out = ParallelFilter(encoded_view, Eq(Col("k"), Lit(int64_t{37})));
     ASSERT_TRUE(out.ok());
     EXPECT_GT(out->num_rows(), 0);
   }
-  const ScanPruneStats stats = ScanPruneStatsSnapshot();
+  const KernelStatsSnapshot stats = Snapshot(counters);
   EXPECT_GT(stats.ranges_pruned, 0);
   EXPECT_GT(stats.rows_pruned, 0);
 }
@@ -685,12 +686,15 @@ TEST(EncodingTest, PushedDownScanSkipsBatchesWithoutChangingResults) {
   const ExprPtr pred = Eq(Col("k"), Lit(int64_t{39}));
   auto expect = PlanBuilder::Scan(plain).Filter(pred).Execute();
   ASSERT_TRUE(expect.ok());
-  ResetScanPruneStats();
+  KernelStats counters;
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.kernel_stats = &counters;
+  ScopedExecKnobs scoped(knobs);
   auto actual = PlanBuilder::Scan(t).Filter(pred).Execute();
   ASSERT_TRUE(actual.ok());
   EXPECT_TRUE(actual->Equals(*expect));
   EXPECT_EQ(actual->num_rows(), 1000);
-  EXPECT_GT(ScanPruneStatsSnapshot().ranges_pruned, 0);
+  EXPECT_GT(Snapshot(counters).ranges_pruned, 0);
 }
 
 // --------------------------------------------------- Footprint accounting

@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "algorithms/collaborative_filtering.h"
 #include "algorithms/connected_components.h"
@@ -19,8 +23,9 @@
 #include "algorithms/sssp.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "exec/aggregate.h"
 #include "common/exec_knobs.h"
+#include "exec/aggregate.h"
+#include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "storage/csr_index.h"
@@ -613,6 +618,119 @@ TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerShard) {
     EXPECT_EQ(s.merge_joins, 0) << "superstep " << s.superstep;
     EXPECT_GT(s.join_rows, 0) << "superstep " << s.superstep;
   }
+}
+
+/// One run's per-superstep join counters: hash joins and rows emitted.
+struct StepJoins {
+  std::vector<int64_t> joins;
+  std::vector<int64_t> rows;
+};
+
+StepJoins StepJoinsOf(const RunStats& stats) {
+  StepJoins out;
+  for (const SuperstepStats& s : stats.supersteps) {
+    out.joins.push_back(s.hash_joins);
+    out.rows.push_back(s.join_rows);
+  }
+  return out;
+}
+
+/// A join-input PageRank run under `knobs`; its per-superstep join counters.
+StepJoins JoinInputPageRank(const Graph& g, int shards,
+                            const ExecKnobs& knobs) {
+  ScopedExecKnobs scope(knobs);
+  VertexicaOptions opts;
+  opts.use_union_input = false;
+  opts.num_shards = shards;
+  Catalog cat;
+  RunStats stats;
+  const auto r = RunPageRank(&cat, g, 5, 0.85, opts, &stats);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return StepJoinsOf(stats);
+}
+
+TEST(OptimizationTest, SuperstepJoinCountersMatchAcrossThreadsAndShards) {
+  // Each superstep counts into its own block, which the pool carries into
+  // every shard task. The rows the joins emit do not depend on how the
+  // work is spread; the join count (one set of joins per shard) depends
+  // on the shard count only.
+  const Graph g = GenerateRmat(256, 2000, 5);
+  std::map<int, std::vector<int64_t>> joins_at_shards;
+  std::vector<int64_t> rows;
+  for (const int threads : {1, 8}) {
+    for (const int shards : {1, 4}) {
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.threads = threads;
+      const StepJoins got = JoinInputPageRank(g, shards, knobs);
+      ASSERT_GT(got.joins.size(), 1u);
+      const std::string where = StringFormat("threads=%d shards=%d",
+                                             threads, shards);
+      for (size_t i = 0; i < got.joins.size(); ++i) {
+        EXPECT_GE(got.joins[i], 2 * shards) << where << " superstep " << i;
+        EXPECT_GT(got.rows[i], 0) << where << " superstep " << i;
+      }
+      auto [it, first] = joins_at_shards.emplace(shards, got.joins);
+      if (!first) {
+        EXPECT_EQ(got.joins, it->second) << where;
+      }
+      if (rows.empty()) rows = got.rows;
+      EXPECT_EQ(got.rows, rows) << where;
+    }
+  }
+}
+
+TEST(OptimizationTest, ConcurrentRunsSharingOneBlockKeepTheirOwnJoinCounts) {
+  // Two runs share the caller's counter block. Each superstep counts into
+  // its own block and adds it to the caller's afterwards, so each run's
+  // SuperstepStats equal its solo run's, and the shared block holds the
+  // sum of the two solo blocks.
+  const Graph graphs[2] = {GenerateRmat(256, 2000, 5),
+                           GenerateRmat(200, 1200, 9)};
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.threads = 4;
+  const auto deterministic = [](const KernelStats& block) {
+    const KernelStatsSnapshot s = Snapshot(block);
+    return std::vector<int64_t>{s.bytes_materialized, s.fused_batches,
+                                s.legacy_batches,     s.batch_hash_rows,
+                                s.hash_joins,         s.hash_rows,
+                                s.ranges_checked,     s.ranges_pruned,
+                                s.rows_pruned};
+  };
+
+  KernelStats solo_blocks[2];
+  StepJoins solo[2];
+  std::vector<int64_t> sum(9, 0);
+  for (int i = 0; i < 2; ++i) {
+    ExecKnobs own = knobs;
+    own.kernel_stats = &solo_blocks[i];
+    solo[i] = JoinInputPageRank(graphs[i], 1, own);
+    int64_t joins = 0;
+    for (const int64_t j : solo[i].joins) joins += j;
+    EXPECT_GT(joins, 0) << "run " << i;
+    EXPECT_EQ(Snapshot(solo_blocks[i]).hash_joins, joins) << "run " << i;
+    const std::vector<int64_t> counts = deterministic(solo_blocks[i]);
+    for (size_t f = 0; f < sum.size(); ++f) sum[f] += counts[f];
+  }
+  EXPECT_NE(solo[0].rows, solo[1].rows);
+
+  KernelStats shared;
+  knobs.kernel_stats = &shared;
+  StepJoins concurrent[2];
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      concurrent[i] = JoinInputPageRank(graphs[i], 1, knobs);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(concurrent[i].joins, solo[i].joins) << "run " << i;
+    EXPECT_EQ(concurrent[i].rows, solo[i].rows) << "run " << i;
+  }
+  EXPECT_EQ(deterministic(shared), sum);
 }
 
 TEST(OptimizationTest, JoinInputReplacePathMatchesInPlace) {
@@ -1713,9 +1831,12 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
   }
   auto reference = Table::Make(MakeMessageSchema(2), std::move(cols));
   ASSERT_TRUE(reference.ok()) << what;
-  // Sharded runs publish the table sorted by receiver; one shard stores it
-  // in worker-output order on either input path.
-  const Table reference_by_dst = SortTable(*reference, {{1, true}});
+  // One shard stores the table in worker-output order on either input
+  // path. Sharded runs publish the shards concatenated, which keeps each
+  // receiver's order but not the global one, so both sides are compared
+  // stably sorted by receiver.
+  const auto by_dst = [](const Table& t) { return SortTable(t, {{1, true}}); };
+  const Table reference_by_dst = by_dst(*reference);
 
   for (const int threads : {1, 8}) {
     for (const int shards : {1, 4}) {
@@ -1727,9 +1848,9 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
         opts.num_shards = shards;
         opts.use_union_input = union_input;
         const Table combined = OneSuperstepMessages(g, &program, opts);
-        const bool by_dst = shards > 1;
-        EXPECT_EQ(DiffMessageTables(
-                      combined, by_dst ? reference_by_dst : *reference),
+        EXPECT_EQ(shards > 1
+                      ? DiffMessageTables(by_dst(combined), reference_by_dst)
+                      : DiffMessageTables(combined, *reference),
                   "")
             << what << ", threads=" << threads << ", shards=" << shards
             << ", " << (union_input ? "union" : "join") << " input";
