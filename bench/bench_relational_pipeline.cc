@@ -333,48 +333,6 @@ BENCHMARK(BM_SuperstepJoinPath)
     ->Arg(1)->Arg(0)
     ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// ---- Persistent sharding (storage/partition.h) -------------------------
-//
-// The one superstep loop at four resident shards vs. one, end to end on
-// PageRank: vertex/edge/message tables partitioned once per run and kept
-// resident, per-shard dataflow run shard-wise in parallel, messages
-// exchanged between supersteps. The one-shard row ("Sharded off") holds
-// the stored tables themselves: no scatter, and an exchange that routes
-// nothing. Results are bit-identical (VX_CHECKed); the recorded time is
-// the coordinator's end-to-end run wall-clock (RunStats::total_seconds),
-// which includes the once-per-run partitioning.
-
-void BM_ShardedSuperstep(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int shards = static_cast<int>(state.range(1));
-  const Graph& g = GetDataset(DatasetId::kTwitter);
-  VertexicaOptions opts;
-  opts.use_union_input = false;
-  opts.num_shards = shards;
-  static std::vector<double> expected;  // parity across all cells
-  double seconds = 0;
-  for (auto _ : state) {
-    const ExecKnobs knobs = KnobsWithThreads(threads);
-    ScopedExecKnobs scoped(knobs);
-    Catalog catalog;
-    RunStats stats;
-    auto ranks = RunPageRank(&catalog, g, 5, 0.85, opts, &stats);
-    VX_CHECK(ranks.ok()) << ranks.status().ToString();
-    if (expected.empty()) expected = *ranks;
-    // Every shard count must agree bit-for-bit (the CI bench smoke job
-    // trips on a divergence).
-    VX_CHECK(*ranks == expected) << "sharded PageRank diverged";
-    seconds = stats.total_seconds;
-    state.SetIterationTime(seconds);
-  }
-  Table34().Record(shards > 1 ? "Sharded x" + std::to_string(shards)
-                              : "Sharded off",
-                   ThreadsColumn(threads), seconds);
-}
-BENCHMARK(BM_ShardedSuperstep)
-    ->Args({1, 1})->Args({1, 4})->Args({0, 1})->Args({0, 4})
-    ->UseManualTime()->Iterations(1)->Unit(benchmark::kMillisecond);
-
 // ---- Active-vertex frontier supersteps (common/exec_knobs.h) -----------
 //
 // SSSP on a long-tail graph: an RMAT core with a long chain hanging off
@@ -484,18 +442,6 @@ void PrintSpeedups() {
           "Long-tail SSSP superstep speedup, frontier vs dense (T%d): "
           "%.2fx\n",
           threads, dense / sparse);
-    }
-  }
-  for (int threads : {1, 0}) {
-    const double one_shard = Table34().Lookup("Sharded off",
-                                              ThreadsColumn(threads));
-    const double sharded = Table34().Lookup("Sharded x4",
-                                            ThreadsColumn(threads));
-    if (one_shard > 0 && sharded > 0) {
-      std::printf(
-          "Superstep speedup, 4 resident shards vs 1 (T%d): "
-          "%.2fx\n",
-          threads, one_shard / sharded);
     }
   }
 }

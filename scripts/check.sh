@@ -61,15 +61,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest -R 'vertexica_test|api_test|server_test|extensions_test' \
     --output-on-failure -j "$(nproc)")
 
-# And with the ambient shard count forced up: the resident-shard superstep
-# loop must be value-neutral at every shard count (docs/API.md), so every
-# vertexica/api expectation — and the checkpoint, fault and serving
-# expectations of extensions_test and server_test — has to hold unchanged
-# when all runs use four shards.
-(cd "$BUILD_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
-    --output-on-failure -j "$(nproc)")
-
 # The serving subsystem by name (docs/SERVER.md): concurrent clients with
 # differing per-request knobs on one EngineServer must stay bit-identical
 # to serial runs, sessions must stay pinned across graph updates, and the
@@ -104,19 +95,16 @@ VERTEXICA_FAULTS="checkpoint.after_manifest=1:error" \
 
 # Invariant-audit pass (docs/DEVELOPING.md): a Debug build with
 # VERTEXICA_DCHECK=ON compiles in the deep structural validators
-# (Column/Table/Bitvector/CsrIndex/PartitionSet CheckInvariants) at every
-# dataflow phase boundary, then runs the full suite plus the knob-forcing
-# env passes — any table, shard or index that lies about its structure
-# aborts with a precise message instead of surfacing as a wrong answer. Tests only: the audit tier is
-# about correctness claims, not bench numbers.
+# (Column/Table/Bitvector/CsrIndex CheckInvariants) at every dataflow phase
+# boundary, then runs the full suite plus the knob-forcing env passes — any
+# table or index that lies about its structure aborts with a precise
+# message instead of surfacing as a wrong answer. Tests only: the audit
+# tier is about correctness claims, not bench numbers.
 DCHECK_DIR="${BUILD_DIR}-dcheck"
 cmake -B "$DCHECK_DIR" -S . -DCMAKE_BUILD_TYPE=Debug -DVERTEXICA_DCHECK=ON \
     -DVERTEXICA_BUILD_BENCHES=OFF -DVERTEXICA_BUILD_EXAMPLES=OFF
 cmake --build "$DCHECK_DIR" -j "$(nproc)"
 (cd "$DCHECK_DIR" && ctest --output-on-failure -j "$(nproc)")
-(cd "$DCHECK_DIR" && VERTEXICA_SHARDS=4 \
-    ctest -R 'vertexica_test|api_test|storage_test|extensions_test|server_test' \
-    --output-on-failure -j "$(nproc)")
 (cd "$DCHECK_DIR" && VERTEXICA_ENCODING=force \
     ctest -R 'storage_test|exec_test|vertexica_test' --output-on-failure \
     -j "$(nproc)")

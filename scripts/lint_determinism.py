@@ -2,7 +2,7 @@
 """Determinism and error-model lint for the Vertexica sources.
 
 The engine's central claim (docs/API.md) is bit-identical results across
-every execution configuration — thread count, shard count, encoding mode,
+every execution configuration — thread count, encoding mode,
 frontier path, vectorized path. That claim dies quietly: an
 unordered-container iteration here, an unseeded random draw there. This lint
 mechanically rejects the known ways nondeterminism (and the wrong error
@@ -36,8 +36,8 @@ model) sneak in:
       worker driver (src/vertexica/worker_driver.*) reads the graph tables
       in place instead of building a union table, partition copies, sorted
       partitions or split outputs. A raw materialization there —
-      Table::Make, .Take(), .Slice(), .Append(), HashPartition(),
-      SortTable() — silently reintroduces the intermediates they remove.
+      Table::Make, .Take(), .Slice(), .Append(), SortTable() — silently
+      reintroduces the intermediates they remove.
       Each such call must carry a `materialize-ok:` justification (same
       line or within the three preceding lines) naming why it is a
       legitimate copy.
@@ -65,7 +65,7 @@ FAULT_SITE_RE = re.compile(
     r"\b(?:VX_FAULT_POINT|FaultPointHit)\s*\(\s*\"([^\"]+)\"")
 USER_INPUT_LAYERS = ("server", "api", "catalog")
 MATERIALIZE_RE = re.compile(
-    r"\b(?:Table::Make|HashPartition|SortTable)\s*\(|"
+    r"\b(?:Table::Make|SortTable)\s*\(|"
     r"(?:\.|->)(?:Take|Slice|Append)\s*\(")
 MATERIALIZE_FREE_PREFIXES = ("src/exec/batch", "src/exec/vectorized",
                              "src/vertexica/worker_driver")

@@ -16,7 +16,6 @@
 #include "giraph/bsp_engine.h"
 #include "graphdb/gdb_algorithms.h"
 #include "sqlgraph/sql_common.h"
-#include "storage/partition.h"
 #include "sqlgraph/sql_connected_components.h"
 #include "sqlgraph/sql_pagerank.h"
 #include "sqlgraph/sql_shortest_paths.h"
@@ -35,8 +34,8 @@ Result<RunResult> RegistryBackend::Run(const RunRequest& request) {
   VX_ASSIGN_OR_RETURN(
       AlgorithmRegistry::Factory factory,
       AlgorithmRegistry::Global()->Find(request.algorithm, id_));
-  // Resolve the request's knob overrides (threads, shards, encoding,
-  // frontier, vectorized) against the current context into one explicit
+  // Resolve the request's knob overrides (threads, encoding, frontier,
+  // vectorized) against the current context into one explicit
   // context, then install it around the dispatch: every layer that reads
   // a knob (exec kernels, the graph-table loader, the superstep
   // coordinator, BSP compute threads) and every pool task they submit

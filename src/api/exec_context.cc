@@ -41,7 +41,6 @@ Status CountField(const char* field, int value, int* out) {
 Result<ExecKnobs> ExecKnobsFromRequest(const RunRequest& request) {
   ExecKnobs knobs = ExecKnobs::Current();
   VX_RETURN_NOT_OK(CountField("threads", request.threads, &knobs.threads));
-  VX_RETURN_NOT_OK(CountField("shards", request.shards, &knobs.shards));
   VX_RETURN_NOT_OK(ParseField("encoding", request.encoding,
                               &ParseEncodingMode, &knobs.encoding));
   VX_RETURN_NOT_OK(ParseField("frontier", request.frontier,

@@ -17,7 +17,7 @@
 
 namespace vertexica {
 
-/// \brief Resolves `request`'s explicit overrides (threads/shards > 0,
+/// \brief Resolves `request`'s explicit overrides (threads > 0,
 /// non-empty encoding/frontier/vectorized, deadline_ms > 0) against
 /// `ExecKnobs::Current()`. The result is self-contained: installing it on
 /// any thread reproduces the configuration the request would have seen
@@ -26,7 +26,7 @@ namespace vertexica {
 ///
 /// InvalidArgument, naming the field, for a knob string outside its
 /// vocabulary (the one its VERTEXICA_* environment variable accepts), a
-/// negative `threads` or `shards`, or a negative or NaN `deadline_ms`.
+/// negative `threads`, or a negative or NaN `deadline_ms`.
 Result<ExecKnobs> ExecKnobsFromRequest(const RunRequest& request);
 
 }  // namespace vertexica

@@ -77,20 +77,6 @@ struct RunRequest {
   /// `threads`.
   int threads = 0;
 
-  /// Persistent sharding of the Vertexica superstep dataflow (see
-  /// docs/API.md and storage/partition.h): the vertex and edge tables are
-  /// hash-partitioned on vertex id into this many resident shards once per
-  /// run, the per-shard dataflow runs shard-wise in parallel, and only
-  /// cross-shard messages are exchanged between supersteps. 0 keeps the
-  /// ambient setting (VERTEXICA_SHARDS env var, else 1 shard); a negative
-  /// value fails the run with InvalidArgument. Installed in the request
-  /// context around the backend dispatch, like `threads`; backends without
-  /// a superstep loop ignore it. Value-neutral on every backend: shards
-  /// are contiguous blocks of the vertex-batching partitions, so results
-  /// are bit-identical at any shard count (the SuperstepStats per-shard
-  /// counters are the only thing that changes).
-  int shards = 0;
-
   /// Storage-encoding policy for the engine-owned tables (see
   /// docs/STORAGE.md): "" keeps the ambient setting (VERTEXICA_ENCODING
   /// env var, else auto); "off" stores everything plain; "auto"/"on"

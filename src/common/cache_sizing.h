@@ -4,13 +4,12 @@
 /// Partition counts used to be a scattering of literal 64s with two very
 /// different meanings hiding behind the same number:
 ///
-///  1. **Order-defining partitioning** — vertex batching (§2.3) and the
-///     shard layer built on it. Partition boundaries determine per-vertex
-///     tuple order, so the count is a fixed architectural constant: deriving
-///     it from the row count, thread count, or cache size would change
-///     results. `kVertexBatchPartitions` is that constant; consumers
-///     (udf/transform.h, storage/partition.h ShardingSpec) alias it so the
-///     static_assert tying shard placement to vertex batching keeps holding.
+///  1. **Order-defining partitioning** — vertex batching (§2.3).
+///     Partition boundaries determine per-vertex tuple order, so the count
+///     is a fixed architectural constant: deriving it from the row count,
+///     thread count, or cache size would change results.
+///     `kVertexBatchPartitions` is that constant (the default of
+///     ResolveWorkerParallelism, vertexica/worker_driver.h).
 ///
 ///  2. **Cache-sized partitioning** — radix partitioning of hash join and
 ///     aggregate builds, where the count is a pure performance choice:

@@ -1,12 +1,11 @@
 /// \file env_knob.h
 /// \brief One validated parsing point for the VERTEXICA_* environment
-/// knobs (threads, shards, encoding, frontier, vectorized).
+/// knobs (threads, encoding, frontier, vectorized).
 ///
 /// Before this header each knob parsed its own environment variable with
 /// its own tolerance for garbage: VERTEXICA_THREADS was clamped in the
-/// thread pool but unclamped in ExecThreads, VERTEXICA_SHARDS silently
-/// accepted "8abc" as 8, and a typoed VERTEXICA_ENCODING fell back to the
-/// default without a word. These helpers give every knob the same
+/// thread pool but unclamped in ExecThreads, and a typoed
+/// VERTEXICA_ENCODING fell back to the default without a word. These helpers give every knob the same
 /// contract: strict integer / token parsing, explicit ranges, and one
 /// warning per variable per process when a value is rejected or clamped —
 /// a misconfigured server logs what it ignored instead of silently running

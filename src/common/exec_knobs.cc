@@ -38,8 +38,6 @@ const ExecKnobs& EnvDefaults() {
     const auto env_threads = static_cast<int>(EnvThreadCount());
     const auto cores = std::max(1u, std::thread::hardware_concurrency());
     knobs.threads = env_threads > 0 ? env_threads : static_cast<int>(cores);
-    knobs.shards =
-        static_cast<int>(EnvIntKnob("VERTEXICA_SHARDS", 1, 4096, 1));
     knobs.encoding = EnvTokenKnob("VERTEXICA_ENCODING", kEncodingTokens,
                                   EncodingMode::kAuto);
     knobs.frontier = EnvTokenKnob("VERTEXICA_FRONTIER", kFrontierTokens,

@@ -2,7 +2,7 @@
 /// \brief The request context: one thread-local slot holding the knobs,
 /// cancel token and counter block of the run the thread works for.
 ///
-/// A request's configuration is five physical-plan knobs (threads, shards,
+/// A request's configuration is four physical-plan knobs (threads,
 /// encoding, frontier, vectorized — every one value-neutral), its
 /// cancellation/deadline token and its kernel-counter block. All of it
 /// travels as one plain `ExecKnobs` value in one slot:
@@ -49,8 +49,7 @@ const char* EncodingModeName(EncodingMode m);
 /// The one vocabulary of VERTEXICA_ENCODING and RunRequest::encoding.
 std::optional<EncodingMode> ParseEncodingMode(const std::string& text);
 
-/// \brief Frontier-path policy, resolved per superstep and shard by the
-/// coordinator. The frontier path restricts a superstep's worker input to
+/// \brief Frontier-path policy, resolved per superstep by the coordinator. The frontier path restricts a superstep's worker input to
 /// the active vertices; it is bit-identical to the dense path.
 enum class FrontierMode {
   kAuto,  ///< frontier when the active fraction is below the threshold
@@ -72,8 +71,6 @@ struct ExecKnobs {
   /// threads, pipeline waves). Default: VERTEXICA_THREADS, else hardware
   /// cores.
   int threads = 1;
-  /// Resident shards of a Vertexica run. Default: VERTEXICA_SHARDS, else 1.
-  int shards = 1;
   /// Default: VERTEXICA_ENCODING, else auto.
   EncodingMode encoding = EncodingMode::kAuto;
   /// Default: VERTEXICA_FRONTIER, else auto.
@@ -93,8 +90,7 @@ struct ExecKnobs {
   static const ExecKnobs& Current();
 
   bool operator==(const ExecKnobs& other) const {
-    return threads == other.threads && shards == other.shards &&
-           encoding == other.encoding && frontier == other.frontier &&
+    return threads == other.threads && encoding == other.encoding && frontier == other.frontier &&
            vectorized == other.vectorized && cancel == other.cancel &&
            kernel_stats == other.kernel_stats;
   }

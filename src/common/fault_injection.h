@@ -3,8 +3,8 @@
 ///
 /// Failure paths that are never exercised do not work. This registry lets
 /// the durability layer place named fault points at the moments that
-/// matter — checkpoint phase boundaries, catalog IO, admission, the shard
-/// exchange — and lets a test (or the `VERTEXICA_FAULTS` environment knob)
+/// matter — checkpoint phase boundaries, catalog IO, admission, the
+/// superstep's message exchange — and lets a test (or the `VERTEXICA_FAULTS` environment knob)
 /// arm any of them to fire on a *specific* hit, deterministically, so
 /// every failure scenario is reproducible bit-for-bit.
 ///

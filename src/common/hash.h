@@ -22,6 +22,13 @@ inline uint64_t HashInt64(uint64_t x) {
   return x;
 }
 
+/// \brief Partition id of an int64 key for `num_partitions` buckets — the
+/// vertex-batching partition of a vertex id (§2.3).
+inline int PartitionOf(int64_t key, int num_partitions) {
+  return static_cast<int>(HashInt64(static_cast<uint64_t>(key)) %
+                          static_cast<uint64_t>(num_partitions));
+}
+
 /// \brief FNV-1a over bytes.
 inline uint64_t HashBytes(const void* data, std::size_t len,
                           uint64_t seed = 0xcbf29ce484222325ULL) {

@@ -41,10 +41,6 @@ PlanBuilder PlanBuilder::Scan(Table table, int64_t batch_size) {
   return PlanBuilder(std::make_unique<TableScan>(std::move(table), batch_size));
 }
 
-PlanBuilder PlanBuilder::FromOperator(OperatorPtr op) {
-  return PlanBuilder(std::move(op));
-}
-
 PlanBuilder PlanBuilder::Filter(ExprPtr predicate) && {
   // σ over a base-table scan: push the comparison conjuncts into the scan,
   // which then skips whole batches via zone maps (when the table has them —

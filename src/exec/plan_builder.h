@@ -42,8 +42,6 @@ class PlanBuilder {
                           int64_t batch_size = kDefaultBatchSize);
   static PlanBuilder Scan(Table table,
                           int64_t batch_size = kDefaultBatchSize);
-  /// \brief Wraps an arbitrary operator (e.g. a TransformUdfOp).
-  static PlanBuilder FromOperator(OperatorPtr op);
   /// @}
 
   /// \name Relational transformations (each consumes *this)

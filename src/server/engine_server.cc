@@ -142,7 +142,7 @@ Result<RunResult> EngineServer::RunOnEngine(
   session.cancel = session_cancel;
   const ScopedExecKnobs session_scope(session);
   // A malformed knob string or out-of-range numeric field is rejected
-  // here, before admission. The coordinator caps shard fan-out at the
+  // here, before admission. Every fan-out of the run is capped at the
   // thread knob, so `threads` is the run's whole demand.
   VX_ASSIGN_OR_RETURN(const ExecKnobs knobs, ExecKnobsFromRequest(request));
 

@@ -4,8 +4,8 @@
 ///
 /// Everything below the Engine facade is one-shot: load a graph, run an
 /// algorithm, exit. The ROADMAP's north star is an always-on analytic
-/// engine where many clients share immutable cached storage (shards, zone
-/// maps, pre-encoded join sides). EngineServer is that layer:
+/// engine where many clients share immutable cached storage (encoded
+/// columns, zone maps, pre-encoded join sides). EngineServer is that layer:
 ///
 ///  - **Named graphs, versioned copy-on-write.** Each name maps to an
 ///    immutable `(Engine, version)` pair behind a `shared_ptr`. A run pins

@@ -10,18 +10,25 @@
 ///   vertexica_server --vertices=2000 --edges=12000 --clients=8
 ///       --requests=4 --threads=2
 ///
-/// All flags are optional; defaults give a sub-second run.
+/// All flags are optional; defaults give a sub-second run. Each takes a
+/// decimal integer in its range: --clients and --requests in [1, 1024],
+/// --vertices >= 2 (the generator's minimum), --edges >= 1, --seed,
+/// --threads and --budget >= 0. A value out of range or not an integer, or
+/// an unknown flag, prints a message and exits with status 2.
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/run_types.h"
+#include "common/env_knob.h"
 #include "common/timer.h"
 #include "graphgen/generators.h"
 #include "server/engine_server.h"
@@ -32,22 +39,22 @@ using vertexica::EngineServer;
 using vertexica::RunRequest;
 
 struct Flags {
-  int64_t vertices = 2000;
-  int64_t edges = 12000;
-  uint64_t seed = 13;
-  int clients = 8;
-  int requests = 4;  // per client
-  int threads = 0;   // per request; 0 = ambient
-  int shards = 0;    // per request; 0 = ambient
-  int budget = 0;    // admission budget; 0 = pool size
+  long vertices = 2000;
+  long edges = 12000;
+  long seed = 13;
+  long clients = 8;
+  long requests = 4;  // per client
+  long threads = 0;   // per request; 0 = ambient
+  long budget = 0;    // admission budget; 0 = pool size
 };
 
-bool ParseFlag(const char* arg, const char* name, long* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = std::strtol(arg + len + 1, nullptr, 10);
-  return true;
-}
+/// One integer flag: `--name=<value>` with value in [min_value, max_value].
+struct FlagSpec {
+  const char* name;
+  long min_value;
+  long max_value;
+  long* out;
+};
 
 double Percentile(std::vector<double> sorted, double p) {
   if (sorted.empty()) return 0.0;
@@ -60,28 +67,48 @@ double Percentile(std::vector<double> sorted, double p) {
 
 int main(int argc, char** argv) {
   Flags flags;
+  const FlagSpec specs[] = {
+      {"--vertices", 2, LONG_MAX, &flags.vertices},
+      {"--edges", 1, LONG_MAX, &flags.edges},
+      {"--seed", 0, LONG_MAX, &flags.seed},
+      {"--clients", 1, 1024, &flags.clients},
+      {"--requests", 1, 1024, &flags.requests},
+      {"--threads", 0, INT_MAX, &flags.threads},
+      {"--budget", 0, INT_MAX, &flags.budget},
+  };
   for (int i = 1; i < argc; ++i) {
-    long v = 0;
-    if (ParseFlag(argv[i], "--vertices", &v)) flags.vertices = v;
-    else if (ParseFlag(argv[i], "--edges", &v)) flags.edges = v;
-    else if (ParseFlag(argv[i], "--seed", &v)) flags.seed = static_cast<uint64_t>(v);
-    else if (ParseFlag(argv[i], "--clients", &v)) flags.clients = static_cast<int>(v);
-    else if (ParseFlag(argv[i], "--requests", &v)) flags.requests = static_cast<int>(v);
-    else if (ParseFlag(argv[i], "--threads", &v)) flags.threads = static_cast<int>(v);
-    else if (ParseFlag(argv[i], "--shards", &v)) flags.shards = static_cast<int>(v);
-    else if (ParseFlag(argv[i], "--budget", &v)) flags.budget = static_cast<int>(v);
-    else {
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& s : specs) {
+      const std::size_t len = std::strlen(s.name);
+      if (std::strncmp(argv[i], s.name, len) == 0 && argv[i][len] == '=') {
+        spec = &s;
+        break;
+      }
+    }
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
     }
+    bool out_of_range = false;
+    const std::optional<long> v =
+        vertexica::ParseKnobInt(argv[i] + std::strlen(spec->name) + 1,
+                                spec->min_value, spec->max_value,
+                                &out_of_range);
+    if (!v.has_value() || out_of_range) {
+      std::fprintf(stderr, "bad flag: %s (want an integer in [%ld, %ld])\n",
+                   argv[i], spec->min_value, spec->max_value);
+      return 2;
+    }
+    *spec->out = *v;
   }
 
-  vertexica::Graph graph =
-      vertexica::GenerateRmat(flags.vertices, flags.edges, flags.seed);
-  vertexica::AssignRandomWeights(&graph, 1.0, 5.0, flags.seed);
+  vertexica::Graph graph = vertexica::GenerateRmat(
+      flags.vertices, flags.edges, static_cast<uint64_t>(flags.seed));
+  vertexica::AssignRandomWeights(&graph, 1.0, 5.0,
+                                 static_cast<uint64_t>(flags.seed));
 
   vertexica::ServerOptions options;
-  options.admission_budget_threads = flags.budget;
+  options.admission_budget_threads = static_cast<int>(flags.budget);
   EngineServer server(options);
   if (auto s = server.CreateGraph("default", std::move(graph)); !s.ok()) {
     std::fprintf(stderr, "CreateGraph: %s\n", s.ToString().c_str());
@@ -123,8 +150,7 @@ int main(int argc, char** argv) {
         RunRequest request;
         request.backend = w.backend;
         request.algorithm = w.algorithm;
-        request.threads = flags.threads;
-        request.shards = flags.shards;
+        request.threads = static_cast<int>(flags.threads);
         request.source = c % 2;
         vertexica::WallTimer timer;
         auto result = server.Run("default", request);
@@ -159,7 +185,7 @@ int main(int argc, char** argv) {
   const auto admission = server.admission_stats();
   std::printf(
       "{\n"
-      "  \"clients\": %d,\n"
+      "  \"clients\": %ld,\n"
       "  \"requests\": %zu,\n"
       "  \"failed\": %d,\n"
       "  \"wall_seconds\": %.6f,\n"

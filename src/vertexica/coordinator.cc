@@ -15,20 +15,10 @@
 #include "exec/parallel.h"
 #include "exec/plan_builder.h"
 #include "storage/compression.h"
-#include "storage/partition.h"
 #include "storage/sort.h"
-#include "udf/transform.h"
 #include "vertexica/worker_driver.h"
 
 namespace vertexica {
-
-// storage/ cannot see udf/, so the default ShardingSpec hard-codes the
-// vertex-batching partition count; pin the two constants together here,
-// where both headers are visible — the shard/batch alignment invariant
-// (shards = contiguous blocks of the batching partitions) depends on it.
-static_assert(ShardingSpec{}.base_partitions == kDefaultTransformPartitions,
-              "ShardingSpec::base_partitions must default to the "
-              "vertex-batching partition count");
 
 namespace {
 
@@ -106,8 +96,8 @@ bool OrderedByColumn(const Table& t, const std::string& name) {
   return k.ascending && t.schema().field(k.column).name == name;
 }
 
-/// The active set of one superstep over one vertex/message (shard) pair:
-/// one bit per vertex row, plus its popcount.
+/// The active set of one superstep: one bit per vertex row, plus its
+/// popcount.
 struct Frontier {
   Bitvector bits;
   int64_t active = 0;
@@ -199,7 +189,7 @@ bool ComputeFrontier(const Table& vertex, const Table& message,
 }
 
 /// Folds collected aggregator partials into `aggregates` in the order
-/// given — callers pass them in global partition order.
+/// given — the workers' partition order.
 void MergeAggregateRows(const std::vector<AggregatorSpec>& agg_specs,
                         const std::vector<std::pair<int64_t, double>>& rows,
                         std::map<std::string, double>* aggregates) {
@@ -231,9 +221,26 @@ Result<std::shared_ptr<const CsrIndex>> BuildKeyIndex(const Table& table,
   return index;
 }
 
+/// The catalog snapshot of graph table `name`; InvalidArgument unless its
+/// column `key` (vertex id, edge src, message dst) is INT64, the type every
+/// superstep reads it as.
+Result<std::shared_ptr<const Table>> GetGraphTable(const Catalog& catalog,
+                                                   const std::string& name,
+                                                   const std::string& key) {
+  VX_ASSIGN_OR_RETURN(auto table, catalog.GetTable(name));
+  VX_ASSIGN_OR_RETURN(int c, table->ColumnIndex(key));
+  if (table->column(c).type() != DataType::kInt64) {
+    return Status::InvalidArgument("graph table column '" + key +
+                                   "' must be an INT64 vertex id");
+  }
+  // Run-start audit: every superstep trusts the tables' structural claims.
+  VX_DCHECK_OK(table->CheckInvariants());
+  return table;
+}
+
 /// One superstep's counter block. It is installed over a copy of the
-/// caller's context, so the pool carries it into every shard task of the
-/// step and the step's join counts are read straight off it. When the step
+/// caller's context, so the pool carries it into every task of the step
+/// and the step's join counts are read straight off it. When the step
 /// ends, its counts are added to the caller's block, if there is one — a
 /// sub-block, not a before/after delta of the caller's block, because a
 /// caller may share one block across concurrent runs.
@@ -261,59 +268,6 @@ class ScopedStepCounters {
   const ScopedExecKnobs scope_;
 };
 
-/// A run's resident state, built once per run: vertex shards by id
-/// (replaced shard-wise as supersteps apply updates), immutable edge shards
-/// by src, and message shards by dst (swapped by the between-superstep
-/// exchange). At one shard each set holds the stored catalog snapshot
-/// itself.
-struct ResidentShards {
-  ShardingSpec spec;
-  PartitionSet vertex;
-  PartitionSet edge;
-  PartitionSet message;
-  /// Per-shard edge structures, built on first use inside a superstep's
-  /// shard task and kept for the rest of the run: the (esrc, edst, eweight,
-  /// edge_seq) join side on the join-input path, the per-source-vertex CSR
-  /// slice index on the union-input path.
-  std::vector<std::shared_ptr<const Table>> edge_join_side;
-  std::vector<std::shared_ptr<const CsrIndex>> edge_csr;
-};
-
-/// Writes the resident shards back to the catalog — run end and
-/// checkpoints. One shard is published as it is: the tables the superstep
-/// stored. More shards are concatenated in shard order and re-encoded;
-/// the vertex table is also re-sorted by id (stable, so values are
-/// unchanged), so it carries the sorted-by-id invariant a one-shard run
-/// keeps. Messages need no order: every reader groups them by receiver,
-/// and each receiver's messages keep their order in the concatenation.
-Status PublishShards(const ResidentShards& shards, Catalog* catalog,
-                     const GraphTableNames& names) {
-  if (shards.spec.num_shards == 1) {
-    VX_RETURN_NOT_OK(
-        catalog->ReplaceTable(names.vertex, shards.vertex.shard(0)));
-    return catalog->ReplaceTable(names.message, shards.message.shard(0));
-  }
-  Table vertex(shards.vertex.shard(0)->schema());
-  Table message(shards.message.shard(0)->schema());
-  for (int s = 0; s < shards.spec.num_shards; ++s) {
-    VX_RETURN_NOT_OK(vertex.Append(*shards.vertex.shard(s)));
-    VX_RETURN_NOT_OK(message.Append(*shards.message.shard(s)));
-  }
-  // Hash blocks interleave ids, so the concatenation is not ordered.
-  vertex = SortTable(vertex, {{shards.vertex.key_column(), true}});
-  const EncodingMode mode = ExecKnobs::Current().encoding;
-  if (mode != EncodingMode::kOff) {
-    vertex.EncodeColumns(mode);
-    message.EncodeColumns(mode);
-  }
-  // Post-flush audit: the concatenated, re-encoded tables are what catalog
-  // readers will trust from here on.
-  VX_DCHECK_OK(vertex.CheckInvariants());
-  VX_DCHECK_OK(message.CheckInvariants());
-  VX_RETURN_NOT_OK(catalog->ReplaceTable(names.vertex, std::move(vertex)));
-  return catalog->ReplaceTable(names.message, std::move(message));
-}
-
 }  // namespace
 
 Coordinator::Coordinator(Catalog* catalog, VertexProgram* program,
@@ -327,7 +281,7 @@ Result<Coordinator::TablePtr> Coordinator::BuildEdgeJoinSide(
     const TablePtr& edge) const {
   // The edge side is identical every superstep (the coordinator never
   // rewrites the edge table): project and number it once per run and
-  // shard and reuse the shared snapshot.
+  // reuse the shared snapshot.
   VX_ASSIGN_OR_RETURN(Table edges,
                       ParallelProject(edge, {{"esrc", Col("src")},
                                              {"edst", Col("dst")},
@@ -393,8 +347,8 @@ Result<Coordinator::WorkerInput> Coordinator::BuildWorkerInput(
   }
 
   // §2.3 "Table Unions", read in place: the union of the three tables is
-  // logical. Edges are read through the shard's CSR index (built once per
-  // run), messages through a one-pass grouping on their receiver.
+  // logical. Edges are read through the edge table's CSR index (built once
+  // per run), messages through a one-pass grouping on their receiver.
   VX_ASSIGN_OR_RETURN(in.message_index, BuildKeyIndex(*message, "dst"));
   in.view.vertex = vertex.get();
   in.view.edge = edge.get();
@@ -536,54 +490,30 @@ Status Coordinator::Run(RunStats* stats) {
     }
   }
 
-  // Persistent sharding (§2.3 vertex batching made resident): every run
-  // partitions the graph tables once into S resident shards and loops
-  // shard-wise; S = 1 is one shard holding the stored tables themselves.
-  // S is capped at the vertex-batching partition count — shards are
-  // contiguous blocks of those partitions, which is what makes results
-  // bit-identical at every S (storage/partition.h).
-  TransformOptions topts;
-  topts.num_partitions = options_.num_partitions;
-  topts.num_workers = options_.num_workers;
-  const TransformParallelism par = ResolveTransformParallelism(topts);
-  const int num_shards = std::max(
-      1, std::min(options_.num_shards > 0 ? options_.num_shards
-                                          : ExecKnobs::Current().shards,
-                  par.partitions));
+  const WorkerParallelism par =
+      ResolveWorkerParallelism(options_.num_partitions, options_.num_workers);
 
   WallTimer total_timer;
 
-  // ---- Shard the graph tables, once per run. --------------------------
-  // Vertex shards by id, edge shards by src, message shards by dst: every
-  // worker-input tuple's batching key is its owning vertex, so each shard's
-  // input hashes into exactly that shard's block of the vertex-batching
-  // partitions. With S > 1, PartitionSet::Build retains sort-order
-  // declarations and (ambient-mode permitting) encodings + zone maps per
-  // shard, so the per-shard join path sees the physical design a one-shard
-  // run keeps on the whole tables.
-  ResidentShards shards;
-  shards.spec.num_shards = num_shards;
-  shards.spec.base_partitions = par.partitions;
-  {
-    VX_ASSIGN_OR_RETURN(auto vertex0, catalog_->GetTable(names_.vertex));
-    VX_ASSIGN_OR_RETURN(auto edge0, catalog_->GetTable(names_.edge));
-    VX_ASSIGN_OR_RETURN(auto message0, catalog_->GetTable(names_.message));
-    VX_ASSIGN_OR_RETURN(int vid_c, vertex0->ColumnIndex("id"));
-    VX_ASSIGN_OR_RETURN(int esrc_c, edge0->ColumnIndex("src"));
-    VX_ASSIGN_OR_RETURN(int mdst_c, message0->ColumnIndex("dst"));
-    VX_ASSIGN_OR_RETURN(shards.vertex, PartitionSet::Build(std::move(vertex0),
-                                                           vid_c, shards.spec));
-    VX_ASSIGN_OR_RETURN(shards.edge, PartitionSet::Build(std::move(edge0),
-                                                         esrc_c, shards.spec));
-    VX_ASSIGN_OR_RETURN(shards.message,
-                        PartitionSet::Build(std::move(message0), mdst_c,
-                                            shards.spec));
-  }
-  shards.edge_join_side.resize(static_cast<size_t>(num_shards));
-  shards.edge_csr.resize(static_cast<size_t>(num_shards));
+  // The run's resident tables: the catalog snapshots, replaced as
+  // supersteps rewrite them and published back at checkpoints and at the
+  // end. The edge table is never rewritten; its CSR index (union input) or
+  // join side (join input) is built on first use and kept for the run.
+  VX_ASSIGN_OR_RETURN(TablePtr vertex,
+                      GetGraphTable(*catalog_, names_.vertex, "id"));
+  VX_ASSIGN_OR_RETURN(TablePtr edge,
+                      GetGraphTable(*catalog_, names_.edge, "src"));
+  VX_ASSIGN_OR_RETURN(TablePtr message,
+                      GetGraphTable(*catalog_, names_.message, "dst"));
+  std::shared_ptr<const CsrIndex> edge_csr;
+  TablePtr edge_join_side;
+  const auto publish = [&]() -> Status {
+    VX_RETURN_NOT_OK(catalog_->ReplaceTable(names_.vertex, vertex));
+    return catalog_->ReplaceTable(names_.message, message);
+  };
   // Per-run constants: the vertex count programs read (PageRank's N) and
   // the update-fraction denominator are the vertex rows at run start.
-  const int64_t total_vertices = shards.vertex.total_rows();
+  const int64_t total_vertices = vertex->num_rows();
 
   for (int superstep = first_superstep;
        superstep < options_.max_supersteps; ++superstep) {
@@ -597,22 +527,14 @@ Status Coordinator::Run(RunStats* stats) {
 
     // Stored-procedure loop condition: "it runs as long as there is any
     // message for the next superstep" (plus Pregel's not-yet-halted rule).
-    if (superstep > 0 && shards.message.total_rows() == 0) {
-      bool all_halted = true;
-      for (int s = 0; s < num_shards && all_halted; ++s) {
-        all_halted = AllHalted(*shards.vertex.shard(s));
-      }
-      if (all_halted) break;
+    if (superstep > 0 && message->num_rows() == 0 && AllHalted(*vertex)) {
+      break;
     }
 
-    // Vertex batching within each shard uses the *global* partition count
-    // (`par`): a shard's rows only hash into its own contiguous partition
-    // block, so the per-shard batches, their order, and therefore every
-    // per-vertex stream are the same at every shard count.
     WorkerSharedState shared;
     shared.program = program_;
     shared.superstep = superstep;
-    shared.num_vertices = total_vertices;  // global count, not per shard
+    shared.num_vertices = total_vertices;
     shared.prev_aggregates = &prev_aggregates_;
     shared.write_message_src = ActiveCombiner() == MessageCombiner::kNone;
     for (const auto& spec : agg_specs) {
@@ -620,218 +542,109 @@ Status Coordinator::Run(RunStats* stats) {
       shared.aggregator_names.push_back(spec.name);
     }
 
-    // ---- Per-shard dataflow: input → worker, shard-parallel. ----------
-    struct ShardStep {
-      int64_t input_rows = 0;
-      double input_seconds = 0.0;
-      bool used_frontier = false;
-      int64_t frontier_vertices = 0;
-      WorkerOutput out;
-    };
-    std::vector<ShardStep> step(static_cast<size_t>(num_shards));
-
-    const ExecKnobs& knobs = ExecKnobs::Current();
-
+    // ---- Input build, timed apart from Compute. -------------------------
+    // It includes the frontier decision — deriving the active set is a cost
+    // the sparse path pays — and, on first use, the edge structure.
     WallTimer phase_timer;
-    VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-        0, static_cast<size_t>(num_shards), /*grain=*/1,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t s = begin; s < end; ++s) {
-            ShardStep& st = step[s];
-            const auto& vs = shards.vertex.shard(static_cast<int>(s));
-            const auto& es = shards.edge.shard(static_cast<int>(s));
-            const auto& ms = shards.message.shard(static_cast<int>(s));
-            // The input build is timed apart from Compute. It includes the
-            // frontier decision — deriving the active set is a cost the
-            // sparse path pays — and, on first use, the shard's edge
-            // structure.
-            WallTimer input_timer;
-            // Frontier decision per shard: a shard's active fraction is
-            // its own (one dense hub shard doesn't force the whole
-            // superstep dense). Value-neutral either way.
-            Frontier frontier;
-            st.used_frontier =
-                ComputeFrontier(*vs, *ms, knobs.frontier, superstep,
-                                options_.frontier_threshold, &frontier);
-            // The frontier bitvector gates which vertices compute; its
-            // word-tail hygiene is what the popcount/AND/OR shortcuts
-            // assume.
-            if (st.used_frontier) {
-              VX_DCHECK_OK(frontier.bits.CheckInvariants());
-              st.frontier_vertices = frontier.active;
-            }
-            if (options_.use_union_input) {
-              if (shards.edge_csr[s] == nullptr) {
-                VX_ASSIGN_OR_RETURN(shards.edge_csr[s],
-                                    BuildKeyIndex(*es, "src"));
-              }
-            } else if (shards.edge_join_side[s] == nullptr) {
-              VX_ASSIGN_OR_RETURN(shards.edge_join_side[s],
-                                  BuildEdgeJoinSide(es));
-            }
-            VX_ASSIGN_OR_RETURN(
-                WorkerInput input,
-                BuildWorkerInput(vs, es, shards.edge_csr[s].get(),
-                                 shards.edge_join_side[s], ms,
-                                 st.used_frontier ? &frontier.bits : nullptr));
-            st.input_rows = input.rows;
-            st.input_seconds = input_timer.ElapsedSeconds();
-            // Vertex batching (§2.3): the workers run in parallel over the
-            // shard's hash partitions on vertex id.
-            VX_ASSIGN_OR_RETURN(
-                st.out, options_.use_union_input
-                            ? RunUnionWorkers(shared, input.view, par)
-                            : RunJoinWorkers(shared, input.join, par));
-          }
-          return Status::OK();
-        },
-        knobs.threads));
-    // The slowest shard's input build, and the rest of the phase's wall
-    // time as Compute — at one shard exactly the two sequential steps.
-    double input_seconds = 0.0;
-    for (const ShardStep& st : step) {
-      input_seconds = std::max(input_seconds, st.input_seconds);
+    Frontier frontier;
+    const bool used_frontier =
+        ComputeFrontier(*vertex, *message, ExecKnobs::Current().frontier,
+                        superstep, options_.frontier_threshold, &frontier);
+    // The frontier bitvector gates which vertices compute; its word-tail
+    // hygiene is what the popcount/AND/OR shortcuts assume.
+    if (used_frontier) VX_DCHECK_OK(frontier.bits.CheckInvariants());
+    if (options_.use_union_input) {
+      if (edge_csr == nullptr) {
+        VX_ASSIGN_OR_RETURN(edge_csr, BuildKeyIndex(*edge, "src"));
+      }
+    } else if (edge_join_side == nullptr) {
+      VX_ASSIGN_OR_RETURN(edge_join_side, BuildEdgeJoinSide(edge));
     }
-    const double worker_seconds = phase_timer.ElapsedSeconds() - input_seconds;
+    VX_ASSIGN_OR_RETURN(
+        WorkerInput input,
+        BuildWorkerInput(vertex, edge, edge_csr.get(), edge_join_side,
+                         message, used_frontier ? &frontier.bits : nullptr));
+    const double input_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
-    // ---- Merge shard results in shard order. ---------------------------
-    // Shards are contiguous partition blocks, so concatenation in shard
-    // order *is* the global worker-output row order — the aggregate fold
-    // below replays the same merge sequence at every shard count.
-    int64_t input_rows = 0;
-    int64_t active = 0;
-    int64_t total_updates = 0;
+    // ---- Workers: vertex batching (§2.3), partition-parallel. -----------
+    VX_ASSIGN_OR_RETURN(WorkerOutput out,
+                        options_.use_union_input
+                            ? RunUnionWorkers(shared, input.view, par)
+                            : RunJoinWorkers(shared, input.join, par));
+    const double worker_seconds = phase_timer.ElapsedSeconds();
+    phase_timer.Restart();
+
     std::map<std::string, double> new_aggregates;
     for (const auto& spec : agg_specs) {
       new_aggregates[spec.name] = AggregatorIdentity(spec.kind);
     }
-    for (const ShardStep& st : step) {
-      input_rows += st.input_rows;
-      active += st.out.active;
-      total_updates += st.out.updates.num_rows();
-      MergeAggregateRows(agg_specs, st.out.aggregate_rows, &new_aggregates);
-    }
+    MergeAggregateRows(agg_specs, out.aggregate_rows, &new_aggregates);
 
-    // ---- Message exchange (the only cross-shard traffic). --------------
+    // ---- Message collection. -------------------------------------------
     // Phase boundary: a worker failure surfaces here in a distributed
-    // deployment (ROADMAP #1), so the exchange carries a fault site.
+    // deployment, so the exchange carries a fault site.
     VX_FAULT_POINT("coordinator.exchange");
-    // Collect every shard's sinks in shard order (again the global row
-    // order) — concatenated, or combined per receiver by the one fold
-    // (vertexica/worker_driver.h) — then scatter on receiver back to the
-    // shards. The scatter preserves per-receiver order, so next
-    // superstep's message streams are the same at every S. One shard
-    // needs no routing: the collected table is its inbound table.
-    int64_t cross_shard = 0;
-    std::vector<WorkerSink> sinks;
-    for (int s = 0; s < num_shards; ++s) {
-      for (WorkerSink& sink : step[static_cast<size_t>(s)].out.message_sinks) {
-        if (stats != nullptr && num_shards > 1) {
-          // Boundary-crossing counter over the produced (pre-combine)
-          // messages: one hash per message, skipped entirely when nobody
-          // collects stats or nothing can cross.
-          for (const int64_t dst : sink.messages.dst) {
-            if (shards.spec.ShardOfKey(dst) != s) ++cross_shard;
-          }
-        }
-        sinks.push_back(std::move(sink));
-      }
-    }
-    VX_ASSIGN_OR_RETURN(
-        Table messages,
-        CollectMessages(std::move(sinks), ma, ActiveCombiner()));
+    // The sinks in partition order — concatenated, or combined per
+    // receiver by the one fold (vertexica/worker_driver.h) — are the next
+    // superstep's message table.
+    VX_ASSIGN_OR_RETURN(Table messages,
+                        CollectMessages(std::move(out.message_sinks), ma,
+                                        ActiveCombiner()));
     const int64_t messages_sent = messages.num_rows();
-    VX_ASSIGN_OR_RETURN(int dst_c, messages.ColumnIndex("dst"));
-    std::vector<Table> inbound;
-    if (num_shards == 1) {
-      inbound.push_back(std::move(messages));
-    } else {
-      VX_ASSIGN_OR_RETURN(inbound,
-                          ShardScatter(messages, dst_c, shards.spec));
-    }
     const double split_seconds = phase_timer.ElapsedSeconds();
     phase_timer.Restart();
 
-    // ---- Update vs. replace (§2.3), per shard. -------------------------
-    // One global decision from the global update fraction, applied
-    // shard-locally — worker updates only ever target vertices of their
-    // own shard. The rewritten vertex and message tables are stored plain:
-    // the next superstep reads every column of them, so encoding them here
-    // would only be undone by its first read. The load-time tables stay
-    // encoded (an unchanged halted column is still one RLE run for
-    // AllHalted), and so does a sharded run's published result.
+    // ---- Update vs. replace (§2.3). ------------------------------------
+    // The rewritten vertex and message tables are stored plain: the next
+    // superstep reads every column of them, so encoding them here would
+    // only be undone by its first read. The load-time tables stay encoded
+    // (an unchanged halted column is still one RLE run for AllHalted).
+    const int64_t total_updates = out.updates.num_rows();
     bool used_replace = false;
     if (total_updates > 0) {
       const double frac =
           static_cast<double>(total_updates) /
           static_cast<double>(std::max<int64_t>(1, total_vertices));
       used_replace = frac >= options_.update_threshold;
-      VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-          0, static_cast<size_t>(num_shards), /*grain=*/1,
-          [&](size_t begin, size_t end) -> Status {
-            for (size_t s = begin; s < end; ++s) {
-              const Table& updates = step[s].out.updates;
-              if (updates.num_rows() == 0) continue;
-              const auto& vs = shards.vertex.shard(static_cast<int>(s));
-              Table new_vertex;
-              if (!used_replace) {
-                VX_ASSIGN_OR_RETURN(new_vertex,
-                                    UpdateVerticesInPlace(*vs, updates));
-              } else {
-                VX_ASSIGN_OR_RETURN(new_vertex,
-                                    RebuildVertices(*vs, updates));
-                // The anti-join ∪ union rebuild breaks the sorted-by-id
-                // invariant (updated rows land at the tail); restore it on
-                // both input paths — the frontier's receiver binary search
-                // and the in-place apply key on it. Stable and id-keyed,
-                // so results are unchanged: the workers visit each
-                // partition's vertices in id order, so vertex-table row
-                // order never reaches a per-vertex stream. Not gated on
-                // the frontier knob.
-                if (!OrderedByColumn(new_vertex, "id")) {
-                  VX_ASSIGN_OR_RETURN(int id_c,
-                                      new_vertex.ColumnIndex("id"));
-                  new_vertex = SortTable(new_vertex, {{id_c, true}});
-                }
-              }
-              shards.vertex.ReplaceShard(static_cast<int>(s),
-                                         std::move(new_vertex));
-            }
-            return Status::OK();
-          },
-          knobs.threads));
-      // Post-apply audit: every shard about to be read must honor its
+      Table new_vertex;
+      if (!used_replace) {
+        VX_ASSIGN_OR_RETURN(new_vertex,
+                            UpdateVerticesInPlace(*vertex, out.updates));
+      } else {
+        VX_ASSIGN_OR_RETURN(new_vertex, RebuildVertices(*vertex, out.updates));
+        // The anti-join ∪ union rebuild breaks the sorted-by-id invariant
+        // (updated rows land at the tail); restore it on both input paths —
+        // the frontier's receiver binary search and the in-place apply key
+        // on it. Stable and id-keyed, so results are unchanged: the workers
+        // visit each partition's vertices in id order, so vertex-table row
+        // order never reaches a per-vertex stream. Not gated on the
+        // frontier knob.
+        if (!OrderedByColumn(new_vertex, "id")) {
+          VX_ASSIGN_OR_RETURN(int id_c, new_vertex.ColumnIndex("id"));
+          new_vertex = SortTable(new_vertex, {{id_c, true}});
+        }
+      }
+      vertex = std::make_shared<const Table>(std::move(new_vertex));
+      // Post-apply audit: the vertex table about to be read must honor its
       // structural claims (sorted-by-id declaration, encodings, zone maps)
-      // and hold only rows it owns — downstream supersteps trust them.
-      VX_DCHECK_OK(shards.vertex.CheckInvariants());
+      // — downstream supersteps trust them.
+      VX_DCHECK_OK(vertex->CheckInvariants());
     }
-
-    std::vector<int64_t> shard_messages(static_cast<size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      Table& in = inbound[static_cast<size_t>(s)];
-      shard_messages[static_cast<size_t>(s)] = in.num_rows();
-      shards.message.ReplaceShard(s, std::move(in));
-    }
-    // Post-exchange audit: each shard's inbound message table must honor
-    // its structural claims and hold only messages routed to it.
-    VX_DCHECK_OK(shards.message.CheckInvariants());
+    message = std::make_shared<const Table>(std::move(messages));
+    VX_DCHECK_OK(message->CheckInvariants());
 
     int64_t encoded_bytes = 0;
     int64_t decoded_bytes = 0;
-    for (int s = 0; s < num_shards; ++s) {
-      AccountTableBytes(*shards.vertex.shard(s), &encoded_bytes,
-                        &decoded_bytes);
-      AccountTableBytes(*shards.message.shard(s), &encoded_bytes,
-                        &decoded_bytes);
-    }
+    AccountTableBytes(*vertex, &encoded_bytes, &decoded_bytes);
+    AccountTableBytes(*message, &encoded_bytes, &decoded_bytes);
     prev_aggregates_ = std::move(new_aggregates);
 
     if (stats != nullptr) {
       SuperstepStats s;
       s.superstep = superstep;
-      s.input_rows = input_rows;
-      s.active_vertices = active;
+      s.input_rows = input.rows;
+      s.active_vertices = out.active;
       s.vertex_updates = total_updates;
       s.messages_sent = messages_sent;
       s.seconds = step_timer.ElapsedSeconds();
@@ -842,18 +655,12 @@ Status Coordinator::Run(RunStats* stats) {
       s.apply_seconds = phase_timer.ElapsedSeconds();
       s.encoded_bytes = encoded_bytes;
       s.decoded_bytes = decoded_bytes;
-      s.shards = num_shards;
-      s.cross_shard_messages = cross_shard;
-      for (const ShardStep& st : step) {
-        s.shard_input_rows.push_back(st.input_rows);
-        s.used_frontier = s.used_frontier || st.used_frontier;
-        s.frontier_vertices += st.frontier_vertices;
-      }
+      s.used_frontier = used_frontier;
+      s.frontier_vertices = used_frontier ? frontier.active : 0;
       const KernelStatsSnapshot joins = Snapshot(step_counters.block());
       s.hash_joins = joins.hash_joins;
       s.join_rows = joins.hash_rows;
       s.join_seconds = static_cast<double>(joins.hash_nanos) * 1e-9;
-      s.shard_messages = std::move(shard_messages);
       stats->supersteps.push_back(s);
       stats->total_messages += messages_sent;
       ++(s.used_frontier ? stats->frontier_supersteps
@@ -862,7 +669,7 @@ Status Coordinator::Run(RunStats* stats) {
 
     if (options_.checkpoint_every > 0 &&
         (superstep + 1) % options_.checkpoint_every == 0) {
-      VX_RETURN_NOT_OK(PublishShards(shards, catalog_, names_));
+      VX_RETURN_NOT_OK(publish());
       Table marker(Schema({{"next_superstep", DataType::kInt64}}));
       VX_RETURN_NOT_OK(
           marker.AppendRow({Value(static_cast<int64_t>(superstep + 1))}));
@@ -871,11 +678,11 @@ Status Coordinator::Run(RunStats* stats) {
       VX_RETURN_NOT_OK(SaveCatalog(*catalog_, options_.checkpoint_dir));
     }
 
-    if (active == 0 && messages_sent == 0) break;
+    if (out.active == 0 && messages_sent == 0) break;
   }
   // Publish the final state so catalog readers (ReadVertexValues,
   // follow-up SQL) see the finished run.
-  VX_RETURN_NOT_OK(PublishShards(shards, catalog_, names_));
+  VX_RETURN_NOT_OK(publish());
   if (stats != nullptr) stats->total_seconds = total_timer.ElapsedSeconds();
   return Status::OK();
 }
@@ -911,19 +718,6 @@ std::string RunStats::ToJson() const {
        << ",\"apply_seconds\":" << s.apply_seconds
        << ",\"encoded_bytes\":" << s.encoded_bytes
        << ",\"decoded_bytes\":" << s.decoded_bytes
-       << ",\"shards\":" << s.shards
-       << ",\"cross_shard_messages\":" << s.cross_shard_messages
-       << ",\"shard_input_rows\":[";
-    for (size_t j = 0; j < s.shard_input_rows.size(); ++j) {
-      if (j > 0) os << ",";
-      os << s.shard_input_rows[j];
-    }
-    os << "],\"shard_messages\":[";
-    for (size_t j = 0; j < s.shard_messages.size(); ++j) {
-      if (j > 0) os << ",";
-      os << s.shard_messages[j];
-    }
-    os << "]"
        << ",\"used_frontier\":" << (s.used_frontier ? "true" : "false")
        << ",\"frontier_vertices\":" << s.frontier_vertices
        << ",\"merge_joins\":" << s.merge_joins

@@ -3,9 +3,9 @@
 /// supersteps — "it runs as long as there is any message for the next
 /// superstep".
 ///
-/// A run partitions the vertex, edge and message tables once into resident
-/// shards on vertex id (one shard by default: the stored tables
-/// themselves). Each superstep the coordinator, shard by shard,
+/// A run holds one vertex, one edge and one message table: the catalog
+/// snapshots, replaced as supersteps rewrite them. Each superstep the
+/// coordinator
 ///  1. assembles the worker input from the vertex/edge/message tables —
 ///     either as the §2.3 table union, read in place (no union table is
 ///     built; see vertexica/worker_driver.h), or as the traditional 3-way
@@ -13,14 +13,13 @@
 ///  2. runs the worker UDFs in parallel over the vertex-batching partitions
 ///     (§2.3), each writing typed updates, messages and aggregator partials
 ///     into its partition's sink,
-///  3. builds the next message table from every shard's sinks:
+///  3. builds the next message table from the partitions' sinks:
 ///     concatenated, or — with a combiner — folded per receiver straight
 ///     out of the sinks, so the uncombined messages are never materialized
-///     as a table (fold order: vertexica/worker_driver.h) — and routes it
-///     back to the shards on receiver (the exchange),
+///     as a table (fold order: vertexica/worker_driver.h),
 ///  4. applies vertex updates in place or by table replacement depending on
 ///     the update fraction (update vs. replace), and swaps in the new
-///     message tables.
+///     message table.
 
 #ifndef VERTEXICA_VERTEXICA_COORDINATOR_H_
 #define VERTEXICA_VERTEXICA_COORDINATOR_H_
@@ -57,15 +56,11 @@ struct SuperstepStats {
   bool used_replace = false;     ///< update-vs-replace decision taken
 
   /// \name Phase breakdown (sums to ≈ seconds)
-  /// Shards build their input and run Compute in parallel, each timing its
-  /// input build apart: `input_seconds` is the slowest shard's input build,
-  /// `worker_seconds` the rest of that phase's wall time.
   /// @{
   double input_seconds = 0.0;    ///< message grouping / join assembly
   double worker_seconds = 0.0;   ///< vertex batching + Compute
-  /// Aggregator fold, message collection and exchange: the combiner fold
-  /// over the worker sinks, or their concatenation without a combiner,
-  /// routed back to the shards.
+  /// Aggregator fold and message collection: the combiner fold over the
+  /// worker sinks, or their concatenation without a combiner.
   double split_seconds = 0.0;
   double apply_seconds = 0.0;    ///< vertex update / table swaps
   /// @}
@@ -81,25 +76,11 @@ struct SuperstepStats {
   int64_t decoded_bytes = 0;
   /// @}
 
-  /// \name Sharded-dataflow accounting (storage/partition.h)
-  /// The run's shard count, per-shard worker-input and stored-message row
-  /// counts (indexed by shard id; one element at one shard), and how many
-  /// produced messages had to cross a shard boundary in the
-  /// between-superstep exchange (always 0 at one shard).
-  /// @{
-  int shards = 1;
-  std::vector<int64_t> shard_input_rows;
-  std::vector<int64_t> shard_messages;
-  int64_t cross_shard_messages = 0;
-  /// @}
-
   /// \name Frontier-path accounting (common/exec_knobs.h)
   /// Whether this superstep's worker input was built from the sparse
   /// active-vertex frontier instead of the full tables, and how many
   /// vertices the frontier contained (the active-set popcount; 0 on dense
-  /// supersteps). The decision is per shard:
-  /// `used_frontier` is true when any shard took the frontier path and
-  /// `frontier_vertices` sums the frontier shards' active counts.
+  /// supersteps).
   /// @{
   bool used_frontier = false;
   int64_t frontier_vertices = 0;
@@ -164,21 +145,16 @@ class Coordinator {
   /// \brief Runs supersteps until no messages remain and all vertices have
   /// voted to halt (or max_supersteps is reached).
   ///
-  /// The run resolves its shard count S (VertexicaOptions::num_shards, else
-  /// ExecKnobs::shards; at least 1, at most the vertex-batching
-  /// partition count), partitions the vertex, edge and message tables on
-  /// vertex id once, keeps them resident across supersteps, and runs each
-  /// superstep shard-wise in parallel, exchanging messages in between. At
-  /// S = 1 the one shard is the stored snapshot itself and the exchange
-  /// routes nothing. Results are bit-identical at every S. Per-run
-  /// constants — the vertex count programs read and the update-fraction
-  /// denominator — are the vertex rows at run start.
+  /// The run reads the vertex, edge and message tables from the catalog
+  /// once and keeps them resident across supersteps. Per-run constants —
+  /// the vertex count programs read and the update-fraction denominator —
+  /// are the vertex rows at run start.
   ///
   /// The catalog is written at checkpoints and when the run completes. A
   /// run that fails or is cancelled returns its error and leaves the
   /// catalog holding the run's starting tables, or the last checkpoint's.
   /// A coordinator may run again, e.g. after the graph tables were
-  /// replaced: each run re-reads and re-partitions them.
+  /// replaced: each run re-reads them.
   Status Run(RunStats* stats = nullptr);
 
   /// \brief Global aggregator values from the final superstep.
@@ -191,7 +167,7 @@ class Coordinator {
   /// can range-scan the catalog tables without copying them.
   using TablePtr = std::shared_ptr<const Table>;
 
-  /// One (shard-)superstep's worker input: the in-place union view over
+  /// One superstep's worker input: the in-place union view over
   /// the graph tables, or the materialized 3-way join.
   struct WorkerInput {
     UnionWorkerInput view;
@@ -199,10 +175,10 @@ class Coordinator {
     Table join;                                     ///< join input path
     int64_t rows = 0;  ///< SuperstepStats::input_rows
   };
-  /// Assembles the worker input over one vertex/edge/message shard
-  /// triple. Union path: groups the messages on `dst` (one pass) next to
-  /// the shard's `edge_index`; join path: runs the 3-way join against the
-  /// shard's `edge_join_side` (both built once per run). A non-null
+  /// Assembles the worker input over the vertex, edge and message tables.
+  /// Union path: groups the messages on `dst` (one pass) next to the
+  /// edge table's `edge_index`; join path: runs the 3-way join against the
+  /// `edge_join_side` (both built once per run). A non-null
   /// `frontier` restricts the input to the active vertex rows — a row
   /// filter on the union path, a restricted probe side on the join path —
   /// with every output bit-identical to the dense input (inactive vertices
@@ -214,9 +190,9 @@ class Coordinator {
                                        const TablePtr& message,
                                        const Bitvector* frontier) const;
 
-  /// Projects/numbers the (esrc, edst, eweight, edge_seq) join side of an
-  /// edge shard — the half of the join input that is the same
-  /// every superstep, so a run builds it once per shard.
+  /// Projects/numbers the (esrc, edst, eweight, edge_seq) join side of the
+  /// edge table — the half of the join input that is the same every
+  /// superstep, so a run builds it once.
   Result<TablePtr> BuildEdgeJoinSide(const TablePtr& edge) const;
   /// The per-superstep half: vertex ⟕ message ⟕ prebuilt edge side.
   Result<Table> BuildJoinInputWithEdgeSide(const TablePtr& vertex,

@@ -21,22 +21,11 @@ struct VertexicaOptions {
   int num_workers = 0;
 
   /// Hash partitions of the worker input ("vertex batching"); 0 = a fixed
-  /// default (kDefaultTransformPartitions) that is independent of the
-  /// worker count, so results do not vary with parallelism. More
-  /// partitions = smaller batches. See TransformOptions in udf/transform.h
-  /// for the full contract.
+  /// default (kVertexBatchPartitions) that is independent of the worker
+  /// count, so results do not vary with parallelism. More partitions =
+  /// smaller batches. See ResolveWorkerParallelism in
+  /// vertexica/worker_driver.h for the full contract.
   int num_partitions = 0;
-
-  /// Persistent vertex-id sharding of the superstep dataflow
-  /// (storage/partition.h): partition the vertex, edge and message tables
-  /// into this many resident shards once per run, run the per-shard
-  /// input→worker dataflow shard-wise in parallel every superstep, and
-  /// exchange messages (shuffled on receiver) between supersteps. Shards
-  /// are contiguous blocks of the vertex-batching partitions, so results
-  /// are bit-identical at any shard count.
-  /// 0 = the `shards` knob (ExecKnobs: RunRequest::shards / VERTEXICA_SHARDS,
-  /// default 1); 1 = one shard: the stored tables themselves.
-  int num_shards = 0;
 
   /// §2.3 "Table Unions": feed workers the union of the vertex, edge, and
   /// message tables — a logical union, read in place. When false, uses the

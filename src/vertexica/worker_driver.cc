@@ -6,12 +6,13 @@
 #include <type_traits>
 #include <unordered_set>
 
+#include "common/exec_knobs.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/threadpool.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "exec/typed_fold.h"
-#include "storage/partition.h"
 #include "storage/sort.h"
 #include "vertexica/graph_tables.h"
 
@@ -105,7 +106,7 @@ auto Gather(std::vector<WorkerSink>& sinks, const Field& field) {
 /// messages stay in the sinks for CollectMessages.
 template <typename Body>
 Result<WorkerOutput> RunPartitions(const WorkerSharedState& shared,
-                                   const TransformParallelism& par,
+                                   const WorkerParallelism& par,
                                    const Body& body) {
   const int va = shared.program->value_arity();
   const int ma = shared.program->message_arity();
@@ -212,6 +213,15 @@ Result<std::vector<Column>> MessageTableColumns(
 
 }  // namespace
 
+WorkerParallelism ResolveWorkerParallelism(int num_partitions,
+                                           int num_workers) {
+  WorkerParallelism out;
+  out.partitions = num_partitions > 0 ? num_partitions : kVertexBatchPartitions;
+  out.workers = num_workers > 0 ? num_workers : ExecThreads();
+  out.workers = std::max(1, std::min(out.workers, out.partitions));
+  return out;
+}
+
 std::vector<int64_t> FrontierVertexRows(const std::vector<int64_t>& ids,
                                         const Bitvector& frontier) {
   std::vector<int64_t> rows;
@@ -227,7 +237,7 @@ std::vector<int64_t> FrontierVertexRows(const std::vector<int64_t>& ids,
 
 Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
                                      const UnionWorkerInput& in,
-                                     const TransformParallelism& par) {
+                                     const WorkerParallelism& par) {
   const int va = shared.program->value_arity();
   const int ma = shared.program->message_arity();
   const Table& vertex = *in.vertex;
@@ -258,8 +268,8 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
   const Batches batches =
       BatchRows(std::move(candidates), ids, par.partitions);
 
-  // Edges sorted by src (a loader-built table, or a shard of one) are read
-  // in place; in any other row order each vertex's slice is gathered.
+  // Edges sorted by src (a loader-built table) are read in place; in any
+  // other row order each vertex's slice is gathered.
   const bool edges_in_place = in.edge_index->identity_order();
   return RunPartitions(shared, par, [&](size_t p, WorkerSink* sink) {
     VertexRunner runner(&shared);
@@ -307,7 +317,7 @@ Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
 
 Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
                                     const Table& input,
-                                    const TransformParallelism& par) {
+                                    const WorkerParallelism& par) {
   const Schema& s = input.schema();
   const int va = shared.program->value_arity();
   const int ma = shared.program->message_arity();

@@ -16,9 +16,9 @@
 /// winning for a duplicated vertex id, partitions in order and ids
 /// ascending within each. On frontier supersteps the frontier is a row
 /// filter: only vertices with an active row are visited. When the edge
-/// index is the identity order (a loader-built edge table, or a shard of
-/// one) a vertex's edge slice is a contiguous run of the edge columns and
-/// Compute reads it in place; otherwise the slice is gathered into scratch.
+/// index is the identity order (a loader-built edge table) a vertex's edge
+/// slice is a contiguous run of the edge columns and Compute reads it in
+/// place; otherwise the slice is gathered into scratch.
 ///
 /// Join input — §2.3's 3-way-join strawman. The wide
 /// vertex ⟕ message ⟕ edge rows are grouped per partition by row index
@@ -47,14 +47,34 @@
 #include <utility>
 #include <vector>
 
+#include "common/cache_sizing.h"
 #include "common/result.h"
 #include "storage/bitvector.h"
 #include "storage/csr_index.h"
 #include "storage/table.h"
-#include "udf/transform.h"
 #include "vertexica/worker.h"
 
 namespace vertexica {
+
+/// \brief A superstep's resolved (workers, partitions) pair;
+/// partitions >= workers >= 1.
+struct WorkerParallelism {
+  int workers = 1;
+  int partitions = 1;
+};
+
+/// \brief Resolves VertexicaOptions::num_partitions and num_workers, the
+/// one place their rules live:
+///  - `num_partitions <= 0` resolves to kVertexBatchPartitions, a fixed
+///    constant deliberately *not* derived from the worker count: partition
+///    boundaries determine per-vertex tuple order, so tying them to the
+///    thread count would make results vary with parallelism;
+///  - `num_workers <= 0` resolves to the ambient ExecThreads() (the
+///    RunRequest::threads knob, else VERTEXICA_THREADS, else cores);
+///  - the workers are clamped to [1, partitions]: a worker with no
+///    partition to process would be pure overhead.
+WorkerParallelism ResolveWorkerParallelism(int num_partitions,
+                                           int num_workers);
 
 /// \brief One superstep's worker output, in partition order.
 struct WorkerOutput {
@@ -68,7 +88,7 @@ struct WorkerOutput {
   int64_t active = 0;  ///< vertices whose Compute ran
 };
 
-/// \brief The graph tables of one (shard-)superstep, read in place.
+/// \brief The graph tables of one superstep, read in place.
 struct UnionWorkerInput {
   const Table* vertex = nullptr;
   const Table* edge = nullptr;
@@ -91,14 +111,14 @@ std::vector<int64_t> FrontierVertexRows(const std::vector<int64_t>& ids,
 /// \brief Runs the workers over the in-place union input.
 Result<WorkerOutput> RunUnionWorkers(const WorkerSharedState& shared,
                                      const UnionWorkerInput& input,
-                                     const TransformParallelism& par);
+                                     const WorkerParallelism& par);
 
 /// \brief Runs the workers over the 3-way-join input (columns id, halted,
 /// v0.., msender, mm0.., msg_seq, edst, eweight, edge_seq; the seq columns
 /// nullable).
 Result<WorkerOutput> RunJoinWorkers(const WorkerSharedState& shared,
                                     const Table& input,
-                                    const TransformParallelism& par);
+                                    const WorkerParallelism& par);
 
 /// \brief The next superstep's message table (src, dst, m0..) from the
 /// sinks' messages, read in the order given — global partition order. With

@@ -261,45 +261,6 @@ TEST(ApiParityTest, EncodingKnobIsBitIdenticalAcrossModes) {
   }
 }
 
-TEST(ApiParityTest, ShardsKnobIsBitIdenticalAcrossCounts) {
-  // The `shards` request field reshapes only the Vertexica superstep
-  // dataflow (resident vertex-id shards, cross-shard message exchange —
-  // see docs/API.md); backends without a superstep loop ignore it. Results
-  // must be bit-identical at any shard count on every backend.
-  const Graph g = ParityGraph();
-  Engine engine;
-  ASSERT_TRUE(engine.LoadGraph(g).ok());
-  for (const std::string& backend : engine.backends()) {
-    for (const char* algorithm : {"pagerank", "sssp"}) {
-      RunRequest request;
-      request.algorithm = algorithm;
-      request.backend = backend;
-      request.iterations = 10;
-      request.source = 0;
-
-      request.shards = 0;  // ambient default: unsharded
-      auto unsharded = engine.Run(request);
-      ASSERT_TRUE(unsharded.ok()) << backend << "/" << algorithm << ": "
-                                  << unsharded.status().ToString();
-      for (const int shards : {2, 8}) {
-        request.shards = shards;
-        auto sharded = engine.Run(request);
-        ASSERT_TRUE(sharded.ok()) << backend << "/" << algorithm << ": "
-                                  << sharded.status().ToString();
-        ASSERT_EQ(sharded->values.size(), unsharded->values.size())
-            << backend << "/" << algorithm;
-        for (size_t v = 0; v < unsharded->values.size(); ++v) {
-          EXPECT_EQ(sharded->values[v], unsharded->values[v])
-              << backend << "/" << algorithm << ": vertex " << v
-              << " diverges between shards=1 and shards=" << shards;
-        }
-        EXPECT_EQ(sharded->aggregates, unsharded->aggregates)
-            << backend << "/" << algorithm;
-      }
-    }
-  }
-}
-
 TEST(ApiParityTest, ThreadsKnobAgreesWithReference) {
   // threads=4 runs still match the single-threaded reference answers.
   const Graph g = ParityGraph();
@@ -364,29 +325,24 @@ TEST(ApiResultTest, StatsSerializeUniformly) {
 }
 
 TEST(ApiResultTest, HashJoinMetricCountsSuperstepJoins) {
-  // The join-input path runs its hash joins inside the superstep loop,
-  // each shard on its own collector; the run's metric counts every one.
+  // The join-input path runs its hash joins inside the superstep loop, on
+  // the superstep's own collector; the run's metric counts every one.
   Engine engine;
   ASSERT_TRUE(engine.LoadGraph(ParityGraph()).ok());
-  for (const int shards : {1, 4}) {
-    RunRequest request;
-    request.algorithm = "pagerank";
-    request.iterations = 5;
-    request.shards = shards;
-    request.vertexica.use_union_input = false;
-    auto result = engine.Run(request);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    int64_t superstep_joins = 0;
-    for (const SuperstepStats& s : result->stats.supersteps) {
-      superstep_joins += s.hash_joins;
-    }
-    EXPECT_GT(superstep_joins, 0) << "shards=" << shards;
-    ASSERT_EQ(result->backend_metrics.count("hash_joins"), 1u)
-        << "shards=" << shards;
-    EXPECT_EQ(result->backend_metrics.at("hash_joins"),
-              static_cast<double>(superstep_joins))
-        << "shards=" << shards;
+  RunRequest request;
+  request.algorithm = "pagerank";
+  request.iterations = 5;
+  request.vertexica.use_union_input = false;
+  auto result = engine.Run(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  int64_t superstep_joins = 0;
+  for (const SuperstepStats& s : result->stats.supersteps) {
+    superstep_joins += s.hash_joins;
   }
+  EXPECT_GT(superstep_joins, 0);
+  ASSERT_EQ(result->backend_metrics.count("hash_joins"), 1u);
+  EXPECT_EQ(result->backend_metrics.at("hash_joins"),
+            static_cast<double>(superstep_joins));
 }
 
 TEST(ApiResultTest, GiraphModeledCostsSurfaceInMetrics) {

@@ -227,6 +227,23 @@ TEST(HashTest, Int64HashSpreads) {
   EXPECT_EQ(hashes.size(), 1000u);
 }
 
+TEST(HashTest, PartitionOfIsInRangeAndBalanced) {
+  // Vertex batching's bucket function: every key lands in [0, n), the
+  // same key always in the same bucket, and sequential ids spread evenly.
+  std::vector<int> counts(8, 0);
+  for (int64_t i = 0; i < 10000; ++i) {
+    const int p = PartitionOf(i, 8);
+    ASSERT_GE(p, 0);
+    ASSERT_LT(p, 8);
+    EXPECT_EQ(PartitionOf(i, 8), p);
+    ++counts[static_cast<size_t>(p)];
+  }
+  for (const int c : counts) {
+    EXPECT_GT(c, 900);
+    EXPECT_LT(c, 1600);
+  }
+}
+
 TEST(HashTest, StringHashDistinguishes) {
   EXPECT_NE(HashString("abc"), HashString("abd"));
   EXPECT_EQ(HashString("abc"), HashString("abc"));

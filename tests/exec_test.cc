@@ -860,7 +860,6 @@ TEST(ParallelForTest, PoolTasksRunUnderTheSubmittersContext) {
   KernelStats stats;
   ExecKnobs submitter = ExecKnobs::Current();
   submitter.threads = 3;
-  submitter.shards = 2;
   submitter.encoding = EncodingMode::kForce;
   submitter.frontier = FrontierMode::kOn;
   submitter.vectorized = false;

@@ -415,8 +415,8 @@ TEST(CheckpointTest, ResumedJoinPathMatchesUninterrupted) {
   ASSERT_FALSE(stats.supersteps.empty());
   EXPECT_GE(stats.supersteps.front().superstep, 4);
   for (const SuperstepStats& s : stats.supersteps) {
-    // Two input-build joins per shard (VERTEXICA_SHARDS may shard the run).
-    EXPECT_EQ(s.hash_joins, 2 * s.shards) << "superstep " << s.superstep;
+    // The two input-build joins.
+    EXPECT_EQ(s.hash_joins, 2) << "superstep " << s.superstep;
   }
   auto ranks = ReadVertexValues(recovered, {});
   ASSERT_TRUE(ranks.ok());
@@ -797,13 +797,12 @@ TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdentical) {
   RunCheckpointFaultResumeCase("vx_fault_resume_default", {});
 }
 
-TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdenticalSharded) {
+TEST(CheckpointFaultTest, FailedCheckpointResumesBitIdenticalJoinInput) {
   VertexicaOptions opts;
   opts.num_workers = 2;
-  opts.num_shards = 4;  // checkpoints publish four shards
   opts.num_partitions = 16;
   opts.use_union_input = false;
-  RunCheckpointFaultResumeCase("vx_fault_resume_sharded", opts);
+  RunCheckpointFaultResumeCase("vx_fault_resume_join_input", opts);
 }
 
 TEST(CoordinatorFaultTest, SuperstepFaultAbortsAndCleanRerunIsBitIdentical) {
@@ -843,15 +842,14 @@ TEST(CoordinatorFaultTest, SuperstepFaultAbortsAndCleanRerunIsBitIdentical) {
   }
 }
 
-TEST(CoordinatorFaultTest, ExchangeFaultAbortsShardedRun) {
+TEST(CoordinatorFaultTest, ExchangeFaultAborts) {
   Graph g = GenerateRmat(50, 250, 98);
   VertexicaOptions opts;
-  opts.num_shards = 4;  // four shards: the exchange routes across shards
   opts.num_partitions = 8;
   opts.use_union_input = false;
 
-  // The message exchange is the only cross-shard phase — a worker failure
-  // in a distributed deployment surfaces exactly here.
+  // The message exchange follows the workers — a worker failure in a
+  // distributed deployment would surface exactly here.
   Catalog cat;
   PageRankProgram program(5);
   ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
@@ -927,11 +925,11 @@ TEST(FaultEnvTest, CheckpointFaultArmedViaEnvironmentFires) {
 
 TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   // One coordinator, two runs, the edge table replaced in between (the
-  // dynamic-graph pattern): each run re-partitions the graph tables and
-  // rebuilds the per-shard edge structures — the join side and the CSR
-  // index — or run 2 computes distances over the stale edge set.
-  // Exercised on both input paths and at one and four resident shards,
-  // with the frontier forced on so the CSR index is actually consulted.
+  // dynamic-graph pattern): each run re-reads the graph tables and
+  // rebuilds the edge structures — the join side and the CSR index — or
+  // run 2 computes distances over the stale edge set. Exercised on both
+  // input paths, with the frontier forced on so the CSR index is actually
+  // consulted.
   const int64_t n = 20;
   Graph chain;
   chain.num_vertices = n;
@@ -942,43 +940,39 @@ TEST(CoordinatorCacheTest, EdgeTableReplacedBetweenRunsRebuildsCaches) {
   ExecKnobs knobs = ExecKnobs::Current();
   knobs.frontier = FrontierMode::kOn;
   ScopedExecKnobs on(knobs);
-  for (const int shards : {1, 4}) {
-    for (const bool union_input : {true, false}) {
-      const std::string where =
-          std::string(union_input ? "union" : "join") + " input, shards " +
-          std::to_string(shards);
-      VertexicaOptions opts;
-      opts.use_union_input = union_input;
-      opts.num_shards = shards;
-      ShortestPathProgram program(0);
-      Catalog cat;
-      ASSERT_TRUE(LoadGraphTables(&cat, chain, program).ok());
-      Coordinator coordinator(&cat, &program, opts);
-      ASSERT_TRUE(coordinator.Run().ok()) << where;
-      auto before = ReadVertexValues(cat, {});
-      ASSERT_TRUE(before.ok());
-      EXPECT_DOUBLE_EQ((*before)[static_cast<size_t>(n / 2)],
-                       static_cast<double>(n / 2))
-          << where;
+  for (const bool union_input : {true, false}) {
+    const std::string where =
+        std::string(union_input ? "union" : "join") + " input";
+    VertexicaOptions opts;
+    opts.use_union_input = union_input;
+    ShortestPathProgram program(0);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, chain, program).ok());
+    Coordinator coordinator(&cat, &program, opts);
+    ASSERT_TRUE(coordinator.Run().ok()) << where;
+    auto before = ReadVertexValues(cat, {});
+    ASSERT_TRUE(before.ok());
+    EXPECT_DOUBLE_EQ((*before)[static_cast<size_t>(n / 2)],
+                     static_cast<double>(n / 2))
+        << where;
 
-      // Replace the graph tables (same coordinator!) and rerun. A fresh
-      // coordinator over the same catalog is the trusted reference.
-      ASSERT_TRUE(LoadGraphTables(&cat, shortcut, program).ok());
-      ASSERT_TRUE(coordinator.Run().ok()) << where;
-      auto after = ReadVertexValues(cat, {});
-      ASSERT_TRUE(after.ok());
+    // Replace the graph tables (same coordinator!) and rerun. A fresh
+    // coordinator over the same catalog is the trusted reference.
+    ASSERT_TRUE(LoadGraphTables(&cat, shortcut, program).ok());
+    ASSERT_TRUE(coordinator.Run().ok()) << where;
+    auto after = ReadVertexValues(cat, {});
+    ASSERT_TRUE(after.ok());
 
-      Catalog fresh_cat;
-      auto expect = RunShortestPaths(&fresh_cat, shortcut, 0, opts);
-      ASSERT_TRUE(expect.ok());
-      ASSERT_EQ(after->size(), expect->size());
-      for (size_t v = 0; v < expect->size(); ++v) {
-        EXPECT_EQ((*after)[v], (*expect)[v]) << where << ", vertex " << v;
-      }
-      // The shortcut must actually be visible: distance to the back half
-      // drops, which a stale edge structure cannot produce.
-      EXPECT_DOUBLE_EQ((*after)[static_cast<size_t>(n / 2)], 0.5) << where;
+    Catalog fresh_cat;
+    auto expect = RunShortestPaths(&fresh_cat, shortcut, 0, opts);
+    ASSERT_TRUE(expect.ok());
+    ASSERT_EQ(after->size(), expect->size());
+    for (size_t v = 0; v < expect->size(); ++v) {
+      EXPECT_EQ((*after)[v], (*expect)[v]) << where << ", vertex " << v;
     }
+    // The shortcut must actually be visible: distance to the back half
+    // drops, which a stale edge structure cannot produce.
+    EXPECT_DOUBLE_EQ((*after)[static_cast<size_t>(n / 2)], 0.5) << where;
   }
 }
 

@@ -214,7 +214,6 @@ TEST(PipelineTest, ParallelWaveNodesSeeTheCallersKnobs) {
   KernelStats stats;
   ExecKnobs caller;
   caller.threads = 4;
-  caller.shards = 3;
   caller.encoding = EncodingMode::kOff;
   caller.frontier = FrontierMode::kOff;
   caller.vectorized = false;

@@ -103,7 +103,6 @@ TEST(EnvKnobTest, EnvTokenKnobMatchesCaseInsensitively) {
 TEST(ExecKnobsTest, InstallRoundTripsAcrossThreads) {
   ExecKnobs knobs = ExecKnobs::Current();
   knobs.threads = 3;
-  knobs.shards = 2;
   knobs.encoding = EncodingMode::kForce;
   knobs.vectorized = false;
   knobs.frontier = FrontierMode::kOn;
@@ -121,7 +120,6 @@ TEST(ExecKnobsTest, InstallRoundTripsAcrossThreads) {
   EXPECT_TRUE(fresh != knobs);
   EXPECT_TRUE(seen == knobs);
   EXPECT_EQ(seen.threads, 3);
-  EXPECT_EQ(seen.shards, 2);
   EXPECT_EQ(seen.encoding, EncodingMode::kForce);
   EXPECT_FALSE(seen.vectorized);
   EXPECT_EQ(seen.frontier, FrontierMode::kOn);
@@ -130,13 +128,11 @@ TEST(ExecKnobsTest, InstallRoundTripsAcrossThreads) {
 TEST(ExecContextTest, FromRequestResolvesOverrides) {
   RunRequest request;
   request.threads = 5;
-  request.shards = 3;
   request.encoding = "force";
   request.vectorized = "off";
   request.frontier = "on";
   const ExecKnobs knobs = *ExecKnobsFromRequest(request);
   EXPECT_EQ(knobs.threads, 5);
-  EXPECT_EQ(knobs.shards, 3);
   EXPECT_EQ(knobs.encoding, EncodingMode::kForce);
   EXPECT_FALSE(knobs.vectorized);
   EXPECT_EQ(knobs.frontier, FrontierMode::kOn);
@@ -163,15 +159,12 @@ TEST(ExecContextTest, NumericFieldsOutOfRangeAreRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   RunRequest negative_threads;
   negative_threads.threads = -5;
-  RunRequest negative_shards;
-  negative_shards.shards = -2;
   RunRequest negative_deadline;
   negative_deadline.deadline_ms = -1;
   RunRequest nan_deadline;
   nan_deadline.deadline_ms = nan;
   for (const auto& [request, field] :
        {std::make_tuple(negative_threads, "threads"),
-        std::make_tuple(negative_shards, "shards"),
         std::make_tuple(negative_deadline, "deadline_ms"),
         std::make_tuple(nan_deadline, "deadline_ms")}) {
     const auto knobs = ExecKnobsFromRequest(request);
@@ -182,11 +175,10 @@ TEST(ExecContextTest, NumericFieldsOutOfRangeAreRejected) {
         << knobs.status().ToString();
   }
 
-  // 0 keeps its meaning: the current threads and shards, no deadline.
+  // 0 keeps its meaning: the current threads, no deadline.
   const auto zero = ExecKnobsFromRequest(RunRequest());
   ASSERT_TRUE(zero.ok()) << zero.status().ToString();
   EXPECT_EQ(zero->threads, ExecKnobs::Current().threads);
-  EXPECT_EQ(zero->shards, ExecKnobs::Current().shards);
   EXPECT_TRUE(zero->cancel.null());
 
   // The server rejects them before admission, like a malformed knob
@@ -610,7 +602,6 @@ TEST(EngineServerTest, ConcurrentMixedClientsBitIdenticalToSerial) {
         request.algorithm = algorithm;
         request.source = 1;
         request.threads = 1 + variant * 2;        // 1 or 3
-        request.shards = 1 + variant * 3;         // 1 or 4
         request.encoding = variant == 0 ? "off" : "force";
         request.vectorized = variant == 0 ? "off" : "on";
         requests.push_back(request);

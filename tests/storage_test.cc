@@ -1,6 +1,6 @@
 // Unit tests for the columnar storage layer: Value, Column, Schema, Table,
-// sorting and hash partitioning — plus the segment-encoding property
-// suites: encode→operate→decode is bit-identical to plain execution, and
+// sorting — plus the segment-encoding property suites:
+// encode→operate→decode is bit-identical to plain execution, and
 // zone-map scan pruning never changes filter results at any thread count.
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "storage/compression.h"
 #include "storage/csr_index.h"
 #include "storage/encoding.h"
-#include "storage/partition.h"
 #include "storage/sort.h"
 #include "storage/table.h"
 
@@ -322,37 +321,6 @@ TEST(SortTest, StringKeys) {
   VX_CHECK_OK(t.AppendRow({Value("apple")}));
   Table sorted = SortTable(t, {{0, true}});
   EXPECT_EQ(sorted.column(0).GetString(0), "apple");
-}
-
-TEST(PartitionTest, CoversAllRowsDisjointly) {
-  Table t(Schema({{"id", DataType::kInt64}}));
-  for (int64_t i = 0; i < 1000; ++i) {
-    VX_CHECK_OK(t.AppendRow({Value(i)}));
-  }
-  auto parts = HashPartition(t, 0, 7);
-  ASSERT_EQ(parts.size(), 7u);
-  int64_t total = 0;
-  for (const auto& p : parts) total += p.num_rows();
-  EXPECT_EQ(total, 1000);
-}
-
-TEST(PartitionTest, SameKeySamePartition) {
-  Table t(Schema({{"id", DataType::kInt64}}));
-  for (int rep = 0; rep < 3; ++rep) {
-    for (int64_t i = 0; i < 50; ++i) {
-      VX_CHECK_OK(t.AppendRow({Value(i)}));
-    }
-  }
-  auto parts = HashPartition(t, 0, 4);
-  for (int64_t key = 0; key < 50; ++key) {
-    const int expected = PartitionOf(key, 4);
-    for (size_t p = 0; p < parts.size(); ++p) {
-      const auto& ids = parts[p].column(0).ints();
-      const bool has =
-          std::find(ids.begin(), ids.end(), key) != ids.end();
-      EXPECT_EQ(has, static_cast<int>(p) == expected);
-    }
-  }
 }
 
 // ------------------------------------------------- NaN total order (sort)
@@ -734,106 +702,6 @@ TEST(AccountingTest, EncodedByteSizeTracksRepresentation) {
   EXPECT_EQ(EncodedByteSize(c), plain_bytes);
 }
 
-TEST(PartitionTest, ReasonablyBalanced) {
-  Table t(Schema({{"id", DataType::kInt64}}));
-  for (int64_t i = 0; i < 10000; ++i) {
-    VX_CHECK_OK(t.AppendRow({Value(i)}));
-  }
-  auto parts = HashPartition(t, 0, 8);
-  for (const auto& p : parts) {
-    EXPECT_GT(p.num_rows(), 900);
-    EXPECT_LT(p.num_rows(), 1600);
-  }
-}
-
-// ------------------------------------- scatter contract (partition.h)
-
-/// Key + payload table where payload = original row number, so tests can
-/// check order preservation and row identity after a scatter. Every third
-/// key is NULL when `with_nulls`.
-Table KeyedTable(int64_t rows, bool with_nulls) {
-  Table t(Schema({{"key", DataType::kInt64}, {"pos", DataType::kInt64}}));
-  for (int64_t i = 0; i < rows; ++i) {
-    if (with_nulls && i % 3 == 0) {
-      VX_CHECK_OK(t.AppendRow({Value::Null(), Value(i)}));
-    } else {
-      VX_CHECK_OK(t.AppendRow({Value(i % 17), Value(i)}));
-    }
-  }
-  return t;
-}
-
-TEST(PartitionTest, NullKeysGoToPartitionZero) {
-  // The documented contract: a NULL key row lands in partition 0,
-  // deterministically — the validity bitmap is consulted, never the
-  // placeholder bytes in the value slot.
-  const Table t = KeyedTable(200, /*with_nulls=*/true);
-  auto parts = HashPartition(t, 0, 5);
-  int64_t nulls_seen = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    const Column& keys = parts[p].column(0);
-    for (int64_t r = 0; r < keys.length(); ++r) {
-      if (keys.IsNull(r)) {
-        EXPECT_EQ(p, 0u) << "NULL key in partition " << p;
-        ++nulls_seen;
-      }
-    }
-  }
-  EXPECT_EQ(nulls_seen, t.column(0).null_count());
-  // Deterministic: a second scatter produces identical partitions.
-  auto again = HashPartition(t, 0, 5);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    EXPECT_TRUE(parts[p].Equals(again[p]));
-  }
-}
-
-TEST(PartitionTest, EncodedKeyMatchesPlainAndStaysEncoded) {
-  // An RLE key column scatters run-at-a-time: same partitions as the plain
-  // scatter, the source column stays encoded, and the per-partition key
-  // columns come out RLE without a decode/re-encode round trip.
-  Table plain(Schema({{"key", DataType::kInt64}, {"pos", DataType::kInt64}}));
-  for (int64_t i = 0; i < 500; ++i) {
-    VX_CHECK_OK(plain.AppendRow({Value(i / 25), Value(i)}));  // 25-long runs
-  }
-  Table encoded = plain;
-  ASSERT_TRUE(encoded.mutable_column(0)->Encode(EncodingMode::kForce));
-  ASSERT_TRUE(encoded.column(0).is_encoded());
-
-  auto plain_parts = HashPartition(plain, 0, 4);
-  auto encoded_parts = HashPartition(encoded, 0, 4);
-  ASSERT_EQ(plain_parts.size(), encoded_parts.size());
-  for (size_t p = 0; p < plain_parts.size(); ++p) {
-    EXPECT_TRUE(plain_parts[p].Equals(encoded_parts[p])) << "partition " << p;
-    if (encoded_parts[p].num_rows() > 0) {
-      EXPECT_EQ(encoded_parts[p].column(0).encoding(), ColumnEncoding::kRle);
-    }
-  }
-  EXPECT_TRUE(encoded.column(0).is_encoded()) << "scatter decoded the source";
-}
-
-TEST(PartitionTest, EncodedKeyWithNullsMatchesPlain) {
-  // Null-bearing RLE keys take the validity-aware run path: values still
-  // come from the runs, NULL rows still land in partition 0.
-  Table plain = KeyedTable(300, /*with_nulls=*/true);
-  Table encoded = plain;
-  encoded.mutable_column(0)->Encode(EncodingMode::kForce);
-  auto plain_parts = HashPartition(plain, 0, 4);
-  auto encoded_parts = HashPartition(encoded, 0, 4);
-  for (size_t p = 0; p < plain_parts.size(); ++p) {
-    EXPECT_TRUE(plain_parts[p].Equals(encoded_parts[p])) << "partition " << p;
-  }
-}
-
-TEST(PartitionTest, OrderPreservedWithinPartition) {
-  const Table t = KeyedTable(400, /*with_nulls=*/false);
-  for (const Table& p : HashPartition(t, 0, 3)) {
-    const auto& pos = p.column(1).ints();
-    for (size_t r = 1; r < pos.size(); ++r) {
-      EXPECT_LT(pos[r - 1], pos[r]) << "input order not preserved";
-    }
-  }
-}
-
 TEST(ColumnTest, FromRleRunsBuildsEncodedColumn) {
   Column c = Column::FromRleRuns({{7, 3}, {7, 2}, {-1, 1}});
   EXPECT_EQ(c.length(), 6);
@@ -847,124 +715,6 @@ TEST(ColumnTest, FromRleRunsBuildsEncodedColumn) {
   ASSERT_EQ(c.zone_map()->zones().size(), 1u);
   EXPECT_EQ(c.zone_map()->zones()[0].min_i, -1);
   EXPECT_EQ(c.zone_map()->zones()[0].max_i, 7);
-}
-
-// ------------------------------------- persistent shards (PartitionSet)
-
-TEST(ShardingTest, ShardCountDeterminism) {
-  // The same rows end up in the shard owning their key at every shard
-  // count, and shards at any S are coarsenings of the same base
-  // partitioning — the property behind shard-count-independent results.
-  const Table t = KeyedTable(600, /*with_nulls=*/false);
-  for (int num_shards : {1, 2, 8}) {
-    ShardingSpec spec;
-    spec.num_shards = num_shards;
-    auto set =
-        PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
-    ASSERT_TRUE(set.ok()) << set.status().ToString();
-    ASSERT_EQ(set->num_shards(), num_shards);
-    EXPECT_EQ(set->total_rows(), t.num_rows());
-    std::vector<uint8_t> seen(static_cast<size_t>(t.num_rows()), 0);
-    for (int s = 0; s < num_shards; ++s) {
-      const Table& shard = *set->shard(s);
-      for (int64_t r = 0; r < shard.num_rows(); ++r) {
-        EXPECT_EQ(spec.ShardOfKey(shard.column(0).GetInt64(r)), s);
-        seen[static_cast<size_t>(shard.column(1).GetInt64(r))] = 1;
-      }
-      // Order preservation within a shard.
-      const Column& pos = shard.column(1);
-      for (int64_t r = 1; r < shard.num_rows(); ++r) {
-        EXPECT_LT(pos.GetInt64(r - 1), pos.GetInt64(r));
-      }
-    }
-    for (uint8_t row_seen : seen) EXPECT_EQ(row_seen, 1);
-  }
-}
-
-TEST(ShardingTest, NullKeysOwnShardZero) {
-  const Table t = KeyedTable(90, /*with_nulls=*/true);
-  ShardingSpec spec;
-  spec.num_shards = 4;
-  EXPECT_EQ(spec.ShardOfNull(), 0);
-  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
-  ASSERT_TRUE(set.ok());
-  for (int s = 1; s < set->num_shards(); ++s) {
-    EXPECT_EQ(set->shard(s)->column(0).null_count(), 0);
-  }
-  EXPECT_EQ(set->shard(0)->column(0).null_count(),
-            t.column(0).null_count());
-}
-
-TEST(ShardingTest, MetadataRetainedPerShard) {
-  // A declared sort order survives the (stable) scatter onto every shard,
-  // and — with the encoding knob on — shards come out encoded with zone
-  // maps where eligible.
-  Table t(Schema({{"key", DataType::kInt64}, {"pos", DataType::kInt64}}));
-  for (int64_t i = 0; i < 512; ++i) {
-    VX_CHECK_OK(t.AppendRow({Value(i / 32), Value(i)}));
-  }
-  t = SortTable(t, {{0, true}, {1, true}});
-  ASSERT_EQ(t.sort_order().size(), 2u);
-
-  ExecKnobs knobs = ExecKnobs::Current();
-  knobs.encoding = EncodingMode::kForce;
-  ScopedExecKnobs scoped(knobs);
-  ShardingSpec spec;
-  spec.num_shards = 3;
-  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
-  ASSERT_TRUE(set.ok());
-  for (int s = 0; s < set->num_shards(); ++s) {
-    const Table& shard = *set->shard(s);
-    ASSERT_EQ(shard.sort_order().size(), 2u) << "shard " << s;
-    EXPECT_EQ(shard.sort_order()[0].column, 0) << "shard " << s;
-    EXPECT_EQ(shard.sort_order()[1].column, 1) << "shard " << s;
-    if (shard.num_rows() > 0) {
-      EXPECT_EQ(shard.column(0).encoding(), ColumnEncoding::kRle);
-    }
-  }
-}
-
-TEST(ShardingTest, MalformedSpecFails) {
-  const auto t =
-      std::make_shared<const Table>(KeyedTable(10, /*with_nulls=*/false));
-  ShardingSpec spec;
-  spec.num_shards = 128;
-  spec.base_partitions = 64;  // more shards than base partitions
-  EXPECT_FALSE(PartitionSet::Build(t, 0, spec).ok());
-  spec.num_shards = 0;
-  EXPECT_FALSE(PartitionSet::Build(t, 0, spec).ok());
-}
-
-TEST(ShardingTest, OneShardSetIsTheSnapshotItself) {
-  // One shard owns every key, so the set holds the input snapshot as its
-  // shard: no scatter, no copy, no re-encode.
-  ExecKnobs knobs = ExecKnobs::Current();
-  knobs.encoding = EncodingMode::kForce;
-  ScopedExecKnobs scoped(knobs);
-  const auto t =
-      std::make_shared<const Table>(KeyedTable(100, /*with_nulls=*/true));
-  ShardingSpec spec;  // one shard by default
-  auto set = PartitionSet::Build(t, 0, spec);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ASSERT_EQ(set->num_shards(), 1);
-  EXPECT_EQ(set->shard(0).get(), t.get());
-  EXPECT_TRUE(set->CheckInvariants().ok());
-
-  // The key column is still validated.
-  EXPECT_FALSE(PartitionSet::Build(t, 5, spec).ok());
-}
-
-TEST(ShardingTest, ReplaceShardSwapsTable) {
-  const Table t = KeyedTable(100, /*with_nulls=*/false);
-  ShardingSpec spec;
-  spec.num_shards = 2;
-  auto set = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
-  ASSERT_TRUE(set.ok());
-  const int64_t other_rows = set->shard(1)->num_rows();
-  Table empty(t.schema());
-  set->ReplaceShard(0, std::move(empty));
-  EXPECT_EQ(set->shard(0)->num_rows(), 0);
-  EXPECT_EQ(set->total_rows(), other_rows);
 }
 
 // ---- Bitvector (the frontier representation). ----------------------------
@@ -1507,55 +1257,6 @@ TEST(InvariantAuditTest, StaleDirectAddressCsrIndexIsReported) {
                        "keys span [3, 600] over 4 rows, which selects the "
                        "hash layout, but the index uses the other one"))
       << st3.ToString();
-}
-
-TEST(InvariantAuditTest, MalformedShardingSpecIsReported) {
-  ShardingSpec bad;
-  bad.num_shards = 4;
-  bad.base_partitions = 2;  // shards must coarsen, not refine
-  const Status st = bad.Validate();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(Mentions(st, "4 shards over 2 base partitions"))
-      << st.ToString();
-
-  ShardingSpec good;
-  good.num_shards = 3;
-  good.base_partitions = 64;
-  EXPECT_TRUE(good.Validate().ok());
-}
-
-TEST(InvariantAuditTest, MisplacedShardRowIsReported) {
-  Schema schema({{"id", DataType::kInt64}, {"v", DataType::kDouble}});
-  Table t(schema);
-  for (int64_t i = 0; i < 32; ++i) {
-    ASSERT_TRUE(t.AppendRow({Value(i), Value(static_cast<double>(i))}).ok());
-  }
-  ShardingSpec spec;
-  spec.num_shards = 2;
-  spec.base_partitions = 64;
-  auto built = PartitionSet::Build(std::make_shared<const Table>(t), 0, spec);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  PartitionSet set = *built;
-  EXPECT_TRUE(set.CheckInvariants().ok());
-
-  // A key provably owned by shard 0, force-placed into shard 1 — the
-  // ReplaceShard obligation ("rows still belong to the shard") broken.
-  int64_t shard0_key = -1;
-  for (int64_t k = 0; k < 1000; ++k) {
-    if (spec.ShardOfKey(k) == 0) {
-      shard0_key = k;
-      break;
-    }
-  }
-  ASSERT_GE(shard0_key, 0);
-  Table wrong(schema);
-  ASSERT_TRUE(wrong.AppendRow({Value(shard0_key), Value(0.5)}).ok());
-  set.ReplaceShard(1, std::move(wrong));
-  const Status st = set.CheckInvariants();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(Mentions(
-      st, "row 0 of shard 1 carries a key owned by shard 0"))
-      << st.ToString();
 }
 
 

@@ -21,16 +21,16 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/reference.h"
 #include "algorithms/sssp.h"
+#include "common/cache_sizing.h"
+#include "common/exec_knobs.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "common/exec_knobs.h"
 #include "exec/aggregate.h"
 #include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "storage/csr_index.h"
-#include "storage/partition.h"
-#include "storage/sort.h"
 #include "vertexica/coordinator.h"
 #include "vertexica/graph_tables.h"
 #include "vertexica/worker.h"
@@ -135,24 +135,19 @@ TEST(PageRankVertexCentricTest, StatsRecordSupersteps) {
 
 TEST(PageRankVertexCentricTest, PhaseBreakdownSumsToStepTime) {
   Graph g = GenerateRmat(128, 900, 18);
-  for (const int shards : {1, 4}) {
-    VertexicaOptions opts;
-    opts.num_shards = shards;
-    Catalog cat;
-    RunStats stats;
-    ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, opts, &stats).ok());
-    ASSERT_FALSE(stats.supersteps.empty());
-    for (const auto& s : stats.supersteps) {
-      const double phases = s.input_seconds + s.worker_seconds +
-                            s.split_seconds + s.apply_seconds;
-      EXPECT_GT(phases, 0.0) << "shards=" << shards;
-      EXPECT_LE(phases, s.seconds * 1.05 + 1e-3) << "shards=" << shards;
-      // Every shard count times its input build apart from Compute.
-      EXPECT_GT(s.input_seconds, 0.0)
-          << "shards=" << shards << ", superstep " << s.superstep;
-      EXPECT_GE(s.worker_seconds, 0.0) << "shards=" << shards;
-      EXPECT_GT(s.input_rows, 0);
-    }
+  Catalog cat;
+  RunStats stats;
+  ASSERT_TRUE(RunPageRank(&cat, g, 4, 0.85, {}, &stats).ok());
+  ASSERT_FALSE(stats.supersteps.empty());
+  for (const auto& s : stats.supersteps) {
+    const double phases = s.input_seconds + s.worker_seconds +
+                          s.split_seconds + s.apply_seconds;
+    EXPECT_GT(phases, 0.0);
+    EXPECT_LE(phases, s.seconds * 1.05 + 1e-3);
+    // The input build is timed apart from Compute.
+    EXPECT_GT(s.input_seconds, 0.0) << "superstep " << s.superstep;
+    EXPECT_GE(s.worker_seconds, 0.0);
+    EXPECT_GT(s.input_rows, 0);
   }
 }
 
@@ -469,8 +464,7 @@ TEST(WorkerTest, SendsLandInTheSinkInCallOrder) {
 
 /// Replaces the stored edge table with a seeded shuffle of its rows. The
 /// edge CsrIndex is then a permutation, so the union worker gathers every
-/// vertex's out-edges into scratch (at every shard count: shards are stable
-/// subsequences of the stored table).
+/// vertex's out-edges into scratch.
 void ShuffleEdgeRows(Catalog* cat, uint64_t seed) {
   auto edge = cat->GetTable("edge");
   ASSERT_TRUE(edge.ok());
@@ -492,63 +486,53 @@ TEST(EdgeSpanTest, GatheredEdgesGiveDijkstraDistances) {
   AssignRandomWeights(&g, 1.0, 9.0, 72);
   const std::vector<double> expect = DijkstraReference(g, 0);
   for (const int threads : {1, 4}) {
-    for (const int shards : {1, 4}) {
-      ExecKnobs knobs = ExecKnobs::Current();
-      knobs.threads = threads;
-      ScopedExecKnobs scoped(knobs);
-      ShortestPathProgram program(0);
-      Catalog cat;
-      ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
-      ShuffleEdgeRows(&cat, 73);
-      VertexicaOptions opts;
-      opts.num_shards = shards;
-      Coordinator coord(&cat, &program, opts);
-      ASSERT_TRUE(coord.Run().ok());
-      auto dist = ReadVertexValues(cat, {});
-      ASSERT_TRUE(dist.ok());
-      EXPECT_EQ(*dist, expect) << "threads " << threads << ", shards "
-                               << shards;
-    }
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    ScopedExecKnobs scoped(knobs);
+    ShortestPathProgram program(0);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    ShuffleEdgeRows(&cat, 73);
+    Coordinator coord(&cat, &program);
+    ASSERT_TRUE(coord.Run().ok());
+    auto dist = ReadVertexValues(cat, {});
+    ASSERT_TRUE(dist.ok());
+    EXPECT_EQ(*dist, expect) << "threads " << threads;
   }
 }
 
-TEST(EdgeSpanTest, GatheredEdgesAreBitIdenticalAcrossShardsAndThreads) {
+TEST(EdgeSpanTest, GatheredEdgesAreBitIdenticalAcrossThreads) {
   // Collaborative filtering sends (k + 1)-column messages and sums them,
   // so any change in a vertex's edge order or send order shows in the bits.
   const Graph ratings = GenerateBipartite(30, 20, 300, 74).WithReverseEdges();
   const int k = 3;
   std::vector<std::vector<double>> first;
   for (const int threads : {1, 4}) {
-    for (const int shards : {1, 4}) {
-      ExecKnobs knobs = ExecKnobs::Current();
-      knobs.threads = threads;
-      ScopedExecKnobs scoped(knobs);
-      CollaborativeFilteringProgram program(k, 6);
-      Catalog cat;
-      ASSERT_TRUE(LoadGraphTables(&cat, ratings, program).ok());
-      ShuffleEdgeRows(&cat, 75);
-      VertexicaOptions opts;
-      opts.num_shards = shards;
-      Coordinator coord(&cat, &program, opts);
-      ASSERT_TRUE(coord.Run().ok());
-      std::vector<std::vector<double>> factors;
-      for (int c = 0; c < k; ++c) {
-        auto values = ReadVertexValues(cat, {}, c);
-        ASSERT_TRUE(values.ok());
-        factors.push_back(std::move(*values));
-      }
-      if (first.empty()) {
-        first = factors;
-        continue;
-      }
-      for (int c = 0; c < k; ++c) {
-        const auto& a = first[static_cast<size_t>(c)];
-        const auto& b = factors[static_cast<size_t>(c)];
-        ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
-            << "factor " << c << ", threads " << threads << ", shards "
-            << shards;
-      }
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    ScopedExecKnobs scoped(knobs);
+    CollaborativeFilteringProgram program(k, 6);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, ratings, program).ok());
+    ShuffleEdgeRows(&cat, 75);
+    Coordinator coord(&cat, &program);
+    ASSERT_TRUE(coord.Run().ok());
+    std::vector<std::vector<double>> factors;
+    for (int c = 0; c < k; ++c) {
+      auto values = ReadVertexValues(cat, {}, c);
+      ASSERT_TRUE(values.ok());
+      factors.push_back(std::move(*values));
+    }
+    if (first.empty()) {
+      first = factors;
+      continue;
+    }
+    for (int c = 0; c < k; ++c) {
+      const auto& a = first[static_cast<size_t>(c)];
+      const auto& b = factors[static_cast<size_t>(c)];
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+          << "factor " << c << ", threads " << threads;
     }
   }
 }
@@ -561,48 +545,41 @@ TEST(EdgeSpanTest, StoredMessageSrcIsTheSenderOnlyWithoutCombiner) {
   std::multiset<std::pair<int64_t, int64_t>> edges;
   for (size_t e = 0; e < g.src.size(); ++e) edges.emplace(g.src[e], g.dst[e]);
   for (const bool use_combiner : {false, true}) {
-    for (const int shards : {1, 4}) {
-      PageRankProgram program(5);
-      Catalog cat;
-      ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
-      VertexicaOptions opts;
-      opts.use_combiner = use_combiner;
-      opts.num_shards = shards;
-      opts.max_supersteps = 1;
-      Coordinator coord(&cat, &program, opts);
-      ASSERT_TRUE(coord.Run().ok());
-      auto message = cat.GetTable("message");
-      ASSERT_TRUE(message.ok());
-      const std::vector<int64_t>& src = (*message)->ColumnByName("src")->ints();
-      const std::vector<int64_t>& dst = (*message)->ColumnByName("dst")->ints();
-      ASSERT_EQ(src.size(), dst.size());
-      const std::string where = StringFormat(
-          "combiner %d, shards %d", use_combiner ? 1 : 0, shards);
-      if (use_combiner) {
-        EXPECT_TRUE(std::all_of(src.begin(), src.end(),
-                                [](int64_t s) { return s == -1; }))
-            << where;
-        EXPECT_EQ(std::set<int64_t>(dst.begin(), dst.end()).size(),
-                  dst.size())
-            << where;
-      } else {
-        std::multiset<std::pair<int64_t, int64_t>> sent;
-        for (size_t m = 0; m < src.size(); ++m) sent.emplace(src[m], dst[m]);
-        EXPECT_EQ(sent, edges) << where;
-      }
+    PageRankProgram program(5);
+    Catalog cat;
+    ASSERT_TRUE(LoadGraphTables(&cat, g, program).ok());
+    VertexicaOptions opts;
+    opts.use_combiner = use_combiner;
+    opts.max_supersteps = 1;
+    Coordinator coord(&cat, &program, opts);
+    ASSERT_TRUE(coord.Run().ok());
+    auto message = cat.GetTable("message");
+    ASSERT_TRUE(message.ok());
+    const std::vector<int64_t>& src = (*message)->ColumnByName("src")->ints();
+    const std::vector<int64_t>& dst = (*message)->ColumnByName("dst")->ints();
+    ASSERT_EQ(src.size(), dst.size());
+    const std::string where =
+        StringFormat("combiner %d", use_combiner ? 1 : 0);
+    if (use_combiner) {
+      EXPECT_TRUE(std::all_of(src.begin(), src.end(),
+                              [](int64_t s) { return s == -1; }))
+          << where;
+      EXPECT_EQ(std::set<int64_t>(dst.begin(), dst.end()).size(), dst.size())
+          << where;
+    } else {
+      std::multiset<std::pair<int64_t, int64_t>> sent;
+      for (size_t m = 0; m < src.size(); ++m) sent.emplace(src[m], dst[m]);
+      EXPECT_EQ(sent, edges) << where;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Join-input superstep joins: the vertex ⟕ message ⟕ edge plan runs as two
-// hash joins per shard and superstep.
+// hash joins per superstep.
 // ---------------------------------------------------------------------------
 
-TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerShard) {
-  ExecKnobs knobs = ExecKnobs::Current();
-  knobs.shards = 1;  // exact per-step counters assume 1 shard
-  ScopedExecKnobs unsharded(knobs);
+TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerSuperstep) {
   Graph g = GenerateRmat(128, 800, 11);
   VertexicaOptions opts;
   opts.use_union_input = false;
@@ -614,7 +591,7 @@ TEST(OptimizationTest, JoinInputRunsTwoHashJoinsPerShard) {
   ASSERT_GT(stats.supersteps.size(), 1u);
   for (const SuperstepStats& s : stats.supersteps) {
     // BuildJoinInput's vertex ⟕ message and ⟕ edge joins.
-    EXPECT_EQ(s.hash_joins, 2 * s.shards) << "superstep " << s.superstep;
+    EXPECT_EQ(s.hash_joins, 2) << "superstep " << s.superstep;
     EXPECT_EQ(s.merge_joins, 0) << "superstep " << s.superstep;
     EXPECT_GT(s.join_rows, 0) << "superstep " << s.superstep;
   }
@@ -636,12 +613,10 @@ StepJoins StepJoinsOf(const RunStats& stats) {
 }
 
 /// A join-input PageRank run under `knobs`; its per-superstep join counters.
-StepJoins JoinInputPageRank(const Graph& g, int shards,
-                            const ExecKnobs& knobs) {
+StepJoins JoinInputPageRank(const Graph& g, const ExecKnobs& knobs) {
   ScopedExecKnobs scope(knobs);
   VertexicaOptions opts;
   opts.use_union_input = false;
-  opts.num_shards = shards;
   Catalog cat;
   RunStats stats;
   const auto r = RunPageRank(&cat, g, 5, 0.85, opts, &stats);
@@ -649,33 +624,25 @@ StepJoins JoinInputPageRank(const Graph& g, int shards,
   return StepJoinsOf(stats);
 }
 
-TEST(OptimizationTest, SuperstepJoinCountersMatchAcrossThreadsAndShards) {
+TEST(OptimizationTest, SuperstepJoinCountersMatchAcrossThreads) {
   // Each superstep counts into its own block, which the pool carries into
-  // every shard task. The rows the joins emit do not depend on how the
-  // work is spread; the join count (one set of joins per shard) depends
-  // on the shard count only.
+  // every task. Neither the join count nor the rows the joins emit depend
+  // on how the work is spread.
   const Graph g = GenerateRmat(256, 2000, 5);
-  std::map<int, std::vector<int64_t>> joins_at_shards;
-  std::vector<int64_t> rows;
+  StepJoins first;
   for (const int threads : {1, 8}) {
-    for (const int shards : {1, 4}) {
-      ExecKnobs knobs = ExecKnobs::Current();
-      knobs.threads = threads;
-      const StepJoins got = JoinInputPageRank(g, shards, knobs);
-      ASSERT_GT(got.joins.size(), 1u);
-      const std::string where = StringFormat("threads=%d shards=%d",
-                                             threads, shards);
-      for (size_t i = 0; i < got.joins.size(); ++i) {
-        EXPECT_GE(got.joins[i], 2 * shards) << where << " superstep " << i;
-        EXPECT_GT(got.rows[i], 0) << where << " superstep " << i;
-      }
-      auto [it, first] = joins_at_shards.emplace(shards, got.joins);
-      if (!first) {
-        EXPECT_EQ(got.joins, it->second) << where;
-      }
-      if (rows.empty()) rows = got.rows;
-      EXPECT_EQ(got.rows, rows) << where;
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.threads = threads;
+    const StepJoins got = JoinInputPageRank(g, knobs);
+    ASSERT_GT(got.joins.size(), 1u);
+    const std::string where = StringFormat("threads=%d", threads);
+    for (size_t i = 0; i < got.joins.size(); ++i) {
+      EXPECT_GE(got.joins[i], 2) << where << " superstep " << i;
+      EXPECT_GT(got.rows[i], 0) << where << " superstep " << i;
     }
+    if (first.joins.empty()) first = got;
+    EXPECT_EQ(got.joins, first.joins) << where;
+    EXPECT_EQ(got.rows, first.rows) << where;
   }
 }
 
@@ -703,7 +670,7 @@ TEST(OptimizationTest, ConcurrentRunsSharingOneBlockKeepTheirOwnJoinCounts) {
   for (int i = 0; i < 2; ++i) {
     ExecKnobs own = knobs;
     own.kernel_stats = &solo_blocks[i];
-    solo[i] = JoinInputPageRank(graphs[i], 1, own);
+    solo[i] = JoinInputPageRank(graphs[i], own);
     int64_t joins = 0;
     for (const int64_t j : solo[i].joins) joins += j;
     EXPECT_GT(joins, 0) << "run " << i;
@@ -722,7 +689,7 @@ TEST(OptimizationTest, ConcurrentRunsSharingOneBlockKeepTheirOwnJoinCounts) {
     threads.emplace_back([&, i] {
       arrived.fetch_add(1);
       while (arrived.load() < 2) std::this_thread::yield();
-      concurrent[i] = JoinInputPageRank(graphs[i], 1, knobs);
+      concurrent[i] = JoinInputPageRank(graphs[i], knobs);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -737,9 +704,6 @@ TEST(OptimizationTest, JoinInputReplacePathMatchesInPlace) {
   // update_threshold = 0 forces the rebuild path every superstep; the
   // coordinator re-sorts the rebuilt vertex table by id, and results
   // still match the in-place path.
-  ExecKnobs knobs = ExecKnobs::Current();
-  knobs.shards = 1;  // exact per-step counters assume 1 shard
-  ScopedExecKnobs unsharded(knobs);
   Graph g = GenerateRmat(64, 400, 13);
   VertexicaOptions replace_opts;
   replace_opts.use_union_input = false;
@@ -765,164 +729,11 @@ TEST(OptimizationTest, JoinInputReplacePathMatchesInPlace) {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent vertex-id sharding (storage/partition.h): with num_shards > 1
-// the coordinator partitions the graph tables once per run, keeps shards
-// resident, and only exchanges cross-shard messages between supersteps.
-// Shards are contiguous blocks of the vertex-batching partitions, so
-// results are bit-identical at any shard count — on both input paths, at
-// any thread count.
-// ---------------------------------------------------------------------------
-
-TEST(ShardingTest, ShardedPageRankBitIdenticalAtAnyShardCount) {
-  Graph g = GenerateRmat(200, 1500, 21);
-  for (const bool union_input : {true, false}) {
-    VertexicaOptions base;
-    base.use_union_input = union_input;
-    Catalog cat0;
-    auto unsharded = RunPageRank(&cat0, g, 6, 0.85, base);
-    ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
-    for (const int shards : {1, 2, 8}) {
-      VertexicaOptions opts = base;
-      opts.num_shards = shards;
-      Catalog cat;
-      RunStats stats;
-      auto sharded = RunPageRank(&cat, g, 6, 0.85, opts, &stats);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ASSERT_EQ(sharded->size(), unsharded->size());
-      for (size_t v = 0; v < unsharded->size(); ++v) {
-        EXPECT_EQ((*sharded)[v], (*unsharded)[v])
-            << (union_input ? "union" : "join") << " input, shards="
-            << shards << ", vertex " << v;
-      }
-      for (const SuperstepStats& s : stats.supersteps) {
-        EXPECT_EQ(s.shards, shards);
-      }
-    }
-  }
-}
-
-TEST(ShardingTest, ShardedSsspBitIdenticalAcrossThreadCounts) {
-  Graph g = GenerateRmat(150, 900, 22);
-  AssignRandomWeights(&g, 1.0, 5.0, 23);
-  Catalog cat0;
-  auto unsharded = RunShortestPaths(&cat0, g, 0, {});
-  ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
-  for (const int threads : {1, 4}) {
-    ExecKnobs knobs = ExecKnobs::Current();
-    knobs.threads = threads;
-    ScopedExecKnobs scoped(knobs);
-    VertexicaOptions opts;
-    opts.num_shards = 4;
-    Catalog cat;
-    auto sharded = RunShortestPaths(&cat, g, 0, opts);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ASSERT_EQ(sharded->size(), unsharded->size());
-    for (size_t v = 0; v < unsharded->size(); ++v) {
-      EXPECT_EQ((*sharded)[v], (*unsharded)[v])
-          << "threads=" << threads << ", vertex " << v;
-    }
-  }
-}
-
-TEST(ShardingTest, PerShardCountersReported) {
-  Graph g = GenerateRmat(200, 1200, 24);
-  VertexicaOptions opts;
-  opts.num_shards = 4;
-  Catalog cat;
-  RunStats stats;
-  auto r = RunPageRank(&cat, g, 5, 0.85, opts, &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_GT(stats.supersteps.size(), 1u);
-  bool any_cross_shard = false;
-  for (const SuperstepStats& s : stats.supersteps) {
-    EXPECT_EQ(s.shards, 4);
-    ASSERT_EQ(s.shard_input_rows.size(), 4u);
-    ASSERT_EQ(s.shard_messages.size(), 4u);
-    int64_t input_sum = 0;
-    for (int64_t rows : s.shard_input_rows) input_sum += rows;
-    EXPECT_EQ(input_sum, s.input_rows);
-    int64_t message_sum = 0;
-    for (int64_t rows : s.shard_messages) message_sum += rows;
-    EXPECT_EQ(message_sum, s.messages_sent);
-    if (s.cross_shard_messages > 0) any_cross_shard = true;
-  }
-  // An RMAT graph connects vertices across hash blocks, so some messages
-  // must cross shards.
-  EXPECT_TRUE(any_cross_shard);
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"shards\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"shard_input_rows\":["), std::string::npos);
-  EXPECT_NE(json.find("\"cross_shard_messages\":"), std::string::npos);
-}
-
-TEST(ShardingTest, AmbientShardsKnobResolvesLikeThreads) {
-  Graph g = Diamond();
-  {
-    ExecKnobs knobs = ExecKnobs::Current();
-    knobs.shards = 2;
-    ScopedExecKnobs scoped(knobs);
-    Catalog cat;
-    RunStats stats;
-    ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, {}, &stats).ok());
-    ASSERT_FALSE(stats.supersteps.empty());
-    EXPECT_EQ(stats.supersteps[0].shards, 2);
-  }
-  {
-    // An explicit option wins over the ambient knob, like num_workers
-    // vs. the threads knob.
-    ExecKnobs knobs = ExecKnobs::Current();
-    knobs.shards = 2;
-    ScopedExecKnobs scoped(knobs);
-    VertexicaOptions opts;
-    opts.num_shards = 3;
-    Catalog cat;
-    RunStats stats;
-    ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, opts, &stats).ok());
-    ASSERT_FALSE(stats.supersteps.empty());
-    EXPECT_EQ(stats.supersteps[0].shards, 3);
-  }
-  {
-    // One-shard runs report shards = 1 with one-element per-shard vectors.
-    ExecKnobs knobs = ExecKnobs::Current();
-    knobs.shards = 1;  // pin against a VERTEXICA_SHARDS env
-    ScopedExecKnobs one_shard(knobs);
-    Catalog cat;
-    RunStats stats;
-    ASSERT_TRUE(RunPageRank(&cat, g, 3, 0.85, {}, &stats).ok());
-    ASSERT_FALSE(stats.supersteps.empty());
-    const SuperstepStats& s0 = stats.supersteps[0];
-    EXPECT_EQ(s0.shards, 1);
-    ASSERT_EQ(s0.shard_input_rows.size(), 1u);
-    EXPECT_EQ(s0.shard_input_rows[0], s0.input_rows);
-    ASSERT_EQ(s0.shard_messages.size(), 1u);
-    EXPECT_EQ(s0.shard_messages[0], s0.messages_sent);
-    EXPECT_EQ(s0.cross_shard_messages, 0);
-  }
-}
-
-TEST(ShardingTest, ShardedJoinInputRunsTwoHashJoinsPerShard) {
-  Graph g = GenerateRmat(128, 800, 25);
-  VertexicaOptions opts;
-  opts.use_union_input = false;
-  opts.update_threshold = 2.0;  // in-place: no rebuild-path joins
-  opts.num_shards = 4;
-  Catalog cat;
-  RunStats stats;
-  auto r = RunPageRank(&cat, g, 5, 0.85, opts, &stats);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  for (const SuperstepStats& s : stats.supersteps) {
-    // Two input-build joins per shard.
-    EXPECT_EQ(s.shards, 4) << "superstep " << s.superstep;
-    EXPECT_EQ(s.hash_joins, 2 * 4) << "superstep " << s.superstep;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Active-vertex frontier supersteps (common/exec_knobs.h): the worker input is
-// gathered from a per-(shard-)table bitvector of non-halted vertices and
-// message receivers plus CSR edge slices instead of full scans. The
-// contract under test: bit-identical to the dense path at any mode × shard
-// count × thread count, on both input paths.
+// gathered from a bitvector of non-halted vertices and message receivers
+// plus CSR edge slices instead of full scans. The contract under test:
+// bit-identical to the dense path at any mode × thread count, on both input
+// paths.
 // ---------------------------------------------------------------------------
 
 Graph ChainGraph(int64_t n) {
@@ -982,7 +793,7 @@ TEST(FrontierTest, PageRankBitIdenticalAcrossModes) {
   }
 }
 
-TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
+TEST(FrontierTest, SsspBitIdenticalAcrossModesAndThreads) {
   Graph g = GenerateRmat(150, 900, 32);
   AssignRandomWeights(&g, 1.0, 5.0, 33);
   Catalog cat0;
@@ -996,21 +807,16 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     dense = *r;
   }
   for (const FrontierMode mode : {FrontierMode::kOn, FrontierMode::kAuto}) {
-    for (const int shards : {1, 2, 8}) {
-      ExecKnobs knobs = ExecKnobs::Current();
-      knobs.frontier = mode;
-      ScopedExecKnobs scoped(knobs);
-      VertexicaOptions opts;
-      opts.num_shards = shards;
-      Catalog cat;
-      auto r = RunShortestPaths(&cat, g, 0, opts);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ASSERT_EQ(r->size(), dense.size());
-      for (size_t v = 0; v < dense.size(); ++v) {
-        EXPECT_EQ((*r)[v], dense[v])
-            << "mode=" << FrontierModeName(mode) << ", shards=" << shards
-            << ", vertex " << v;
-      }
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.frontier = mode;
+    ScopedExecKnobs scoped(knobs);
+    Catalog cat;
+    auto r = RunShortestPaths(&cat, g, 0);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->size(), dense.size());
+    for (size_t v = 0; v < dense.size(); ++v) {
+      EXPECT_EQ((*r)[v], dense[v])
+          << "mode=" << FrontierModeName(mode) << ", vertex " << v;
     }
   }
   for (const int threads : {1, 4}) {
@@ -1018,10 +824,8 @@ TEST(FrontierTest, SsspBitIdenticalAcrossModesShardsAndThreads) {
     knobs.threads = threads;
     knobs.frontier = FrontierMode::kOn;
     ScopedExecKnobs scoped_threads(knobs);
-    VertexicaOptions opts;
-    opts.num_shards = 2;
     Catalog cat;
-    auto r = RunShortestPaths(&cat, g, 0, opts);
+    auto r = RunShortestPaths(&cat, g, 0);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     for (size_t v = 0; v < dense.size(); ++v) {
       EXPECT_EQ((*r)[v], dense[v])
@@ -1038,7 +842,6 @@ TEST(FrontierTest, AutoModeGoesSparseOnLongTail) {
   Graph g = ChainGraph(100);
   ExecKnobs knobs = ExecKnobs::Current();
   knobs.frontier = FrontierMode::kAuto;
-  knobs.shards = 1;  // pin against a VERTEXICA_SHARDS env
   ScopedExecKnobs automatic(knobs);
   Catalog cat;
   RunStats stats;
@@ -1109,21 +912,15 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
   // End-to-end audit coverage: the tables a finished run publishes —
   // sort-order declarations, segment encodings, zone maps included — must
   // withstand the same CheckInvariants the VX_DCHECK tier applies at every
-  // phase boundary, on both the unsharded and sharded dataflows.
+  // phase boundary.
   Graph g = GenerateRmat(120, 600, 17);
-  for (int shards : {0, 3}) {
-    ExecKnobs knobs = ExecKnobs::Current();
-    knobs.shards = shards;
-    ScopedExecKnobs scoped(knobs);
-    Catalog cat;
-    ASSERT_TRUE(RunPageRank(&cat, g, 6).ok());
-    for (const char* const name : {"vertex", "edge", "message"}) {
-      auto table = cat.GetTable(name);
-      ASSERT_TRUE(table.ok()) << name;
-      const Status st = (*table)->CheckInvariants();
-      EXPECT_TRUE(st.ok()) << name << " (shards=" << shards
-                           << "): " << st.ToString();
-    }
+  Catalog cat;
+  ASSERT_TRUE(RunPageRank(&cat, g, 6).ok());
+  for (const char* const name : {"vertex", "edge", "message"}) {
+    auto table = cat.GetTable(name);
+    ASSERT_TRUE(table.ok()) << name;
+    const Status st = (*table)->CheckInvariants();
+    EXPECT_TRUE(st.ok()) << name << ": " << st.ToString();
   }
 }
 
@@ -1134,8 +931,7 @@ TEST(InvariantAuditTest, CatalogTablesPassDeepAuditAfterRuns) {
 // seeded graphs, over both worker inputs and both frontier modes. The
 // expected digests were recorded from the partition-and-sort worker
 // dataflow the in-place driver replaced; every physical path (threads,
-// shards, encoding, vectorized) must reproduce them bit for
-// bit, so this is the one check of bit-identity against that earlier code
+// encoding, vectorized) must reproduce them bit for bit, so this is the one check of bit-identity against that earlier code
 // rather than against itself.
 // ---------------------------------------------------------------------------
 
@@ -1288,7 +1084,7 @@ TEST(GoldenTest, OutputsMatchRecordedDigests) {
 // a naive per-vertex derivation from the tables: every vertex row, its
 // edges in edge-table order, its messages in message-table order, vertices
 // visited partition by partition in ascending id. Checked at every
-// threads × shards × frontier × input-path point, on a loader-built graph
+// threads × frontier × input-path point, on a loader-built graph
 // (duplicate edges, self-loops, isolated vertices) and on hand-built tables
 // (edges not sorted by src, edges from and to absent ids, a vertex table
 // with no declared id order), both with preloaded messages to absent ids.
@@ -1493,37 +1289,33 @@ TEST(StreamContractTest, WorkersSeeTheTablesPerVertexStreams) {
                      **cat0.GetTable("message"));
     ASSERT_GT(expected.size(), 10u);
     for (const int threads : {1, 8}) {
-      for (const int shards : {1, 4}) {
-        for (const FrontierMode mode :
-             {FrontierMode::kOff, FrontierMode::kOn}) {
-          for (const bool union_input : {true, false}) {
-            ExecKnobs knobs = ExecKnobs::Current();
-            knobs.threads = threads;
-            knobs.frontier = mode;
-            ScopedExecKnobs scoped_threads(knobs);
-            Catalog cat;
-            if (hand_built) {
-              LoadRecordedTables(&cat);
-            } else {
-              LoadRecordedGraph(&cat);
-            }
-            RecordingProgram program;
-            VertexicaOptions opts;
-            opts.num_shards = shards;
-            opts.use_union_input = union_input;
-            RunStats stats;
-            Coordinator coord(&cat, &program, opts);
-            const Status st = coord.Run(&stats);
-            const std::string where = StringFormat(
-                "%s tables, threads=%d, shards=%d, frontier=%s, %s input",
-                hand_built ? "hand-built" : "loaded", threads, shards,
-                FrontierModeName(mode), union_input ? "union" : "join");
-            ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
-            EXPECT_EQ(program.repeated_, 0) << where;
-            EXPECT_EQ(program.log_, expected) << where;
-            if (!hand_built && mode == FrontierMode::kOn) {
-              EXPECT_GT(stats.frontier_supersteps, 0) << where;
-            }
+      for (const FrontierMode mode : {FrontierMode::kOff, FrontierMode::kOn}) {
+        for (const bool union_input : {true, false}) {
+          ExecKnobs knobs = ExecKnobs::Current();
+          knobs.threads = threads;
+          knobs.frontier = mode;
+          ScopedExecKnobs scoped_threads(knobs);
+          Catalog cat;
+          if (hand_built) {
+            LoadRecordedTables(&cat);
+          } else {
+            LoadRecordedGraph(&cat);
+          }
+          RecordingProgram program;
+          VertexicaOptions opts;
+          opts.use_union_input = union_input;
+          RunStats stats;
+          Coordinator coord(&cat, &program, opts);
+          const Status st = coord.Run(&stats);
+          const std::string where = StringFormat(
+              "%s tables, threads=%d, frontier=%s, %s input",
+              hand_built ? "hand-built" : "loaded", threads,
+              FrontierModeName(mode), union_input ? "union" : "join");
+          ASSERT_TRUE(st.ok()) << where << ": " << st.ToString();
+          EXPECT_EQ(program.repeated_, 0) << where;
+          EXPECT_EQ(program.log_, expected) << where;
+          if (!hand_built && mode == FrontierMode::kOn) {
+            EXPECT_GT(stats.frontier_supersteps, 0) << where;
           }
         }
       }
@@ -1580,52 +1372,44 @@ Result<std::vector<double>> RunWithDuplicatedId3(
 TEST(CoordinatorTest, DuplicatedIdGetsTheSameValueOnBothUpdatePaths) {
   // PageRank reads num_vertices every superstep. It is the vertex rows at
   // run start (21) on every path, also after a replace has dropped the
-  // duplicate, so all eight cells below agree bit for bit.
+  // duplicate, so all four cells below agree bit for bit.
   Graph ring = ChainGraph(20);
   ring.AddEdge(19, 0, 1.0);
   std::vector<double> pagerank_first;
-  for (const int shards : {1, 4}) {
-    for (const bool union_input : {true, false}) {
-      std::vector<std::vector<double>> results;
-      // 0 always replaces; 1.1 always updates in place.
-      for (const double threshold : {0.0, 1.1}) {
-        const std::string where =
-            StringFormat("shards=%d, %s input, update_threshold=%g", shards,
-                         union_input ? "union" : "join", threshold);
-        VertexicaOptions opts;
-        opts.num_shards = shards;
-        opts.use_union_input = union_input;
-        opts.update_threshold = threshold;
-        // Both rows of id 3 start at 100.
-        AddOneProgram program;
-        auto values = RunWithDuplicatedId3(
-            &program, ChainGraph(20),
-            [](int64_t id) {
-              return id == 3 ? 100.0 : static_cast<double>(id);
-            },
-            opts);
-        ASSERT_TRUE(values.ok())
-            << where << ": " << values.status().ToString();
-        ASSERT_EQ(values->size(), 20u) << where;
-        EXPECT_EQ((*values)[3], 103.0) << where;
-        EXPECT_EQ((*values)[4], 7.0) << where;
-        results.push_back(*std::move(values));
+  for (const bool union_input : {true, false}) {
+    std::vector<std::vector<double>> results;
+    // 0 always replaces; 1.1 always updates in place.
+    for (const double threshold : {0.0, 1.1}) {
+      const std::string where =
+          StringFormat("%s input, update_threshold=%g",
+                       union_input ? "union" : "join", threshold);
+      VertexicaOptions opts;
+      opts.use_union_input = union_input;
+      opts.update_threshold = threshold;
+      // Both rows of id 3 start at 100.
+      AddOneProgram program;
+      auto values = RunWithDuplicatedId3(
+          &program, ChainGraph(20),
+          [](int64_t id) { return id == 3 ? 100.0 : static_cast<double>(id); },
+          opts);
+      ASSERT_TRUE(values.ok()) << where << ": " << values.status().ToString();
+      ASSERT_EQ(values->size(), 20u) << where;
+      EXPECT_EQ((*values)[3], 103.0) << where;
+      EXPECT_EQ((*values)[4], 7.0) << where;
+      results.push_back(*std::move(values));
 
-        PageRankProgram pagerank(5);
-        auto ranks = RunWithDuplicatedId3(
-            &pagerank, ring, [](int64_t) { return 1.0 / 20; }, opts);
-        ASSERT_TRUE(ranks.ok())
-            << where << ": " << ranks.status().ToString();
-        ASSERT_EQ(ranks->size(), 20u) << where;
-        if (pagerank_first.empty()) {
-          pagerank_first = *std::move(ranks);
-        } else {
-          EXPECT_EQ(*ranks, pagerank_first) << where;
-        }
+      PageRankProgram pagerank(5);
+      auto ranks = RunWithDuplicatedId3(
+          &pagerank, ring, [](int64_t) { return 1.0 / 20; }, opts);
+      ASSERT_TRUE(ranks.ok()) << where << ": " << ranks.status().ToString();
+      ASSERT_EQ(ranks->size(), 20u) << where;
+      if (pagerank_first.empty()) {
+        pagerank_first = *std::move(ranks);
+      } else {
+        EXPECT_EQ(*ranks, pagerank_first) << where;
       }
-      EXPECT_EQ(results[0], results[1])
-          << "shards=" << shards << (union_input ? " union" : " join");
     }
+    EXPECT_EQ(results[0], results[1]) << (union_input ? "union" : "join");
   }
 }
 
@@ -1805,18 +1589,17 @@ std::string DiffMessageTables(const Table& got, const Table& want) {
   return "";
 }
 
-/// Checks one combiner over `g` at every threads × shards × input point.
+/// Checks one combiner over `g` at every threads × input point.
 void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
                                    AggOp op, bool sparse_receivers) {
   const std::string what =
       StringFormat("combiner %d, %s receivers", static_cast<int>(combiner),
                    sparse_receivers ? "sparse" : "dense");
-  // Reference: the uncombined messages in worker-output order (the
-  // unsharded union path stores them unsorted), aggregated on dst.
+  // Reference: the uncombined messages in worker-output order (the union
+  // path stores them unsorted), aggregated on dst.
   SpecialPayloadProgram program(combiner, sparse_receivers);
   VertexicaOptions plain;
   plain.use_combiner = false;
-  plain.num_shards = 1;
   plain.use_union_input = true;
   const Table uncombined = OneSuperstepMessages(g, &program, plain);
   ASSERT_GT(uncombined.num_rows(), 2 * kDefaultMorselRows) << what;
@@ -1831,30 +1614,18 @@ void ExpectCombineMatchesAggregate(const Graph& g, MessageCombiner combiner,
   }
   auto reference = Table::Make(MakeMessageSchema(2), std::move(cols));
   ASSERT_TRUE(reference.ok()) << what;
-  // One shard stores the table in worker-output order on either input
-  // path. Sharded runs publish the shards concatenated, which keeps each
-  // receiver's order but not the global one, so both sides are compared
-  // stably sorted by receiver.
-  const auto by_dst = [](const Table& t) { return SortTable(t, {{1, true}}); };
-  const Table reference_by_dst = by_dst(*reference);
-
+  // The stored table is in worker-output order on either input path.
   for (const int threads : {1, 8}) {
-    for (const int shards : {1, 4}) {
-      for (const bool union_input : {true, false}) {
-        ExecKnobs knobs = ExecKnobs::Current();
-        knobs.threads = threads;
-        ScopedExecKnobs scoped_threads(knobs);
-        VertexicaOptions opts;
-        opts.num_shards = shards;
-        opts.use_union_input = union_input;
-        const Table combined = OneSuperstepMessages(g, &program, opts);
-        EXPECT_EQ(shards > 1
-                      ? DiffMessageTables(by_dst(combined), reference_by_dst)
-                      : DiffMessageTables(combined, *reference),
-                  "")
-            << what << ", threads=" << threads << ", shards=" << shards
-            << ", " << (union_input ? "union" : "join") << " input";
-      }
+    for (const bool union_input : {true, false}) {
+      ExecKnobs knobs = ExecKnobs::Current();
+      knobs.threads = threads;
+      ScopedExecKnobs scoped_threads(knobs);
+      VertexicaOptions opts;
+      opts.use_union_input = union_input;
+      const Table combined = OneSuperstepMessages(g, &program, opts);
+      EXPECT_EQ(DiffMessageTables(combined, *reference), "")
+          << what << ", threads=" << threads << ", "
+          << (union_input ? "union" : "join") << " input";
     }
   }
 }
