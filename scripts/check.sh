@@ -43,12 +43,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
     ctest -R 'storage_test|csv_test|exec_test|api_test|vertexica_test' \
     --output-on-failure -j "$(nproc)")
 
-# The exec/vertexica suites once more with the fused selection-vector σ/π
-# core off: pinning the interpreter path must leave every expectation
-# bit-identical (docs/EXECUTOR.md, "Selection-vector batches").
+# The exec/vertexica/sqlgraph suites once more with the fused
+# selection-vector σ/π core and the fused join → project → aggregate
+# pipeline off: pinning the interpreter and the three-operator path must
+# leave every expectation bit-identical, the SQL golden digests included
+# (docs/EXECUTOR.md, "Selection-vector batches" and "Join → project →
+# aggregate").
 (cd "$BUILD_DIR" && VERTEXICA_VECTORIZED=off \
-    ctest -R 'exec_test|vertexica_test|api_test' --output-on-failure \
-    -j "$(nproc)")
+    ctest -R 'exec_test|vertexica_test|api_test|sqlgraph_test' \
+    --output-on-failure -j "$(nproc)")
 
 # The frontier knob both ways: the active-vertex sparse dataflow must be
 # bit-identical to the dense path (docs/EXECUTOR.md), so every expectation

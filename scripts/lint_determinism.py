@@ -30,12 +30,14 @@ model) sneak in:
       dead recovery code: the crash/abort path it guards has never been
       driven, so nothing stops it from silently rotting.
 
-  R6  Two file sets exist to avoid materializing intermediates: the
+  R6  Three file sets exist to avoid materializing intermediates: the
       fused-pipeline stage files (src/exec/batch.*, src/exec/vectorized.*)
-      defer materialization to the pipeline's end, and the superstep
-      worker driver (src/vertexica/worker_driver.*) reads the graph tables
-      in place instead of building a union table, partition copies, sorted
-      partitions or split outputs. A raw materialization there —
+      defer materialization to the pipeline's end, the join → project →
+      aggregate pipeline (src/exec/join_aggregate.*) folds chunks of join
+      output without materializing the join or the projection, and the
+      superstep worker driver (src/vertexica/worker_driver.*) reads the
+      graph tables in place instead of building a union table, partition
+      copies, sorted partitions or split outputs. A raw materialization there —
       Table::Make, .Take(), .Slice(), .Append(), SortTable() — silently
       reintroduces the intermediates they remove.
       Each such call must carry a `materialize-ok:` justification (same
@@ -68,6 +70,7 @@ MATERIALIZE_RE = re.compile(
     r"\b(?:Table::Make|SortTable)\s*\(|"
     r"(?:\.|->)(?:Take|Slice|Append)\s*\(")
 MATERIALIZE_FREE_PREFIXES = ("src/exec/batch", "src/exec/vectorized",
+                             "src/exec/join_aggregate",
                              "src/vertexica/worker_driver")
 
 

@@ -95,8 +95,10 @@ struct RunRequest {
 
   /// Execution-path policy for the relational σ/π kernels (see
   /// docs/EXECUTOR.md): "" keeps the ambient setting (VERTEXICA_VECTORIZED
-  /// env var, else on); "off" pins the table-at-a-time interpreter; "on"
-  /// allows the fused selection-vector path for eligible pipelines.
+  /// env var, else on); "off" pins the table-at-a-time interpreter and
+  /// the three-operator join → project → aggregate plan; "on" allows the
+  /// fused selection-vector path and the fused join → project → aggregate
+  /// pipeline for eligible plans.
   /// Installed in the request context around the backend dispatch, like
   /// `threads`. Value-neutral: the fused path is bit-identical to the
   /// interpreter (only the KernelStats counters change).

@@ -75,7 +75,8 @@ struct ExecKnobs {
   EncodingMode encoding = EncodingMode::kAuto;
   /// Default: VERTEXICA_FRONTIER, else auto.
   FrontierMode frontier = FrontierMode::kAuto;
-  /// Fused selection-vector σ/π path (exec/vectorized.h) on or off.
+  /// Fused selection-vector σ/π path (exec/vectorized.h) and fused
+  /// join → project → aggregate pipeline (exec/join_aggregate.h) on or off.
   /// Default: VERTEXICA_VECTORIZED, else on.
   bool vectorized = true;
   /// The run's cancellation/deadline token; a null token never fires.

@@ -98,7 +98,9 @@ void NoteMaterialized(const Column& column) {
                                       std::memory_order_relaxed);
 }
 
-void NoteFusedBatch() { Bump(&KernelStats::fused_batches, 1); }
+void NoteFusedBatch(int64_t batches) {
+  Bump(&KernelStats::fused_batches, batches);
+}
 
 void NoteLegacyBatch() { Bump(&KernelStats::legacy_batches, 1); }
 

@@ -39,7 +39,9 @@ class Table;
 struct KernelStats {
   /// Bytes of intermediate tables materialized inside σ/π pipelines.
   std::atomic<int64_t> bytes_materialized{0};
-  /// Morsels executed by the fused selection-vector kernels.
+  /// Morsels executed by the fused selection-vector kernels, and chunks
+  /// folded by the join → project → aggregate pipeline
+  /// (exec/join_aggregate.h).
   std::atomic<int64_t> fused_batches{0};
   /// Morsel outputs produced by the interpreter (table-at-a-time) path.
   std::atomic<int64_t> legacy_batches{0};
@@ -88,7 +90,7 @@ int64_t MaterializedByteSize(const Column& col);
 /// @{
 void NoteMaterialized(const Table& table);
 void NoteMaterialized(const Column& column);
-void NoteFusedBatch();
+void NoteFusedBatch(int64_t batches = 1);
 void NoteLegacyBatch();
 void NoteBatchHashRows(int64_t rows);
 /// One hash join that emitted `rows` rows in `nanos` nanoseconds.

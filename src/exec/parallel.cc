@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "exec/batch.h"
 #include "exec/filter.h"
+#include "exec/int64_join.h"
 #include "exec/kernel_stats.h"
 #include "exec/scan.h"
 #include "exec/vectorized.h"
@@ -308,76 +309,27 @@ struct JoinBuildIndex {
   std::vector<std::unordered_map<uint64_t, std::vector<int64_t>>> partitions;
 };
 
-/// Output rows of a probe row that has `matches` build matches.
-int64_t JoinOutputRows(JoinType type, int64_t matches) {
-  switch (type) {
-    case JoinType::kInner:
-      return matches;
-    case JoinType::kLeft:
-      return std::max<int64_t>(matches, 1);
-    case JoinType::kSemi:
-      return matches > 0 ? 1 : 0;
-    case JoinType::kAnti:
-      return matches == 0 ? 1 : 0;
-  }
-  return 0;
-}
-
-/// The join on one NULL-free INT64 key: the build side's CsrIndex
-/// (storage/csr_index.h; each key's build rows as one slice, in ascending
-/// row order — the serial join's match order), then two passes over the
-/// probe morsels — count each morsel's output rows, then write every
-/// (probe row, build row) pair straight to its morsel's offset — and one
-/// typed gather per output column. Same rows, order and NULL padding as
-/// the generic kernel below.
+/// The join on one NULL-free INT64 key: the probe pass of Int64JoinProbe
+/// (exec/int64_join.h) counts each morsel's output rows, a second pass
+/// writes every (probe row, build row) pair straight to its morsel's
+/// offset, and one typed gather per output column follows. Same rows,
+/// order and NULL padding as the generic kernel below.
 Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
                            int probe_col, int build_col, JoinType type,
                            const Schema& schema, int threads, int64_t grain) {
-  const auto built = CsrIndex::Build(build.column(build_col));
-  if (built == nullptr) {
-    return Status::Internal("Int64KeyJoin: build key is not NULL-free INT64");
-  }
-  const CsrIndex& index = *built;
-  const int64_t* keys = probe.column(probe_col).ints().data();
+  VX_ASSIGN_OR_RETURN(
+      const Int64JoinProbe join,
+      Int64JoinProbe::Make(probe.column(probe_col), build.column(build_col),
+                           type, threads, grain));
+  const CsrIndex& index = join.index();
   const int64_t probe_rows = probe.num_rows();
-  const size_t chunks =
-      static_cast<size_t>((probe_rows + grain - 1) / grain);
+  const size_t chunks = join.num_morsels();
   const bool emit_build = type == JoinType::kInner || type == JoinType::kLeft;
-  // Calls emit(i, slice) for each probe row of morsel j.
-  const auto for_each_row = [&](size_t j, const auto& emit) {
-    const auto first = static_cast<int64_t>(j) * grain;
-    const int64_t end = std::min(probe_rows, first + grain);
-    for (int64_t i = first; i < end; ++i) {
-      emit(i, index.NeighborSlice(keys[i]));
-    }
-  };
+  // Output row i is probe row i: the probe columns are copied whole.
+  const bool probe_identity = join.one_each();
 
-  // Pass 1: output rows per morsel, then each morsel's first output row;
-  // `one_each[j]`: every probe row of morsel j yields exactly one row.
-  std::vector<int64_t> offset(chunks + 1, 0);
-  std::vector<uint8_t> one_each(chunks, 1);
-  VX_RETURN_NOT_OK(ThreadPool::Default()->ParallelFor(
-      0, chunks, 1,
-      [&](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j) {
-          int64_t n = 0;
-          for_each_row(j, [&](int64_t, CsrIndex::Slice m) {
-            const int64_t rows = JoinOutputRows(type, m.length());
-            if (rows != 1) one_each[j] = 0;
-            n += rows;
-          });
-          offset[j + 1] = n;
-        }
-        return Status::OK();
-      },
-      threads));
-  for (size_t j = 0; j < chunks; ++j) offset[j + 1] += offset[j];
-  // Output row i is then probe row i: the probe columns are copied whole.
-  const bool probe_identity = std::all_of(
-      one_each.begin(), one_each.end(), [](uint8_t b) { return b != 0; });
-
-  // Pass 2: the row pairs, written in place.
-  const auto out_rows = static_cast<size_t>(offset[chunks]);
+  // The row pairs, written in place.
+  const auto out_rows = static_cast<size_t>(join.output_rows());
   std::vector<int64_t> probe_idx(probe_identity ? 0 : out_rows);
   std::vector<int64_t> build_idx(emit_build ? out_rows : 0);
   if (!probe_identity || emit_build) {
@@ -385,8 +337,8 @@ Result<Table> Int64KeyJoin(const Table& probe, const Table& build,
         0, chunks, 1,
         [&](size_t begin, size_t end) {
           for (size_t j = begin; j < end; ++j) {
-            auto o = static_cast<size_t>(offset[j]);
-            for_each_row(j, [&](int64_t i, CsrIndex::Slice m) {
+            auto o = static_cast<size_t>(join.morsel_offset(j));
+            join.ForEachProbeRow(j, [&](int64_t i, CsrIndex::Slice m) {
               if (emit_build) {
                 for (int64_t p = m.begin; p < m.end; ++p, ++o) {
                   if (!probe_identity) probe_idx[o] = i;
@@ -653,14 +605,23 @@ std::string ParallelHashJoinOp::label() const {
   return out + ") [morsel]";
 }
 
+Result<ParallelHashJoinOp::Inputs> ParallelHashJoinOp::CollectInputs() {
+  if (!inputs_.has_value()) {
+    VX_ASSIGN_OR_RETURN(auto probe_table, CollectShared(probe_.get()));
+    VX_ASSIGN_OR_RETURN(auto build_table, CollectShared(build_.get()));
+    inputs_ = Inputs{std::move(probe_table), std::move(build_table)};
+  }
+  return *inputs_;
+}
+
 Result<std::optional<Table>> ParallelHashJoinOp::Next() {
   VX_RETURN_NOT_OK(init_status_);
   if (done_) return std::optional<Table>{};
   done_ = true;
-  VX_ASSIGN_OR_RETURN(auto probe_table, CollectShared(probe_.get()));
-  VX_ASSIGN_OR_RETURN(auto build_table, CollectShared(build_.get()));
+  VX_ASSIGN_OR_RETURN(const Inputs in, CollectInputs());
+  inputs_.reset();
   VX_ASSIGN_OR_RETURN(Table out,
-                      ParallelHashJoin(*probe_table, *build_table, probe_keys_,
+                      ParallelHashJoin(*in.probe, *in.build, probe_keys_,
                                        build_keys_, type_, options_));
   return std::optional<Table>(std::move(out));
 }

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,21 @@ class ParallelHashJoinOp : public Operator {
     return {probe_.get(), build_.get()};
   }
 
+  /// \brief Both inputs, materialized once: Next() joins the same tables,
+  /// so a parent that inspects them first (JoinAggregateOp) can still fall
+  /// back to this operator without re-running its children.
+  struct Inputs {
+    std::shared_ptr<const Table> probe;
+    std::shared_ptr<const Table> build;
+  };
+  Result<Inputs> CollectInputs();
+
+  const std::vector<std::string>& probe_keys() const { return probe_keys_; }
+  const std::vector<std::string>& build_keys() const { return build_keys_; }
+  JoinType type() const { return type_; }
+  const ParallelOptions& options() const { return options_; }
+  const Status& init_status() const { return init_status_; }
+
  private:
   OperatorPtr probe_;
   OperatorPtr build_;
@@ -177,6 +193,7 @@ class ParallelHashJoinOp : public Operator {
   ParallelOptions options_;
   Schema schema_;
   Status init_status_;
+  std::optional<Inputs> inputs_;
   bool done_ = false;
 };
 
@@ -194,6 +211,12 @@ class ParallelAggregateOp : public Operator {
   std::vector<const Operator*> children() const override {
     return {input_.get()};
   }
+
+  Operator* input() const { return input_.get(); }
+  const std::vector<std::string>& group_by() const { return group_by_; }
+  const std::vector<AggSpec>& aggs() const { return aggs_; }
+  const ParallelOptions& options() const { return options_; }
+  const Status& init_status() const { return init_status_; }
 
  private:
   OperatorPtr input_;

@@ -1,5 +1,6 @@
 #include "exec/plan_builder.h"
 
+#include "exec/join_aggregate.h"
 #include "exec/parallel.h"
 
 namespace vertexica {
@@ -81,9 +82,15 @@ PlanBuilder PlanBuilder::Join(PlanBuilder build,
 
 PlanBuilder PlanBuilder::Aggregate(std::vector<std::string> group_by,
                                    std::vector<AggSpec> aggs) && {
-  // Chunk-parallel aggregation with deterministic chunk-order merge.
-  return PlanBuilder(std::make_unique<ParallelAggregateOp>(
-      std::move(op_), std::move(group_by), std::move(aggs)));
+  // Chunk-parallel aggregation with deterministic chunk-order merge; over
+  // a projection of an INT64-key inner join, the three run as one
+  // pipeline (exec/join_aggregate.h).
+  auto aggregate = std::make_unique<ParallelAggregateOp>(
+      std::move(op_), std::move(group_by), std::move(aggs));
+  if (OperatorPtr fused = JoinAggregateOp::TryFuse(aggregate)) {
+    return PlanBuilder(std::move(fused));
+  }
+  return PlanBuilder(std::move(aggregate));
 }
 
 PlanBuilder PlanBuilder::OrderBy(std::vector<OrderBySpec> keys) && {

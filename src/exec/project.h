@@ -42,6 +42,10 @@ class ProjectOp : public Operator {
     return {input_.get()};
   }
 
+  Operator* input() const { return input_.get(); }
+  const std::vector<ProjectionSpec>& outputs() const { return outputs_; }
+  const Status& init_status() const { return init_status_; }
+
  private:
   OperatorPtr input_;
   std::vector<ProjectionSpec> outputs_;

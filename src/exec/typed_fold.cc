@@ -1,6 +1,7 @@
 #include "exec/typed_fold.h"
 
 #include <algorithm>
+#include <limits>
 #include <type_traits>
 
 #include "common/int_arith.h"
@@ -155,6 +156,35 @@ void TypedFold::Fold(const int64_t* keys, const FoldInput* inputs,
       FoldAggregate(spec.op, gid, inputs[a].doubles, n, dacc_[a].data());
     }
   }
+}
+
+TypedFold FoldChunk(const std::vector<FoldSpec>& specs, const int64_t* keys,
+                    const FoldInput* inputs, size_t n) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, keys[i]);
+    hi = std::max(hi, keys[i]);
+  }
+  TypedFold fold(specs, lo, hi, n);
+  fold.AddRows(keys, inputs, n);
+  return fold;
+}
+
+TypedFold MergeChunkPartials(const std::vector<FoldSpec>& specs,
+                             const std::vector<std::optional<TypedFold>>&
+                                 partials) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  size_t partial_groups = 0;
+  for (const auto& p : partials) {
+    lo = std::min(lo, p->lo());
+    hi = std::max(hi, p->hi());
+    partial_groups += p->num_groups();
+  }
+  TypedFold merged(specs, lo, hi, partial_groups);
+  for (const auto& p : partials) merged.Merge(*p);
+  return merged;
 }
 
 std::vector<Column> TypedFold::TakeColumns() && {

@@ -117,6 +117,18 @@ class TypedFold {
   std::vector<int64_t> gid_;                 ///< per input row (scratch)
 };
 
+/// \brief Folds one chunk's `n` rows into a fresh partial sized to the
+/// keys' range: the per-chunk step of ParallelTypedFold for a chunk that
+/// arrives as one slice.
+TypedFold FoldChunk(const std::vector<FoldSpec>& specs, const int64_t* keys,
+                    const FoldInput* inputs, size_t n);
+
+/// \brief Merges the chunk partials serially in chunk order into groups in
+/// global first-appearance order (every partial must be set).
+TypedFold MergeChunkPartials(const std::vector<FoldSpec>& specs,
+                             const std::vector<std::optional<TypedFold>>&
+                                 partials);
+
 /// \brief Folds rows [0, rows) in chunks of `grain` rows on the pool (at
 /// most `threads` threads), then merges the partials in chunk order.
 /// `for_each_slice(begin, end, body)` must call
@@ -155,17 +167,7 @@ Result<TypedFold> ParallelTypedFold(const std::vector<FoldSpec>& specs,
       },
       threads));
 
-  int64_t lo = std::numeric_limits<int64_t>::max();
-  int64_t hi = std::numeric_limits<int64_t>::min();
-  size_t partial_groups = 0;
-  for (const auto& p : partials) {
-    lo = std::min(lo, p->lo());
-    hi = std::max(hi, p->hi());
-    partial_groups += p->num_groups();
-  }
-  TypedFold merged(specs, lo, hi, partial_groups);
-  for (const auto& p : partials) merged.Merge(*p);
-  return merged;
+  return MergeChunkPartials(specs, partials);
 }
 
 }  // namespace vertexica

@@ -402,6 +402,11 @@ std::string BinaryExpr::ToString() const {
          right_->ToString() + ")";
 }
 
+void BinaryExpr::CollectColumnRefs(std::vector<std::string>* out) const {
+  left_->CollectColumnRefs(out);
+  right_->CollectColumnRefs(out);
+}
+
 // -------------------------------------------------------------------- Unary
 
 Result<DataType> UnaryExpr::OutputType(const Schema& schema) const {
@@ -489,6 +494,10 @@ std::string UnaryExpr::ToString() const {
   return "?";
 }
 
+void UnaryExpr::CollectColumnRefs(std::vector<std::string>* out) const {
+  input_->CollectColumnRefs(out);
+}
+
 // --------------------------------------------------------------------- Cast
 
 Result<DataType> CastExpr::OutputType(const Schema& schema) const {
@@ -549,6 +558,10 @@ Result<Column> CastExpr::Evaluate(const Table& batch) const {
 std::string CastExpr::ToString() const {
   return StringFormat("CAST(%s AS %s)", input_->ToString().c_str(),
                       DataTypeName(to_));
+}
+
+void CastExpr::CollectColumnRefs(std::vector<std::string>* out) const {
+  input_->CollectColumnRefs(out);
 }
 
 // ----------------------------------------------------------------------- If
@@ -663,6 +676,12 @@ std::string IfExpr::ToString() const {
          " ELSE " + else_->ToString() + " END";
 }
 
+void IfExpr::CollectColumnRefs(std::vector<std::string>* out) const {
+  cond_->CollectColumnRefs(out);
+  then_->CollectColumnRefs(out);
+  else_->CollectColumnRefs(out);
+}
+
 // ------------------------------------------------------------------ Coalesce
 
 Result<DataType> CoalesceExpr::OutputType(const Schema& schema) const {
@@ -694,6 +713,11 @@ Result<Column> CoalesceExpr::Evaluate(const Table& batch) const {
 
 std::string CoalesceExpr::ToString() const {
   return "COALESCE(" + first_->ToString() + ", " + second_->ToString() + ")";
+}
+
+void CoalesceExpr::CollectColumnRefs(std::vector<std::string>* out) const {
+  first_->CollectColumnRefs(out);
+  second_->CollectColumnRefs(out);
 }
 
 // ---------------------------------------------------------------- Factories

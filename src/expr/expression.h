@@ -44,6 +44,11 @@ class Expr {
   virtual const Column* Borrow(const Table& /*batch*/) const {
     return nullptr;
   }
+
+  /// \brief Appends the name of every column this expression reads to
+  /// `out`, in tree order and with repeats, so a kernel can hand it a batch
+  /// of only those columns.
+  virtual void CollectColumnRefs(std::vector<std::string>* /*out*/) const {}
 };
 
 /// \brief Reference to an input column by name.
@@ -55,6 +60,9 @@ class ColumnRefExpr : public Expr {
   std::string ToString() const override { return name_; }
   const Column* Borrow(const Table& batch) const override {
     return batch.ColumnByName(name_);
+  }
+  void CollectColumnRefs(std::vector<std::string>* out) const override {
+    out->push_back(name_);
   }
   const std::string& name() const { return name_; }
 
@@ -113,6 +121,7 @@ class BinaryExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override;
+  void CollectColumnRefs(std::vector<std::string>* out) const override;
   /// \name Introspection (predicate pushdown, exec/filter.h)
   /// @{
   BinaryOp op() const { return op_; }
@@ -137,6 +146,7 @@ class UnaryExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override;
+  void CollectColumnRefs(std::vector<std::string>* out) const override;
 
  private:
   UnaryOp op_;
@@ -153,6 +163,7 @@ class CastExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override;
+  void CollectColumnRefs(std::vector<std::string>* out) const override;
 
  private:
   ExprPtr input_;
@@ -171,6 +182,7 @@ class IfExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override;
+  void CollectColumnRefs(std::vector<std::string>* out) const override;
 
  private:
   ExprPtr cond_;
@@ -186,6 +198,7 @@ class CoalesceExpr : public Expr {
   Result<Column> Evaluate(const Table& batch) const override;
   Result<DataType> OutputType(const Schema& schema) const override;
   std::string ToString() const override;
+  void CollectColumnRefs(std::vector<std::string>* out) const override;
 
  private:
   ExprPtr first_;

@@ -12,9 +12,12 @@
 ///
 /// All flags are optional; defaults give a sub-second run. Each takes a
 /// decimal integer in its range: --clients and --requests in [1, 1024],
-/// --vertices >= 2 (the generator's minimum), --edges >= 1, --seed,
-/// --threads and --budget >= 0. A value out of range or not an integer, or
-/// an unknown flag, prints a message and exits with status 2.
+/// --vertices in [2, 2^26] (2 is the generator's minimum), --edges in
+/// [1, 2^28], --seed, --threads and --budget >= 0. The graph bounds keep
+/// the generator's up-front reservation (one slot per edge) within what a
+/// server can allocate. A value out of range or not an integer, or an
+/// unknown flag, prints a message and exits with status 2 before anything
+/// is allocated.
 
 #include <algorithm>
 #include <climits>
@@ -63,13 +66,17 @@ double Percentile(std::vector<double> sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+/// Upper bounds of --vertices and --edges.
+constexpr long kMaxVertices = 1L << 26;
+constexpr long kMaxEdges = 1L << 28;
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
   const FlagSpec specs[] = {
-      {"--vertices", 2, LONG_MAX, &flags.vertices},
-      {"--edges", 1, LONG_MAX, &flags.edges},
+      {"--vertices", 2, kMaxVertices, &flags.vertices},
+      {"--edges", 1, kMaxEdges, &flags.edges},
       {"--seed", 0, LONG_MAX, &flags.seed},
       {"--clients", 1, 1024, &flags.clients},
       {"--requests", 1, 1024, &flags.requests},

@@ -6,6 +6,11 @@
 
 namespace vertexica {
 
+std::shared_ptr<const Table> BorrowTable(const Table& table) {
+  // The aliasing constructor with an empty owner: no copy, no ownership.
+  return std::shared_ptr<const Table>(std::shared_ptr<const Table>(), &table);
+}
+
 Table MakeVertexListTable(const Graph& g) {
   std::vector<int64_t> ids(static_cast<size_t>(g.num_vertices));
   for (int64_t v = 0; v < g.num_vertices; ++v) ids[static_cast<size_t>(v)] = v;

@@ -6,11 +6,19 @@
 #ifndef VERTEXICA_SQLGRAPH_SQL_COMMON_H_
 #define VERTEXICA_SQLGRAPH_SQL_COMMON_H_
 
+#include <memory>
+
 #include "common/result.h"
 #include "graphgen/graph.h"
 #include "storage/table.h"
 
 namespace vertexica {
+
+/// \brief A non-owning handle to `table` for PlanBuilder::Scan: the plans of
+/// an algorithm scan the caller's vertex and edge tables in place instead
+/// of copying them once per scan. `table` must outlive every plan built
+/// over the handle.
+std::shared_ptr<const Table> BorrowTable(const Table& table);
 
 /// \brief Table (id INT64) listing every vertex of `g`.
 Table MakeVertexListTable(const Graph& g);

@@ -7,7 +7,9 @@ namespace vertexica {
 
 Result<Table> SqlConnectedComponents(const Table& vertices,
                                      const Table& edges) {
-  VX_ASSIGN_OR_RETURN(Table und, UndirectedEdges(edges));
+  // Scanned every round, so held once rather than copied per scan.
+  VX_ASSIGN_OR_RETURN(Table und_table, UndirectedEdges(edges));
+  const auto und = std::make_shared<const Table>(std::move(und_table));
 
   VX_ASSIGN_OR_RETURN(Table label,
                       PlanBuilder::Scan(vertices)

@@ -5,6 +5,14 @@
 
 namespace vertexica {
 
+PlanBuilder SqlPageRankContributions(std::shared_ptr<const Table> edge_deg,
+                                     Table rank) {
+  return PlanBuilder::Scan(std::move(edge_deg))
+      .Join(PlanBuilder::Scan(std::move(rank)), {"src"}, {"id"})
+      .Project({{"dst", Col("dst")}, {"c", Div(Col("rank"), Col("outdeg"))}})
+      .Aggregate({"dst"}, {{AggOp::kSum, "c", "s"}});
+}
+
 Result<Table> SqlPageRank(const Table& vertices, const Table& edges,
                           int iterations, double damping) {
   const auto n = static_cast<double>(vertices.num_rows());
@@ -13,22 +21,27 @@ Result<Table> SqlPageRank(const Table& vertices, const Table& edges,
 
   // Pre-join edges with out-degrees once; the per-iteration plan then only
   // joins this against the current rank table.
+  const auto edge_table = BorrowTable(edges);
+  const auto vertex_table = BorrowTable(vertices);
   VX_ASSIGN_OR_RETURN(
       Table outdeg,
-      PlanBuilder::Scan(edges)
+      PlanBuilder::Scan(edge_table)
           .Aggregate({"src"}, {{AggOp::kCountStar, "", "outdeg"}})
           .Execute());
   VX_ASSIGN_OR_RETURN(
-      Table edge_deg,
-      PlanBuilder::Scan(edges)
+      Table edge_deg_table,
+      PlanBuilder::Scan(edge_table)
           .Select({"src", "dst"})
           .Join(PlanBuilder::Scan(std::move(outdeg)), {"src"}, {"src"})
           .Select({"src", "dst", "outdeg"})
           .Execute());
+  // Scanned every iteration, so held once rather than copied per scan.
+  const auto edge_deg =
+      std::make_shared<const Table>(std::move(edge_deg_table));
 
   // rank_0 = 1/N everywhere.
   VX_ASSIGN_OR_RETURN(Table rank,
-                      PlanBuilder::Scan(vertices)
+                      PlanBuilder::Scan(vertex_table)
                           .Project({{"id", Col("id")},
                                     {"rank", Lit(1.0 / n)}})
                           .Execute());
@@ -36,15 +49,10 @@ Result<Table> SqlPageRank(const Table& vertices, const Table& edges,
   for (int it = 0; it < iterations; ++it) {
     VX_ASSIGN_OR_RETURN(
         Table sums,
-        PlanBuilder::Scan(edge_deg)
-            .Join(PlanBuilder::Scan(rank), {"src"}, {"id"})
-            .Project({{"dst", Col("dst")},
-                      {"c", Div(Col("rank"), Col("outdeg"))}})
-            .Aggregate({"dst"}, {{AggOp::kSum, "c", "s"}})
-            .Execute());
+        SqlPageRankContributions(edge_deg, std::move(rank)).Execute());
     VX_ASSIGN_OR_RETURN(
         rank,
-        PlanBuilder::Scan(vertices)
+        PlanBuilder::Scan(vertex_table)
             .Join(PlanBuilder::Scan(std::move(sums)), {"id"}, {"dst"},
                   JoinType::kLeft)
             .Project({{"id", Col("id")},

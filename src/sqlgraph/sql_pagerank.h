@@ -5,9 +5,11 @@
 #ifndef VERTEXICA_SQLGRAPH_SQL_PAGERANK_H_
 #define VERTEXICA_SQLGRAPH_SQL_PAGERANK_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
+#include "exec/plan_builder.h"
 #include "graphgen/graph.h"
 #include "storage/table.h"
 
@@ -31,6 +33,13 @@ namespace vertexica {
 /// \returns table (id, rank)
 Result<Table> SqlPageRank(const Table& vertices, const Table& edges,
                           int iterations = 10, double damping = 0.85);
+
+/// \brief One iteration's contribution plan: `SUM(rank / outdeg)` per `dst`
+/// over `edge_deg (src, dst, outdeg) ⋈ rank (id, rank)` on `src = id`. The
+/// join, the projection and the GROUP BY run as one pipeline
+/// (exec/join_aggregate.h).
+PlanBuilder SqlPageRankContributions(std::shared_ptr<const Table> edge_deg,
+                                     Table rank);
 
 /// \brief Convenience overload; returns ranks indexed by vertex id.
 ///

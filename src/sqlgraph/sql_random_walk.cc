@@ -11,23 +11,28 @@ Result<Table> SqlRandomWalkWithRestart(const Table& vertices,
                                        double restart_probability) {
   const double c = restart_probability;
 
+  const auto edge_table = BorrowTable(edges);
+  const auto vertex_table = BorrowTable(vertices);
   VX_ASSIGN_OR_RETURN(
       Table outdeg,
-      PlanBuilder::Scan(edges)
+      PlanBuilder::Scan(edge_table)
           .Aggregate({"src"}, {{AggOp::kCountStar, "", "outdeg"}})
           .Execute());
   VX_ASSIGN_OR_RETURN(
-      Table edge_deg,
-      PlanBuilder::Scan(edges)
+      Table edge_deg_table,
+      PlanBuilder::Scan(edge_table)
           .Select({"src", "dst"})
           .Join(PlanBuilder::Scan(std::move(outdeg)), {"src"}, {"src"})
           .Select({"src", "dst", "outdeg"})
           .Execute());
+  // Scanned every iteration, so held once rather than copied per scan.
+  const auto edge_deg =
+      std::make_shared<const Table>(std::move(edge_deg_table));
 
   // score_0 = e_source.
   VX_ASSIGN_OR_RETURN(
       Table score,
-      PlanBuilder::Scan(vertices)
+      PlanBuilder::Scan(vertex_table)
           .Project({{"id", Col("id")},
                     {"score", If(Eq(Col("id"), Lit(source)), Lit(1.0),
                                  Lit(0.0))}})
@@ -37,7 +42,7 @@ Result<Table> SqlRandomWalkWithRestart(const Table& vertices,
     VX_ASSIGN_OR_RETURN(
         Table sums,
         PlanBuilder::Scan(edge_deg)
-            .Join(PlanBuilder::Scan(score), {"src"}, {"id"})
+            .Join(PlanBuilder::Scan(std::move(score)), {"src"}, {"id"})
             .Filter(Gt(Col("score"), Lit(0.0)))
             .Project({{"dst", Col("dst")},
                       {"m", Div(Col("score"), Col("outdeg"))}})
@@ -45,7 +50,7 @@ Result<Table> SqlRandomWalkWithRestart(const Table& vertices,
             .Execute());
     VX_ASSIGN_OR_RETURN(
         score,
-        PlanBuilder::Scan(vertices)
+        PlanBuilder::Scan(vertex_table)
             .Join(PlanBuilder::Scan(std::move(sums)), {"id"}, {"dst"},
                   JoinType::kLeft)
             .Project({{"id", Col("id")},

@@ -19,6 +19,8 @@ Result<Table> SqlShortestPaths(const Table& vertices, const Table& edges,
                                 Lit(kInf))}})
           .Execute());
 
+  // Scanned every round, in place.
+  const auto edge_table = BorrowTable(edges);
   const int64_t max_rounds = std::max<int64_t>(1, vertices.num_rows() - 1);
   for (int64_t round = 0; round < max_rounds; ++round) {
     // Candidate relaxations from currently-reachable vertices.
@@ -26,7 +28,7 @@ Result<Table> SqlShortestPaths(const Table& vertices, const Table& edges,
         Table cand,
         PlanBuilder::Scan(dist)
             .Filter(Lt(Col("dist"), Lit(kInf)))
-            .Join(PlanBuilder::Scan(edges), {"id"}, {"src"})
+            .Join(PlanBuilder::Scan(edge_table), {"id"}, {"src"})
             .Project({{"dst", Col("dst")},
                       {"nd", Add(Col("dist"), Col("weight"))}})
             .Aggregate({"dst"}, {{AggOp::kMin, "nd", "nd"}})

@@ -1664,5 +1664,311 @@ TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 16);
 }
 
+// ---------------------------------------------------------------------------
+// Join → project → aggregate (exec/join_aggregate.h): the fused plan against
+// ParallelHashJoin + ProjectOp + ParallelHashAggregate run directly.
+
+/// Edges (src, dst, w, x) whose `src` draws from [0, src_span).
+Table JoinAggEdges(uint64_t seed, int64_t rows, int64_t src_span) {
+  Rng rng(seed);
+  Table t(Schema({{"src", DataType::kInt64},
+                  {"dst", DataType::kInt64},
+                  {"w", DataType::kInt64},
+                  {"x", DataType::kDouble}}));
+  for (int64_t r = 0; r < rows; ++r) {
+    VX_CHECK_OK(t.AppendRow({Value(rng.UniformRange(0, src_span - 1)),
+                             Value(rng.UniformRange(0, 400)),
+                             Value(rng.UniformRange(-50, 50)),
+                             Value(rng.NextDouble() * 10 - 5)}));
+  }
+  return t;
+}
+
+/// Nodes (id, rank, deg): one row per id in [0, ids).
+Table JoinAggNodes(uint64_t seed, int64_t ids) {
+  Rng rng(seed);
+  Table t(Schema({{"id", DataType::kInt64},
+                  {"rank", DataType::kDouble},
+                  {"deg", DataType::kInt64}}));
+  for (int64_t id = 0; id < ids; ++id) {
+    VX_CHECK_OK(t.AppendRow({Value(id), Value(rng.NextDouble()),
+                             Value(rng.UniformRange(1, 9))}));
+  }
+  return t;
+}
+
+/// PageRank's per-round projection: the group key and rank / deg.
+std::vector<ProjectionSpec> ContributionProjection() {
+  return {{"dst", Col("dst")}, {"c", Div(Col("rank"), Col("deg"))}};
+}
+
+/// The three operators, run directly over the materialized join.
+Table ThreeOperatorReference(const Table& probe, const Table& build,
+                             JoinType type,
+                             const std::vector<ProjectionSpec>& outputs,
+                             const std::string& group,
+                             const std::vector<AggSpec>& aggs) {
+  Result<Table> joined = ParallelHashJoin(probe, build, {"src"}, {"id"}, type);
+  VX_CHECK_OK(joined.status());
+  const int64_t rows = std::max<int64_t>(1, joined->num_rows());
+  ProjectOp project(std::make_unique<TableScan>(*std::move(joined), rows),
+                    outputs);
+  Result<Table> projected = Collect(&project);
+  VX_CHECK_OK(projected.status());
+  Result<Table> out = ParallelHashAggregate(*projected, {group}, aggs);
+  VX_CHECK_OK(out.status());
+  return *std::move(out);
+}
+
+struct JoinAggRun {
+  Table out;
+  std::string explain;
+  KernelStatsSnapshot stats;
+};
+
+/// The PlanBuilder plan (fused when its shape allows) under the given
+/// knobs, with its own counter block.
+JoinAggRun RunJoinAggPlan(const Table& probe, const Table& build,
+                          JoinType type,
+                          const std::vector<ProjectionSpec>& outputs,
+                          const std::string& group,
+                          const std::vector<AggSpec>& aggs, int threads = 2,
+                          bool vectorized = true) {
+  KernelStats block;
+  ExecKnobs knobs = ExecKnobs::Current();
+  knobs.kernel_stats = &block;
+  knobs.threads = threads;
+  knobs.vectorized = vectorized;
+  ScopedExecKnobs scope(knobs);
+  PlanBuilder plan = PlanBuilder::Scan(probe)
+                         .Join(PlanBuilder::Scan(build), {"src"}, {"id"}, type)
+                         .Project(outputs)
+                         .Aggregate({group}, aggs);
+  JoinAggRun run;
+  run.explain = plan.Explain();
+  Result<Table> out = std::move(plan).Execute();
+  VX_CHECK_OK(out.status());
+  run.out = *std::move(out);
+  run.stats = Snapshot(block);
+  return run;
+}
+
+/// Same schema, rows and row order, with DOUBLEs compared bit for bit.
+void ExpectBitIdentical(const Table& got, const Table& want) {
+  ASSERT_EQ(got.schema().ToString(), want.schema().ToString());
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (int c = 0; c < want.num_columns(); ++c) {
+    const Column& g = got.column(c);
+    const Column& w = want.column(c);
+    for (int64_t i = 0; i < want.num_rows(); ++i) {
+      ASSERT_EQ(g.IsNull(i), w.IsNull(i)) << "column " << c << " row " << i;
+      if (w.IsNull(i)) continue;
+      if (w.type() == DataType::kDouble) {
+        const double a = g.GetDouble(i);
+        const double b = w.GetDouble(i);
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+            << "column " << c << " row " << i << ": " << a << " vs " << b;
+      } else {
+        ASSERT_EQ(g.GetValue(i).ToString(), w.GetValue(i).ToString())
+            << "column " << c << " row " << i;
+      }
+    }
+  }
+}
+
+/// Runs the plan and checks it fused, counted its join and chunks, and
+/// matched the three operators.
+void ExpectFusedMatchesReference(const Table& probe, const Table& build,
+                                 const std::vector<ProjectionSpec>& outputs,
+                                 const std::string& group,
+                                 const std::vector<AggSpec>& aggs,
+                                 int threads = 2) {
+  const Table want = ThreeOperatorReference(probe, build, JoinType::kInner,
+                                            outputs, group, aggs);
+  const JoinAggRun run =
+      RunJoinAggPlan(probe, build, JoinType::kInner, outputs, group, aggs,
+                     threads);
+  EXPECT_EQ(run.explain.rfind("JoinAggregate(", 0), 0u) << run.explain;
+  Result<Table> joined = ParallelHashJoin(probe, build, {"src"}, {"id"});
+  VX_CHECK_OK(joined.status());
+  const int64_t chunks =
+      (joined->num_rows() + kDefaultMorselRows - 1) / kDefaultMorselRows;
+  EXPECT_EQ(run.stats.fused_batches, chunks);
+  EXPECT_EQ(run.stats.legacy_batches, 0);
+  EXPECT_EQ(run.stats.hash_joins, 1);
+  EXPECT_EQ(run.stats.hash_rows, joined->num_rows());
+  ExpectBitIdentical(run.out, want);
+}
+
+/// Runs the plan and checks it took the three operators and matched them.
+void ExpectFallbackMatchesReference(const Table& probe, const Table& build,
+                                    JoinType type,
+                                    const std::vector<ProjectionSpec>& outputs,
+                                    const std::string& group,
+                                    const std::vector<AggSpec>& aggs,
+                                    bool vectorized = true) {
+  const Table want =
+      ThreeOperatorReference(probe, build, type, outputs, group, aggs);
+  const JoinAggRun run = RunJoinAggPlan(probe, build, type, outputs, group,
+                                        aggs, /*threads=*/2, vectorized);
+  EXPECT_EQ(run.stats.fused_batches, 0);
+  EXPECT_EQ(run.stats.legacy_batches, 1);  // the ProjectOp's one batch
+  EXPECT_EQ(run.stats.hash_joins, 1);
+  ExpectBitIdentical(run.out, want);
+}
+
+TEST(JoinAggregateTest, IdentityJoinMatchesThreeOperators) {
+  // Every edge finds exactly one node: output row i is probe row i.
+  const Table nodes = JoinAggNodes(1, 500);
+  const Table edges = JoinAggEdges(2, 40000, 500);
+  ExpectFusedMatchesReference(edges, nodes, ContributionProjection(), "dst",
+                              {{AggOp::kSum, "c", "s"}});
+}
+
+TEST(JoinAggregateTest, MatchesSplitAtTheChunkBoundaryLikeTheJoinOutput) {
+  // Node 7 has 100 rows; every other id one. The edge at probe row 16,300
+  // is the first with src 7, so its 100 matches are output rows
+  // 16,300..16,399 and straddle the chunk boundary at 16,384.
+  Table nodes = JoinAggNodes(3, 2000);
+  Rng rng(4);
+  for (int r = 0; r < 99; ++r) {
+    VX_CHECK_OK(nodes.AppendRow({Value(int64_t{7}), Value(rng.NextDouble()),
+                                 Value(rng.UniformRange(1, 9))}));
+  }
+  Table edges(JoinAggEdges(5, 0, 1).schema());
+  const Table random = JoinAggEdges(6, 30000, 2000);
+  for (int64_t r = 0; r < random.num_rows(); ++r) {
+    int64_t src = random.column(0).GetInt64(r);
+    if (r < 16300 && src == 7) src = 8;
+    if (r == 16300) src = 7;
+    VX_CHECK_OK(edges.AppendRow({Value(src), random.column(1).GetValue(r),
+                                 random.column(2).GetValue(r),
+                                 random.column(3).GetValue(r)}));
+  }
+  Result<Table> joined = ParallelHashJoin(edges, nodes, {"src"}, {"id"});
+  VX_CHECK_OK(joined.status());
+  ASSERT_EQ(joined->column(0).GetInt64(16300), 7);
+  ASSERT_EQ(joined->column(0).GetInt64(16399), 7);
+  ASSERT_GT(joined->num_rows(), kDefaultMorselRows + 100);
+  // Grouped by a build column too, so the straddling row's matches land in
+  // many groups on both sides of the boundary.
+  ExpectFusedMatchesReference(edges, nodes, ContributionProjection(), "dst",
+                              {{AggOp::kSum, "c", "s"}});
+  ExpectFusedMatchesReference(
+      edges, nodes, {{"deg", Col("deg")}, {"x", Add(Col("x"), Col("rank"))}},
+      "deg", {{AggOp::kSum, "x", "s"}, {AggOp::kMin, "x", "lo"}});
+}
+
+TEST(JoinAggregateTest, ProbeRowsWithoutMatchesAreSkipped) {
+  // src draws from [0, 3000) but only ids [0, 1000) exist.
+  const Table nodes = JoinAggNodes(7, 1000);
+  const Table edges = JoinAggEdges(8, 50000, 3000);
+  ExpectFusedMatchesReference(edges, nodes, ContributionProjection(), "dst",
+                              {{AggOp::kSum, "c", "s"}});
+  // No probe row matches at all: an empty result, still one counted join.
+  ExpectFusedMatchesReference(JoinAggEdges(9, 100, 3000),
+                              JoinAggNodes(10, 0), ContributionProjection(),
+                              "dst", {{AggOp::kSum, "c", "s"}});
+}
+
+TEST(JoinAggregateTest, EveryAggregateOverInt64AndDoubleInputs) {
+  const Table nodes = JoinAggNodes(11, 700);
+  const Table edges = JoinAggEdges(12, 45000, 800);
+  const std::vector<ProjectionSpec> outputs = {
+      {"dst", Col("dst")},
+      {"i", Add(Col("w"), Col("deg"))},
+      {"d", Div(Col("rank"), Col("deg"))}};
+  std::vector<AggSpec> aggs;
+  for (const char* in : {"i", "d"}) {
+    for (const AggOp op : {AggOp::kSum, AggOp::kMin, AggOp::kMax,
+                           AggOp::kCount, AggOp::kAvg}) {
+      aggs.push_back({op, in, std::string(AggOpName(op)) + "_" + in});
+    }
+  }
+  aggs.push_back({AggOp::kCountStar, "", "n"});
+  ExpectFusedMatchesReference(edges, nodes, outputs, "dst", aggs);
+}
+
+TEST(JoinAggregateTest, BitIdenticalAcrossThreadsAndEncodings) {
+  const Table nodes = JoinAggNodes(13, 900);
+  const Table edges = JoinAggEdges(14, 60000, 900);
+  const std::vector<AggSpec> aggs = {{AggOp::kSum, "c", "s"},
+                                     {AggOp::kMax, "c", "hi"}};
+  const Table want = ThreeOperatorReference(
+      edges, nodes, JoinType::kInner, ContributionProjection(), "dst", aggs);
+  for (const EncodingMode mode : {EncodingMode::kOff, EncodingMode::kForce}) {
+    Table probe = edges;
+    Table build = nodes;
+    probe.EncodeColumns(mode);
+    build.EncodeColumns(mode);
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(EncodingModeName(mode)) + " threads " +
+                   std::to_string(threads));
+      ExpectFusedMatchesReference(probe, build, ContributionProjection(),
+                                  "dst", aggs, threads);
+      ExpectBitIdentical(RunJoinAggPlan(probe, build, JoinType::kInner,
+                                        ContributionProjection(), "dst", aggs,
+                                        threads)
+                             .out,
+                         want);
+    }
+  }
+}
+
+TEST(JoinAggregateTest, NullBuildKeyFallsBack) {
+  Table nodes = JoinAggNodes(15, 300);
+  VX_CHECK_OK(nodes.AppendRow({Value::Null(), Value(0.5), Value(int64_t{2})}));
+  ExpectFallbackMatchesReference(JoinAggEdges(16, 20000, 300), nodes,
+                                 JoinType::kInner, ContributionProjection(),
+                                 "dst", {{AggOp::kSum, "c", "s"}});
+}
+
+TEST(JoinAggregateTest, NullGroupKeyFallsBack) {
+  Table edges = JoinAggEdges(17, 20000, 300);
+  VX_CHECK_OK(edges.AppendRow({Value(int64_t{3}), Value::Null(),
+                               Value(int64_t{1}), Value(1.0)}));
+  ExpectFallbackMatchesReference(edges, JoinAggNodes(18, 300),
+                                 JoinType::kInner, ContributionProjection(),
+                                 "dst", {{AggOp::kSum, "c", "s"}});
+}
+
+TEST(JoinAggregateTest, NullYieldingProjectionFallsBack) {
+  // NULL-free inputs, but `c` is NULL wherever w > 40: found while the
+  // chunks fold, after some may have folded already.
+  ExpectFallbackMatchesReference(
+      JoinAggEdges(23, 40000, 300), JoinAggNodes(24, 300), JoinType::kInner,
+      {{"dst", Col("dst")},
+       {"c", If(Gt(Col("w"), Lit(int64_t{40})), NullLit(DataType::kDouble),
+                Div(Col("rank"), Col("deg")))}},
+      "dst", {{AggOp::kSum, "c", "s"}});
+  // Node 5's rank is NULL, so every edge into it projects a NULL `c`.
+  Table nodes = JoinAggNodes(19, 4);
+  VX_CHECK_OK(nodes.AppendRow({Value(int64_t{4}), Value(0.25),
+                               Value(int64_t{3})}));
+  VX_CHECK_OK(nodes.AppendRow({Value(int64_t{5}), Value::Null(),
+                               Value(int64_t{3})}));
+  ExpectFallbackMatchesReference(JoinAggEdges(20, 20000, 6), nodes,
+                                 JoinType::kInner, ContributionProjection(),
+                                 "dst", {{AggOp::kSum, "c", "s"}});
+}
+
+TEST(JoinAggregateTest, LeftJoinAndVectorizedOffKeepThreeOperators) {
+  const Table nodes = JoinAggNodes(21, 200);
+  const Table edges = JoinAggEdges(22, 20000, 400);
+  const std::vector<ProjectionSpec> outputs = {
+      {"dst", Col("dst")}, {"c", Coalesce(Col("rank"), Lit(0.0))}};
+  ExpectFallbackMatchesReference(edges, nodes, JoinType::kLeft, outputs,
+                                 "dst", {{AggOp::kSum, "c", "s"}});
+  EXPECT_EQ(RunJoinAggPlan(edges, nodes, JoinType::kLeft, outputs, "dst",
+                           {{AggOp::kSum, "c", "s"}})
+                .explain.rfind("HashAggregate(", 0),
+            0u);
+  // The shape fuses, but the `vectorized` knob pins the three operators.
+  ExpectFallbackMatchesReference(edges, nodes, JoinType::kInner,
+                                 ContributionProjection(), "dst",
+                                 {{AggOp::kSum, "c", "s"}},
+                                 /*vectorized=*/false);
+}
+
 }  // namespace
 }  // namespace vertexica

@@ -9,6 +9,7 @@
 
 #include "algorithms/reference.h"
 #include "common/string_util.h"
+#include "exec/kernel_stats.h"
 #include "exec/parallel.h"
 #include "graphgen/generators.h"
 #include "sqlgraph/clustering_coefficient.h"
@@ -105,6 +106,53 @@ TEST(SqlPageRankTest, EmptyGraph) {
   auto rank = SqlPageRank(v, e, 3);
   ASSERT_TRUE(rank.ok());
   EXPECT_EQ(rank->num_rows(), 0);
+}
+
+TEST(SqlPageRankTest, IterationPlanRunsAsOneJoinAggregatePipeline) {
+  // The per-iteration plan explains as the fused join → project →
+  // aggregate node over the two scans, not as three operators.
+  Table edge_deg(Schema({{"src", DataType::kInt64},
+                         {"dst", DataType::kInt64},
+                         {"outdeg", DataType::kInt64}}));
+  Table rank(Schema({{"id", DataType::kInt64}, {"rank", DataType::kDouble}}));
+  const std::string explain =
+      SqlPageRankContributions(std::make_shared<const Table>(edge_deg), rank)
+          .Explain();
+  EXPECT_EQ(explain.rfind("JoinAggregate(src = id; dst := dst, "
+                          "c := (rank / outdeg); by: dst, SUM(c))",
+                          0),
+            0u)
+      << explain;
+  EXPECT_EQ(explain.find("HashJoin"), std::string::npos) << explain;
+
+  // A whole run folds its per-iteration joins through that pipeline, with
+  // the same ranks as the three operators (`vectorized` off).
+  Graph g = GenerateRmat(600, 30000, 41);
+  const Table vertices = MakeVertexListTable(g);
+  const Table edges = MakeEdgeListTable(g);
+  const auto run = [&](bool vectorized, KernelStats* block) {
+    ExecKnobs knobs = ExecKnobs::Current();
+    knobs.vectorized = vectorized;
+    knobs.kernel_stats = block;
+    ScopedExecKnobs scope(knobs);
+    Result<Table> out = SqlPageRank(vertices, edges, 3);
+    VX_CHECK_OK(out.status());
+    return *std::move(out);
+  };
+  KernelStats fused;
+  KernelStats three;
+  const Table fused_ranks = run(true, &fused);
+  const Table three_ranks = run(false, &three);
+  EXPECT_TRUE(fused_ranks.Equals(three_ranks));
+  // 3 iterations × 2 chunks of the 30,000-row join output.
+  EXPECT_EQ(Snapshot(fused).fused_batches, 6);
+  EXPECT_EQ(Snapshot(three).fused_batches, 0);
+  // The joins are counted either way: the out-degree join and two per
+  // iteration.
+  EXPECT_EQ(Snapshot(fused).hash_joins, 7);
+  EXPECT_EQ(Snapshot(three).hash_joins, 7);
+  EXPECT_LT(Snapshot(fused).bytes_materialized,
+            Snapshot(three).bytes_materialized);
 }
 
 TEST(SqlShortestPathsTest, MatchesDijkstra) {
